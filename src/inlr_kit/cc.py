@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .iplus import _beta, _case_inl, _case_inr
 from .rewrite import (ND_CHOICE, Rule, RuleId, RuleSet, find_redexes,
                       normalize, register_default_ruleset, step_at)
 from .syntax import (Abs, AndElim1, AndElim2, App, BotElim, Case, Conj, Disj,
@@ -26,8 +27,8 @@ from .syntax import (Abs, AndElim1, AndElim2, App, BotElim, Case, Conj, Disj,
                      pair_subst, print_term, subst_abs, uses_binder)
 
 
-def _rule(n, name, match, build, **kw):
-    return Rule(RuleId("cc", n), name, match, build, **kw)
+def _rule(n, name, head, build, **kw):
+    return Rule(RuleId("cc", n), name, head, build, **kw)
 
 
 def _close(t, name, hint):
@@ -51,8 +52,10 @@ def _open(a: Abs):
 
 # -- rules 8-12: bottom-elimination against the result proposition ------------
 
-def _bot_prop(cls):
-    return lambda t: isinstance(t, BotElim) and isinstance(t.prop, cls)
+def _bot_rule(n, name, target, build, **kw):
+    """A bottom-elimination rule for one result connective."""
+    return _rule(n, name, (BotElim,), build,
+                 guard=lambda t: isinstance(t.prop, target), **kw)
 
 
 def _bot_lam(t):
@@ -62,10 +65,6 @@ def _bot_lam(t):
 
 
 # -- rules 13-18: top-elimination against the introduction below it -----------
-
-def _top_intro(cls):
-    return lambda t: isinstance(t, TopElim) and isinstance(t.body, cls)
-
 
 def _top_lam(t):
     inner = t.body
@@ -84,21 +83,10 @@ def _top_inlr(t):
 
 # -- rules 19-30: conjunction eliminations against introductions --------------
 
-def _and_intro(node, cls, escape_check=False):
-    def match(t):
-        if not isinstance(t, node) or not isinstance(t.abs.body, cls):
-            return False
-        if escape_check:
-            # the inner scrutinee escapes the binder on the right-hand
-            # side, so the rule only fires when it does not use it
-            return not uses_binder(Abs("", t.abs.body.scrut))
-        return True
-
-    return match
-
-
-def _and_star(t):
-    return Star()
+def _scrut_can_escape(t):
+    # the inner scrutinee moves out of the binder on the right-hand side,
+    # so the rule only fires when it does not use the bound variable
+    return not uses_binder(Abs("", t.abs.body.scrut))
 
 
 def _and_lam(node):
@@ -144,16 +132,6 @@ def _and_inlr(node):
 
 
 # -- rules 31-42: case against the introductions in its branches --------------
-
-def _case_intros(left_cls, right_cls):
-    return (lambda t: isinstance(t, Case)
-            and isinstance(t.left.body, left_cls)
-            and isinstance(t.right.body, right_cls))
-
-
-def _case_star(t):
-    return Star()
-
 
 def _case_lam(t):
     x1, b1 = _open(t.left)
@@ -322,83 +300,67 @@ def _pi_inlr_inlr(t, t1, t2, x1, x2, y1, y2, y3, y4):
 
 # -- the table -----------------------------------------------------------------
 
-def _is(node, *inner):
-    if not inner:
-        return lambda t: isinstance(t, node)
-    first = inner[0]
-
-    def match(t):
-        if not isinstance(t, node):
-            return False
-        slots = [getattr(t, f) for f, k in t._shape if k == "term"]
-        return isinstance(slots[0], first)
-
-    return match
-
-
 RULES_CC = register_default_ruleset(RuleSet("cc", "cc", (
     # figure I: ordinary cuts
-    _rule(1, "top-elim", _is(TopElim, Star), lambda t: t.body),
-    _rule(2, "beta", _is(App, Lam), lambda t: subst_abs(t.fn.abs, t.arg)),
-    _rule(3, "and-elim-1", _is(AndElim1, Pair),
+    _rule(1, "top-elim", (TopElim, Star), lambda t: t.body),
+    _rule(2, "beta", (App, Lam), _beta),
+    _rule(3, "and-elim-1", (AndElim1, Pair),
           lambda t: subst_abs(t.abs, t.scrut.left)),
-    _rule(4, "and-elim-2", _is(AndElim2, Pair),
+    _rule(4, "and-elim-2", (AndElim2, Pair),
           lambda t: subst_abs(t.abs, t.scrut.right)),
-    _rule(5, "case-inl", _is(Case, Inl),
-          lambda t: subst_abs(t.left, t.scrut.body)),
-    _rule(6, "case-inr", _is(Case, Inr),
-          lambda t: subst_abs(t.right, t.scrut.body)),
-    _rule(7, "case-inlr", _is(Case, Inlr3), _case_inlr3),
+    _rule(5, "case-inl", (Case, Inl), _case_inl),
+    _rule(6, "case-inr", (Case, Inr), _case_inr),
+    _rule(7, "case-inlr", (Case, Inlr3), _case_inlr3),
     # figure II: bottom-elimination
-    _rule(8, "bot-top", _bot_prop(Top), lambda t: Star()),
-    _rule(9, "bot-impl", _bot_prop(Impl), _bot_lam),
-    _rule(10, "bot-conj", _bot_prop(Conj),
-          lambda t: Pair(BotElim(t.prop.left, t.scrut),
-                         BotElim(t.prop.right, t.scrut))),
-    _rule(11, "bot-disj-inl", _bot_prop(Disj),
-          lambda t: Inl(BotElim(t.prop.left, t.scrut)), group=ND_CHOICE),
-    _rule(12, "bot-disj-inr", _bot_prop(Disj),
-          lambda t: Inr(BotElim(t.prop.right, t.scrut)), group=ND_CHOICE),
+    _bot_rule(8, "bot-top", Top, lambda t: Star()),
+    _bot_rule(9, "bot-impl", Impl, _bot_lam),
+    _bot_rule(10, "bot-conj", Conj,
+              lambda t: Pair(BotElim(t.prop.left, t.scrut),
+                             BotElim(t.prop.right, t.scrut))),
+    _bot_rule(11, "bot-disj-inl", Disj,
+              lambda t: Inl(BotElim(t.prop.left, t.scrut)), group=ND_CHOICE),
+    _bot_rule(12, "bot-disj-inr", Disj,
+              lambda t: Inr(BotElim(t.prop.right, t.scrut)), group=ND_CHOICE),
     # figure II: top-elimination
-    _rule(13, "top-star", _top_intro(Star), lambda t: Star()),
-    _rule(14, "top-lam", _top_intro(Lam), _top_lam),
-    _rule(15, "top-pair", _top_intro(Pair),
+    _rule(13, "top-star", (TopElim, None, Star), lambda t: Star()),
+    _rule(14, "top-lam", (TopElim, None, Lam), _top_lam),
+    _rule(15, "top-pair", (TopElim, None, Pair),
           lambda t: Pair(TopElim(t.scrut, t.body.left),
                          TopElim(t.scrut, t.body.right))),
-    _rule(16, "top-inl", _top_intro(Inl),
+    _rule(16, "top-inl", (TopElim, None, Inl),
           lambda t: Inl(TopElim(t.scrut, t.body.body))),
-    _rule(17, "top-inr", _top_intro(Inr),
+    _rule(17, "top-inr", (TopElim, None, Inr),
           lambda t: Inr(TopElim(t.scrut, t.body.body))),
-    _rule(18, "top-inlr", _top_intro(Inlr3), _top_inlr),
+    _rule(18, "top-inlr", (TopElim, None, Inlr3), _top_inlr),
     # figure II: first conjunction elimination
-    _rule(19, "and1-star", _and_intro(AndElim1, Star), _and_star),
-    _rule(20, "and1-lam", _and_intro(AndElim1, Lam), _and_lam(AndElim1)),
-    _rule(21, "and1-pair", _and_intro(AndElim1, Pair), _and_pair(AndElim1)),
-    _rule(22, "and1-inl", _and_intro(AndElim1, Inl), _and_inj(AndElim1, Inl)),
-    _rule(23, "and1-inr", _and_intro(AndElim1, Inr), _and_inj(AndElim1, Inr)),
-    _rule(24, "and1-inlr", _and_intro(AndElim1, Inlr3, escape_check=True),
-          _and_inlr(AndElim1)),
+    _rule(19, "and1-star", (AndElim1, None, Star), lambda t: Star()),
+    _rule(20, "and1-lam", (AndElim1, None, Lam), _and_lam(AndElim1)),
+    _rule(21, "and1-pair", (AndElim1, None, Pair), _and_pair(AndElim1)),
+    _rule(22, "and1-inl", (AndElim1, None, Inl), _and_inj(AndElim1, Inl)),
+    _rule(23, "and1-inr", (AndElim1, None, Inr), _and_inj(AndElim1, Inr)),
+    _rule(24, "and1-inlr", (AndElim1, None, Inlr3), _and_inlr(AndElim1),
+          guard=_scrut_can_escape),
     # figure II: second conjunction elimination
-    _rule(25, "and2-star", _and_intro(AndElim2, Star), _and_star),
-    _rule(26, "and2-lam", _and_intro(AndElim2, Lam), _and_lam(AndElim2)),
-    _rule(27, "and2-pair", _and_intro(AndElim2, Pair), _and_pair(AndElim2)),
-    _rule(28, "and2-inl", _and_intro(AndElim2, Inl), _and_inj(AndElim2, Inl)),
-    _rule(29, "and2-inr", _and_intro(AndElim2, Inr), _and_inj(AndElim2, Inr)),
-    _rule(30, "and2-inlr", _and_intro(AndElim2, Inlr3, escape_check=True),
-          _and_inlr(AndElim2)),
+    _rule(25, "and2-star", (AndElim2, None, Star), lambda t: Star()),
+    _rule(26, "and2-lam", (AndElim2, None, Lam), _and_lam(AndElim2)),
+    _rule(27, "and2-pair", (AndElim2, None, Pair), _and_pair(AndElim2)),
+    _rule(28, "and2-inl", (AndElim2, None, Inl), _and_inj(AndElim2, Inl)),
+    _rule(29, "and2-inr", (AndElim2, None, Inr), _and_inj(AndElim2, Inr)),
+    _rule(30, "and2-inlr", (AndElim2, None, Inlr3), _and_inlr(AndElim2),
+          guard=_scrut_can_escape),
     # figure III: case against its branch introductions
-    _rule(31, "case-star", _case_intros(Star, Star), _case_star),
-    _rule(32, "case-lam", _case_intros(Lam, Lam), _case_lam),
-    _rule(33, "case-pair", _case_intros(Pair, Pair), _case_pair),
-    _rule(34, "case-inl-inl", _case_intros(Inl, Inl), _case_inj(Inl)),
-    _rule(35, "case-inl-inr", _case_intros(Inl, Inr), _case_inl_inr),
-    _rule(36, "case-inl-inlr", _case_intros(Inl, Inlr3), _case_inl_inlr),
-    _rule(37, "case-inr-inl", _case_intros(Inr, Inl), _case_inr_inl),
-    _rule(38, "case-inr-inr", _case_intros(Inr, Inr), _case_inj(Inr)),
-    _rule(39, "case-inr-inlr", _case_intros(Inr, Inlr3), _case_inr_inlr),
-    _rule(40, "case-inlr-inl", _case_intros(Inlr3, Inl), _case_inlr_inl),
-    _rule(41, "case-inlr-inr", _case_intros(Inlr3, Inr), _case_inlr_inr),
-    _rule(42, "case-inlr-inlr", _case_intros(Inlr3, Inlr3), _case_inlr_inlr),
+    _rule(31, "case-star", (Case, None, Star, Star), lambda t: Star()),
+    _rule(32, "case-lam", (Case, None, Lam, Lam), _case_lam),
+    _rule(33, "case-pair", (Case, None, Pair, Pair), _case_pair),
+    _rule(34, "case-inl-inl", (Case, None, Inl, Inl), _case_inj(Inl)),
+    _rule(35, "case-inl-inr", (Case, None, Inl, Inr), _case_inl_inr),
+    _rule(36, "case-inl-inlr", (Case, None, Inl, Inlr3), _case_inl_inlr),
+    _rule(37, "case-inr-inl", (Case, None, Inr, Inl), _case_inr_inl),
+    _rule(38, "case-inr-inr", (Case, None, Inr, Inr), _case_inj(Inr)),
+    _rule(39, "case-inr-inlr", (Case, None, Inr, Inlr3), _case_inr_inlr),
+    _rule(40, "case-inlr-inl", (Case, None, Inlr3, Inl), _case_inlr_inl),
+    _rule(41, "case-inlr-inr", (Case, None, Inlr3, Inr), _case_inlr_inr),
+    _rule(42, "case-inlr-inlr", (Case, None, Inlr3, Inlr3), _case_inlr_inlr),
 )))
 
 #: the two bottom-elimination alternatives removed

@@ -1,8 +1,10 @@
 """Batch command-line front end.
 
 Exit codes: 0 success, 1 type or syntax error, 2 stuck (zero-norm),
-3 fuel exhausted, 4 usage.  All randomness flows from --seed through
-counter-based streams, so identical invocations print identical bytes.
+3 fuel exhausted (or an exploration cut short by its node budget), 4 usage
+(bad arguments or an unreadable input file).  All randomness flows from
+--seed through counter-based streams, so identical invocations print
+identical bytes.
 """
 
 from __future__ import annotations
@@ -31,9 +33,34 @@ EXIT_USAGE = 4
 DEFAULT_FUEL = {"iplus": 10 ** 6, "quantum": 10 ** 6, "cc": DEFAULT_FUEL_CC}
 
 
+class InputError(Exception):
+    """An input file that cannot be read as UTF-8 text."""
+
+
 def _read(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise InputError(f"cannot read {path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path} is not UTF-8 text: {e.reason} "
+                         f"at byte {e.start}") from e
+
+
+def _count(low):
+    """An argparse type: an integer of at least `low`."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+
+    return parse
 
 
 def _parse_file(path, calculus):
@@ -71,10 +98,14 @@ def cmd_norm(args):
             print("error: --enumerate only applies to the cc calculus",
                   file=sys.stderr)
             return EXIT_USAGE
-        graph = normalize_cc(t, fuel=min(fuel, 10 ** 4), policy="enumerate")
+        budget = min(fuel, 10 ** 4)
+        graph = normalize_cc(t, fuel=budget, policy="enumerate")
         for i in sorted(graph.normal_forms):
             print(print_term(graph.terms[i]))
         print(graph.to_dot())
+        if graph.budget_hit:
+            print(f"truncated: node budget {budget} reached", file=sys.stderr)
+            return EXIT_FUEL
         return EXIT_OK
     trace = normalize(t, default_ruleset(args.calculus), fuel=fuel,
                       rng=derive_rng(args.seed, 0x40))
@@ -177,7 +208,7 @@ def build_parser():
     n.add_argument("file")
     n.add_argument("--calculus", required=True,
                    choices=("iplus", "quantum", "cc"))
-    n.add_argument("--fuel", type=int, default=None)
+    n.add_argument("--fuel", type=_count(0), default=None)
     n.add_argument("--seed", type=int, default=0)
     n.add_argument("--trace", action="store_true")
     n.add_argument("--enumerate", action="store_true",
@@ -187,9 +218,9 @@ def build_parser():
 
     m = sub.add_parser("measure", help="run a quantum term many times")
     m.add_argument("file")
-    m.add_argument("--shots", type=int, default=1000)
+    m.add_argument("--shots", type=_count(1), default=1000)
     m.add_argument("--seed", type=int, default=0)
-    m.add_argument("--fuel", type=int, default=10 ** 6)
+    m.add_argument("--fuel", type=_count(0), default=10 ** 6)
     m.set_defaults(fn=cmd_measure)
 
     cm = sub.add_parser("compile-matrix",
@@ -224,7 +255,11 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except InputError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

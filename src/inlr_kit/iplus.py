@@ -3,7 +3,8 @@
 The nineteen reduction rules: seven cut rules (1-7) and twelve rules
 commuting the sum with the introductions (8-19).  The table is left-linear
 and the left-hand sides are pairwise non-overlapping, which is what makes
-the calculus confluent.
+the calculus confluent.  The quantum and cc tables reuse the builders of
+the rules they share with this one.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from .syntax import (AndElim1, AndElim2, App, Case, Inl, Inlr2, Inr, Lam,
                      open_abs, print_term, subst_abs)
 
 
-def _rule(n, name, match, build):
-    return Rule(RuleId("iplus", n), name, match, build)
+def _rule(n, name, head, build):
+    return Rule(RuleId("iplus", n), name, head, build)
 
 
 def _beta(t):
@@ -33,63 +34,57 @@ def _sum_lam(t):
     return Lam(ann, close_term(body, x, hint=a.abs.hint))
 
 
-def _is(node, *inner):
-    """Matcher for node(first child constructor, ...)."""
-    if not inner:
-        return lambda t: isinstance(t, node)
-    first, second = (inner + (None,))[:2]
-
-    def match(t):
-        if not isinstance(t, node):
-            return False
-        slots = [getattr(t, f) for f, k in t._shape if k == "term"]
-        if not isinstance(slots[0], first):
-            return False
-        return second is None or isinstance(slots[1], second)
-
-    return match
+def _case_inl(t):
+    return subst_abs(t.left, t.scrut.body)
 
 
-RULES_IPLUS = register_default_ruleset(RuleSet(
-    "iplus", "iplus", (
-        _rule(1, "top-elim", _is(TopElim, Star), lambda t: t.body),
-        _rule(2, "beta", _is(App, Lam), _beta),
-        _rule(3, "and-elim-1", _is(AndElim1, Pair),
-              lambda t: subst_abs(t.abs, t.scrut.left)),
-        _rule(4, "and-elim-2", _is(AndElim2, Pair),
-              lambda t: subst_abs(t.abs, t.scrut.right)),
-        _rule(5, "case-inl", _is(Case, Inl),
-              lambda t: subst_abs(t.left, t.scrut.body)),
-        _rule(6, "case-inr", _is(Case, Inr),
-              lambda t: subst_abs(t.right, t.scrut.body)),
-        _rule(7, "case-inlr", _is(Case, Inlr2),
-              lambda t: Sum(subst_abs(t.left, t.scrut.left),
-                            subst_abs(t.right, t.scrut.right))),
-        _rule(8, "sum-star", _is(Sum, Star, Star), lambda t: Star()),
-        _rule(9, "sum-lam", _is(Sum, Lam, Lam), _sum_lam),
-        _rule(10, "sum-pair", _is(Sum, Pair, Pair),
-              lambda t: Pair(Sum(t.left.left, t.right.left),
-                             Sum(t.left.right, t.right.right))),
-        _rule(11, "sum-inl-inl", _is(Sum, Inl, Inl),
-              lambda t: Inl(Sum(t.left.body, t.right.body))),
-        _rule(12, "sum-inl-inr", _is(Sum, Inl, Inr),
-              lambda t: Inlr2(t.left.body, t.right.body)),
-        _rule(13, "sum-inl-inlr", _is(Sum, Inl, Inlr2),
-              lambda t: Inlr2(Sum(t.left.body, t.right.left), t.right.right)),
-        _rule(14, "sum-inr-inl", _is(Sum, Inr, Inl),
-              lambda t: Inlr2(t.right.body, t.left.body)),
-        _rule(15, "sum-inr-inr", _is(Sum, Inr, Inr),
-              lambda t: Inr(Sum(t.left.body, t.right.body))),
-        _rule(16, "sum-inr-inlr", _is(Sum, Inr, Inlr2),
-              lambda t: Inlr2(t.right.left, Sum(t.left.body, t.right.right))),
-        _rule(17, "sum-inlr-inl", _is(Sum, Inlr2, Inl),
-              lambda t: Inlr2(Sum(t.left.left, t.right.body), t.left.right)),
-        _rule(18, "sum-inlr-inr", _is(Sum, Inlr2, Inr),
-              lambda t: Inlr2(t.left.left, Sum(t.left.right, t.right.body))),
-        _rule(19, "sum-inlr-inlr", _is(Sum, Inlr2, Inlr2),
-              lambda t: Inlr2(Sum(t.left.left, t.right.left),
-                              Sum(t.left.right, t.right.right))),
-    )))
+def _case_inr(t):
+    return subst_abs(t.right, t.scrut.body)
+
+
+def _case_inlr(t):
+    return Sum(subst_abs(t.left, t.scrut.left),
+               subst_abs(t.right, t.scrut.right))
+
+
+#: the sum against two injections (iplus 11-19, quantum 30-38)
+SUM_INJECTIONS = (
+    ("sum-inl-inl", Inl, Inl, lambda t: Inl(Sum(t.left.body, t.right.body))),
+    ("sum-inl-inr", Inl, Inr, lambda t: Inlr2(t.left.body, t.right.body)),
+    ("sum-inl-inlr", Inl, Inlr2,
+     lambda t: Inlr2(Sum(t.left.body, t.right.left), t.right.right)),
+    ("sum-inr-inl", Inr, Inl, lambda t: Inlr2(t.right.body, t.left.body)),
+    ("sum-inr-inr", Inr, Inr, lambda t: Inr(Sum(t.left.body, t.right.body))),
+    ("sum-inr-inlr", Inr, Inlr2,
+     lambda t: Inlr2(t.right.left, Sum(t.left.body, t.right.right))),
+    ("sum-inlr-inl", Inlr2, Inl,
+     lambda t: Inlr2(Sum(t.left.left, t.right.body), t.left.right)),
+    ("sum-inlr-inr", Inlr2, Inr,
+     lambda t: Inlr2(t.left.left, Sum(t.left.right, t.right.body))),
+    ("sum-inlr-inlr", Inlr2, Inlr2,
+     lambda t: Inlr2(Sum(t.left.left, t.right.left),
+                     Sum(t.left.right, t.right.right))),
+)
+
+
+RULES_IPLUS = register_default_ruleset(RuleSet("iplus", "iplus", (
+    _rule(1, "top-elim", (TopElim, Star), lambda t: t.body),
+    _rule(2, "beta", (App, Lam), _beta),
+    _rule(3, "and-elim-1", (AndElim1, Pair),
+          lambda t: subst_abs(t.abs, t.scrut.left)),
+    _rule(4, "and-elim-2", (AndElim2, Pair),
+          lambda t: subst_abs(t.abs, t.scrut.right)),
+    _rule(5, "case-inl", (Case, Inl), _case_inl),
+    _rule(6, "case-inr", (Case, Inr), _case_inr),
+    _rule(7, "case-inlr", (Case, Inlr2), _case_inlr),
+    _rule(8, "sum-star", (Sum, Star, Star), lambda t: Star()),
+    _rule(9, "sum-lam", (Sum, Lam, Lam), _sum_lam),
+    _rule(10, "sum-pair", (Sum, Pair, Pair),
+          lambda t: Pair(Sum(t.left.left, t.right.left),
+                         Sum(t.left.right, t.right.right))),
+    *(_rule(11 + k, name, (Sum, left, right), build)
+      for k, (name, left, right, build) in enumerate(SUM_INJECTIONS)),
+)))
 
 
 _INTROS = (Star, Lam, Pair, Inl, Inr, Inlr2)

@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .iplus import (SUM_INJECTIONS, _beta, _case_inl, _case_inlr, _case_inr,
+                    _sum_lam)
 from .rewrite import (ND_PAIR, ND_SINGLE, Rule, RuleId, RuleSet,
                       find_redexes, normalize, register_default_ruleset,
                       step_at)
@@ -26,36 +28,8 @@ from .syntax import (App, Bound, Case, CaseNd, Inl, Inlr2, Inr, Lam, OneElim,
                      print_term, subst, subst_abs)
 
 
-def _rule(n, name, match, build, **kw):
-    return Rule(RuleId("quantum", n), name, match, build, **kw)
-
-
-def _is(node, *inner):
-    if not inner:
-        return lambda t: isinstance(t, node)
-    first, second = (inner + (None,))[:2]
-
-    def match(t):
-        if not isinstance(t, node):
-            return False
-        slots = [getattr(t, f) for f, k in t._shape if k == "term"]
-        if not isinstance(slots[0], first):
-            return False
-        return second is None or isinstance(slots[1], second)
-
-    return match
-
-
-def _beta(t):
-    return subst_abs(t.fn.abs, t.arg)
-
-
-def _sum_lam(t):
-    a, b = t.left, t.right
-    x = fresh_name(a.abs.hint or "x")
-    body = Sum(open_abs(a.abs, x), open_abs(b.abs, x))
-    ann = a.ann if a.ann is not None else b.ann
-    return Lam(ann, close_term(body, x, hint=a.abs.hint))
+def _rule(n, name, head, build, **kw):
+    return Rule(RuleId("quantum", n), name, head, build, **kw)
 
 
 def _prod_lam(t):
@@ -66,62 +40,39 @@ def _prod_lam(t):
 
 
 _DETERMINISTIC = (
-    _rule(19, "one-elim", _is(OneElim, ScalarStar),
+    _rule(19, "one-elim", (OneElim, ScalarStar),
           lambda t: Prod(t.scrut.value, t.body)),
-    _rule(20, "beta", _is(App, Lam), _beta),
-    _rule(21, "case-inl", _is(Case, Inl),
-          lambda t: subst_abs(t.left, t.scrut.body)),
-    _rule(22, "case-inr", _is(Case, Inr),
-          lambda t: subst_abs(t.right, t.scrut.body)),
-    _rule(23, "case-inlr", _is(Case, Inlr2),
-          lambda t: Sum(subst_abs(t.left, t.scrut.left),
-                        subst_abs(t.right, t.scrut.right))),
+    _rule(20, "beta", (App, Lam), _beta),
+    _rule(21, "case-inl", (Case, Inl), _case_inl),
+    _rule(22, "case-inr", (Case, Inr), _case_inr),
+    _rule(23, "case-inlr", (Case, Inlr2), _case_inlr),
 )
 
 _ND = (
-    _rule(24, "case-nd-inl", _is(CaseNd, Inl),
-          lambda t: subst_abs(t.left, t.scrut.body), group=ND_SINGLE),
-    _rule(25, "case-nd-inr", _is(CaseNd, Inr),
-          lambda t: subst_abs(t.right, t.scrut.body), group=ND_SINGLE),
-    _rule(26, "case-nd-inlr-left", _is(CaseNd, Inlr2),
+    _rule(24, "case-nd-inl", (CaseNd, Inl), _case_inl, group=ND_SINGLE),
+    _rule(25, "case-nd-inr", (CaseNd, Inr), _case_inr, group=ND_SINGLE),
+    _rule(26, "case-nd-inlr-left", (CaseNd, Inlr2),
           lambda t: subst_abs(t.left, t.scrut.left),
           group=ND_PAIR, role="left"),
-    _rule(27, "case-nd-inlr-right", _is(CaseNd, Inlr2),
+    _rule(27, "case-nd-inlr-right", (CaseNd, Inlr2),
           lambda t: subst_abs(t.right, t.scrut.right),
           group=ND_PAIR, role="right"),
 )
 
 _COMMUTATIONS = (
-    _rule(28, "sum-scalar", _is(Sum, ScalarStar, ScalarStar),
+    _rule(28, "sum-scalar", (Sum, ScalarStar, ScalarStar),
           lambda t: ScalarStar(t.left.value + t.right.value)),
-    _rule(29, "sum-lam", _is(Sum, Lam, Lam), _sum_lam),
-    _rule(30, "sum-inl-inl", _is(Sum, Inl, Inl),
-          lambda t: Inl(Sum(t.left.body, t.right.body))),
-    _rule(31, "sum-inl-inr", _is(Sum, Inl, Inr),
-          lambda t: Inlr2(t.left.body, t.right.body)),
-    _rule(32, "sum-inl-inlr", _is(Sum, Inl, Inlr2),
-          lambda t: Inlr2(Sum(t.left.body, t.right.left), t.right.right)),
-    _rule(33, "sum-inr-inl", _is(Sum, Inr, Inl),
-          lambda t: Inlr2(t.right.body, t.left.body)),
-    _rule(34, "sum-inr-inr", _is(Sum, Inr, Inr),
-          lambda t: Inr(Sum(t.left.body, t.right.body))),
-    _rule(35, "sum-inr-inlr", _is(Sum, Inr, Inlr2),
-          lambda t: Inlr2(t.right.left, Sum(t.left.body, t.right.right))),
-    _rule(36, "sum-inlr-inl", _is(Sum, Inlr2, Inl),
-          lambda t: Inlr2(Sum(t.left.left, t.right.body), t.left.right)),
-    _rule(37, "sum-inlr-inr", _is(Sum, Inlr2, Inr),
-          lambda t: Inlr2(t.left.left, Sum(t.left.right, t.right.body))),
-    _rule(38, "sum-inlr-inlr", _is(Sum, Inlr2, Inlr2),
-          lambda t: Inlr2(Sum(t.left.left, t.right.left),
-                          Sum(t.left.right, t.right.right))),
-    _rule(39, "prod-scalar", _is(Prod, ScalarStar),
+    _rule(29, "sum-lam", (Sum, Lam, Lam), _sum_lam),
+    *(_rule(30 + k, name, (Sum, left, right), build)
+      for k, (name, left, right, build) in enumerate(SUM_INJECTIONS)),
+    _rule(39, "prod-scalar", (Prod, ScalarStar),
           lambda t: ScalarStar(t.value * t.body.value)),
-    _rule(40, "prod-lam", _is(Prod, Lam), _prod_lam),
-    _rule(41, "prod-inl", _is(Prod, Inl),
+    _rule(40, "prod-lam", (Prod, Lam), _prod_lam),
+    _rule(41, "prod-inl", (Prod, Inl),
           lambda t: Inl(Prod(t.value, t.body.body))),
-    _rule(42, "prod-inr", _is(Prod, Inr),
+    _rule(42, "prod-inr", (Prod, Inr),
           lambda t: Inr(Prod(t.value, t.body.body))),
-    _rule(43, "prod-inlr", _is(Prod, Inlr2),
+    _rule(43, "prod-inlr", (Prod, Inlr2),
           lambda t: Inlr2(Prod(t.value, t.body.left),
                           Prod(t.value, t.body.right))),
 )
@@ -202,25 +153,22 @@ def lex_gt(t: Term, u: Term) -> bool:
     return measure_nu(t) > measure_nu(u)
 
 
-def check_lex_decrease(t: Term, u: Term, at_root: bool = True) -> bool:
+def check_lex_decrease(t: Term, u: Term) -> bool:
     """Whether a root step from t to u strictly decreased (mu, nu).
 
     Only root steps are measured; inner steps go through the monotony
-    argument instead and are rejected here.
+    argument instead.
     """
-    if not at_root:
-        raise ValueError("check_lex_decrease only accepts root steps")
     return lex_gt(t, u)
 
 
-def mu_subst_additivity(ctx, t: Term, u: Term, x: str) -> bool:
+def mu_subst_additivity(t: Term, u: Term, x: str) -> bool:
     """mu((u/x)t) == mu(t) + mu(u).
 
-    Assumes the linear typing preconditions: x occurs in t exactly as a
-    linear hypothesis and u proves its proposition (ctx documents the
-    split; it is not re-checked here).
+    Assumes the linear typing preconditions, which are not re-checked
+    here: x occurs in t exactly as a linear hypothesis and u proves its
+    proposition.
     """
-    del ctx
     return measure_mu(subst(u, x, t)) == measure_mu(t) + measure_mu(u)
 
 

@@ -1,14 +1,18 @@
 """Rule-driven reduction engine.
 
 Rule tables are data: every rule has an id (calculus tag + number), a
-left-hand-side matcher, and a contractum builder.  The engine discovers
-redexes in leftmost-outermost order, steps with an explicit rng for the
-non-deterministic rules, records traces that replay exactly, and joins
-one-step peaks for confluence testing.
+head (the constructor at the root and the constructors of the children it
+inspects), an optional guard for side conditions, and a contractum
+builder.  Each table compiles its heads once into a dict keyed by
+constructors.  The engine discovers redexes in leftmost-outermost order,
+steps with an explicit rng for the non-deterministic rules, records traces
+that replay exactly, and joins one-step peaks for confluence testing.
 
-Builders always receive a locally closed redex: the engine opens every
-binder it descends through and closes it again around the contractum, so
-builders work with ordinary named variables and capture is impossible.
+Matching only inspects constructors, so redexes are found on the nameless
+term as it is.  Builders always receive a locally closed redex: the
+engine opens the binders on the path to the redex and closes them again
+around the contractum, so builders work with ordinary named variables and
+capture is impossible.
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 
-from .syntax import (Inl, Inlr2, Inr, ScalarStar, Term, alpha_eq,
+from .syntax import (ABS, Inl, Inlr2, Inr, ScalarStar, Term, alpha_eq,
                      child_slots, close_term, fresh_name, open_abs,
-                     replace_children)
+                     replace_children, subterms)
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 
@@ -37,14 +41,35 @@ class RuleId:
         return f"{self.calculus}:{self.number}"
 
 
+def _head_key(t: Term, width: int) -> tuple:
+    """t's constructor, then those of its first `width` path-children."""
+    if not width:
+        return (type(t),)
+    return (type(t), *map(type, subterms(t)[:width]))
+
+
+def _fits(head: tuple, key: tuple) -> bool:
+    """Whether a rule head admits a constructor key (None is a wildcard)."""
+    return all(want is None or want is got for want, got in zip(head, key))
+
+
 @dataclass(frozen=True)
 class Rule:
     rid: RuleId
     name: str
-    match: object   # Term -> bool
+    # (root constructor, child constructor or None, ...), children taken in
+    # child_slots order; an abstraction slot stands for its body
+    head: tuple
     build: object   # locally closed Term -> Term
     group: str | None = None
     role: str | None = None  # "left" / "right" within an ND_PAIR family
+    guard: object = None     # Term -> bool, a side condition beyond the head
+
+    def match(self, t: Term) -> bool:
+        """Whether the head and the guard both accept t."""
+        return (type(t) is self.head[0]
+                and _fits(self.head, _head_key(t, len(self.head) - 1))
+                and (self.guard is None or self.guard(t)))
 
 
 @dataclass(frozen=True)
@@ -52,6 +77,27 @@ class RuleSet:
     name: str
     calculus: str
     rules: tuple
+    # root constructor -> how many path-children its rule heads inspect
+    _width: dict = field(init=False, repr=False, compare=False)
+    # constructor key -> the rules whose heads admit it, in table order;
+    # each key is compiled the first time a term shows it
+    _index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        width = {}
+        for r in self.rules:
+            width[r.head[0]] = max(width.get(r.head[0], 0), len(r.head) - 1)
+        object.__setattr__(self, "_width", width)
+        object.__setattr__(self, "_index", {})
+
+    def matching(self, t: Term) -> list:
+        """The rules whose left-hand sides match t, in table order."""
+        key = _head_key(t, self._width.get(type(t), 0))
+        hits = self._index.get(key)
+        if hits is None:
+            hits = tuple(r for r in self.rules if _fits(r.head, key))
+            self._index[key] = hits
+        return [r for r in hits if r.guard is None or r.match(t)]
 
     def by_number(self, number: int) -> Rule:
         for r in self.rules:
@@ -202,11 +248,11 @@ def _select_nd_pair(rules_here, redex, rs, rng, choice):
     return (left, pl) if u < threshold else (right, pr)
 
 
-def _select(rules_here, redex, rs, rng, choice=None):
+def _select(rules_here, redex, rs, rng):
     """Pick the rule to apply among all rules matching at one position."""
     first = rules_here[0]
     if first.group == ND_PAIR:
-        return _select_nd_pair(rules_here, redex, rs, rng, choice)
+        return _select_nd_pair(rules_here, redex, rs, rng, None)
     if first.group == ND_SINGLE:
         return first, 1.0
     # ND_CHOICE and deterministic rules: first-listed alternative
@@ -215,25 +261,6 @@ def _select(rules_here, redex, rs, rng, choice=None):
 
 # ---------------------------------------------------------------------------
 # Redex discovery
-
-def find_redexes(t: Term, ruleset: RuleSet):
-    """All (position, rule id) pairs, leftmost-outermost, all alternatives."""
-    out = []
-
-    def walk(t, pos):
-        for r in ruleset.rules:
-            if r.match(t):
-                out.append((pos, r.rid))
-        for i, (name, kind) in enumerate(child_slots(t)):
-            child = getattr(t, name)
-            walk(child.body if kind == "abs" else child, pos + (i,))
-
-    walk(t, ())
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Single steps
 
 def _mark_normal(obj, key):
     cache = getattr(obj, "_nf", None)
@@ -248,50 +275,63 @@ def _is_normal_cached(obj, key):
     return cache is not None and key in cache
 
 
-def _rebuild(t, slot_index, new_child):
-    children = []
-    for j, (name, kind) in enumerate(child_slots(t)):
-        old = getattr(t, name)
-        children.append(new_child if j == slot_index
-                        else (old.body if kind == "abs" else old))
-    return replace_children(t, children)
+def _search(t, rs, pos, out, first):
+    """Collect (position, matching rules) pairs, leftmost-outermost.
 
-
-def _step_once(t, rs, rng):
-    """Leftmost-outermost step.  Returns (term, rule id, pos, weight) or None.
-
-    Raises ZeroNormStuck when the chosen redex is a zero-norm measurement.
+    With `first` the search stops at the first redex.  Subterms found to
+    be redex-free are marked so that later searches skip them.  Returns
+    whether t contains a redex.
     """
     if _is_normal_cached(t, rs.name):
-        return None
-    here = [r for r in rs.rules if r.match(t)]
+        return False
+    here = rs.matching(t)
     if here:
-        rule, weight = _select(here, t, rs, rng, None)
-        return rule.build(t), rule.rid, (), weight
-    for i, (name, kind) in enumerate(child_slots(t)):
-        slot = getattr(t, name)
-        if kind == "abs":
-            if _is_normal_cached(slot, rs.name):
-                continue
-            x = fresh_name(slot.hint)
-            res = _step_once(open_abs(slot, x), rs, rng)
-            if res is None:
-                _mark_normal(slot, rs.name)
-                continue
-            new_body, rid, pos, weight = res
-            new = replace_children(
-                t, [close_term(new_body, x, hint=slot.hint).body
-                    if j == i else (getattr(t, nm).body if kd == "abs"
-                                    else getattr(t, nm))
-                    for j, (nm, kd) in enumerate(child_slots(t))])
-            return new, rid, (i,) + pos, weight
-        else:
-            res = _step_once(slot, rs, rng)
-            if res is not None:
-                new_child, rid, pos, weight = res
-                return _rebuild(t, i, new_child), rid, (i,) + pos, weight
-    _mark_normal(t, rs.name)
-    return None
+        out.append((pos, here))
+        if first:
+            return True
+    found = bool(here)
+    for i, child in enumerate(subterms(t)):
+        if _search(child, rs, pos + (i,), out, first):
+            if first:
+                return True
+            found = True
+    if not found:
+        _mark_normal(t, rs.name)
+    return found
+
+
+def find_redexes(t: Term, ruleset: RuleSet):
+    """All (position, rule id) pairs, leftmost-outermost, all alternatives."""
+    out = []
+    _search(t, ruleset, (), out, first=False)
+    return [(pos, r.rid) for pos, here in out for r in here]
+
+
+# ---------------------------------------------------------------------------
+# Single steps
+
+def _rewrite_at(t, pos, contract):
+    """Replace the subterm at pos by contract(subterm).
+
+    The binders on the path are opened on the way down and closed again
+    around the result, so `contract` sees a locally closed subterm.
+    """
+    if not pos:
+        return contract(t)
+    i, rest = pos[0], pos[1:]
+    slots = child_slots(t)
+    if i >= len(slots):
+        raise NoMatchError(f"position {pos} does not exist")
+    children = subterms(t)
+    name, kind = slots[i]
+    if kind == ABS:
+        a = getattr(t, name)
+        x = fresh_name(a.hint)
+        new = _rewrite_at(open_abs(a, x), rest, contract)
+        children[i] = close_term(new, x, hint=a.hint).body
+    else:
+        children[i] = _rewrite_at(children[i], rest, contract)
+    return replace_children(t, children)
 
 
 def step_at(t: Term, pos, rid: RuleId, choice: str | None = None,
@@ -304,38 +344,22 @@ def step_at(t: Term, pos, rid: RuleId, choice: str | None = None,
     """
     rs = ruleset or default_ruleset(rid.calculus)
 
-    def go(t, pos):
-        if not pos:
-            here = [r for r in rs.rules if r.match(t)]
-            if not here:
-                raise NoMatchError(f"no rule matches at the target position")
-            named = [r for r in here if r.rid == rid]
-            if not named:
-                raise NoMatchError(f"rule {rid} does not match here")
-            if named[0].group == ND_PAIR:
-                forced = choice
-                if forced is None and rng is None:
-                    forced = named[0].role
-                rule, _ = _select_nd_pair(here, t, rs, rng, forced)
-                return rule.build(t)
-            return named[0].build(t)
-        i, rest = pos[0], pos[1:]
-        slots = child_slots(t)
-        if i >= len(slots):
-            raise NoMatchError(f"position {pos} does not exist")
-        name, kind = slots[i]
-        slot = getattr(t, name)
-        if kind == "abs":
-            x = fresh_name(slot.hint)
-            new_body = go(open_abs(slot, x), rest)
-            closed = close_term(new_body, x, hint=slot.hint).body
-            return replace_children(
-                t, [closed if j == i else
-                    (getattr(t, nm).body if kd == "abs" else getattr(t, nm))
-                    for j, (nm, kd) in enumerate(child_slots(t))])
-        return _rebuild(t, i, go(slot, rest))
+    def contract(t):
+        here = rs.matching(t)
+        if not here:
+            raise NoMatchError(f"no rule matches at the target position")
+        named = [r for r in here if r.rid == rid]
+        if not named:
+            raise NoMatchError(f"rule {rid} does not match here")
+        if named[0].group == ND_PAIR:
+            forced = choice
+            if forced is None and rng is None:
+                forced = named[0].role
+            rule, _ = _select_nd_pair(here, t, rs, rng, forced)
+            return rule.build(t)
+        return named[0].build(t)
 
-    return go(t, tuple(pos))
+    return _rewrite_at(t, tuple(pos), contract)
 
 
 # ---------------------------------------------------------------------------
@@ -351,26 +375,28 @@ def normalize(t: Term, ruleset: RuleSet, fuel: int = 10 ** 6,
     trace = ReductionTrace(initial=t)
     cur = t
     while True:
+        found = []
+        if not _search(cur, ruleset, (), found, first=True):
+            trace.outcome = NormalFormOutcome(cur)
+            return trace
+        pos, here = found[0]
+        picked = []
+
+        def contract(redex):
+            rule, weight = _select(here, redex, ruleset, rng)
+            picked.append(Step(rule.rid, pos, weight))
+            return rule.build(redex)
+
         try:
-            res = _step_once(cur, ruleset, rng)
+            nxt = _rewrite_at(cur, pos, contract)
         except ZeroNormStuck:
             trace.outcome = StuckOutcome(cur, "zero-norm")
-            return trace
-        if res is None:
-            trace.outcome = NormalFormOutcome(cur)
             return trace
         if len(trace.steps) >= fuel:
             trace.outcome = FuelExhaustedOutcome(cur)
             return trace
-        cur, rid, pos, weight = res
-        trace.steps.append(Step(rid, pos, weight))
-
-
-def normal_form(t: Term, ruleset: RuleSet, fuel: int = 10 ** 6, rng=None) -> Term:
-    tr = normalize(t, ruleset, fuel=fuel, rng=rng)
-    if tr.outcome.kind != "normal-form":
-        raise RuntimeError(f"normalization did not finish: {tr.outcome.kind}")
-    return tr.final
+        cur = nxt
+        trace.steps.append(picked[0])
 
 
 def join_peak(t: Term, ruleset: RuleSet, fuel: int = 10 ** 6) -> bool:

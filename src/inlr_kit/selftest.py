@@ -196,7 +196,7 @@ def mu_additivity(samples, seed) -> CheckResult:
         x = fresh_name("x")
         t = gen._gen_q(b, [(x, a)], rng, gen._Budget(12), allow_nd=False)
         u = gen._gen_q(a, [], rng, gen._Budget(12), allow_nd=False)
-        if not mu_subst_additivity({}, t, u, x):
+        if not mu_subst_additivity(t, u, x):
             failures += 1
     return CheckResult("mu-substitution-additivity", failures == 0,
                        f"{samples} pairs, {failures} failures")

@@ -129,6 +129,12 @@ PROP = "prop"
 
 class Term:
     _shape: tuple = ()
+    _paths: tuple = ()  # the TERM and ABS entries of _shape
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._paths = tuple((name, kind) for name, kind in cls._shape
+                           if kind in (TERM, ABS))
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,17 +321,13 @@ def validate_calculus(t: Term, calculus: str) -> None:
 
 def child_slots(t: Term):
     """The (field, kind) pairs of t that participate in term paths."""
-    return [(name, kind) for name, kind in t._shape if kind in (TERM, ABS)]
+    return t._paths
 
 
 def subterms(t: Term):
-    out = []
-    for name, kind in t._shape:
-        if kind == TERM:
-            out.append(getattr(t, name))
-        elif kind == ABS:
-            out.append(getattr(t, name).body)
-    return out
+    """The path-children of t, in child_slots order (an Abs gives its body)."""
+    return [getattr(t, name) if kind == TERM else getattr(t, name).body
+            for name, kind in t._paths]
 
 
 def replace_children(t: Term, new_children) -> Term:
@@ -351,19 +353,6 @@ def subterm_at(t: Term, path) -> Term:
         name, kind = slots[i]
         t = getattr(t, name) if kind == TERM else getattr(t, name).body
     return t
-
-
-def replace_at(t: Term, path, new: Term) -> Term:
-    if not path:
-        return new
-    i, rest = path[0], path[1:]
-    slots = child_slots(t)
-    name, kind = slots[i]
-    children = []
-    for j, (nm, kd) in enumerate(slots):
-        child = getattr(t, nm) if kd == TERM else getattr(t, nm).body
-        children.append(replace_at(child, rest, new) if j == i else child)
-    return replace_children(t, children)
 
 
 def term_size(t: Term) -> int:
@@ -413,78 +402,60 @@ def fresh_name(hint: str = "x") -> str:
     return f"?{hint}{next(_fresh_counter)}"
 
 
+def map_vars(t: Term, on_var, on_bound, depth: int = 0) -> Term:
+    """Rebuild t with every variable replaced.
+
+    `on_var(v, depth)` and `on_bound(b, depth)` give the replacement for a
+    free or bound variable, where depth counts the binders passed on the
+    way down.  Subterms that come back unchanged are shared, not copied.
+    """
+    if isinstance(t, Var):
+        return on_var(t, depth)
+    if isinstance(t, Bound):
+        return on_bound(t, depth)
+    kwargs = {}
+    changed = False
+    for nm, kind in t._shape:
+        old = new = getattr(t, nm)
+        if kind == TERM:
+            new = map_vars(old, on_var, on_bound, depth)
+        elif kind == ABS:
+            body = map_vars(old.body, on_var, on_bound, depth + 1)
+            if body is not old.body:
+                new = Abs(old.hint, body)
+        changed = changed or new is not old
+        kwargs[nm] = new
+    return type(t)(**kwargs) if changed else t
+
+
+def _keep(v, depth):
+    return v
+
+
 def open_abs(a: Abs, name: str) -> Term:
     """Replace the abstraction's bound variable with a free variable."""
 
-    def go(t, depth):
-        if isinstance(t, Bound):
-            if t.index == depth:
-                return Var(name)
-            if t.index > depth:
-                return Bound(t.index - 1)
-            return t
-        if not t._shape:
-            return t
-        kwargs = {}
-        for nm, kind in t._shape:
-            old = getattr(t, nm)
-            if kind == TERM:
-                kwargs[nm] = go(old, depth)
-            elif kind == ABS:
-                kwargs[nm] = Abs(old.hint, go(old.body, depth + 1))
-            else:
-                kwargs[nm] = old
-        return type(t)(**kwargs)
+    def on_bound(b, depth):
+        if b.index == depth:
+            return Var(name)
+        return Bound(b.index - 1) if b.index > depth else b
 
-    return go(a.body, 0)
+    return map_vars(a.body, _keep, on_bound)
 
 
 def close_term(t: Term, name: str, hint: str | None = None) -> Abs:
     """Abstract the free variable `name` out of t."""
-
-    def go(t, depth):
-        if isinstance(t, Var):
-            return Bound(depth) if t.name == name else t
-        if isinstance(t, Bound):
-            return Bound(t.index + 1) if t.index >= depth else t
-        if not t._shape:
-            return t
-        kwargs = {}
-        for nm, kind in t._shape:
-            old = getattr(t, nm)
-            if kind == TERM:
-                kwargs[nm] = go(old, depth)
-            elif kind == ABS:
-                kwargs[nm] = Abs(old.hint, go(old.body, depth + 1))
-            else:
-                kwargs[nm] = old
-        return type(t)(**kwargs)
-
-    return Abs(hint if hint is not None else name, go(t, 0))
+    body = map_vars(
+        t, lambda v, depth: Bound(depth) if v.name == name else v,
+        lambda b, depth: Bound(b.index + 1) if b.index >= depth else b)
+    return Abs(hint if hint is not None else name, body)
 
 
 def subst_multi(mapping: dict, t: Term) -> Term:
     """Simultaneous capture-avoiding substitution of free variables."""
     if not mapping:
         return t
-
-    def go(t):
-        if isinstance(t, Var):
-            return mapping.get(t.name, t)
-        if not t._shape:
-            return t
-        kwargs = {}
-        for nm, kind in t._shape:
-            old = getattr(t, nm)
-            if kind == TERM:
-                kwargs[nm] = go(old)
-            elif kind == ABS:
-                kwargs[nm] = Abs(old.hint, go(old.body))
-            else:
-                kwargs[nm] = old
-        return type(t)(**kwargs)
-
-    return go(t)
+    return map_vars(t, lambda v, depth: mapping.get(v.name, v), _keep)
 
 
 def subst(u: Term, x: str, t: Term) -> Term:

@@ -86,6 +86,17 @@ CASES = [
      ["selftest", "--suite", "iplus", "--samples", "15", "--seed", "2"], 0),
     ("selftest_cc",
      ["selftest", "--suite", "cc", "--samples", "42", "--seed", "2"], 0),
+    ("norm_missing_file",
+     ["norm", g("no_such_file.inlr"), "--calculus", "iplus"], 4),
+    ("check_not_utf8",
+     ["check", g("t_not_utf8.inlr"), "--calculus", "iplus"], 4),
+    ("measure_shots_negative",
+     ["measure", g("t_pi1_balanced.inlr"), "--shots", "-3"], 4),
+    ("norm_fuel_negative",
+     ["norm", g("t_beta.inlr"), "--calculus", "iplus", "--fuel", "-1"], 4),
+    ("norm_cc_enumerate_truncated",
+     ["norm", g("t_bot_choice.inlr"), "--calculus", "cc",
+      "--enumerate", "--fuel", "2"], 3),
 ]
 
 

@@ -48,11 +48,6 @@ def test_lex_decrease_examples():
     assert check_lex_decrease(t, u)
 
 
-def test_lex_decrease_rejects_inner_steps():
-    with pytest.raises(ValueError):
-        check_lex_decrease(q("1.0 . star"), q("1.0 . star"), at_root=False)
-
-
 @pytest.mark.parametrize("number", range(19, 44))
 def test_every_root_step_decreases_lexicographically(number):
     for i in range(8):
@@ -71,8 +66,8 @@ def test_every_root_step_decreases_lexicographically(number):
 
 
 def test_mu_subst_additivity_examples():
-    assert mu_subst_additivity({}, q("prod(2.0, x)"), q("5.0 . star"), "x")
-    assert mu_subst_additivity({}, Var("x"), q("lam y. y"), "x")
+    assert mu_subst_additivity(q("prod(2.0, x)"), q("5.0 . star"), "x")
+    assert mu_subst_additivity(Var("x"), q("lam y. y"), "x")
 
 
 def test_mu_subst_additivity_random():

@@ -2,12 +2,16 @@ import json
 
 import pytest
 
+from inlr_kit import gen
+from inlr_kit.cc import RULES_CC, RULES_CC_DET
 from inlr_kit.iplus import RULES_IPLUS
 from inlr_kit.quantum import RULES_QUANTUM, RULES_QUANTUM_DET
-from inlr_kit.rewrite import (RuleId, ZeroNormStuck, find_redexes, join_peak,
-                              normalize, replay, step_at, NoMatchError)
+from inlr_kit.rewrite import (ND_PAIR, RuleId, ZeroNormStuck, find_redexes,
+                              join_peak, normalize, replay, step_at,
+                              NoMatchError)
 from inlr_kit.rng import derive_rng
-from inlr_kit.syntax import Star, alpha_eq, parse_term
+from inlr_kit.syntax import (Star, alpha_eq, child_slots, parse_term,
+                             print_term)
 
 
 def ip(s):
@@ -182,3 +186,68 @@ def test_deterministic_given_seed():
     a = normalize(t, RULES_QUANTUM, rng=derive_rng(42, 0)).final
     b = normalize(t, RULES_QUANTUM, rng=derive_rng(42, 0)).final
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# differential: the engine against a brute-force reference
+
+def reference_redexes(t, ruleset):
+    """Every position via child_slots, every rule via a scan of the table."""
+    out = []
+
+    def walk(t, pos):
+        out.extend((pos, r.rid) for r in ruleset.rules if r.match(t))
+        for i, (name, kind) in enumerate(child_slots(t)):
+            child = getattr(t, name)
+            walk(child.body if kind == "abs" else child, pos + (i,))
+
+    walk(t, ())
+    return out
+
+
+def _differential_terms():
+    """(table, term) pairs: gen's random terms and every rule instance."""
+    tables = {"iplus": RULES_IPLUS, "quantum": RULES_QUANTUM,
+              "quantum-det": RULES_QUANTUM_DET, "cc": RULES_CC,
+              "cc-det": RULES_CC_DET}
+    for j, (name, rs) in enumerate(tables.items()):
+        for i in range(25):
+            rng = derive_rng(91, j, i)
+            _ctx, t, _goal = gen.random_term_in_context(
+                rs.calculus, rng, allow_nd=name == "quantum")
+            yield rs, t
+    instances = [(RULES_IPLUS, gen.iplus_rule_instance, range(1, 20)),
+                 (RULES_QUANTUM, gen.quantum_rule_instance, range(19, 44)),
+                 (RULES_CC, gen.cc_rule_instance, range(1, 43))]
+    for rs, make, numbers in instances:
+        for number in numbers:
+            for i in range(2):
+                _ctx, t, _goal = make(number, derive_rng(92, number, i))
+                yield rs, t
+
+
+def test_find_redexes_matches_reference():
+    for rs, t in _differential_terms():
+        want = reference_redexes(t, rs)
+        # twice: the second search runs over the marks the first one left
+        assert find_redexes(t, rs) == want, (rs.name, print_term(t))
+        assert find_redexes(t, rs) == want, (rs.name, print_term(t))
+
+
+def test_every_trace_step_is_the_first_redex():
+    for k, (rs, t) in enumerate(_differential_terms()):
+        tr = normalize(t, rs, fuel=60, rng=derive_rng(93, k))
+        state = t
+        for s in tr.steps:
+            pos, rid = reference_redexes(state, rs)[0]
+            rule = rs.by_number(s.rule.number)
+            assert s.pos == pos, (rs.name, print_term(state))
+            if rule.group == ND_PAIR:
+                assert s.rule.number in (26, 27) and rid.number == 26
+            else:
+                assert s.rule == rid, (rs.name, print_term(state))
+            choice = rule.role if rule.group == ND_PAIR else None
+            state = step_at(state, s.pos, s.rule, choice=choice, ruleset=rs)
+        assert state == tr.final
+        if tr.outcome.kind == "normal-form":
+            assert reference_redexes(state, rs) == []
