@@ -242,7 +242,7 @@ def build_parser():
 
     s = sub.add_parser("selftest", help="run a property suite")
     s.add_argument("--suite", required=True, choices=sorted(SUITES))
-    s.add_argument("--samples", type=int, default=50)
+    s.add_argument("--samples", type=_count(1), default=50)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(fn=cmd_selftest)
 

@@ -14,6 +14,8 @@ rule-soundness suites are driven from them.
 
 from __future__ import annotations
 
+from .quantum import RULES_QUANTUM_DET
+from .rewrite import normalize
 from .syntax import (AndElim1, AndElim2, App, Atom, Bot, BotElim, Case,
                      CaseNd, Conj, Disj, Impl, Inl, Inlr2, Inlr3, Inr, Lam,
                      Lollipop, One, OneElim, OPlus, Pair, Prod, Proposition,
@@ -467,6 +469,10 @@ def quantum_rule_instance(number, rng, size=6):
                 26: "lr", 27: "lr"}[number]
         scrut = {"l": lambda: Inl(gen(a)), "r": lambda: Inr(gen(b)),
                  "lr": lambda: Inlr2(gen(a), gen(b))}[kind]()
+        if number in (26, 27):
+            # measurement waits for irreducible components
+            scrut = Inlr2(*(normalize(c, RULES_QUANTUM_DET).final
+                            for c in (scrut.left, scrut.right)))
         t = node(scrut, _abs(x, gen(goal, [(x, a)])),
                  _abs(y, gen(goal, [(y, b)])))
         return {}, t, goal

@@ -245,12 +245,16 @@ def check_linear_map(t: Term, a: Proposition, b: Proposition, trials: int,
 
 def load_matrix_json(text: str) -> np.ndarray:
     """Parse {"rows": n, "cols": m, "entries": [[re, im], ...]} (row-major)."""
-    data = json.loads(text)
-    rows, cols = int(data["rows"]), int(data["cols"])
-    entries = data["entries"]
-    if len(entries) != rows * cols:
-        raise EncodeError(f"need {rows * cols} entries, got {len(entries)}")
-    flat = [complex(float(re), float(im)) for re, im in entries]
+    try:
+        data = json.loads(text)
+        rows, cols = int(data["rows"]), int(data["cols"])
+        flat = _complex_entries(data["entries"])
+    except (KeyError, TypeError, ValueError, RecursionError) as e:
+        raise EncodeError(f"malformed matrix JSON: {type(e).__name__}: {e}") from e
+    if rows < 1 or cols < 1:
+        raise EncodeError(f"need positive rows and cols, got {rows}, {cols}")
+    if len(flat) != rows * cols:
+        raise EncodeError(f"need {rows * cols} entries, got {len(flat)}")
     return np.array(flat, dtype=np.complex128).reshape(rows, cols)
 
 
@@ -263,12 +267,17 @@ def dump_matrix_json(m) -> str:
 
 def load_vector_json(text: str) -> np.ndarray:
     """Parse {"entries": [[re, im], ...]} or a bare [[re, im], ...] list."""
-    data = json.loads(text)
-    if isinstance(data, dict):
-        data = data["entries"]
-    return np.array([complex(float(re), float(im)) for re, im in data],
-                    dtype=np.complex128)
+    try:
+        data = json.loads(text)
+        if isinstance(data, dict):
+            data = data["entries"]
+        return np.array(_complex_entries(data), dtype=np.complex128)
+    except (KeyError, TypeError, ValueError, RecursionError) as e:
+        raise EncodeError(f"malformed vector JSON: {type(e).__name__}: {e}") from e
 
+
+def _complex_entries(pairs) -> list:
+    return [complex(float(re), float(im)) for re, im in pairs]
 
 def dump_vector_json(v) -> str:
     v = np.asarray(v, dtype=np.complex128)

@@ -2,8 +2,13 @@
 
 Rules 19-43.  The deterministic sub-table (everything except the four
 ``case_nd`` rules 24-27) is left-linear with no critical pairs.  Rules 26
-and 27 are the probabilistic pair: on an ``inlr`` scrutinee the branch is
-drawn with the norm-proportional weights.
+and 27 are the probabilistic pair, measurement: they fire on an ``inlr``
+scrutinee once both its components are irreducible, and the branch is
+drawn with weights proportional to the squared norms of those
+components.  Until then leftmost-outermost reduction goes into the
+scrutinee, so the weights are those of the values actually substituted,
+and the exact outcome weights describe the same process that the shots
+sample.
 
 The two integer measures make the termination argument executable: cut
 rules (19-27) strictly decrease mu at the root, the commutation rules
@@ -19,8 +24,8 @@ from dataclasses import dataclass, field
 from .iplus import (SUM_INJECTIONS, _beta, _case_inl, _case_inlr, _case_inr,
                     _sum_lam)
 from .rewrite import (ND_PAIR, ND_SINGLE, Rule, RuleId, RuleSet,
-                      find_redexes, normalize, register_default_ruleset,
-                      step_at)
+                      ZeroNormStuck, first_step, is_normal, normalize,
+                      register_default_ruleset, rewrite_at)
 from .rng import derive_rng
 from .syntax import (App, Bound, Case, CaseNd, Inl, Inlr2, Inr, Lam, OneElim,
                      OPlus, One, Prod, Proposition, ScalarStar, Sum, Term,
@@ -48,15 +53,22 @@ _DETERMINISTIC = (
     _rule(23, "case-inlr", (Case, Inlr2), _case_inlr),
 )
 
+
+def _settled(t):
+    """Measure only irreducible components: their norms are the weights."""
+    return (is_normal(t.scrut.left, RULES_QUANTUM)
+            and is_normal(t.scrut.right, RULES_QUANTUM))
+
+
 _ND = (
     _rule(24, "case-nd-inl", (CaseNd, Inl), _case_inl, group=ND_SINGLE),
     _rule(25, "case-nd-inr", (CaseNd, Inr), _case_inr, group=ND_SINGLE),
     _rule(26, "case-nd-inlr-left", (CaseNd, Inlr2),
           lambda t: subst_abs(t.left, t.scrut.left),
-          group=ND_PAIR, role="left"),
+          group=ND_PAIR, role="left", guard=_settled),
     _rule(27, "case-nd-inlr-right", (CaseNd, Inlr2),
           lambda t: subst_abs(t.right, t.scrut.right),
-          group=ND_PAIR, role="right"),
+          group=ND_PAIR, role="right", guard=_settled),
 )
 
 _COMMUTATIONS = (
@@ -193,7 +205,7 @@ def norm_sq(t: Term, prop: Proposition) -> float:
     """Squared norm of a closed irreducible proof of a vector proposition."""
     if not is_vector_prop(prop):
         raise NotVectorProp(print_term(t))
-    if not is_closed(t) or find_redexes(t, RULES_QUANTUM):
+    if not is_closed(t) or not is_normal(t, RULES_QUANTUM):
         raise NotIrreducible(print_term(t))
 
     def go(t, p):
@@ -216,6 +228,7 @@ def norm_sq(t: Term, prop: Proposition) -> float:
 # Measurement runs
 
 STUCK_BIN = "<stuck:zero-norm>"
+FUEL_BIN = "<fuel-exhausted>"
 
 
 @dataclass
@@ -227,85 +240,81 @@ class Histogram:
         return json.dumps(self.bins, indent=2, sort_keys=True)
 
 
-class _Overflow(Exception):
-    pass
-
-
 def run_measure(t: Term, shots: int, seed: int,
                 fuel: int = 10 ** 6) -> Histogram:
     """Normalize t repeatedly with independent seeded streams.
 
     Outcomes are binned by alpha-equivalence of the normal form; zero-norm
     stuck runs land in their own bin.  Exact weights are attached when the
-    outcome distribution is small enough to enumerate.
+    outcome distribution is small enough to enumerate.  The steps before
+    the first measurement draw nothing, so they are taken once and every
+    shot starts after them.
     """
+    start, used, _ = _walk(t, 0, fuel)
     counts = {}
     for shot in range(shots):
         rng = derive_rng(seed, 0x5407, shot)
-        tr = normalize(t, RULES_QUANTUM, fuel=fuel, rng=rng)
+        tr = normalize(start, RULES_QUANTUM, fuel=fuel - used, rng=rng)
         if tr.outcome.kind == "normal-form":
             key = tr.final
         elif tr.outcome.kind == "stuck":
             key = STUCK_BIN
         else:
-            key = "<fuel-exhausted>"
+            key = FUEL_BIN
         counts[key] = counts.get(key, 0) + 1
-    exact = _exact_distribution(t)
+    exact = _exact_distribution(start, used, fuel)
     bins = []
     for key, count in counts.items():
         name = key if isinstance(key, str) else print_term(key)
         entry = {"term": name, "count": count, "frequency": count / shots}
-        if exact is not None:
-            weight = exact.get(key)
-            if weight is not None:
-                entry["exact_weight"] = weight
+        if key in exact:
+            entry["exact_weight"] = exact[key]
         bins.append(entry)
     bins.sort(key=lambda e: (-e["count"], e["term"]))
     return Histogram(shots=shots, bins=bins)
 
 
-def _exact_distribution(t: Term, max_paths: int = 256,
-                        max_steps: int = 10 ** 4):
-    """Weighted enumeration of all reduction paths; None if too wide."""
-    from .rewrite import _nd_pair_weights
-    from .syntax import subterm_at
+def _walk(t: Term, steps: int, fuel: int):
+    """Take normalize's steps from t up to a measurement step or an end.
 
+    `steps` were taken before t.  Returns (term, steps, outcome bin), the
+    bin None when the term stops at a measurement step.
+    """
+    while True:
+        try:
+            step = first_step(t, RULES_QUANTUM)
+        except ZeroNormStuck:
+            return t, steps, STUCK_BIN
+        if step is None:
+            return t, steps, t
+        if steps >= fuel:
+            return t, steps, FUEL_BIN
+        pos, alternatives = step
+        if alternatives[0][0].group == ND_PAIR:
+            return t, steps, None
+        t = rewrite_at(t, pos, alternatives[0][0].build)
+        steps += 1
+
+
+def _exact_distribution(t: Term, steps: int, fuel: int,
+                        max_paths: int = 256):
+    """The probability of every outcome bin, following both branches of
+    each measurement; empty when a branch has no weight or when there are
+    more than max_paths measurement steps."""
     out = {}
-    paths = [0]
-
-    def explore(term, prob, steps_left):
-        while True:
-            if steps_left <= 0:
-                raise _Overflow
-            redexes = find_redexes(term, RULES_QUANTUM)
-            if not redexes:
-                out[term] = out.get(term, 0.0) + prob
-                return
-            pos, rid = redexes[0]
-            rule = RULES_QUANTUM.by_number(rid.number)
-            steps_left -= 1
-            if rule.group == ND_PAIR:
-                paths[0] += 1
-                if paths[0] > max_paths:
-                    raise _Overflow
-                redex = subterm_at(term, pos)
-                weights = _nd_pair_weights(redex, RULES_QUANTUM, rng=None)
-                if weights is None:
-                    raise _Overflow
-                wl, wr = weights
-                total = wl + wr
-                if total == 0.0:
-                    out[STUCK_BIN] = out.get(STUCK_BIN, 0.0) + prob
-                    return
-                left = step_at(term, pos, rid, choice="left")
-                right = step_at(term, pos, rid, choice="right")
-                explore(left, prob * wl / total, steps_left)
-                term, prob = right, prob * wr / total
-                continue
-            term = step_at(term, pos, rid)
-
-    try:
-        explore(t, 1.0, max_steps)
-    except _Overflow:
-        return None
+    todo = [(t, steps, 1.0)]
+    paths = 0
+    while todo:
+        term, used, prob = todo.pop()
+        term, used, key = _walk(term, used, fuel)
+        if key is not None:
+            out[key] = out.get(key, 0.0) + prob
+            continue
+        paths += 1
+        pos, alternatives = first_step(term, RULES_QUANTUM)
+        if paths > max_paths or alternatives[0][1] is None:
+            return {}
+        for rule, p in reversed(alternatives):  # the left branch first
+            todo.append((rewrite_at(term, pos, rule.build), used + 1,
+                         prob * p))
     return out

@@ -97,7 +97,7 @@ class RuleSet:
         if hits is None:
             hits = tuple(r for r in self.rules if _fits(r.head, key))
             self._index[key] = hits
-        return [r for r in hits if r.guard is None or r.match(t)]
+        return [r for r in hits if r.guard is None or r.guard(t)]
 
     def by_number(self, number: int) -> Rule:
         for r in self.rules:
@@ -177,19 +177,23 @@ class ReductionTrace:
         return [json.dumps(s.to_json(), sort_keys=True) for s in self.steps]
 
 
+def replay_states(trace: ReductionTrace, ruleset: RuleSet | None = None):
+    """The terms along a recorded trace, the initial one first."""
+    t = trace.initial
+    yield t
+    for s in trace.steps:
+        t = step_at(t, s.pos, s.rule, ruleset=ruleset)
+        yield t
+
+
 def replay(trace: ReductionTrace, ruleset: RuleSet | None = None) -> Term:
     """Re-run the recorded steps; reproduces the outcome term exactly."""
-    t = trace.initial
-    for s in trace.steps:
-        rs = ruleset or default_ruleset(s.rule.calculus)
-        rule = rs.by_number(s.rule.number)
-        choice = rule.role if rule.group == ND_PAIR else None
-        t = step_at(t, s.pos, s.rule, choice=choice, ruleset=rs)
-    return t
+    *_, last = replay_states(trace, ruleset)
+    return last
 
 
 # ---------------------------------------------------------------------------
-# Norm weights for the probabilistic pair
+# The alternatives at a redex
 
 def structural_norm_sq(t: Term) -> float | None:
     """The squared norm of a closed irreducible vector proof, else None."""
@@ -206,57 +210,38 @@ def structural_norm_sq(t: Term) -> float | None:
     return None
 
 
-def _nd_pair_weights(redex, rs, rng, fuel=10 ** 6):
-    """Branch weights for a measurement step on an inlr scrutinee.
+def _alternatives(redex, here):
+    """The rules matching at one redex, each with its probability.
 
-    The components are normalized first (the norm is only defined on
-    closed irreducible proofs); components that do not denote vectors get
-    no weights and the branch is drawn uniformly.
+    The probabilistic pair fires only on irreducible components (its
+    guard), so its weights are the squared norms of the very values the
+    branches receive; components that are not vector values give weight
+    None and a uniform draw.  An ND_SINGLE rule is certain.  Other rules
+    carry no weight, and the engine takes the first listed.
     """
-    out = []
-    for comp in (redex.scrut.left, redex.scrut.right):
-        tr = normalize(comp, rs, fuel=fuel, rng=rng)
-        if tr.outcome.kind != "normal-form":
-            return None
-        w = structural_norm_sq(tr.final)
-        if w is None:
-            return None
-        out.append(w)
-    return tuple(out)
-
-
-def _select_nd_pair(rules_here, redex, rs, rng, choice):
-    left = next(r for r in rules_here if r.role == "left")
-    right = next(r for r in rules_here if r.role == "right")
-    weights = _nd_pair_weights(redex, rs, rng)
-    if weights is not None:
-        wl, wr = weights
+    first = here[0]
+    if first.group == ND_PAIR:
+        left = next(r for r in here if r.role == "left")
+        right = next(r for r in here if r.role == "right")
+        wl = structural_norm_sq(redex.scrut.left)
+        wr = structural_norm_sq(redex.scrut.right)
+        if wl is None or wr is None:
+            return [(left, None), (right, None)]
         total = wl + wr
         if total == 0.0:
             raise ZeroNormStuck("both branch weights are zero")
-        pl, pr = wl / total, wr / total
-    else:
-        pl = pr = None
-    if choice == "left":
-        return left, pl
-    if choice == "right":
-        return right, pr
-    if rng is None:
-        return left, pl
-    u = rng.random()
-    threshold = pl if pl is not None else 0.5
-    return (left, pl) if u < threshold else (right, pr)
-
-
-def _select(rules_here, redex, rs, rng):
-    """Pick the rule to apply among all rules matching at one position."""
-    first = rules_here[0]
-    if first.group == ND_PAIR:
-        return _select_nd_pair(rules_here, redex, rs, rng, None)
+        return [(left, wl / total), (right, wr / total)]
     if first.group == ND_SINGLE:
-        return first, 1.0
-    # ND_CHOICE and deterministic rules: first-listed alternative
-    return first, None
+        return [(first, 1.0)]
+    return [(r, None) for r in here]
+
+
+def _draw(alternatives, rng):
+    """The engine's pick: a pair's branch drawn from rng, else the first."""
+    first, p = alternatives[0]
+    if first.group != ND_PAIR or rng is None:
+        return alternatives[0]
+    return alternatives[0 if rng.random() < (0.5 if p is None else p) else 1]
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +261,7 @@ def _is_normal_cached(obj, key):
 
 
 def _search(t, rs, pos, out, first):
-    """Collect (position, matching rules) pairs, leftmost-outermost.
+    """Collect (position, redex, matching rules), leftmost-outermost.
 
     With `first` the search stops at the first redex.  Subterms found to
     be redex-free are marked so that later searches skip them.  Returns
@@ -286,7 +271,7 @@ def _search(t, rs, pos, out, first):
         return False
     here = rs.matching(t)
     if here:
-        out.append((pos, here))
+        out.append((pos, t, here))
         if first:
             return True
     found = bool(here)
@@ -304,13 +289,32 @@ def find_redexes(t: Term, ruleset: RuleSet):
     """All (position, rule id) pairs, leftmost-outermost, all alternatives."""
     out = []
     _search(t, ruleset, (), out, first=False)
-    return [(pos, r.rid) for pos, here in out for r in here]
+    return [(pos, r.rid) for pos, _, here in out for r in here]
+
+
+def is_normal(t: Term, ruleset: RuleSet) -> bool:
+    """Whether t contains no redex of the table."""
+    return not _search(t, ruleset, (), [], first=True)
+
+
+def first_step(t: Term, ruleset: RuleSet):
+    """The leftmost-outermost redex of t: (position, alternatives).
+
+    The alternatives are (rule, probability) pairs as `_alternatives`
+    gives them; None when t is normal.  Raises ZeroNormStuck on a
+    measurement whose two weights are zero.
+    """
+    found = []
+    if not _search(t, ruleset, (), found, first=True):
+        return None
+    pos, redex, here = found[0]
+    return pos, _alternatives(redex, here)
 
 
 # ---------------------------------------------------------------------------
 # Single steps
 
-def _rewrite_at(t, pos, contract):
+def rewrite_at(t, pos, contract):
     """Replace the subterm at pos by contract(subterm).
 
     The binders on the path are opened on the way down and closed again
@@ -327,10 +331,10 @@ def _rewrite_at(t, pos, contract):
     if kind == ABS:
         a = getattr(t, name)
         x = fresh_name(a.hint)
-        new = _rewrite_at(open_abs(a, x), rest, contract)
+        new = rewrite_at(open_abs(a, x), rest, contract)
         children[i] = close_term(new, x, hint=a.hint).body
     else:
-        children[i] = _rewrite_at(children[i], rest, contract)
+        children[i] = rewrite_at(children[i], rest, contract)
     return replace_children(t, children)
 
 
@@ -338,28 +342,26 @@ def step_at(t: Term, pos, rid: RuleId, choice: str | None = None,
             rng=None, ruleset: RuleSet | None = None) -> Term:
     """Apply one named rule at a position.
 
-    For the probabilistic pair of measurement rules the branch is drawn
-    from the rng with the norm-proportional weights unless `choice`
-    ("left"/"right") forces it.
+    For the probabilistic pair of measurement rules `choice`
+    ("left"/"right") forces the branch; otherwise an rng draws it with the
+    norm-proportional weights, and without one the named rule applies.
     """
     rs = ruleset or default_ruleset(rid.calculus)
 
     def contract(t):
         here = rs.matching(t)
-        if not here:
-            raise NoMatchError(f"no rule matches at the target position")
-        named = [r for r in here if r.rid == rid]
-        if not named:
+        rule = next((r for r in here if r.rid == rid), None)
+        if rule is None:
             raise NoMatchError(f"rule {rid} does not match here")
-        if named[0].group == ND_PAIR:
-            forced = choice
-            if forced is None and rng is None:
-                forced = named[0].role
-            rule, _ = _select_nd_pair(here, t, rs, rng, forced)
-            return rule.build(t)
-        return named[0].build(t)
+        if rule.group == ND_PAIR:
+            alternatives = _alternatives(t, here)
+            if choice is not None:
+                rule = next(r for r, _ in alternatives if r.role == choice)
+            elif rng is not None:
+                rule, _ = _draw(alternatives, rng)
+        return rule.build(t)
 
-    return _rewrite_at(t, tuple(pos), contract)
+    return rewrite_at(t, tuple(pos), contract)
 
 
 # ---------------------------------------------------------------------------
@@ -375,28 +377,21 @@ def normalize(t: Term, ruleset: RuleSet, fuel: int = 10 ** 6,
     trace = ReductionTrace(initial=t)
     cur = t
     while True:
-        found = []
-        if not _search(cur, ruleset, (), found, first=True):
-            trace.outcome = NormalFormOutcome(cur)
-            return trace
-        pos, here = found[0]
-        picked = []
-
-        def contract(redex):
-            rule, weight = _select(here, redex, ruleset, rng)
-            picked.append(Step(rule.rid, pos, weight))
-            return rule.build(redex)
-
         try:
-            nxt = _rewrite_at(cur, pos, contract)
+            step = first_step(cur, ruleset)
         except ZeroNormStuck:
             trace.outcome = StuckOutcome(cur, "zero-norm")
+            return trace
+        if step is None:
+            trace.outcome = NormalFormOutcome(cur)
             return trace
         if len(trace.steps) >= fuel:
             trace.outcome = FuelExhaustedOutcome(cur)
             return trace
-        cur = nxt
-        trace.steps.append(picked[0])
+        pos, alternatives = step
+        rule, weight = _draw(alternatives, rng)
+        cur = rewrite_at(cur, pos, rule.build)
+        trace.steps.append(Step(rule.rid, pos, weight))
 
 
 def join_peak(t: Term, ruleset: RuleSet, fuel: int = 10 ** 6) -> bool:

@@ -21,7 +21,7 @@ from .quantum import is_introduction as is_intro_quantum
 from .qencode import (check_linear_map, compile_matrix, dim, from_vector,
                       to_vector)
 from .rewrite import (RuleId, default_ruleset, find_redexes, join_peak,
-                      normalize, step_at)
+                      normalize, replay_states, step_at)
 from .rng import derive_rng
 from .syntax import Atom, Conj, Disj, OPlus, One, Prod, Sum, print_term
 from .typecheck import TypingError, infer
@@ -35,18 +35,6 @@ class CheckResult:
 
     def line(self) -> str:
         return f"{'ok  ' if self.ok else 'FAIL'} {self.name}: {self.detail}"
-
-
-def _trace_terms(trace):
-    """Successive terms along a recorded trace, including the initial one."""
-    t = trace.initial
-    yield t
-    for s in trace.steps:
-        rs = default_ruleset(s.rule.calculus)
-        rule = rs.by_number(s.rule.number)
-        choice = rule.role if rule.group == "nd-inlr" else None
-        t = step_at(t, s.pos, s.rule, choice=choice, ruleset=rs)
-        yield t
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +53,7 @@ def subject_reduction(calculus, samples, seed, fuel=10 ** 6,
             allow_nd=(calculus == "quantum"))
         trace = normalize(t, ruleset, fuel=fuel,
                           rng=derive_rng(seed, 0x5C, i))
-        for term in _trace_terms(trace):
+        for term in replay_states(trace):
             steps += 1
             try:
                 infer(calculus, ctx, term, expected=goal)
@@ -156,7 +144,7 @@ def lex_decrease_on_traces(samples, seed, fuel=10 ** 6,
         trace = normalize(t, ruleset, fuel=fuel,
                           rng=None if deterministic
                           else derive_rng(seed, 0x1F, i))
-        terms = list(_trace_terms(trace))
+        terms = list(replay_states(trace))
         for s, cur, nxt in zip(trace.steps, terms, terms[1:]):
             if s.pos == ():
                 root_steps += 1

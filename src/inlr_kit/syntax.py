@@ -345,16 +345,6 @@ def replace_children(t: Term, new_children) -> Term:
     return type(t)(**kwargs)
 
 
-def subterm_at(t: Term, path) -> Term:
-    for i in path:
-        slots = child_slots(t)
-        if i >= len(slots):
-            raise IndexError(f"no child {i} at {type(t).__name__}")
-        name, kind = slots[i]
-        t = getattr(t, name) if kind == TERM else getattr(t, name).body
-    return t
-
-
 def term_size(t: Term) -> int:
     return 1 + sum(term_size(c) for c in subterms(t))
 

@@ -97,6 +97,17 @@ CASES = [
     ("norm_cc_enumerate_truncated",
      ["norm", g("t_bot_choice.inlr"), "--calculus", "cc",
       "--enumerate", "--fuel", "2"], 3),
+    ("measure_nested",
+     ["measure", g("t_measure_nested.inlr"), "--shots", "1000",
+      "--seed", "3"], 0),
+    ("selftest_samples_negative",
+     ["selftest", "--suite", "iplus", "--samples", "-2"], 4),
+    ("compile_matrix_malformed",
+     ["compile-matrix", g("matrix_no_cols.json"),
+      "--from", "One", "--to", "One"], 1),
+    ("encode_vec_malformed",
+     ["encode", "--vec", g("vec_not_pairs.json"), "--prop", "One (+) One"],
+     1),
 ]
 
 

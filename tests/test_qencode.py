@@ -254,3 +254,20 @@ def test_vector_json_roundtrip():
 def test_matrix_json_rejects_wrong_count():
     with pytest.raises(EncodeError):
         load_matrix_json('{"rows": 2, "cols": 2, "entries": [[1, 0]]}')
+
+
+@pytest.mark.parametrize("load,text", [
+    (load_matrix_json, "not json"),
+    (load_matrix_json, '{"rows": 1}'),
+    (load_matrix_json, '{"rows": -1, "cols": -1, "entries": [[1, 0]]}'),
+    (load_matrix_json, '[[1, 0]]'),
+    (load_vector_json, "[1, 2]"),
+    (load_vector_json, '{"rows": 1}'),
+    (load_vector_json, '"ab"'),
+    (load_vector_json, "[" * 100000 + "]" * 100000),
+], ids=["matrix-not-json", "matrix-no-cols", "matrix-negative",
+        "matrix-list", "vector-not-pairs", "vector-no-entries",
+        "vector-string", "vector-deep"])
+def test_malformed_json_raises_encode_error(load, text):
+    with pytest.raises(EncodeError):
+        load(text)

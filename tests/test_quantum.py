@@ -6,7 +6,8 @@ from inlr_kit.quantum import (RULES_QUANTUM, RULES_QUANTUM_DET, Histogram,
                               check_lex_decrease, is_introduction,
                               measure_mu, measure_nu, mu_subst_additivity,
                               norm_sq, run_measure, STUCK_BIN)
-from inlr_kit.rewrite import RuleId, normalize, step_at
+from inlr_kit.rewrite import (NoMatchError, RuleId, find_redexes, normalize,
+                              step_at)
 from inlr_kit.rng import derive_rng
 from inlr_kit.syntax import Var, parse_prop, parse_term, subst
 from inlr_kit.typecheck import infer_linear
@@ -188,3 +189,52 @@ def test_spec_pi1_on_well_typed_state():
     # the whole applied measurement is well-typed at the Boolean type
     t = _pi1_applied("1.0", "1.0")
     assert infer_linear({}, t) == qp("One (+) One")
+
+
+# An inner measurement inside a scrutinee component is taken first; the
+# outer one then weighs the value it produced.  The probabilities are
+# worked out by hand from the squared norms at each level.
+NESTED = [
+    # the inner measurement gives 3.0 (9/10) or 0.0 (1/10); the outer one
+    # keeps 3.0 against 1.0 with 9/10, and 0.0 against 1.0 never
+    ("case_nd(inlr(case_nd(inlr(3.0 . star, 1.0 . star), a. a, "
+     "b. prod(0.0, b)), 1.0 . star), x. x, y. y)",
+     {"3.0 . star": 0.81, "1.0 . star": 0.19}),
+    # under a beta redex, nested in the right component: 3.0 (1/5) or
+    # 2.0 (4/5), then weighed against 1.0
+    ("(lam q:One(+)One. case_nd(q, x. x, y. y)) "
+     "inlr(1.0 . star, case_nd(inlr(1.0 . star, 2.0 . star), "
+     "a. prod(3.0, a), b. b))",
+     {"1.0 . star": 0.2 * 0.1 + 0.8 * 0.2, "3.0 . star": 0.2 * 0.9,
+      "2.0 . star": 0.8 * 0.8}),
+    # both components nested: 1.0 or 2.0 (1/2 each) against 1.0 (1/10)
+    # or 3.0 (9/10); the right branch is scaled by 5
+    ("case_nd(inlr(case_nd(inlr(1.0 . star, 1.0 . star), a. a, "
+     "b. prod(2.0, b)), case_nd(inlr(1.0 . star, 3.0 . star), c. c, d. d)), "
+     "x. x, y. prod(5.0, y))",
+     {"1.0 . star": 0.05 * 0.5 + 0.45 * 0.1,
+      "5.0 . star": 0.05 * 0.5 + 0.05 * 0.2,
+      "2.0 . star": 0.05 * 0.8 + 0.45 * 4 / 13,
+      "15.0 . star": 0.45 * 0.9 + 0.45 * 9 / 13}),
+]
+
+
+@pytest.mark.parametrize("text,probs", NESTED,
+                         ids=["left", "under-beta", "both"])
+def test_nested_measurement_samples_its_exact_weights(text, probs):
+    shots = 20000
+    hist = run_measure(q(text), shots=shots, seed=31)
+    weights = {b["term"]: b["exact_weight"] for b in hist.bins}
+    assert weights == pytest.approx(probs)
+    assert sum(weights.values()) == pytest.approx(1.0)
+    for b in hist.bins:
+        p = b["exact_weight"]
+        sigma = (p * (1.0 - p) / shots) ** 0.5
+        assert abs(b["frequency"] - p) <= 4 * sigma, b
+
+
+def test_measurement_waits_for_irreducible_components():
+    t = q(NESTED[0][0])
+    with pytest.raises(NoMatchError):
+        step_at(t, (), RuleId("quantum", 26))
+    assert find_redexes(t, RULES_QUANTUM)[0] == ((0, 0), RuleId("quantum", 26))
