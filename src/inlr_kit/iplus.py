@@ -9,13 +9,10 @@ the rules they share with this one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .rewrite import (Rule, RuleId, RuleSet, normalize,
-                      register_default_ruleset)
+from .rewrite import Rule, RuleId, RuleSet, register_default_ruleset
 from .syntax import (AndElim1, AndElim2, App, Case, Inl, Inlr2, Inr, Lam,
                      Pair, Star, Sum, Term, TopElim, close_term, fresh_name,
-                     open_abs, print_term, subst_abs)
+                     open_abs, subst_abs)
 
 
 def _rule(n, name, head, build):
@@ -93,40 +90,3 @@ _INTROS = (Star, Lam, Pair, Inl, Inr, Inlr2)
 def is_introduction(t: Term) -> bool:
     """Whether the head constructor is an introduction form."""
     return isinstance(t, _INTROS)
-
-
-@dataclass
-class PropertyReport:
-    samples: int
-    failures: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def summary(self) -> str:
-        state = "ok" if self.ok else f"{len(self.failures)} failure(s)"
-        return f"{self.samples} samples: {state}"
-
-
-def check_introduction_property(samples: int, seed: int,
-                                fuel: int = 10 ** 6) -> PropertyReport:
-    """Closed well-typed terms normalize to introductions.
-
-    Draws random closed well-typed iplus terms, normalizes each, and
-    collects any normal form that is not an introduction (none should
-    exist) as a counterexample.
-    """
-    from . import gen
-    from .rng import derive_rng
-
-    report = PropertyReport(samples)
-    for i in range(samples):
-        rng = derive_rng(seed, 0xA11, i)
-        term, _prop = gen.random_closed_term("iplus", rng)
-        tr = normalize(term, RULES_IPLUS, fuel=fuel)
-        if tr.outcome.kind != "normal-form":
-            report.failures.append((print_term(term), tr.outcome.kind))
-        elif not is_introduction(tr.final):
-            report.failures.append((print_term(term), print_term(tr.final)))
-    return report

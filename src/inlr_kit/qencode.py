@@ -3,7 +3,8 @@ against.
 
 Closed irreducible proofs of a vector proposition (built from One and (+))
 denote dense complex vectors; the denotation reads scalars at One leaves,
-concatenates blocks under inlr, and zero-pads under inl/inr.  A complex
+concatenates blocks under inlr, and zero-pads under inl/inr; ``norm_sq``
+reads the squared norm off the same irreducible form.  A complex
 matrix compiles to a closed proof of ``A -o B`` that agrees with numpy's
 matrix-vector product on every input.  The measurement operator builders
 live here too.
@@ -16,12 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantum import RULES_QUANTUM_DET, is_vector_prop
-from .rewrite import normalize
+from .quantum import RULES_QUANTUM, RULES_QUANTUM_DET
+from .rewrite import is_normal, normalize
 from .rng import derive_rng
 from .syntax import (App, Case, CaseNd, Inl, Inlr2, Inr, Lam, OneElim,
                      OPlus, One, Prod, Proposition, ScalarStar, Sum, Term,
-                     Var, close_term, fresh_name, print_term)
+                     Var, close_term, fresh_name, is_closed, print_prop,
+                     print_term)
 
 
 class EncodeError(Exception):
@@ -29,7 +31,20 @@ class EncodeError(Exception):
 
 
 class NotVectorProp(EncodeError):
+    """A proposition not built from One and (+) where a vector is wanted."""
+
+    def __init__(self, p: Proposition):
+        super().__init__(f"not a vector proposition: {print_prop(p)}")
+
+
+class NotIrreducible(Exception):
     pass
+
+
+def is_vector_prop(p: Proposition) -> bool:
+    if isinstance(p, One):
+        return True
+    return isinstance(p, OPlus) and is_vector_prop(p.left) and is_vector_prop(p.right)
 
 
 def dim(p: Proposition) -> int:
@@ -38,7 +53,7 @@ def dim(p: Proposition) -> int:
         return 1
     if isinstance(p, OPlus):
         return dim(p.left) + dim(p.right)
-    raise NotVectorProp(f"not a vector proposition: {p}")
+    raise NotVectorProp(p)
 
 
 def qn_prop(n: int) -> Proposition:
@@ -59,7 +74,7 @@ def to_vector(t: Term, p: Proposition, fuel: int = 10 ** 6) -> np.ndarray:
     irreducible form.
     """
     if not is_vector_prop(p):
-        raise NotVectorProp(f"not a vector proposition: {p}")
+        raise NotVectorProp(p)
     tr = normalize(t, RULES_QUANTUM_DET, fuel=fuel)
     if tr.outcome.kind != "normal-form":
         raise EncodeError(f"term does not normalize: {tr.outcome.kind}")
@@ -85,6 +100,29 @@ def to_vector(t: Term, p: Proposition, fuel: int = 10 ** 6) -> np.ndarray:
 
     read(tr.final, p, 0)
     return out
+
+
+def norm_sq(t: Term, prop: Proposition) -> float:
+    """Squared norm of a closed irreducible proof of a vector proposition."""
+    if not is_vector_prop(prop):
+        raise NotVectorProp(prop)
+    if not is_closed(t) or not is_normal(t, RULES_QUANTUM):
+        raise NotIrreducible(print_term(t))
+
+    def go(t, p):
+        if isinstance(p, One):
+            if isinstance(t, ScalarStar):
+                return abs(t.value) ** 2
+            raise NotIrreducible(print_term(t))
+        if isinstance(t, Inlr2):
+            return go(t.left, p.left) + go(t.right, p.right)
+        if isinstance(t, Inl):
+            return go(t.body, p.left)
+        if isinstance(t, Inr):
+            return go(t.body, p.right)
+        raise NotIrreducible(print_term(t))
+
+    return go(t, prop)
 
 
 def from_vector(v, p: Proposition) -> Term:

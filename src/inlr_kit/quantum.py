@@ -1,4 +1,4 @@
-"""Rule table, measures, norm, and measurement for the quantum calculus.
+"""Rule table, measures, and measurement for the quantum calculus.
 
 Rules 19-43.  The deterministic sub-table (everything except the four
 ``case_nd`` rules 24-27) is left-linear with no critical pairs.  Rules 26
@@ -28,9 +28,8 @@ from .rewrite import (ND_PAIR, ND_SINGLE, Rule, RuleId, RuleSet,
                       register_default_ruleset, rewrite_at)
 from .rng import derive_rng
 from .syntax import (App, Bound, Case, CaseNd, Inl, Inlr2, Inr, Lam, OneElim,
-                     OPlus, One, Prod, Proposition, ScalarStar, Sum, Term,
-                     Var, close_term, fresh_name, is_closed, open_abs,
-                     print_term, subst, subst_abs)
+                     Prod, ScalarStar, Sum, Term, Var, close_term, fresh_name,
+                     open_abs, print_term, subst, subst_abs)
 
 
 def _rule(n, name, head, build, **kw):
@@ -182,46 +181,6 @@ def mu_subst_additivity(t: Term, u: Term, x: str) -> bool:
     proposition.
     """
     return measure_mu(subst(u, x, t)) == measure_mu(t) + measure_mu(u)
-
-
-# ---------------------------------------------------------------------------
-# Norm
-
-class NotVectorProp(Exception):
-    pass
-
-
-class NotIrreducible(Exception):
-    pass
-
-
-def is_vector_prop(p: Proposition) -> bool:
-    if isinstance(p, One):
-        return True
-    return isinstance(p, OPlus) and is_vector_prop(p.left) and is_vector_prop(p.right)
-
-
-def norm_sq(t: Term, prop: Proposition) -> float:
-    """Squared norm of a closed irreducible proof of a vector proposition."""
-    if not is_vector_prop(prop):
-        raise NotVectorProp(print_term(t))
-    if not is_closed(t) or not is_normal(t, RULES_QUANTUM):
-        raise NotIrreducible(print_term(t))
-
-    def go(t, p):
-        if isinstance(p, One):
-            if isinstance(t, ScalarStar):
-                return abs(t.value) ** 2
-            raise NotIrreducible(print_term(t))
-        if isinstance(t, Inlr2):
-            return go(t.left, p.left) + go(t.right, p.right)
-        if isinstance(t, Inl):
-            return go(t.body, p.left)
-        if isinstance(t, Inr):
-            return go(t.body, p.right)
-        raise NotIrreducible(print_term(t))
-
-    return go(t, prop)
 
 
 # ---------------------------------------------------------------------------

@@ -91,13 +91,25 @@ class RuleSet:
         object.__setattr__(self, "_index", {})
 
     def matching(self, t: Term) -> list:
-        """The rules whose left-hand sides match t, in table order."""
+        """The rules whose left-hand sides match t, in table order.
+
+        A guard that several rules share is asked once.
+        """
         key = _head_key(t, self._width.get(type(t), 0))
         hits = self._index.get(key)
         if hits is None:
             hits = tuple(r for r in self.rules if _fits(r.head, key))
             self._index[key] = hits
-        return [r for r in hits if r.guard is None or r.guard(t)]
+        verdicts = {}
+        out = []
+        for r in hits:
+            if r.guard is not None:
+                if r.guard not in verdicts:
+                    verdicts[r.guard] = r.guard(t)
+                if not verdicts[r.guard]:
+                    continue
+            out.append(r)
+        return out
 
     def by_number(self, number: int) -> Rule:
         for r in self.rules:

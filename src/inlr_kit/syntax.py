@@ -12,6 +12,12 @@ Terms cover all three calculi handled by the workbench:
 Binders are stored nameless (de Bruijn indices) with a name hint kept for
 printing, so alpha-equivalence is plain structural equality and substitution
 cannot capture.
+
+The concrete syntax is declared once, on the classes: a call-form
+constructor names its keyword in ``_word`` beside its ``_shape``, a
+proposition constant its keyword in ``_word``, and a binary connective its
+``_symbol`` and precedence ``_level``.  The parser, the printer and the
+reserved words are all derived from these.
 """
 
 from __future__ import annotations
@@ -26,23 +32,36 @@ CALCULI = ("iplus", "quantum", "cc")
 # Propositions
 
 
+_PROP_WORDS: dict = {}   # constant keyword -> its class
+_CONNECTIVES: dict = {}  # infix symbol -> its class
+
+
 class Proposition:
-    pass
+    _word = None    # the keyword of a constant
+    _symbol = None  # the infix symbol of a binary connective, ...
+    _level = 0      # ... and its precedence: 1 binds loosest, all associate right
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls._word:
+            _PROP_WORDS[cls._word] = cls
+        if cls._symbol:
+            _CONNECTIVES[cls._symbol] = cls
 
 
 @dataclass(frozen=True)
 class Top(Proposition):
-    pass
+    _word = "Top"
 
 
 @dataclass(frozen=True)
 class Bot(Proposition):
-    pass
+    _word = "Bot"
 
 
 @dataclass(frozen=True)
 class One(Proposition):
-    pass
+    _word = "One"
 
 
 @dataclass(frozen=True)
@@ -55,33 +74,48 @@ class Atom(Proposition):
 
 
 @dataclass(frozen=True)
+class MetaProp(Proposition):
+    """A type checker's unification placeholder, printed as ?<mid>."""
+    mid: int
+
+
+@dataclass(frozen=True)
 class Impl(Proposition):
     left: Proposition
     right: Proposition
+    _symbol, _level = "=>", 1
 
 
 @dataclass(frozen=True)
 class Conj(Proposition):
     left: Proposition
     right: Proposition
+    _symbol, _level = "/\\", 3
 
 
 @dataclass(frozen=True)
 class Disj(Proposition):
     left: Proposition
     right: Proposition
+    _symbol, _level = "\\/", 2
 
 
 @dataclass(frozen=True)
 class Lollipop(Proposition):
     left: Proposition
     right: Proposition
+    _symbol, _level = "-o", 1
 
 
 @dataclass(frozen=True)
 class OPlus(Proposition):
     left: Proposition
     right: Proposition
+    _symbol, _level = "(+)", 2
+
+
+# a parenthesized proposition or a constant binds tighter than any connective
+_ATOM_LEVEL = 1 + max(c._level for c in _CONNECTIVES.values())
 
 
 # Connectives admissible per calculus (atoms are schematic everywhere).
@@ -102,21 +136,6 @@ class CalculusError(Exception):
         self.col = col
 
 
-def validate_prop(p: Proposition, calculus: str) -> None:
-    allowed = _PROP_ALLOWED[calculus]
-    if not isinstance(p, allowed):
-        raise CalculusError(
-            f"connective {type(p).__name__} not in {calculus} propositions")
-    for child in _prop_children(p):
-        validate_prop(child, calculus)
-
-
-def _prop_children(p: Proposition):
-    if isinstance(p, (Impl, Conj, Disj, Lollipop, OPlus)):
-        return (p.left, p.right)
-    return ()
-
-
 # ---------------------------------------------------------------------------
 # Terms
 
@@ -127,7 +146,11 @@ SCALAR = "scalar"
 PROP = "prop"
 
 
+_FORMS: dict = {}  # call-form keyword -> its classes, in declaration order
+
+
 class Term:
+    _word = None        # the keyword of a call form: word[P](slot, ...)
     _shape: tuple = ()
     _paths: tuple = ()  # the TERM and ABS entries of _shape
 
@@ -135,6 +158,8 @@ class Term:
         super().__init_subclass__(**kwargs)
         cls._paths = tuple((name, kind) for name, kind in cls._shape
                            if kind in (TERM, ABS))
+        if cls._word:
+            _FORMS.setdefault(cls._word, []).append(cls)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,6 +207,7 @@ class ScalarStar(Term):
 class Sum(Term):
     left: Term
     right: Term
+    _word = "sum"
     _shape = (("left", TERM), ("right", TERM))
 
 
@@ -189,6 +215,7 @@ class Sum(Term):
 class Prod(Term):
     value: complex
     body: Term
+    _word = "prod"
     _shape = (("value", SCALAR), ("body", TERM))
 
 
@@ -196,6 +223,7 @@ class Prod(Term):
 class TopElim(Term):
     scrut: Term
     body: Term
+    _word = "top_elim"
     _shape = (("scrut", TERM), ("body", TERM))
 
 
@@ -203,6 +231,7 @@ class TopElim(Term):
 class BotElim(Term):
     prop: Proposition
     scrut: Term
+    _word = "bot_elim"
     _shape = (("prop", PROP), ("scrut", TERM))
 
 
@@ -224,6 +253,7 @@ class App(Term):
 class Pair(Term):
     left: Term
     right: Term
+    _word = "pair"
     _shape = (("left", TERM), ("right", TERM))
 
 
@@ -231,6 +261,7 @@ class Pair(Term):
 class AndElim1(Term):
     scrut: Term
     abs: Abs
+    _word = "and1"
     _shape = (("scrut", TERM), ("abs", ABS))
 
 
@@ -238,18 +269,21 @@ class AndElim1(Term):
 class AndElim2(Term):
     scrut: Term
     abs: Abs
+    _word = "and2"
     _shape = (("scrut", TERM), ("abs", ABS))
 
 
 @dataclass(frozen=True)
 class Inl(Term):
     body: Term
+    _word = "inl"
     _shape = (("body", TERM),)
 
 
 @dataclass(frozen=True)
 class Inr(Term):
     body: Term
+    _word = "inr"
     _shape = (("body", TERM),)
 
 
@@ -257,6 +291,7 @@ class Inr(Term):
 class Inlr2(Term):
     left: Term
     right: Term
+    _word = "inlr"
     _shape = (("left", TERM), ("right", TERM))
 
 
@@ -265,6 +300,7 @@ class Inlr3(Term):
     scrut: Term
     left: Abs
     right: Abs
+    _word = "inlr"
     _shape = (("scrut", TERM), ("left", ABS), ("right", ABS))
 
 
@@ -273,6 +309,7 @@ class Case(Term):
     scrut: Term
     left: Abs
     right: Abs
+    _word = "case"
     _shape = (("scrut", TERM), ("left", ABS), ("right", ABS))
 
 
@@ -281,6 +318,7 @@ class CaseNd(Term):
     scrut: Term
     left: Abs
     right: Abs
+    _word = "case_nd"
     _shape = (("scrut", TERM), ("left", ABS), ("right", ABS))
 
 
@@ -288,6 +326,7 @@ class CaseNd(Term):
 class OneElim(Term):
     scrut: Term
     body: Term
+    _word = "one_elim"
     _shape = (("scrut", TERM), ("body", TERM))
 
 
@@ -301,19 +340,6 @@ _TERM_ALLOWED = {
     "cc": (Var, Bound, Star, TopElim, BotElim, Lam, App, Pair,
            AndElim1, AndElim2, Inl, Inr, Inlr3, Case),
 }
-
-
-def validate_calculus(t: Term, calculus: str) -> None:
-    """Check that every constructor of t belongs to the given calculus."""
-    if not isinstance(t, _TERM_ALLOWED[calculus]):
-        raise CalculusError(
-            f"constructor {type(t).__name__} not in {calculus} calculus")
-    if isinstance(t, Lam) and t.ann is not None:
-        validate_prop(t.ann, calculus)
-    if isinstance(t, BotElim):
-        validate_prop(t.prop, calculus)
-    for child in subterms(t):
-        validate_calculus(child, calculus)
 
 
 # ---------------------------------------------------------------------------
@@ -485,21 +511,13 @@ _TOKEN_RE = re.compile(
     | (?P<comment>--[^\n]*)
     | (?P<number>[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<oplus>\(\+\))
-    | (?P<impl>=>)
-    | (?P<lolli>-o)
-    | (?P<conj>/\\)
-    | (?P<disj>\\/)
+    | (?P<conn>""" + "|".join(map(re.escape, _CONNECTIVES)) + r""")
     | (?P<punct>[()\[\],.:])
     """,
     re.VERBOSE,
 )
 
-_RESERVED = {
-    "star", "sum", "prod", "lam", "pair", "and1", "and2", "inl", "inr",
-    "inlr", "case", "case_nd", "top_elim", "bot_elim", "one_elim",
-    "Top", "Bot", "One",
-}
+_RESERVED = {"star", "lam", *_FORMS, *_PROP_WORDS}
 
 
 class ParseError(Exception):
@@ -548,9 +566,8 @@ class _Parser:
         self.toks = _tokenize(text)
         self.i = 0
         self.calculus = calculus
-        # (surface name, unique marker); occurrences parse to Var(marker)
-        # and the abstraction is closed over the marker on exit.
-        self.bound: list[tuple[str, str]] = []
+        # the names of the enclosing binders, innermost last
+        self.bound: list[str] = []
 
     def peek(self, ahead=0) -> _Tok:
         return self.toks[min(self.i + ahead, len(self.toks) - 1)]
@@ -580,38 +597,19 @@ class _Parser:
 
     # -- propositions --
 
-    def prop(self) -> Proposition:
-        left = self.prop_or()
+    def prop(self, level=1) -> Proposition:
+        """A proposition whose connectives bind at least as tight as level."""
+        if level == _ATOM_LEVEL:
+            return self.prop_atom()
+        left = self.prop(level + 1)
         t = self.peek()
-        if t.kind in ("impl", "lolli"):
-            self.next()
-            right = self.prop()
-            made = Impl(left, right) if t.kind == "impl" else Lollipop(left, right)
-            self.gate_prop(made, t)
-            return made
-        return left
-
-    def prop_or(self) -> Proposition:
-        left = self.prop_and()
-        t = self.peek()
-        if t.kind in ("disj", "oplus"):
-            self.next()
-            right = self.prop_or()
-            made = Disj(left, right) if t.kind == "disj" else OPlus(left, right)
-            self.gate_prop(made, t)
-            return made
-        return left
-
-    def prop_and(self) -> Proposition:
-        left = self.prop_atom()
-        t = self.peek()
-        if t.kind == "conj":
-            self.next()
-            right = self.prop_and()
-            made = Conj(left, right)
-            self.gate_prop(made, t)
-            return made
-        return left
+        node = _CONNECTIVES.get(t.text)
+        if node is None or node._level != level:
+            return left
+        self.next()
+        made = node(left, self.prop(level))
+        self.gate_prop(made, t)
+        return made
 
     def prop_atom(self) -> Proposition:
         t = self.peek()
@@ -620,21 +618,17 @@ class _Parser:
             p = self.prop()
             self.expect("punct", ")")
             return p
-        if t.kind == "ident":
-            self.next()
-            if t.text == "Top":
-                made = Top()
-            elif t.text == "Bot":
-                made = Bot()
-            elif t.text == "One":
-                made = One()
-            elif t.text in _RESERVED:
-                self.error(f"reserved word {t.text!r} is not a proposition", t)
-            else:
-                made = Atom(t.text)
-            self.gate_prop(made, t)
-            return made
-        self.error(f"expected a proposition, found {t.text!r}", t)
+        if t.kind != "ident":
+            self.error(f"expected a proposition, found {t.text!r}", t)
+        self.next()
+        if t.text in _PROP_WORDS:
+            made = _PROP_WORDS[t.text]()
+        elif t.text in _RESERVED:
+            self.error(f"reserved word {t.text!r} is not a proposition", t)
+        else:
+            made = Atom(t.text)
+        self.gate_prop(made, t)
+        return made
 
     def gate_prop(self, p, tok):
         if not isinstance(p, _PROP_ALLOWED[self.calculus]):
@@ -665,22 +659,12 @@ class _Parser:
         if t.kind == "ident" and t.text == "lam":
             self.next()
             self.gate(Lam, t)
-            name_tok = self.expect("ident")
-            if name_tok.text in _RESERVED:
-                self.error(f"reserved word {name_tok.text!r} cannot bind",
-                           name_tok)
+            name = self.binder_name()
             ann = None
             if self.peek().kind == "punct" and self.peek().text == ":":
                 self.next()
                 ann = self.prop()
-            self.expect("punct", ".")
-            marker = fresh_name(name_tok.text)
-            self.bound.append((name_tok.text, marker))
-            try:
-                body = self.term()
-            finally:
-                self.bound.pop()
-            return Lam(ann, close_term(body, marker, hint=name_tok.text))
+            return Lam(ann, self.scope(name))
         return self.appterm()
 
     def appterm(self) -> Term:
@@ -695,18 +679,19 @@ class _Parser:
             return True
         return tok.kind == "punct" and tok.text == "("
 
-    def binder_arg(self) -> Abs:
+    def binder_name(self) -> str:
         name_tok = self.expect("ident")
         if name_tok.text in _RESERVED:
             self.error(f"reserved word {name_tok.text!r} cannot bind", name_tok)
+        return name_tok.text
+
+    def scope(self, name) -> Abs:
+        """'. body' with name bound in the body."""
         self.expect("punct", ".")
-        marker = fresh_name(name_tok.text)
-        self.bound.append((name_tok.text, marker))
-        try:
-            body = self.term()
-        finally:
-            self.bound.pop()
-        return close_term(body, marker, hint=name_tok.text)
+        self.bound.append(name)
+        body = self.term()
+        self.bound.pop()
+        return Abs(name, body)
 
     def at_binder_arg(self) -> bool:
         return (self.peek().kind == "ident"
@@ -743,89 +728,58 @@ class _Parser:
             return Star()
         if word == "lam":
             self.error("a lambda must be parenthesized here", t)
-        if word in _RESERVED:
-            return self.callform(self.next())
         self.next()
-        # innermost binder wins
-        for name, marker in reversed(self.bound):
+        if word in _FORMS:
+            return self.callform(t)
+        if word in _RESERVED:  # a proposition constant
+            self.expect("punct", "(")
+            self.error(f"unknown form {word!r}", t)
+        # the innermost binder wins; k binders lie between it and here
+        for k, name in enumerate(reversed(self.bound)):
             if name == word:
-                return Var(marker)
+                return Bound(k)
         return Var(word)
 
     def callform(self, tok: _Tok) -> Term:
-        word = tok.text
-        if word == "bot_elim":
-            self.gate(BotElim, tok)
-            self.expect("punct", "[")
-            prop = self.prop()
-            self.expect("punct", "]")
-            self.expect("punct", "(")
-            scrut = self.term()
-            self.expect("punct", ")")
-            return BotElim(prop, scrut)
-        self.expect("punct", "(")
-        if word == "sum":
-            self.gate(Sum, tok)
-            a = self.term()
-            self.expect("punct", ",")
-            b = self.term()
-            made = Sum(a, b)
-        elif word == "prod":
-            self.gate(Prod, tok)
-            a = self.scalar()
-            self.expect("punct", ",")
-            b = self.term()
-            made = Prod(a, b)
-        elif word == "pair":
-            self.gate(Pair, tok)
-            a = self.term()
-            self.expect("punct", ",")
-            b = self.term()
-            made = Pair(a, b)
-        elif word == "inl":
-            self.gate(Inl, tok)
-            made = Inl(self.term())
-        elif word == "inr":
-            self.gate(Inr, tok)
-            made = Inr(self.term())
-        elif word == "inlr":
-            scrut = self.term()
-            self.expect("punct", ",")
-            if self.at_binder_arg():
-                self.gate(Inlr3, tok)
-                left = self.binder_arg()
-                self.expect("punct", ",")
-                right = self.binder_arg()
-                made = Inlr3(scrut, left, right)
-            else:
-                self.gate(Inlr2, tok)
-                right = self.term()
-                made = Inlr2(scrut, right)
-        elif word in ("and1", "and2"):
-            node = AndElim1 if word == "and1" else AndElim2
-            self.gate(node, tok)
-            scrut = self.term()
-            self.expect("punct", ",")
-            made = node(scrut, self.binder_arg())
-        elif word in ("case", "case_nd"):
-            node = Case if word == "case" else CaseNd
-            self.gate(node, tok)
-            scrut = self.term()
-            self.expect("punct", ",")
-            left = self.binder_arg()
-            self.expect("punct", ",")
-            right = self.binder_arg()
-            made = node(scrut, left, right)
-        elif word in ("top_elim", "one_elim"):
-            node = TopElim if word == "top_elim" else OneElim
-            self.gate(node, tok)
-            scrut = self.term()
-            self.expect("punct", ",")
-            made = node(scrut, self.term())
-        else:
-            self.error(f"unknown form {word!r}", tok)
+        """Read the slots of the keyword's constructor in _shape order.
+
+        A PROP slot comes as [P] before the parenthesis.  The calculus gate
+        runs when the constructor is known, just before its slot is read:
+        the first one, or for inlr the second, where a binder argument
+        tells the binder form from the plain one.
+        """
+        forms = _FORMS[tok.text]
+        node = None
+        args = []
+        sep = "("
+        while node is None or len(args) < len(node._shape):
+            i = len(args)
+            kind = forms[0]._shape[i][1]
+            if kind != PROP:
+                self.expect("punct", sep)
+                sep = ","
+            if node is None:
+                if any(f._shape[i][1] != kind for f in forms):
+                    kind = ABS if self.at_binder_arg() else TERM
+                    forms = [f for f in forms if f._shape[i][1] == kind]
+                if len(forms) == 1:
+                    node = forms[0]
+                    self.gate(node, tok)
+            args.append(self.slot(kind))
         self.expect("punct", ")")
-        return made
+        return node(*args)
+
+    def slot(self, kind):
+        if kind == TERM:
+            return self.term()
+        if kind == ABS:
+            return self.scope(self.binder_name())
+        if kind == SCALAR:
+            return self.scalar()
+        self.expect("punct", "[")
+        p = self.prop()
+        self.expect("punct", "]")
+        return p
 
 
 def parse_term(text: str, calculus: str) -> Term:
@@ -854,33 +808,20 @@ def parse_prop(text: str, calculus: str) -> Proposition:
 # ---------------------------------------------------------------------------
 # Printing
 
-_PREC_ARROW, _PREC_OR, _PREC_AND, _PREC_ATOM = 1, 2, 3, 4
-
-
 def print_prop(p: Proposition) -> str:
     def go(p, minlevel):
-        if isinstance(p, Top):
-            return "Top"
-        if isinstance(p, Bot):
-            return "Bot"
-        if isinstance(p, One):
-            return "One"
+        if p._symbol:
+            s = f"{go(p.left, p._level + 1)} {p._symbol} {go(p.right, p._level)}"
+            return f"({s})" if minlevel > p._level else s
         if isinstance(p, Atom):
             return p.name
-        if isinstance(p, (Impl, Lollipop)):
-            op = "=>" if isinstance(p, Impl) else "-o"
-            s = f"{go(p.left, _PREC_OR)} {op} {go(p.right, _PREC_ARROW)}"
-            return f"({s})" if minlevel > _PREC_ARROW else s
-        if isinstance(p, (Disj, OPlus)):
-            op = "\\/" if isinstance(p, Disj) else "(+)"
-            s = f"{go(p.left, _PREC_AND)} {op} {go(p.right, _PREC_OR)}"
-            return f"({s})" if minlevel > _PREC_OR else s
-        if isinstance(p, Conj):
-            s = f"{go(p.left, _PREC_ATOM)} /\\ {go(p.right, _PREC_AND)}"
-            return f"({s})" if minlevel > _PREC_AND else s
+        if isinstance(p, MetaProp):
+            return f"?{p.mid}"
+        if p._word:
+            return p._word
         raise TypeError(f"not a printable proposition: {p!r}")
 
-    return go(p, _PREC_ARROW)
+    return go(p, 1)
 
 
 def format_scalar(a: complex) -> str:
@@ -913,21 +854,24 @@ def print_term(t: Term) -> str:
             return t.name
         if isinstance(t, Bound):
             return stack[-(t.index + 1)]
+        if t._word:
+            head, args = t._word, []
+            for name, kind in t._shape:
+                v = getattr(t, name)
+                if kind == TERM:
+                    args.append(go(v, stack, False))
+                elif kind == ABS:
+                    args.append(binder(v, stack))
+                elif kind == SCALAR:
+                    args.append(format_scalar(v))
+                else:
+                    head += f"[{print_prop(v)}]"
+            return f"{head}({', '.join(args)})"
         if isinstance(t, Star):
             return "star"
         if isinstance(t, ScalarStar):
             s = f"{format_scalar(t.value)} . star"
             return f"({s})" if atomic else s
-        if isinstance(t, Sum):
-            return f"sum({go(t.left, stack, False)}, {go(t.right, stack, False)})"
-        if isinstance(t, Prod):
-            return f"prod({format_scalar(t.value)}, {go(t.body, stack, False)})"
-        if isinstance(t, TopElim):
-            return f"top_elim({go(t.scrut, stack, False)}, {go(t.body, stack, False)})"
-        if isinstance(t, OneElim):
-            return f"one_elim({go(t.scrut, stack, False)}, {go(t.body, stack, False)})"
-        if isinstance(t, BotElim):
-            return f"bot_elim[{print_prop(t.prop)}]({go(t.scrut, stack, False)})"
         if isinstance(t, Lam):
             name = _pick_name(t.abs.hint, _avoid(t.abs, stack))
             body = go(t.abs.body, stack + [name], False)
@@ -941,24 +885,6 @@ def print_term(t: Term) -> str:
             arg = go(t.arg, stack, True)
             s = f"{fn} {arg}"
             return f"({s})" if atomic else s
-        if isinstance(t, Pair):
-            return f"pair({go(t.left, stack, False)}, {go(t.right, stack, False)})"
-        if isinstance(t, (AndElim1, AndElim2)):
-            head = "and1" if isinstance(t, AndElim1) else "and2"
-            return f"{head}({go(t.scrut, stack, False)}, {binder(t.abs, stack)})"
-        if isinstance(t, Inl):
-            return f"inl({go(t.body, stack, False)})"
-        if isinstance(t, Inr):
-            return f"inr({go(t.body, stack, False)})"
-        if isinstance(t, Inlr2):
-            return f"inlr({go(t.left, stack, False)}, {go(t.right, stack, False)})"
-        if isinstance(t, Inlr3):
-            return (f"inlr({go(t.scrut, stack, False)}, "
-                    f"{binder(t.left, stack)}, {binder(t.right, stack)})")
-        if isinstance(t, (Case, CaseNd)):
-            head = "case" if isinstance(t, Case) else "case_nd"
-            return (f"{head}({go(t.scrut, stack, False)}, "
-                    f"{binder(t.left, stack)}, {binder(t.right, stack)})")
         raise TypeError(f"not a printable term: {t!r}")
 
     def binder(a, stack):

@@ -21,17 +21,12 @@ from dataclasses import dataclass, field
 
 from .syntax import (AndElim1, AndElim2, App, Abs, Bot, BotElim, Bound,
                      Case, CaseNd, Conj, Disj, Impl, Inl, Inlr2, Inlr3, Inr,
-                     Lam, Lollipop, One, OneElim, OPlus, Pair, Prod,
-                     Proposition, ScalarStar, Star, Sum, Term, TopElim, Top,
-                     Var, _TERM_ALLOWED, fresh_name, open_abs, print_prop)
+                     Lam, Lollipop, MetaProp, One, OneElim, OPlus, Pair,
+                     Prod, Proposition, ScalarStar, Star, Sum, Term, TopElim,
+                     Top, Var, _TERM_ALLOWED, fresh_name, open_abs,
+                     print_prop)
 
 TypingContext = dict  # ordered mapping, variable name -> Proposition
-
-
-@dataclass(frozen=True)
-class MetaProp(Proposition):
-    """Unification placeholder; never part of a reported proposition."""
-    mid: int
 
 
 class TypingError(Exception):

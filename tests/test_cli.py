@@ -108,6 +108,11 @@ CASES = [
     ("encode_vec_malformed",
      ["encode", "--vec", g("vec_not_pairs.json"), "--prop", "One (+) One"],
      1),
+    ("check_placeholder_mismatch",
+     ["check", g("t_placeholder_mismatch.inlr"), "--calculus", "iplus"], 1),
+    ("compile_matrix_not_vector",
+     ["compile-matrix", g("hadamard.json"),
+      "--from", "One -o One", "--to", "One (+) One"], 1),
 ]
 
 

@@ -1,10 +1,10 @@
 import pytest
 
 from inlr_kit import gen
-from inlr_kit.iplus import (RULES_IPLUS, check_introduction_property,
-                            is_introduction)
+from inlr_kit.iplus import RULES_IPLUS, is_introduction
 from inlr_kit.rewrite import RuleId, find_redexes, normalize, step_at
 from inlr_kit.rng import derive_rng
+from inlr_kit.selftest import introduction_property
 from inlr_kit.syntax import Star, Var, alpha_eq, parse_term
 from inlr_kit.typecheck import infer_iplus
 
@@ -80,9 +80,10 @@ def test_case_on_inl_reduces_to_branch():
 
 
 def test_introduction_property_run():
-    report = check_introduction_property(300, seed=5)
-    assert report.ok, report.failures[:3]
-    assert report.samples == 300
+    result = introduction_property("iplus", 300, 5)
+    assert result.ok
+    assert result.detail == ("300 closed terms, 0 non-introduction normal "
+                             "forms, 0 fuel exhaustions")
 
 
 def test_closed_normal_forms_have_no_redex():

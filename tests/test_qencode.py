@@ -8,7 +8,7 @@ from inlr_kit.qencode import (EncodeError, NotVectorProp, boolone, boolzero,
                               dim, dump_matrix_json, dump_vector_json,
                               from_vector, load_matrix_json,
                               load_vector_json, meas_first, meas_state,
-                              qn_prop, to_vector, zero_term)
+                              norm_sq, qn_prop, to_vector, zero_term)
 from inlr_kit.quantum import run_measure
 from inlr_kit.rewrite import RuleId, step_at
 from inlr_kit.rng import derive_rng
@@ -39,6 +39,18 @@ def test_dim_examples():
 def test_dim_rejects_non_vector_props():
     with pytest.raises(NotVectorProp):
         dim(qp("One -o One"))
+
+
+def test_not_vector_prop_is_one_encode_error():
+    # dim, to_vector and norm_sq raise one class, naming the proposition in
+    # concrete syntax
+    p, t = qp("One -o One"), q("lam x:One. x")
+    for call in (lambda: dim(p), lambda: to_vector(t, p),
+                 lambda: norm_sq(t, p)):
+        with pytest.raises(NotVectorProp) as exc:
+            call()
+        assert isinstance(exc.value, EncodeError)
+        assert str(exc.value) == "not a vector proposition: One -o One"
 
 
 # ---------------------------------------------------------------------------

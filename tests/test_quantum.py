@@ -1,11 +1,11 @@
 import pytest
 
 from inlr_kit import gen
+from inlr_kit.qencode import NotIrreducible, NotVectorProp, norm_sq
 from inlr_kit.quantum import (RULES_QUANTUM, RULES_QUANTUM_DET, Histogram,
-                              NotIrreducible, NotVectorProp,
                               check_lex_decrease, is_introduction,
                               measure_mu, measure_nu, mu_subst_additivity,
-                              norm_sq, run_measure, STUCK_BIN)
+                              run_measure, STUCK_BIN)
 from inlr_kit.rewrite import (NoMatchError, RuleId, find_redexes, normalize,
                               step_at)
 from inlr_kit.rng import derive_rng

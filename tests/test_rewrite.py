@@ -6,12 +6,12 @@ from inlr_kit import gen
 from inlr_kit.cc import RULES_CC, RULES_CC_DET
 from inlr_kit.iplus import RULES_IPLUS
 from inlr_kit.quantum import RULES_QUANTUM, RULES_QUANTUM_DET
-from inlr_kit.rewrite import (ND_PAIR, RuleId, ZeroNormStuck, find_redexes,
-                              join_peak, normalize, replay, step_at,
-                              NoMatchError)
+from inlr_kit.rewrite import (ND_PAIR, Rule, RuleId, RuleSet, ZeroNormStuck,
+                              find_redexes, join_peak, normalize, replay,
+                              step_at, NoMatchError)
 from inlr_kit.rng import derive_rng
-from inlr_kit.syntax import (Star, alpha_eq, child_slots, parse_term,
-                             print_term)
+from inlr_kit.syntax import (Inl, Star, Sum, alpha_eq, child_slots,
+                             parse_term, print_term)
 
 
 def ip(s):
@@ -31,6 +31,22 @@ def test_find_redexes_examples():
     assert find_redexes(Star(), RULES_IPLUS) == []
     assert find_redexes(ip("sum(inl(star), inr(star))"), RULES_IPLUS) \
         == [((), RuleId("iplus", 12))]
+
+
+@pytest.mark.parametrize("verdict", [True, False])
+def test_shared_guard_is_asked_once(verdict):
+    calls = []
+
+    def guard(t):
+        calls.append(t)
+        return verdict
+
+    rules = tuple(Rule(RuleId("test", n), f"r{n}", (Sum, Inl, None),
+                       lambda t: t.left, guard=guard) for n in (1, 2))
+    rs = RuleSet("shared-guard", "test", rules)
+    t = ip("sum(inl(star), star)")
+    assert rs.matching(t) == (list(rules) if verdict else [])
+    assert calls == [t]
 
 
 def test_find_redexes_leftmost_outermost_order():

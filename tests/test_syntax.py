@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,11 +74,15 @@ def test_application_associativity():
 
 @pytest.mark.parametrize("calculus", ["iplus", "quantum", "cc"])
 def test_roundtrip_random_terms(calculus):
-    # parse . print is the identity up to alpha on 1000 generated terms
+    # parse . print is the identity up to alpha on 1000 generated terms, and
+    # print . parse the identity on their text, binder names included
     for i in range(1000):
         rng = derive_rng(101, hash(calculus) % 97, i)
         _ctx, t, _goal = gen.random_term_in_context(calculus, rng)
-        assert alpha_eq(parse_term(print_term(t), calculus), t), print_term(t)
+        text = print_term(t)
+        u = parse_term(text, calculus)
+        assert alpha_eq(u, t), text
+        assert print_term(u) == text
 
 
 # ---------------------------------------------------------------------------
@@ -173,3 +179,49 @@ def test_prop_calculus_gate():
 
 def test_term_size():
     assert term_size(ip("sum(star, star)")) == 3
+
+
+# ---------------------------------------------------------------------------
+# pinned parse outcomes
+
+_PINNED = os.path.join(os.path.dirname(__file__), "parse_errors.tsv")
+_WORDS = ["and1", "and2", "bot_elim", "case", "case_nd", "inl", "inlr", "inr",
+          "lam", "one_elim", "pair", "prod", "star", "sum", "top_elim",
+          "Top", "Bot", "One"]
+_ARGS = ["", "(", "()", "(u", "(u)", "(u,", "(u, v", "(u, v)", "(u, v, w)",
+         "(star, star)", "(u, x. x)", "(u, x. u x, y. y)",
+         "(u, x. (lam x. x) x, y. x)", "(u, x. x, y. y, z. z)",
+         "(u, v, y. y)", "(u, x. v,)", "(u, x.)", "(u, star. x)",
+         "(1.0, u)", "((0.0, 1.0), 2.0 . star)", "[A](u)", "[A => ](u)",
+         "[A /\\ B \\/ C => D](u)", "[(A => B) /\\ ](u)", "[A (+) B](u)",
+         "[One (+) One](u)", "[Top] u", " x. x", " x:A => B. x",
+         " x:One -o One. x", " x:(One (+) One) -o One. x", "(x. x, u)"]
+
+
+def _outcome(text, calculus):
+    try:
+        return "ok " + print_term(parse_term(text, calculus))
+    except (ParseError, CalculusError) as e:
+        return f"{type(e).__name__} {e.line}:{e.col} {e.message}"
+
+
+def _pinned_rows():
+    """(input, outcome per calculus); '"' repeats the previous column."""
+    with open(_PINNED, encoding="utf-8") as fh:
+        for line in fh:
+            text, *outs = line.rstrip("\n").split("\t")
+            for i in range(1, len(outs)):
+                if outs[i] == '"':
+                    outs[i] = outs[i - 1]
+            yield text, outs
+
+
+def test_parse_errors_are_pinned():
+    # every keyword against malformed and well-formed argument lists in the
+    # three calculi: exception class, message, line and column (or the
+    # printed term) stay as pinned in parse_errors.tsv
+    rows = dict(_pinned_rows())
+    assert sorted(rows) == sorted(w + a for w in _WORDS for a in _ARGS)
+    for text, want in rows.items():
+        got = [_outcome(text, c) for c in ("iplus", "quantum", "cc")]
+        assert got == want, text

@@ -50,6 +50,24 @@ def test_unbound_variable():
     assert exc.value.kind == "unbound-var"
 
 
+@pytest.mark.parametrize("src,calculus,message,found", [
+    ("case(star, x. x, y. y)", "iplus",
+     "0: mismatch: expected Top, found ?1 \\/ ?2", "?1 \\/ ?2"),
+    ("and1(star, x. x)", "iplus",
+     "0: mismatch: expected Top, found ?1 /\\ ?2", "?1 /\\ ?2"),
+    ("inl(star) star", "iplus",
+     "0: not-a-function: cannot apply a term of type Top \\/ ?1", None),
+    ("inlr(star, x. star, y. star)", "cc",
+     "0: mismatch: expected Top, found ?1 \\/ ?2", "?1 \\/ ?2"),
+], ids=["case", "and1", "apply-inl", "cc-inlr"])
+def test_unsolved_placeholder_renders(src, calculus, message, found):
+    # a placeholder still open when the error is raised prints as ?<mid>
+    with pytest.raises(TypingError) as exc:
+        infer(calculus, {}, T(src, calculus))
+    assert exc.value.render() == message
+    assert exc.value.to_json()["found"] == found
+
+
 def test_annotation_required_for_bare_inl():
     with pytest.raises(TypingError) as exc:
         infer_iplus({}, T("inl(star)"))
