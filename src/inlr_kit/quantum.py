@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 from .iplus import (SUM_INJECTIONS, _beta, _case_inl, _case_inlr, _case_inr,
                     _sum_lam)
-from .rewrite import (ND_PAIR, ND_SINGLE, Rule, RuleId, RuleSet,
+from .rewrite import (ND_PAIR, ND_SINGLE, Cursor, Rule, RuleId, RuleSet,
                       ZeroNormStuck, first_step, is_normal, normalize,
-                      register_default_ruleset, rewrite_at)
-from .rng import derive_rng
+                      register_default_ruleset, step_at)
+from .rng import derive_rng, reseat
 from .syntax import (App, Bound, Case, CaseNd, Inl, Inlr2, Inr, Lam, OneElim,
                      Prod, ScalarStar, Sum, Term, Var, close_term, fresh_name,
                      open_abs, print_term, subst, subst_abs)
@@ -211,8 +211,9 @@ def run_measure(t: Term, shots: int, seed: int,
     """
     start, used, _ = _walk(t, 0, fuel)
     counts = {}
+    rng = derive_rng(seed, 0x5407, 0)
     for shot in range(shots):
-        rng = derive_rng(seed, 0x5407, shot)
+        reseat(rng, seed, 0x5407, shot)
         tr = normalize(start, RULES_QUANTUM, fuel=fuel - used, rng=rng)
         if tr.outcome.kind == "normal-form":
             key = tr.final
@@ -239,19 +240,21 @@ def _walk(t: Term, steps: int, fuel: int):
     `steps` were taken before t.  Returns (term, steps, outcome bin), the
     bin None when the term stops at a measurement step.
     """
+    cur = Cursor(t, RULES_QUANTUM)
     while True:
         try:
-            step = first_step(t, RULES_QUANTUM)
+            step = cur.next_step()
         except ZeroNormStuck:
-            return t, steps, STUCK_BIN
+            return cur.term(), steps, STUCK_BIN
         if step is None:
+            t = cur.term()
             return t, steps, t
         if steps >= fuel:
-            return t, steps, FUEL_BIN
-        pos, alternatives = step
+            return cur.term(), steps, FUEL_BIN
+        _, alternatives = step
         if alternatives[0][0].group == ND_PAIR:
-            return t, steps, None
-        t = rewrite_at(t, pos, alternatives[0][0].build)
+            return cur.term(), steps, None
+        cur.contract(alternatives[0][0].build)
         steps += 1
 
 
@@ -274,6 +277,7 @@ def _exact_distribution(t: Term, steps: int, fuel: int,
         if paths > max_paths or alternatives[0][1] is None:
             return {}
         for rule, p in reversed(alternatives):  # the left branch first
-            todo.append((rewrite_at(term, pos, rule.build), used + 1,
-                         prob * p))
+            branch = step_at(term, pos, rule.rid, choice=rule.role,
+                             ruleset=RULES_QUANTUM)
+            todo.append((branch, used + 1, prob * p))
     return out

@@ -9,10 +9,16 @@ steps with an explicit rng for the non-deterministic rules, records traces
 that replay exactly, and joins one-step peaks for confluence testing.
 
 Matching only inspects constructors, so redexes are found on the nameless
-term as it is.  Builders always receive a locally closed redex: the
-engine opens the binders on the path to the redex and closes them again
-around the contractum, so builders work with ordinary named variables and
-capture is impossible.
+term as it is.  One cursor does every walk: it keeps the path above its
+focus as a stack of frames, so term depth costs no Python stack.  It
+stops at the first redex in preorder and contracts it in place.  Builders
+always receive a locally closed redex: the binders above it are opened
+around the redex only, at contraction time, and closed again around the
+contractum, so builders work with ordinary named variables and capture is
+impossible.  A head inspects a node and its children, so a contraction
+can only turn its parent into a redex, unless a guard looks deeper; the
+search therefore resumes at the parent, or at the outermost ancestor whose
+constructor carries a guard, and not at the root.
 """
 
 from __future__ import annotations
@@ -20,9 +26,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 
-from .syntax import (ABS, Inl, Inlr2, Inr, ScalarStar, Term, alpha_eq,
-                     child_slots, close_term, fresh_name, open_abs,
-                     replace_children, subterms)
+from .syntax import (ABS, Bound, Inl, Inlr2, Inr, ScalarStar, Term, Var,
+                     _keep, alpha_eq, fresh_name, map_vars, replace_children,
+                     subterms)
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 
@@ -41,11 +47,9 @@ class RuleId:
         return f"{self.calculus}:{self.number}"
 
 
-def _head_key(t: Term, width: int) -> tuple:
+def _head_key(t: Term, kids: list, width: int) -> tuple:
     """t's constructor, then those of its first `width` path-children."""
-    if not width:
-        return (type(t),)
-    return (type(t), *map(type, subterms(t)[:width]))
+    return (type(t), *map(type, kids[:width]))
 
 
 def _fits(head: tuple, key: tuple) -> bool:
@@ -68,7 +72,8 @@ class Rule:
     def match(self, t: Term) -> bool:
         """Whether the head and the guard both accept t."""
         return (type(t) is self.head[0]
-                and _fits(self.head, _head_key(t, len(self.head) - 1))
+                and _fits(self.head,
+                          _head_key(t, subterms(t), len(self.head) - 1))
                 and (self.guard is None or self.guard(t)))
 
 
@@ -82,6 +87,8 @@ class RuleSet:
     # constructor key -> the rules whose heads admit it, in table order;
     # each key is compiled the first time a term shows it
     _index: dict = field(init=False, repr=False, compare=False)
+    # the root constructors of the rules that carry a guard
+    _guarded: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         width = {}
@@ -89,17 +96,29 @@ class RuleSet:
             width[r.head[0]] = max(width.get(r.head[0], 0), len(r.head) - 1)
         object.__setattr__(self, "_width", width)
         object.__setattr__(self, "_index", {})
+        object.__setattr__(self, "_guarded", frozenset(
+            r.head[0] for r in self.rules if r.guard is not None))
+
+    def _heads(self, key: tuple) -> tuple:
+        """The rules whose heads admit a constructor key, in table order."""
+        hits = self._index.get(key)
+        if hits is None:
+            hits = tuple(r for r in self.rules if _fits(r.head, key))
+            self._index[key] = hits
+        return hits
 
     def matching(self, t: Term) -> list:
         """The rules whose left-hand sides match t, in table order.
 
         A guard that several rules share is asked once.
         """
-        key = _head_key(t, self._width.get(type(t), 0))
-        hits = self._index.get(key)
-        if hits is None:
-            hits = tuple(r for r in self.rules if _fits(r.head, key))
-            self._index[key] = hits
+        return self._matching(t, subterms(t))
+
+    def _matching(self, t: Term, kids: list) -> list:
+        """`matching`, given t's path-children."""
+        hits = self._heads(_head_key(t, kids, self._width.get(type(t), 0)))
+        if not hits:
+            return []
         verdicts = {}
         out = []
         for r in hits:
@@ -257,7 +276,7 @@ def _draw(alternatives, rng):
 
 
 # ---------------------------------------------------------------------------
-# Redex discovery
+# The cursor
 
 def _mark_normal(obj, key):
     cache = getattr(obj, "_nf", None)
@@ -267,87 +286,210 @@ def _mark_normal(obj, key):
         cache.add(key)
 
 
-def _is_normal_cached(obj, key):
-    cache = getattr(obj, "_nf", None)
-    return cache is not None and key in cache
+class Cursor:
+    """A focus in a nameless term and the frames on the path above it.
 
-
-def _search(t, rs, pos, out, first):
-    """Collect (position, redex, matching rules), leftmost-outermost.
-
-    With `first` the search stops at the first redex.  Subterms found to
-    be redex-free are marked so that later searches skip them.  Returns
-    whether t contains a redex.
+    Each frame is [node, i, children, dirty, clean]: the focus is
+    children[i] of node; dirty says children have been replaced, so node is
+    rebuilt, once, when the walk leaves it; clean says no redex has been
+    recorded at or below node.  A node the walk leaves clean is marked
+    redex-free for the table, and later walks skip it.
     """
-    if _is_normal_cached(t, rs.name):
-        return False
-    here = rs.matching(t)
-    if here:
-        out.append((pos, t, here))
-        if first:
-            return True
-    found = bool(here)
-    for i, child in enumerate(subterms(t)):
-        if _search(child, rs, pos + (i,), out, first):
-            if first:
-                return True
-            found = True
-    if not found:
-        _mark_normal(t, rs.name)
-    return found
 
+    __slots__ = ("rs", "focus", "stack")
+
+    def __init__(self, t: Term, ruleset: RuleSet):
+        self.rs = ruleset
+        self.focus = t
+        self.stack = []
+
+    def pos(self) -> tuple:
+        """The position of the focus in the whole term."""
+        return tuple([frame[1] for frame in self.stack])
+
+    def term(self) -> Term:
+        """The whole term; the focus moves to its root."""
+        if self.stack:
+            self.focus = self._climb(0)
+        return self.focus
+
+    def _pop(self):
+        """Leave the top frame; its node, rebuilt if a child was replaced."""
+        stack = self.stack
+        node, _, kids, dirty, _ = stack.pop()
+        if dirty:
+            node = replace_children(node, kids)
+            if stack:
+                frame = stack[-1]
+                frame[2][frame[1]] = node
+                frame[3] = True
+        return node
+
+    def _climb(self, depth):
+        """Leave the frames from `depth` up; the node of the lowest one."""
+        while len(self.stack) > depth:
+            node = self._pop()
+        return node
+
+    def descend(self, pos):
+        """Move the focus down along a position relative to it."""
+        t = self.focus
+        for k, i in enumerate(pos):
+            if i >= len(t._paths):
+                raise NoMatchError(f"position {pos[k:]} does not exist")
+            kids = subterms(t)
+            self.stack.append([t, i, kids, False, True])
+            t = kids[i]
+        self.focus = t
+
+    def seek(self, out=None):
+        """Move the focus to the first redex at or after it in preorder.
+
+        Returns the rules matching there, or None with the focus on the
+        root when no redex is left.  With `out`, every redex is appended
+        to it as (position, rules) and the walk goes on into its children.
+        """
+        key = self.rs.name
+        matching = self.rs._matching
+        stack = self.stack
+        t = self.focus
+        while True:
+            nf = getattr(t, "_nf", None)
+            if nf is None or key not in nf:
+                kids = subterms(t)
+                here = matching(t, kids)
+                if here:
+                    if out is None:
+                        self.focus = t
+                        return here
+                    out.append((self.pos(), here))
+                    if stack:
+                        stack[-1][4] = False
+                if kids:
+                    stack.append([t, 0, kids, False, not here])
+                    t = kids[0]
+                    continue
+                if not here:
+                    _mark_normal(t, key)
+            # everything up to t is done: go right, else up
+            while stack:
+                frame = stack[-1]
+                i = frame[1] + 1
+                kids = frame[2]
+                if i < len(kids):
+                    frame[1] = i
+                    t = kids[i]
+                    break
+                t = self._pop()
+                if frame[4]:
+                    _mark_normal(t, key)
+                elif stack:
+                    stack[-1][4] = False
+            else:
+                self.focus = t
+                return None
+
+    def next_step(self):
+        """The next redex: (position, alternatives), or None at the end.
+
+        The alternatives are (rule, probability) pairs as `_alternatives`
+        gives them.  Raises ZeroNormStuck on a measurement whose two
+        weights are zero.
+        """
+        here = self.seek()
+        if here is None:
+            return None
+        return self.pos(), _alternatives(self.focus, here)
+
+    def replace(self, build):
+        """Replace the focus by `build` of it.
+
+        The binders above the focus are opened around it only, with their
+        own hints, and closed again around the result.
+        """
+        stack = self.stack
+        self.focus = _open_build_close(self.focus, build, stack)
+        if stack:
+            frame = stack[-1]
+            frame[2][frame[1]] = self.focus
+            frame[3] = True
+
+    def contract(self, build):
+        """Replace the focus by `build` of it, and refocus where the
+        search must resume.
+
+        Matching looks at a node and its children, so only the parent can
+        turn into a redex, unless a guard looks deeper: then the search
+        resumes at the outermost ancestor whose constructor carries a
+        guard.
+        """
+        self.replace(build)
+        stack = self.stack
+        if not stack:
+            return
+        rs = self.rs
+        if rs._guarded:
+            for depth, above in enumerate(stack):
+                if type(above[0]) in rs._guarded:
+                    self.focus = self._climb(depth)
+                    return
+        node, i, kids, _, _ = stack[-1]
+        width = rs._width.get(type(node), 0)
+        if i < width and rs._heads(_head_key(node, kids, width)):
+            self.focus = self._climb(len(stack) - 1)
+
+
+def _open_build_close(redex, build, stack):
+    """build(redex) with the binders above the redex opened around it."""
+    hints = []  # those of the binders above the redex, outermost first
+    for frame in stack:
+        node = frame[0]
+        name, kind = node._paths[frame[1]]
+        if kind == ABS:
+            hints.append(getattr(node, name).hint)
+    if not hints:
+        return build(redex)
+    names = []  # names[k] stands for the k-th binder above the redex
+
+    def on_bound(b, depth):
+        k = b.index - depth
+        if k < 0:
+            return b
+        while len(names) <= k:
+            names.append(fresh_name(hints[-1 - len(names)]))
+        return Var(names[k])
+
+    new = build(map_vars(redex, _keep, on_bound))
+    if not names:
+        return new
+    index = {name: k for k, name in enumerate(names)}
+
+    def on_var(v, depth):
+        k = index.get(v.name)
+        return v if k is None else Bound(k + depth)
+
+    return map_vars(new, on_var, _keep)
+
+
+# ---------------------------------------------------------------------------
+# Entry points
 
 def find_redexes(t: Term, ruleset: RuleSet):
     """All (position, rule id) pairs, leftmost-outermost, all alternatives."""
     out = []
-    _search(t, ruleset, (), out, first=False)
-    return [(pos, r.rid) for pos, _, here in out for r in here]
+    Cursor(t, ruleset).seek(out)
+    return [(pos, r.rid) for pos, here in out for r in here]
 
 
 def is_normal(t: Term, ruleset: RuleSet) -> bool:
     """Whether t contains no redex of the table."""
-    return not _search(t, ruleset, (), [], first=True)
+    return Cursor(t, ruleset).seek() is None
 
 
 def first_step(t: Term, ruleset: RuleSet):
-    """The leftmost-outermost redex of t: (position, alternatives).
-
-    The alternatives are (rule, probability) pairs as `_alternatives`
-    gives them; None when t is normal.  Raises ZeroNormStuck on a
-    measurement whose two weights are zero.
-    """
-    found = []
-    if not _search(t, ruleset, (), found, first=True):
-        return None
-    pos, redex, here = found[0]
-    return pos, _alternatives(redex, here)
-
-
-# ---------------------------------------------------------------------------
-# Single steps
-
-def rewrite_at(t, pos, contract):
-    """Replace the subterm at pos by contract(subterm).
-
-    The binders on the path are opened on the way down and closed again
-    around the result, so `contract` sees a locally closed subterm.
-    """
-    if not pos:
-        return contract(t)
-    i, rest = pos[0], pos[1:]
-    slots = child_slots(t)
-    if i >= len(slots):
-        raise NoMatchError(f"position {pos} does not exist")
-    children = subterms(t)
-    name, kind = slots[i]
-    if kind == ABS:
-        a = getattr(t, name)
-        x = fresh_name(a.hint)
-        new = rewrite_at(open_abs(a, x), rest, contract)
-        children[i] = close_term(new, x, hint=a.hint).body
-    else:
-        children[i] = rewrite_at(children[i], rest, contract)
-    return replace_children(t, children)
+    """The leftmost-outermost redex of t: (position, alternatives), or
+    None when t is normal; see `Cursor.next_step`."""
+    return Cursor(t, ruleset).next_step()
 
 
 def step_at(t: Term, pos, rid: RuleId, choice: str | None = None,
@@ -359,25 +501,21 @@ def step_at(t: Term, pos, rid: RuleId, choice: str | None = None,
     norm-proportional weights, and without one the named rule applies.
     """
     rs = ruleset or default_ruleset(rid.calculus)
+    cur = Cursor(t, rs)
+    cur.descend(tuple(pos))
+    here = rs.matching(cur.focus)
+    rule = next((r for r in here if r.rid == rid), None)
+    if rule is None:
+        raise NoMatchError(f"rule {rid} does not match here")
+    if rule.group == ND_PAIR:
+        alternatives = _alternatives(cur.focus, here)
+        if choice is not None:
+            rule = next(r for r, _ in alternatives if r.role == choice)
+        elif rng is not None:
+            rule, _ = _draw(alternatives, rng)
+    cur.replace(rule.build)
+    return cur.term()
 
-    def contract(t):
-        here = rs.matching(t)
-        rule = next((r for r in here if r.rid == rid), None)
-        if rule is None:
-            raise NoMatchError(f"rule {rid} does not match here")
-        if rule.group == ND_PAIR:
-            alternatives = _alternatives(t, here)
-            if choice is not None:
-                rule = next(r for r, _ in alternatives if r.role == choice)
-            elif rng is not None:
-                rule, _ = _draw(alternatives, rng)
-        return rule.build(t)
-
-    return rewrite_at(t, tuple(pos), contract)
-
-
-# ---------------------------------------------------------------------------
-# Normalization
 
 def normalize(t: Term, ruleset: RuleSet, fuel: int = 10 ** 6,
               rng=None) -> ReductionTrace:
@@ -387,22 +525,22 @@ def normalize(t: Term, ruleset: RuleSet, fuel: int = 10 ** 6,
     fuel exhaustion, and zero-norm stuck measurements.
     """
     trace = ReductionTrace(initial=t)
-    cur = t
+    cur = Cursor(t, ruleset)
     while True:
         try:
-            step = first_step(cur, ruleset)
+            step = cur.next_step()
         except ZeroNormStuck:
-            trace.outcome = StuckOutcome(cur, "zero-norm")
+            trace.outcome = StuckOutcome(cur.term(), "zero-norm")
             return trace
         if step is None:
-            trace.outcome = NormalFormOutcome(cur)
+            trace.outcome = NormalFormOutcome(cur.term())
             return trace
         if len(trace.steps) >= fuel:
-            trace.outcome = FuelExhaustedOutcome(cur)
+            trace.outcome = FuelExhaustedOutcome(cur.term())
             return trace
         pos, alternatives = step
         rule, weight = _draw(alternatives, rng)
-        cur = rewrite_at(cur, pos, rule.build)
+        cur.contract(rule.build)
         trace.steps.append(Step(rule.rid, pos, weight))
 
 

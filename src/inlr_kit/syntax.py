@@ -845,8 +845,30 @@ def _pick_name(hint: str, avoid) -> str:
             return cand
 
 
+_NO_NAMES = frozenset()
+
+
 def print_term(t: Term) -> str:
     """Deterministic concrete syntax; parse_term inverts it up to alpha."""
+    free = {}  # id(binder body) -> its free names
+
+    def collect(t):
+        """t's free names, storing those of every binder body below t."""
+        if isinstance(t, Var):
+            return frozenset((t.name,))
+        names = _NO_NAMES
+        for name, kind in t._paths:
+            child = getattr(t, name)
+            if kind == ABS:
+                child = child.body
+                free[id(child)] = got = collect(child)
+            else:
+                got = collect(child)
+            if got:
+                names = names | got
+        return names
+
+    collect(t)
 
     def go(t, stack, atomic):
         # atomic: the output must be a single application atom
@@ -892,6 +914,6 @@ def print_term(t: Term) -> str:
         return f"{name}. {go(a.body, stack + [name], False)}"
 
     def _avoid(a, stack):
-        return free_names(a.body) | set(stack)
+        return free[id(a.body)] | set(stack)
 
     return go(t, [], False)

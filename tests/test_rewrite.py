@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from inlr_kit import gen
+from inlr_kit import gen, qencode
 from inlr_kit.cc import RULES_CC, RULES_CC_DET
 from inlr_kit.iplus import RULES_IPLUS
 from inlr_kit.quantum import RULES_QUANTUM, RULES_QUANTUM_DET
@@ -10,7 +10,7 @@ from inlr_kit.rewrite import (ND_PAIR, Rule, RuleId, RuleSet, ZeroNormStuck,
                               find_redexes, join_peak, normalize, replay,
                               step_at, NoMatchError)
 from inlr_kit.rng import derive_rng
-from inlr_kit.syntax import (Inl, Star, Sum, alpha_eq, child_slots,
+from inlr_kit.syntax import (App, Inl, Star, Sum, alpha_eq, child_slots,
                              parse_term, print_term)
 
 
@@ -47,6 +47,16 @@ def test_shared_guard_is_asked_once(verdict):
     t = ip("sum(inl(star), star)")
     assert rs.matching(t) == (list(rules) if verdict else [])
     assert calls == [t]
+
+
+def test_find_redexes_keeps_marks_off_redex_parents():
+    # a redex without children still makes its parent hold a redex
+    rs = RuleSet("leaf", "test", (Rule(RuleId("test", 1), "star", (Star,),
+                                       lambda t: t),))
+    t = ip("pair(star, star)")
+    want = [((0,), RuleId("test", 1)), ((1,), RuleId("test", 1))]
+    assert find_redexes(t, rs) == want
+    assert find_redexes(t, rs) == want
 
 
 def test_find_redexes_leftmost_outermost_order():
@@ -111,6 +121,14 @@ def test_normalize_beta():
     assert tr.outcome.kind == "normal-form"
     assert tr.final == Star()
     assert len(tr.steps) == 1
+
+
+def test_contraction_under_a_binder_keeps_outer_references():
+    # the argument z refers to the enclosing binder; put under the binder
+    # y it must still refer to it
+    tr = normalize(ip("lam z:Top. (lam x:Top. lam y:Top. x) z"), RULES_IPLUS)
+    assert [s.pos for s in tr.steps] == [(0,)]
+    assert print_term(tr.final) == "lam z:Top. lam y:Top. z"
 
 
 def test_normalize_sum_of_pairs():
@@ -221,6 +239,10 @@ def reference_redexes(t, ruleset):
     return out
 
 
+# enough steps for the full-length runs in _differential_terms
+FULL_LENGTH = 64
+
+
 def _differential_terms():
     """(table, term) pairs: gen's random terms and every rule instance."""
     tables = {"iplus": RULES_IPLUS, "quantum": RULES_QUANTUM,
@@ -240,6 +262,21 @@ def _differential_terms():
             for i in range(2):
                 _ctx, t, _goal = make(number, derive_rng(92, number, i))
                 yield rs, t
+    # full-length runs: a matrix-vector product (contractions deep in a
+    # sum, where the parent turns into a redex), a measurement of a state,
+    # and a measurement whose scrutinee holds another one (each contraction
+    # there changes what the guard of the root says)
+    rng = derive_rng(94, 0)
+    p2 = qencode.qn_prop(2)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    yield RULES_QUANTUM_DET, App(qencode.compile_matrix(m, p2, p2),
+                                 qencode.from_vector(rng.standard_normal(4),
+                                                     p2))
+    yield RULES_QUANTUM, App(qencode.meas_first(2),
+                             qencode.from_vector(rng.standard_normal(4), p2))
+    yield RULES_QUANTUM, q("case_nd(inlr(case_nd(inlr(1.0 . star, "
+                           "2.0 . star), x. prod(3.0, x), y. prod(0.5, y)), "
+                           "3.0 . star), x. x, y. prod(2.0, y))")
 
 
 def test_find_redexes_matches_reference():
@@ -251,8 +288,9 @@ def test_find_redexes_matches_reference():
 
 
 def test_every_trace_step_is_the_first_redex():
+    outcomes = []
     for k, (rs, t) in enumerate(_differential_terms()):
-        tr = normalize(t, rs, fuel=60, rng=derive_rng(93, k))
+        tr = normalize(t, rs, fuel=FULL_LENGTH, rng=derive_rng(93, k))
         state = t
         for s in tr.steps:
             pos, rid = reference_redexes(state, rs)[0]
@@ -267,3 +305,23 @@ def test_every_trace_step_is_the_first_redex():
         assert state == tr.final
         if tr.outcome.kind == "normal-form":
             assert reference_redexes(state, rs) == []
+        outcomes.append(tr.outcome.kind)
+    # the full-length runs come last
+    assert outcomes[-3:] == ["normal-form"] * 3
+
+
+def test_a_deep_term_normalizes_without_recursion():
+    # the walk keeps its path in a list, so depth costs no Python stack
+    depth = 10 ** 5
+    t = ip("top_elim(star, star)")
+    for _ in range(depth):
+        t = Inl(t)
+    tr = normalize(t, RULES_IPLUS)
+    assert tr.outcome.kind == "normal-form"
+    assert [(s.rule, s.pos) for s in tr.steps] \
+        == [(RuleId("iplus", 1), (0,) * depth)]
+    u = tr.final
+    for _ in range(depth):
+        assert type(u) is Inl
+        u = u.body
+    assert u == Star()
