@@ -21,33 +21,40 @@ from dataclasses import dataclass, field
 from .iplus import _beta, _case_inl, _case_inr
 from .rewrite import (ND_CHOICE, Rule, RuleId, RuleSet, find_redexes,
                       normalize, register_default_ruleset, step_at)
-from .syntax import (Abs, AndElim1, AndElim2, App, BotElim, Case, Conj, Disj,
-                     Impl, Inl, Inlr3, Inr, Lam, Pair, Star, Term, Top,
-                     TopElim, Var, alpha_eq, close_term, fresh_name, open_abs,
-                     pair_subst, print_term, subst_abs, uses_binder)
+from .syntax import (Abs, AndElim1, AndElim2, App, Bound, BotElim, Case, Conj,
+                     Disj, Impl, Inl, Inlr3, Inr, Lam, Pair, Star, Term, Top,
+                     TopElim, Var, alpha_eq, close_term, instantiate,
+                     print_term, uses_binder)
 
 
 def _rule(n, name, head, build, **kw):
     return Rule(RuleId("cc", n), name, head, build, **kw)
 
 
-def _close(t, name, hint):
-    return close_term(t, name, hint=hint)
+# the two innermost binders of a term, swapped
+_SWAP = (Bound(1), Bound(0))
+# ``(w/<x,y>)``, w the innermost binder: the hypotheses x (one binder out)
+# and y (innermost) of a term become w's conjunct projections
+_PROJECT = (AndElim2(Bound(0), Abs("z", Bound(0))),
+            AndElim1(Bound(0), Abs("z", Bound(0))))
+# the innermost binder kept, a new one put just outside it
+_KEEP = (Bound(0),)
+
+
+def _under(t):
+    """t moved under one more binder."""
+    return instantiate(t, (), 1)
 
 
 # -- rules 1-7: ordinary cuts -------------------------------------------------
 
 def _case_inlr3(t):
-    x1, u1 = _open(t.scrut.left)
-    x2, u2 = _open(t.scrut.right)
-    return Case(t.scrut.scrut,
-                _close(subst_abs(t.left, u1), x1, t.scrut.left.hint),
-                _close(subst_abs(t.right, u2), x2, t.scrut.right.hint))
-
-
-def _open(a: Abs):
-    x = fresh_name(a.hint or "x")
-    return x, open_abs(a, x)
+    inner = t.scrut
+    return Case(inner.scrut,
+                Abs(inner.left.hint,
+                    instantiate(t.left.body, (inner.left.body,), 1)),
+                Abs(inner.right.hint,
+                    instantiate(t.right.body, (inner.right.body,), 1)))
 
 
 # -- rules 8-12: bottom-elimination against the result proposition ------------
@@ -59,26 +66,23 @@ def _bot_rule(n, name, target, build, **kw):
 
 
 def _bot_lam(t):
-    x = fresh_name("x")
-    return Lam(t.prop.left,
-               _close(BotElim(t.prop.right, t.scrut), x, "x"))
+    return Lam(t.prop.left, Abs("x", BotElim(t.prop.right, _under(t.scrut))))
 
 
 # -- rules 13-18: top-elimination against the introduction below it -----------
 
 def _top_lam(t):
     inner = t.body
-    x, body = _open(inner.abs)
-    return Lam(inner.ann, _close(TopElim(t.scrut, body), x, inner.abs.hint))
+    return Lam(inner.ann,
+               Abs(inner.abs.hint, TopElim(_under(t.scrut), inner.abs.body)))
 
 
 def _top_inlr(t):
     inner = t.body
-    y1, v1 = _open(inner.left)
-    y2, v2 = _open(inner.right)
+    unit = _under(t.scrut)
     return Inlr3(inner.scrut,
-                 _close(TopElim(t.scrut, v1), y1, inner.left.hint),
-                 _close(TopElim(t.scrut, v2), y2, inner.right.hint))
+                 Abs(inner.left.hint, TopElim(unit, inner.left.body)),
+                 Abs(inner.right.hint, TopElim(unit, inner.right.body)))
 
 
 # -- rules 19-30: conjunction eliminations against introductions --------------
@@ -91,42 +95,42 @@ def _scrut_can_escape(t):
 
 def _and_lam(node):
     def build(t):
-        x, body = _open(t.abs)
-        y, inner = _open(body.abs)
-        return Lam(body.ann,
-                   _close(node(t.scrut, _close(inner, x, t.abs.hint)),
-                          y, body.abs.hint))
+        body = t.abs.body
+        return Lam(body.ann, Abs(body.abs.hint, node(
+            _under(t.scrut),
+            Abs(t.abs.hint, instantiate(body.abs.body, _SWAP, 2)))))
 
     return build
 
 
 def _and_pair(node):
     def build(t):
-        x, body = _open(t.abs)
-        return Pair(node(t.scrut, _close(body.left, x, t.abs.hint)),
-                    node(t.scrut, _close(body.right, x, t.abs.hint)))
+        body = t.abs.body
+        return Pair(node(t.scrut, Abs(t.abs.hint, body.left)),
+                    node(t.scrut, Abs(t.abs.hint, body.right)))
 
     return build
 
 
 def _and_inj(node, inj):
     def build(t):
-        x, body = _open(t.abs)
-        return inj(node(t.scrut, _close(body.body, x, t.abs.hint)))
+        return inj(node(t.scrut, Abs(t.abs.hint, t.abs.body.body)))
 
     return build
 
 
 def _and_inlr(node):
     def build(t):
-        x, body = _open(t.abs)
-        y1, v1 = _open(body.left)
-        y2, v2 = _open(body.right)
-        return Inlr3(body.scrut,
-                     _close(node(t.scrut, _close(v1, x, t.abs.hint)),
-                            y1, body.left.hint),
-                     _close(node(t.scrut, _close(v2, x, t.abs.hint)),
-                            y2, body.right.hint))
+        body = t.abs.body
+        scrut = _under(t.scrut)
+
+        def branch(a):
+            swapped = instantiate(a.body, _SWAP, 2)
+            return Abs(a.hint, node(scrut, Abs(t.abs.hint, swapped)))
+
+        # the guard keeps the inner scrutinee off the projection's binder
+        return Inlr3(instantiate(body.scrut, (), -1),
+                     branch(body.left), branch(body.right))
 
     return build
 
@@ -134,168 +138,129 @@ def _and_inlr(node):
 # -- rules 31-42: case against the introductions in its branches --------------
 
 def _case_lam(t):
-    x1, b1 = _open(t.left)
-    x2, b2 = _open(t.right)
-    y = fresh_name(b1.abs.hint or "y")
-    u1 = open_abs(b1.abs, y)
-    u2 = open_abs(b2.abs, y)
+    b1, b2 = t.left.body, t.right.body
     ann = b1.ann if b1.ann is not None else b2.ann
-    return Lam(ann, _close(Case(t.scrut,
-                                _close(u1, x1, t.left.hint),
-                                _close(u2, x2, t.right.hint)),
-                           y, b1.abs.hint))
+    return Lam(ann, Abs(b1.abs.hint, Case(
+        _under(t.scrut),
+        Abs(t.left.hint, instantiate(b1.abs.body, _SWAP, 2)),
+        Abs(t.right.hint, instantiate(b2.abs.body, _SWAP, 2)))))
 
 
 def _case_pair(t):
-    x1, b1 = _open(t.left)
-    x2, b2 = _open(t.right)
-    return Pair(Case(t.scrut, _close(b1.left, x1, t.left.hint),
-                     _close(b2.left, x2, t.right.hint)),
-                Case(t.scrut, _close(b1.right, x1, t.left.hint),
-                     _close(b2.right, x2, t.right.hint)))
+    b1, b2 = t.left.body, t.right.body
+    return Pair(Case(t.scrut, Abs(t.left.hint, b1.left),
+                     Abs(t.right.hint, b2.left)),
+                Case(t.scrut, Abs(t.left.hint, b1.right),
+                     Abs(t.right.hint, b2.right)))
 
 
 def _case_inj(inj):
     def build(t):
-        x1, b1 = _open(t.left)
-        x2, b2 = _open(t.right)
-        return inj(Case(t.scrut, _close(b1.body, x1, t.left.hint),
-                        _close(b2.body, x2, t.right.hint)))
+        return inj(Case(t.scrut, Abs(t.left.hint, t.left.body.body),
+                        Abs(t.right.hint, t.right.body.body)))
 
     return build
 
 
 def _case_inl_inr(t):
-    x1, b1 = _open(t.left)
-    x2, b2 = _open(t.right)
-    return Inlr3(t.scrut, _close(b1.body, x1, t.left.hint),
-                 _close(b2.body, x2, t.right.hint))
+    return Inlr3(t.scrut, Abs(t.left.hint, t.left.body.body),
+                 Abs(t.right.hint, t.right.body.body))
 
 
 def _case_inr_inl(t):
-    x1, b1 = _open(t.left)
-    x2, b2 = _open(t.right)
-    pi = _pi_inr_inl(t.scrut, x1, x2)
-    return Inlr3(pi, _close(b2.body, x2, t.right.hint),
-                 _close(b1.body, x1, t.left.hint))
+    return Inlr3(_pi_inr_inl(t.scrut), Abs(t.right.hint, t.right.body.body),
+                 Abs(t.left.hint, t.left.body.body))
+
+
+def _kept(a):
+    """`x. u` for the branch `x. inj(u)`, under a new binder z outside x."""
+    return Abs(a.hint, instantiate(a.body.body, _KEEP, 2))
+
+
+def _projected(a, hint):
+    """`w. (w/<x,y>)u` for `y. u` in the branch of x, under a new z."""
+    return Abs(hint, instantiate(a.body, _PROJECT, 2))
+
+
+def _mixed(pi, branch1, branch2):
+    """The contractum of a mixed commutation: inlr(pi, z1. .., z2. ..)."""
+    return Inlr3(pi, Abs("z1", branch1), Abs("z2", branch2))
 
 
 def _case_inl_inlr(t):
-    x1, b1 = _open(t.left)          # b1 = inl(u1)
-    x2, b2 = _open(t.right)         # b2 = inlr(t2, y3.u3, y4.u4)
-    y3, u3 = _open(b2.left)
-    y4, u4 = _open(b2.right)
-    z1, z2, w2 = fresh_name("z1"), fresh_name("z2"), fresh_name("w2")
-    pi = _pi_inl_inlr(t.scrut, b2.scrut, x1, x2, y3, y4)
-    branch1 = Case(Var(z1), _close(b1.body, x1, t.left.hint),
-                   _close(pair_subst(Var(w2), x2, y3, u3), w2, "w2"))
-    branch2 = pair_subst(Var(z2), x2, y4, u4)
-    return Inlr3(pi, _close(branch1, z1, "z1"), _close(branch2, z2, "z2"))
+    b2 = t.right.body               # x2. inlr(t2, y3.u3, y4.u4)
+    return _mixed(_pi_inl_inlr(t.scrut, b2.scrut),
+                  Case(Bound(0), _kept(t.left), _projected(b2.left, "w2")),
+                  instantiate(b2.right.body, _PROJECT, 1))
 
 
 def _case_inr_inlr(t):
-    x1, b1 = _open(t.left)          # b1 = inr(u2)
-    x2, b2 = _open(t.right)         # b2 = inlr(t2, y3.u3, y4.u4)
-    y3, u3 = _open(b2.left)
-    y4, u4 = _open(b2.right)
-    z1, z2, w2 = fresh_name("z1"), fresh_name("z2"), fresh_name("w2")
-    pi = _pi_inr_inlr(t.scrut, b2.scrut, x1, x2, y3, y4)
-    branch1 = pair_subst(Var(z1), x2, y3, u3)
-    branch2 = Case(Var(z2), _close(b1.body, x1, t.left.hint),
-                   _close(pair_subst(Var(w2), x2, y4, u4), w2, "w2"))
-    return Inlr3(pi, _close(branch1, z1, "z1"), _close(branch2, z2, "z2"))
+    b2 = t.right.body               # x2. inlr(t2, y3.u3, y4.u4)
+    return _mixed(_pi_inr_inlr(t.scrut, b2.scrut),
+                  instantiate(b2.left.body, _PROJECT, 1),
+                  Case(Bound(0), _kept(t.left), _projected(b2.right, "w2")))
 
 
 def _case_inlr_inl(t):
-    x1, b1 = _open(t.left)          # b1 = inlr(t1, y1.u1, y2.u2)
-    x2, b2 = _open(t.right)         # b2 = inl(u3)
-    y1, u1 = _open(b1.left)
-    y2, u2 = _open(b1.right)
-    z1, z2, w1 = fresh_name("z1"), fresh_name("z2"), fresh_name("w1")
-    pi = _pi_inlr_inl(t.scrut, b1.scrut, x1, x2, y1, y2)
-    branch1 = Case(Var(z1), _close(pair_subst(Var(w1), x1, y1, u1), w1, "w1"),
-                   _close(b2.body, x2, t.right.hint))
-    branch2 = pair_subst(Var(z2), x1, y2, u2)
-    return Inlr3(pi, _close(branch1, z1, "z1"), _close(branch2, z2, "z2"))
+    b1 = t.left.body                # x1. inlr(t1, y1.u1, y2.u2)
+    return _mixed(_pi_inlr_inl(t.scrut, b1.scrut),
+                  Case(Bound(0), _projected(b1.left, "w1"), _kept(t.right)),
+                  instantiate(b1.right.body, _PROJECT, 1))
 
 
 def _case_inlr_inr(t):
-    x1, b1 = _open(t.left)          # b1 = inlr(t1, y1.u1, y2.u2)
-    x2, b2 = _open(t.right)         # b2 = inr(u4)
-    y1, u1 = _open(b1.left)
-    y2, u2 = _open(b1.right)
-    z1, z2, w1 = fresh_name("z1"), fresh_name("z2"), fresh_name("w1")
-    pi = _pi_inlr_inr(t.scrut, b1.scrut, x1, x2, y1, y2)
-    branch1 = pair_subst(Var(z1), x1, y1, u1)
-    branch2 = Case(Var(z2), _close(pair_subst(Var(w1), x1, y2, u2), w1, "w1"),
-                   _close(b2.body, x2, t.right.hint))
-    return Inlr3(pi, _close(branch1, z1, "z1"), _close(branch2, z2, "z2"))
+    b1 = t.left.body                # x1. inlr(t1, y1.u1, y2.u2)
+    return _mixed(_pi_inlr_inr(t.scrut, b1.scrut),
+                  instantiate(b1.left.body, _PROJECT, 1),
+                  Case(Bound(0), _projected(b1.right, "w1"), _kept(t.right)))
 
 
 def _case_inlr_inlr(t):
-    x1, b1 = _open(t.left)
-    x2, b2 = _open(t.right)
-    y1, u1 = _open(b1.left)
-    y2, u2 = _open(b1.right)
-    y3, u3 = _open(b2.left)
-    y4, u4 = _open(b2.right)
-    z1, z2 = fresh_name("z1"), fresh_name("z2")
-    w1, w2 = fresh_name("w1"), fresh_name("w2")
-    pi = _pi_inlr_inlr(t.scrut, b1.scrut, b2.scrut, x1, x2, y1, y2, y3, y4)
-    branch1 = Case(Var(z1), _close(pair_subst(Var(w1), x1, y1, u1), w1, "w1"),
-                   _close(pair_subst(Var(w2), x2, y3, u3), w2, "w2"))
-    branch2 = Case(Var(z2), _close(pair_subst(Var(w1), x1, y2, u2), w1, "w1"),
-                   _close(pair_subst(Var(w2), x2, y4, u4), w2, "w2"))
-    return Inlr3(pi, _close(branch1, z1, "z1"), _close(branch2, z2, "z2"))
+    b1, b2 = t.left.body, t.right.body
+    return _mixed(_pi_inlr_inlr(t.scrut, b1.scrut, b2.scrut),
+                  Case(Bound(0), _projected(b1.left, "w1"),
+                       _projected(b2.left, "w2")),
+                  Case(Bound(0), _projected(b1.right, "w1"),
+                       _projected(b2.right, "w2")))
 
 
 # -- the pi witnesses ----------------------------------------------------------
+#
+# x1 and x2 are the outer case's binders, y1..y4 those of the inner
+# scrutinees t1 (under x1) and t2 (under x2), which stay where they are.
 
-def _pi_inr_inl(t, x1, x2):
-    return Case(t, _close(Inr(Var(x1)), x1, "x1"),
-                _close(Inl(Var(x2)), x2, "x2"))
-
-
-def _pi_inl_inlr(t, t2, x1, x2, y3, y4):
-    inner = Case(t2,
-                 _close(Inl(Inr(Pair(Var(x2), Var(y3)))), y3, "y3"),
-                 _close(Inr(Pair(Var(x2), Var(y4))), y4, "y4"))
-    return Case(t, _close(Inl(Inl(Var(x1))), x1, "x1"),
-                _close(inner, x2, "x2"))
+_X = Bound(0)               # the innermost binder
+_XY = Pair(Bound(1), Bound(0))  # <x, y>, y the innermost binder
 
 
-def _pi_inr_inlr(t, t2, x1, x2, y3, y4):
-    inner = Case(t2,
-                 _close(Inl(Pair(Var(x2), Var(y3))), y3, "y3"),
-                 _close(Inr(Inr(Pair(Var(x2), Var(y4)))), y4, "y4"))
-    return Case(t, _close(Inr(Inl(Var(x1))), x1, "x1"),
-                _close(inner, x2, "x2"))
+def _pi_inr_inl(t):
+    return Case(t, Abs("x1", Inr(_X)), Abs("x2", Inl(_X)))
 
 
-def _pi_inlr_inl(t, t1, x1, x2, y1, y2):
-    inner = Case(t1,
-                 _close(Inl(Inl(Pair(Var(x1), Var(y1)))), y1, "y1"),
-                 _close(Inr(Pair(Var(x1), Var(y2))), y2, "y2"))
-    return Case(t, _close(inner, x1, "x1"),
-                _close(Inl(Inr(Var(x2))), x2, "x2"))
+def _pi_inl_inlr(t, t2):
+    inner = Case(t2, Abs("y3", Inl(Inr(_XY))), Abs("y4", Inr(_XY)))
+    return Case(t, Abs("x1", Inl(Inl(_X))), Abs("x2", inner))
 
 
-def _pi_inlr_inr(t, t1, x1, x2, y1, y2):
-    inner = Case(t1,
-                 _close(Inl(Pair(Var(x1), Var(y1))), y1, "y1"),
-                 _close(Inr(Inl(Pair(Var(x1), Var(y2)))), y2, "y2"))
-    return Case(t, _close(inner, x1, "x1"),
-                _close(Inr(Inr(Var(x2))), x2, "x2"))
+def _pi_inr_inlr(t, t2):
+    inner = Case(t2, Abs("y3", Inl(_XY)), Abs("y4", Inr(Inr(_XY))))
+    return Case(t, Abs("x1", Inr(Inl(_X))), Abs("x2", inner))
 
 
-def _pi_inlr_inlr(t, t1, t2, x1, x2, y1, y2, y3, y4):
-    left = Case(t1,
-                _close(Inl(Inl(Pair(Var(x1), Var(y1)))), y1, "y1"),
-                _close(Inr(Inl(Pair(Var(x1), Var(y2)))), y2, "y2"))
-    right = Case(t2,
-                 _close(Inl(Inr(Pair(Var(x2), Var(y3)))), y3, "y3"),
-                 _close(Inr(Inr(Pair(Var(x2), Var(y4)))), y4, "y4"))
-    return Case(t, _close(left, x1, "x1"), _close(right, x2, "x2"))
+def _pi_inlr_inl(t, t1):
+    inner = Case(t1, Abs("y1", Inl(Inl(_XY))), Abs("y2", Inr(_XY)))
+    return Case(t, Abs("x1", inner), Abs("x2", Inl(Inr(_X))))
+
+
+def _pi_inlr_inr(t, t1):
+    inner = Case(t1, Abs("y1", Inl(_XY)), Abs("y2", Inr(Inl(_XY))))
+    return Case(t, Abs("x1", inner), Abs("x2", Inr(Inr(_X))))
+
+
+def _pi_inlr_inlr(t, t1, t2):
+    left = Case(t1, Abs("y1", Inl(Inl(_XY))), Abs("y2", Inr(Inl(_XY))))
+    right = Case(t2, Abs("y3", Inl(Inr(_XY))), Abs("y4", Inr(Inr(_XY))))
+    return Case(t, Abs("x1", left), Abs("x2", right))
 
 
 # -- the table -----------------------------------------------------------------
@@ -305,9 +270,9 @@ RULES_CC = register_default_ruleset(RuleSet("cc", "cc", (
     _rule(1, "top-elim", (TopElim, Star), lambda t: t.body),
     _rule(2, "beta", (App, Lam), _beta),
     _rule(3, "and-elim-1", (AndElim1, Pair),
-          lambda t: subst_abs(t.abs, t.scrut.left)),
+          lambda t: instantiate(t.abs.body, (t.scrut.left,))),
     _rule(4, "and-elim-2", (AndElim2, Pair),
-          lambda t: subst_abs(t.abs, t.scrut.right)),
+          lambda t: instantiate(t.abs.body, (t.scrut.right,))),
     _rule(5, "case-inl", (Case, Inl), _case_inl),
     _rule(6, "case-inr", (Case, Inr), _case_inr),
     _rule(7, "case-inlr", (Case, Inlr3), _case_inlr3),
@@ -368,8 +333,9 @@ RULES_CC_DET = RuleSet("cc-det", "cc", tuple(
     r for r in RULES_CC.rules if r.rid.number not in (11, 12)))
 
 _PI_CASES = {
-    36: "inl/inlr", 37: "inr/inl", 39: "inr/inlr",
-    40: "inlr/inl", 41: "inlr/inr", 42: "inlr/inlr",
+    36: ("inl/inlr", _pi_inl_inlr), 37: ("inr/inl", _pi_inr_inl),
+    39: ("inr/inlr", _pi_inr_inlr), 40: ("inlr/inl", _pi_inlr_inl),
+    41: ("inlr/inr", _pi_inlr_inr), 42: ("inlr/inlr", _pi_inlr_inlr),
 }
 
 
@@ -382,31 +348,17 @@ def pi_term(rule: int | RuleId, t: Term, t1: Term | None = None,
     the built term binds the conventional names x1, x2, y1..y4.
     """
     number = rule.number if isinstance(rule, RuleId) else rule
-    kind = _PI_CASES.get(number)
-    if kind is None:
+    if number not in _PI_CASES:
         raise ValueError(f"rule {number} has no pi witness")
-    if kind == "inr/inl":
-        return _pi_inr_inl(t, "x1", "x2")
-    if kind == "inl/inlr":
-        _need(t2, kind)
-        return _pi_inl_inlr(t, t2, "x1", "x2", "y3", "y4")
-    if kind == "inr/inlr":
-        _need(t2, kind)
-        return _pi_inr_inlr(t, t2, "x1", "x2", "y3", "y4")
-    if kind == "inlr/inl":
-        _need(t1, kind)
-        return _pi_inlr_inl(t, t1, "x1", "x2", "y1", "y2")
-    if kind == "inlr/inr":
-        _need(t1, kind)
-        return _pi_inlr_inr(t, t1, "x1", "x2", "y1", "y2")
-    _need(t1, kind)
-    _need(t2, kind)
-    return _pi_inlr_inlr(t, t1, t2, "x1", "x2", "y1", "y2", "y3", "y4")
-
-
-def _need(arg, kind):
-    if arg is None:
-        raise ValueError(f"the {kind} witness needs its inner scrutinee")
+    kind, build = _PI_CASES[number]
+    inner = []  # the inner scrutinees used, their hypothesis bound innermost
+    for side, arg, name in zip(kind.split("/"), (t1, t2), ("x1", "x2")):
+        if side == "inlr":
+            if arg is None:
+                raise ValueError(
+                    f"the {kind} witness needs its inner scrutinee")
+            inner.append(close_term(arg, name).body)
+    return build(t, *inner)
 
 
 DEFAULT_FUEL_CC = 10 ** 5

@@ -10,9 +10,8 @@ the rules they share with this one.
 from __future__ import annotations
 
 from .rewrite import Rule, RuleId, RuleSet, register_default_ruleset
-from .syntax import (AndElim1, AndElim2, App, Case, Inl, Inlr2, Inr, Lam,
-                     Pair, Star, Sum, Term, TopElim, close_term, fresh_name,
-                     open_abs, subst_abs)
+from .syntax import (Abs, AndElim1, AndElim2, App, Case, Inl, Inlr2, Inr,
+                     Lam, Pair, Star, Sum, Term, TopElim, instantiate)
 
 
 def _rule(n, name, head, build):
@@ -20,28 +19,26 @@ def _rule(n, name, head, build):
 
 
 def _beta(t):
-    return subst_abs(t.fn.abs, t.arg)
+    return instantiate(t.fn.abs.body, (t.arg,))
 
 
 def _sum_lam(t):
     a, b = t.left, t.right
-    x = fresh_name(a.abs.hint or "x")
-    body = Sum(open_abs(a.abs, x), open_abs(b.abs, x))
     ann = a.ann if a.ann is not None else b.ann
-    return Lam(ann, close_term(body, x, hint=a.abs.hint))
+    return Lam(ann, Abs(a.abs.hint, Sum(a.abs.body, b.abs.body)))
 
 
 def _case_inl(t):
-    return subst_abs(t.left, t.scrut.body)
+    return instantiate(t.left.body, (t.scrut.body,))
 
 
 def _case_inr(t):
-    return subst_abs(t.right, t.scrut.body)
+    return instantiate(t.right.body, (t.scrut.body,))
 
 
 def _case_inlr(t):
-    return Sum(subst_abs(t.left, t.scrut.left),
-               subst_abs(t.right, t.scrut.right))
+    return Sum(instantiate(t.left.body, (t.scrut.left,)),
+               instantiate(t.right.body, (t.scrut.right,)))
 
 
 #: the sum against two injections (iplus 11-19, quantum 30-38)
@@ -68,9 +65,9 @@ RULES_IPLUS = register_default_ruleset(RuleSet("iplus", "iplus", (
     _rule(1, "top-elim", (TopElim, Star), lambda t: t.body),
     _rule(2, "beta", (App, Lam), _beta),
     _rule(3, "and-elim-1", (AndElim1, Pair),
-          lambda t: subst_abs(t.abs, t.scrut.left)),
+          lambda t: instantiate(t.abs.body, (t.scrut.left,))),
     _rule(4, "and-elim-2", (AndElim2, Pair),
-          lambda t: subst_abs(t.abs, t.scrut.right)),
+          lambda t: instantiate(t.abs.body, (t.scrut.right,))),
     _rule(5, "case-inl", (Case, Inl), _case_inl),
     _rule(6, "case-inr", (Case, Inr), _case_inr),
     _rule(7, "case-inlr", (Case, Inlr2), _case_inlr),

@@ -27,9 +27,9 @@ from .rewrite import (ND_PAIR, ND_SINGLE, Cursor, Rule, RuleId, RuleSet,
                       ZeroNormStuck, first_step, is_normal, normalize,
                       register_default_ruleset, step_at)
 from .rng import derive_rng, reseat
-from .syntax import (App, Bound, Case, CaseNd, Inl, Inlr2, Inr, Lam, OneElim,
-                     Prod, ScalarStar, Sum, Term, Var, close_term, fresh_name,
-                     open_abs, print_term, subst, subst_abs)
+from .syntax import (Abs, App, Bound, Case, CaseNd, Inl, Inlr2, Inr, Lam,
+                     OneElim, Prod, ScalarStar, Sum, Term, Var, instantiate,
+                     print_term, subst)
 
 
 def _rule(n, name, head, build, **kw):
@@ -38,9 +38,7 @@ def _rule(n, name, head, build, **kw):
 
 def _prod_lam(t):
     inner = t.body
-    x = fresh_name(inner.abs.hint or "x")
-    body = Prod(t.value, open_abs(inner.abs, x))
-    return Lam(inner.ann, close_term(body, x, hint=inner.abs.hint))
+    return Lam(inner.ann, Abs(inner.abs.hint, Prod(t.value, inner.abs.body)))
 
 
 _DETERMINISTIC = (
@@ -63,10 +61,10 @@ _ND = (
     _rule(24, "case-nd-inl", (CaseNd, Inl), _case_inl, group=ND_SINGLE),
     _rule(25, "case-nd-inr", (CaseNd, Inr), _case_inr, group=ND_SINGLE),
     _rule(26, "case-nd-inlr-left", (CaseNd, Inlr2),
-          lambda t: subst_abs(t.left, t.scrut.left),
+          lambda t: instantiate(t.left.body, (t.scrut.left,)),
           group=ND_PAIR, role="left", guard=_settled),
     _rule(27, "case-nd-inlr-right", (CaseNd, Inlr2),
-          lambda t: subst_abs(t.right, t.scrut.right),
+          lambda t: instantiate(t.right.body, (t.scrut.right,)),
           group=ND_PAIR, role="right", guard=_settled),
 )
 

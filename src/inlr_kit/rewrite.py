@@ -12,12 +12,13 @@ Matching only inspects constructors, so redexes are found on the nameless
 term as it is.  One cursor does every walk: it keeps the path above its
 focus as a stack of frames, so term depth costs no Python stack.  It
 stops at the first redex in preorder and contracts it in place.  Builders
-always receive a locally closed redex: the binders above it are opened
-around the redex only, at contraction time, and closed again around the
-contractum, so builders work with ordinary named variables and capture is
-impossible.  A head inspects a node and its children, so a contraction
-can only turn its parent into a redex, unless a guard looks deeper; the
-search therefore resumes at the parent, or at the outermost ancestor whose
+take the redex exactly as it sits in the term, its loose de Bruijn
+indices pointing at the binders above it, and return the contractum in
+the same context; they move subterms across binders with
+`syntax.instantiate`, so no binder is opened and capture is impossible.
+A head inspects a node and its children, so a contraction can only turn
+its parent into a redex, unless a guard looks deeper; the search
+therefore resumes at the parent, or at the outermost ancestor whose
 constructor carries a guard, and not at the root.
 """
 
@@ -26,9 +27,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field
 
-from .syntax import (ABS, Bound, Inl, Inlr2, Inr, ScalarStar, Term, Var,
-                     _keep, alpha_eq, fresh_name, map_vars, replace_children,
-                     subterms)
+from .syntax import (Inl, Inlr2, Inr, ScalarStar, Term, alpha_eq,
+                     replace_children, subterms)
 
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 
@@ -64,7 +64,7 @@ class Rule:
     # (root constructor, child constructor or None, ...), children taken in
     # child_slots order; an abstraction slot stands for its body
     head: tuple
-    build: object   # locally closed Term -> Term
+    build: object   # redex -> contractum, both in the redex's context
     group: str | None = None
     role: str | None = None  # "left" / "right" within an ND_PAIR family
     guard: object = None     # Term -> bool, a side condition beyond the head
@@ -77,27 +77,24 @@ class Rule:
                 and (self.guard is None or self.guard(t)))
 
 
-@dataclass(frozen=True)
 class RuleSet:
-    name: str
-    calculus: str
-    rules: tuple
-    # root constructor -> how many path-children its rule heads inspect
-    _width: dict = field(init=False, repr=False, compare=False)
-    # constructor key -> the rules whose heads admit it, in table order;
-    # each key is compiled the first time a term shows it
-    _index: dict = field(init=False, repr=False, compare=False)
-    # the root constructors of the rules that carry a guard
-    _guarded: frozenset = field(init=False, repr=False, compare=False)
+    """A named rule table of one calculus, with its compiled heads."""
 
-    def __post_init__(self):
-        width = {}
-        for r in self.rules:
-            width[r.head[0]] = max(width.get(r.head[0], 0), len(r.head) - 1)
-        object.__setattr__(self, "_width", width)
-        object.__setattr__(self, "_index", {})
-        object.__setattr__(self, "_guarded", frozenset(
-            r.head[0] for r in self.rules if r.guard is not None))
+    def __init__(self, name: str, calculus: str, rules: tuple):
+        self.name = name
+        self.calculus = calculus
+        self.rules = rules
+        # root constructor -> how many path-children its rule heads inspect
+        self._width = {}
+        for r in rules:
+            self._width[r.head[0]] = max(self._width.get(r.head[0], 0),
+                                         len(r.head) - 1)
+        # constructor key -> the rules whose heads admit it, in table
+        # order; each key is compiled the first time a term shows it
+        self._index = {}
+        # the root constructors of the rules that carry a guard
+        self._guarded = frozenset(
+            r.head[0] for r in rules if r.guard is not None)
 
     def _heads(self, key: tuple) -> tuple:
         """The rules whose heads admit a constructor key, in table order."""
@@ -335,7 +332,7 @@ class Cursor:
         """Move the focus down along a position relative to it."""
         t = self.focus
         for k, i in enumerate(pos):
-            if i >= len(t._paths):
+            if not 0 <= i < len(t._paths):
                 raise NoMatchError(f"position {pos[k:]} does not exist")
             kids = subterms(t)
             self.stack.append([t, i, kids, False, True])
@@ -404,11 +401,12 @@ class Cursor:
     def replace(self, build):
         """Replace the focus by `build` of it.
 
-        The binders above the focus are opened around it only, with their
-        own hints, and closed again around the result.
+        The focus goes to `build` as it sits in the term, its loose
+        indices pointing at the binders above it, and the contractum comes
+        back in the same context.
         """
         stack = self.stack
-        self.focus = _open_build_close(self.focus, build, stack)
+        self.focus = build(self.focus)
         if stack:
             frame = stack[-1]
             frame[2][frame[1]] = self.focus
@@ -437,38 +435,6 @@ class Cursor:
         width = rs._width.get(type(node), 0)
         if i < width and rs._heads(_head_key(node, kids, width)):
             self.focus = self._climb(len(stack) - 1)
-
-
-def _open_build_close(redex, build, stack):
-    """build(redex) with the binders above the redex opened around it."""
-    hints = []  # those of the binders above the redex, outermost first
-    for frame in stack:
-        node = frame[0]
-        name, kind = node._paths[frame[1]]
-        if kind == ABS:
-            hints.append(getattr(node, name).hint)
-    if not hints:
-        return build(redex)
-    names = []  # names[k] stands for the k-th binder above the redex
-
-    def on_bound(b, depth):
-        k = b.index - depth
-        if k < 0:
-            return b
-        while len(names) <= k:
-            names.append(fresh_name(hints[-1 - len(names)]))
-        return Var(names[k])
-
-    new = build(map_vars(redex, _keep, on_bound))
-    if not names:
-        return new
-    index = {name: k for k, name in enumerate(names)}
-
-    def on_var(v, depth):
-        k = index.get(v.name)
-        return v if k is None else Bound(k + depth)
-
-    return map_vars(new, on_var, _keep)
 
 
 # ---------------------------------------------------------------------------

@@ -479,10 +479,27 @@ def subst(u: Term, x: str, t: Term) -> Term:
     return subst_multi({x: u}, t)
 
 
-def subst_abs(a: Abs, u: Term) -> Term:
-    """Open the abstraction and plug u in for its bound variable."""
-    x = fresh_name(a.hint or "x")
-    return subst(u, x, open_abs(a, x))
+def instantiate(t: Term, args=(), shift: int = 0) -> Term:
+    """De Bruijn's parallel substitution args[0] ... args[n-1] . shift.
+
+    The loose index k < n of t becomes args[k], lifted past the binders
+    it lands under; every other loose index k becomes k - n + shift.  So
+    `instantiate(a.body, (u,))` plugs u in for the bound variable of a,
+    and `instantiate(t, (), 1)` moves t under one more binder.
+    """
+    n = len(args)
+    if not n and not shift:
+        return t
+
+    def on_bound(b, depth):
+        k = b.index - depth
+        if k < 0:
+            return b
+        if k < n:
+            return instantiate(args[k], (), depth)
+        return Bound(b.index - n + shift)
+
+    return map_vars(t, _keep, on_bound)
 
 
 _ID_ABS = Abs("z", Bound(0))

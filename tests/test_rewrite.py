@@ -1,16 +1,20 @@
+import hashlib
 import json
+import os
+import re
 
 import pytest
 
 from inlr_kit import gen, qencode
-from inlr_kit.cc import RULES_CC, RULES_CC_DET
+from inlr_kit.cc import RULES_CC, RULES_CC_DET, explore, pi_term
 from inlr_kit.iplus import RULES_IPLUS
 from inlr_kit.quantum import RULES_QUANTUM, RULES_QUANTUM_DET
 from inlr_kit.rewrite import (ND_PAIR, Rule, RuleId, RuleSet, ZeroNormStuck,
                               find_redexes, join_peak, normalize, replay,
                               step_at, NoMatchError)
 from inlr_kit.rng import derive_rng
-from inlr_kit.syntax import (App, Inl, Star, Sum, alpha_eq, child_slots,
+from inlr_kit.syntax import (App, Inl, Lam, One, OPlus, Star, Sum, Var,
+                             alpha_eq, child_slots, close_term, free_names,
                              parse_term, print_term)
 
 
@@ -91,8 +95,15 @@ def test_step_one_elim():
 
 
 def test_step_no_match():
-    with pytest.raises(NoMatchError):
-        step_at(Star(), (), RuleId("iplus", 1))
+    for src, pos, message in [
+        ("star", (), "rule iplus:1 does not match here"),
+        ("pair(star, top_elim(star, star))", (2,),
+         "position (2,) does not exist"),
+        ("pair(star, top_elim(star, star))", (-1,),
+         "position (-1,) does not exist"),
+    ]:
+        with pytest.raises(NoMatchError, match=re.escape(message)):
+            step_at(ip(src), pos, RuleId("iplus", 1))
 
 
 def test_zero_norm_stuck():
@@ -239,25 +250,28 @@ def reference_redexes(t, ruleset):
     return out
 
 
+_TABLES = {"iplus": RULES_IPLUS, "quantum": RULES_QUANTUM,
+           "quantum-det": RULES_QUANTUM_DET, "cc": RULES_CC,
+           "cc-det": RULES_CC_DET}
+
+# each full table, gen's redex builder for it and its rule numbers
+_RULE_INSTANCES = ((RULES_IPLUS, gen.iplus_rule_instance, range(1, 20)),
+                   (RULES_QUANTUM, gen.quantum_rule_instance, range(19, 44)),
+                   (RULES_CC, gen.cc_rule_instance, range(1, 43)))
+
 # enough steps for the full-length runs in _differential_terms
 FULL_LENGTH = 64
 
 
 def _differential_terms():
     """(table, term) pairs: gen's random terms and every rule instance."""
-    tables = {"iplus": RULES_IPLUS, "quantum": RULES_QUANTUM,
-              "quantum-det": RULES_QUANTUM_DET, "cc": RULES_CC,
-              "cc-det": RULES_CC_DET}
-    for j, (name, rs) in enumerate(tables.items()):
+    for j, (name, rs) in enumerate(_TABLES.items()):
         for i in range(25):
             rng = derive_rng(91, j, i)
             _ctx, t, _goal = gen.random_term_in_context(
                 rs.calculus, rng, allow_nd=name == "quantum")
             yield rs, t
-    instances = [(RULES_IPLUS, gen.iplus_rule_instance, range(1, 20)),
-                 (RULES_QUANTUM, gen.quantum_rule_instance, range(19, 44)),
-                 (RULES_CC, gen.cc_rule_instance, range(1, 43))]
-    for rs, make, numbers in instances:
+    for rs, make, numbers in _RULE_INSTANCES:
         for number in numbers:
             for i in range(2):
                 _ctx, t, _goal = make(number, derive_rng(92, number, i))
@@ -310,6 +324,28 @@ def test_every_trace_step_is_the_first_redex():
     assert outcomes[-3:] == ["normal-form"] * 3
 
 
+def _bind_names(t, names):
+    """t under one lambda per name, the first name outermost."""
+    for name in reversed(names):
+        t = Lam(None, close_term(t, name))
+    return t
+
+
+def test_every_rule_under_binders():
+    # a redex whose free variables are bound above it contracts to the
+    # root contraction of the open redex, bound the same way
+    for rs, make, numbers in _RULE_INSTANCES:
+        for number in numbers:
+            for i in range(2):
+                _ctx, t, _goal = make(number, derive_rng(95, number, i))
+                rid = RuleId(rs.calculus, number)
+                names = sorted(free_names(t))
+                bound = _bind_names(t, names)
+                got = step_at(bound, (0,) * len(names), rid, ruleset=rs)
+                want = _bind_names(step_at(t, (), rid, ruleset=rs), names)
+                assert repr(got) == repr(want), (rid, print_term(bound))
+
+
 def test_a_deep_term_normalizes_without_recursion():
     # the walk keeps its path in a list, so depth costs no Python stack
     depth = 10 ** 5
@@ -325,3 +361,115 @@ def test_a_deep_term_normalizes_without_recursion():
         assert type(u) is Inl
         u = u.body
     assert u == Star()
+
+
+# ---------------------------------------------------------------------------
+# pinned reductions
+
+_REDUCTIONS = os.path.join(os.path.dirname(__file__), "reductions.tsv")
+
+
+def _variants(t):
+    """t, and t with its free variables bound when it has any."""
+    yield "", t
+    names = sorted(free_names(t))
+    if names:
+        yield "-bound", _bind_names(t, names)
+
+
+def _balanced_prop(d):
+    """A vector proposition of dimension d, split as evenly as it goes."""
+    if d == 1:
+        return One()
+    return OPlus(_balanced_prop(d // 2), _balanced_prop(d - d // 2))
+
+
+def _record(rs, t, fuel, rng=None, redexes=12):
+    """The normalize trace of t, its outcome and final term, and the
+    contraction at each of its first `redexes` redexes."""
+    tr = normalize(t, rs, fuel=fuel, rng=rng)
+    parts = [json.dumps([s.to_json() for s in tr.steps], sort_keys=True),
+             tr.outcome.kind, repr(tr.final)]
+    for pos, rid in find_redexes(t, rs)[:redexes]:
+        try:
+            parts.append(repr(step_at(t, pos, rid, ruleset=rs)))
+        except ZeroNormStuck as e:
+            parts.append(f"{type(e).__name__} {e}")
+    return "\n".join(parts)
+
+
+def _reduction_corpus():
+    """(table, id, record thunk) for every pinned reduction."""
+    for j, (name, rs) in enumerate(_TABLES.items()):
+        fuel = 40 if rs.calculus == "cc" else 2000
+        for i in range(30):
+            rng = derive_rng(96, j, i)
+            _ctx, t, _goal = gen.random_term_in_context(
+                rs.calculus, rng, allow_nd=name == "quantum")
+            for tag, u in _variants(t):
+                yield name, f"gen-{i}{tag}", \
+                    lambda u=u, rs=rs, fuel=fuel, k=i: "\n".join((
+                        _record(rs, u, fuel, rng=derive_rng(97, k)),
+                        _record(rs, u, 5, rng=derive_rng(97, k))))
+    for rs, make, numbers in _RULE_INSTANCES:
+        fuel = 40 if rs.calculus == "cc" else 2000
+        for number in numbers:
+            for i in range(2):
+                _ctx, t, _goal = make(number, derive_rng(98, number, i))
+                for tag, u in _variants(t):
+                    yield rs.name, f"rule-{number}-{i}{tag}", \
+                        lambda u=u, rs=rs, fuel=fuel: _record(rs, u, fuel)
+    for n in (1, 2, 3):
+        for k in range(4):
+            rng = derive_rng(99, n, k)
+            v = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+            t = App(qencode.meas_first(n),
+                    qencode.from_vector(v, qencode.qn_prop(n)))
+            yield "quantum", f"meas-{n}-{k}", \
+                lambda t=t, n=n, k=k: "\n".join(
+                    _record(RULES_QUANTUM, t, 2000,
+                            rng=derive_rng(100, n, k, shot), redexes=0)
+                    for shot in range(5))
+    for d in range(2, 9):
+        rng = derive_rng(101, d)
+        p = _balanced_prop(d)
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        u = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        t = App(qencode.compile_matrix(m, p, p), qencode.from_vector(u, p))
+        yield "quantum-det", f"matvec-{d}", \
+            lambda t=t: _record(RULES_QUANTUM_DET, t, 10 ** 6, redexes=0)
+    for number in range(1, 43):
+        _ctx, t, _goal = gen.cc_rule_instance(number, derive_rng(102, number))
+        for tag, u in _variants(t):
+            yield "cc", f"explore-{number}{tag}", \
+                lambda u=u: explore(u, node_budget=60).to_dot()
+    t1 = App(Var("x1"), Var("x2"))
+    t2 = App(Var("x2"), Var("x1"))
+    for number in (36, 37, 39, 40, 41, 42):
+        yield "cc", f"pi-{number}", \
+            lambda n=number: repr(pi_term(n, Var("t"), t1, t2))
+
+
+def _reduction_rows():
+    for table, ident, record in _reduction_corpus():
+        digest = hashlib.sha256(record().encode("utf-8")).hexdigest()
+        yield table, ident, digest
+
+
+def test_reductions_are_pinned():
+    # traces, outcomes, final terms (binder hints included), contractions
+    # at the first redexes, measurement shots, matrix-vector products, cc
+    # reduction graphs and pi witnesses stay as pinned in reductions.tsv
+    with open(_REDUCTIONS, encoding="utf-8") as fh:
+        want = [tuple(line.rstrip("\n").split("\t")) for line in fh]
+    got = list(_reduction_rows())
+    assert [row[:2] for row in got] == [row[:2] for row in want]
+    for g, w in zip(got, want):
+        assert g == w, g[:2]
+
+
+if __name__ == "__main__":
+    # rewrite reductions.tsv; review the diff before committing
+    with open(_REDUCTIONS, "w", encoding="utf-8") as fh:
+        for row in _reduction_rows():
+            fh.write("\t".join(row) + "\n")

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from inlr_kit import gen
 from inlr_kit.rng import derive_rng
-from inlr_kit.syntax import (CALCULI, CalculusError, ParseError, Star, Var,
-                             alpha_eq, free_names, pair_subst, parse_prop,
-                             parse_term, print_prop, print_term, subst,
-                             term_size)
+from inlr_kit.syntax import (ABS, CALCULI, Abs, App, Bound, CalculusError,
+                             Lam, Pair, ParseError, Star, Var, alpha_eq,
+                             close_term, free_names, fresh_name, instantiate,
+                             open_abs, pair_subst, parse_prop, parse_term,
+                             print_prop, print_term, subst, term_size)
 
 
 def ip(s):
@@ -138,6 +139,51 @@ def test_subst_respects_alpha(seed):
     a = subst(Star(), "h0", t)
     b = subst(Star(), "h0", t2)
     assert alpha_eq(a, b)
+
+
+def _abstractions(t):
+    """Every abstraction in t, outermost first."""
+    out = []
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        for name, kind in t._paths:
+            child = getattr(t, name)
+            if kind == ABS:
+                out.append(child)
+                child = child.body
+            todo.append(child)
+    return out
+
+
+@pytest.mark.parametrize("calculus", ["iplus", "cc"])
+def test_instantiate_plugs_in_the_bound_variable(calculus):
+    # one pass does what opening with a fresh name and substituting for it
+    # does, on abstractions with their free variables bound and inside
+    # terms, where indices point past them
+    for i in range(200):
+        rng = derive_rng(78, CALCULI.index(calculus), i)
+        _ctx, t, _goal = gen.random_term_in_context(calculus, rng)
+        _ctx, u, _goal = gen.random_term_in_context(calculus, rng)
+        tops = [close_term(t, name) for name in sorted(free_names(t))]
+        for a in tops + _abstractions(t):
+            x = fresh_name(a.hint)
+            want = subst(u, x, open_abs(a, x))
+            assert repr(instantiate(a.body, (u,))) == repr(want)
+
+
+def test_instantiate_shift_and_swap():
+    # a shift alone moves the loose indices and keeps the bound ones
+    t = Lam(None, Abs("y", App(Bound(0), Bound(1))))
+    assert instantiate(t, (), 1) \
+        == Lam(None, Abs("y", App(Bound(0), Bound(2))))
+    # the two innermost binders swapped, seen from under one more binder
+    t = Lam(None, Abs("z", App(App(Bound(1), Bound(2)), Bound(3))))
+    assert instantiate(t, (Bound(1), Bound(0)), 2) \
+        == Lam(None, Abs("z", App(App(Bound(2), Bound(1)), Bound(3))))
+    # subterms without loose indices are shared, not copied
+    closed = Pair(Star(), Var("v"))
+    assert instantiate(App(closed, Bound(0)), (Star(),)).fn is closed
 
 
 # ---------------------------------------------------------------------------
