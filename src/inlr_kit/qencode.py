@@ -12,6 +12,7 @@ live here too.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass, field
 
@@ -20,10 +21,9 @@ import numpy as np
 from .quantum import RULES_QUANTUM, RULES_QUANTUM_DET
 from .rewrite import is_normal, normalize
 from .rng import derive_rng
-from .syntax import (App, Case, CaseNd, Inl, Inlr2, Inr, Lam, OneElim,
-                     OPlus, One, Prod, Proposition, ScalarStar, Sum, Term,
-                     Var, close_term, fresh_name, is_closed, print_prop,
-                     print_term)
+from .syntax import (Abs, App, Bound, Case, CaseNd, Inl, Inlr2, Inr, Lam,
+                     OneElim, OPlus, One, Prod, Proposition, ScalarStar, Sum,
+                     Term, Var, is_closed, print_prop, print_term)
 
 
 class EncodeError(Exception):
@@ -153,17 +153,12 @@ def compile_matrix(m, a: Proposition, b: Proposition) -> Term:
         raise EncodeError(f"matrix shape {m.shape} does not fit "
                           f"{dim(b)}x{dim(a)}")
     if isinstance(a, One):
-        x = fresh_name("x")
-        body = OneElim(Var(x), from_vector(m[:, 0], b))
-        return Lam(a, close_term(body, x, hint="x"))
+        return Lam(a, Abs("x", OneElim(Bound(0), from_vector(m[:, 0], b))))
     k = dim(a.left)
     t1 = compile_matrix(m[:, :k], a.left, b)
     t2 = compile_matrix(m[:, k:], a.right, b)
-    x, y, z = fresh_name("x"), fresh_name("y"), fresh_name("z")
-    body = Case(Var(x),
-                close_term(App(t1, Var(y)), y, hint="y"),
-                close_term(App(t2, Var(z)), z, hint="z"))
-    return Lam(a, close_term(body, x, hint="x"))
+    return Lam(a, Abs("x", Case(Bound(0), Abs("y", App(t1, Bound(0))),
+                                Abs("z", App(t2, Bound(0))))))
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +184,17 @@ def delta_qn(n: int, b: Term, var: str = "x") -> Term:
     """Consume a balanced vector of dimension 2^n held in `var`, return b.
 
     The n = 0 case is plain one_elim; each further level eliminates one
-    case_nd layer on both branches.
+    case_nd layer on both branches, whose bodies consume Bound(0).  b
+    must have no loose indices: it is put under those binders unlifted.
     """
+    return _delta(n, b, Var(var))
+
+
+def _delta(n, b, v):
     if n == 0:
-        return OneElim(Var(var), b)
-    y, z = fresh_name("y"), fresh_name("z")
-    return CaseNd(Var(var),
-                  close_term(delta_qn(n - 1, b, var=y), y, hint="y"),
-                  close_term(delta_qn(n - 1, b, var=z), z, hint="z"))
+        return OneElim(v, b)
+    inner = _delta(n - 1, b, Bound(0))
+    return CaseNd(v, Abs("y", inner), Abs("z", inner))
 
 
 def meas_first(n: int) -> Term:
@@ -204,22 +202,18 @@ def meas_first(n: int) -> Term:
     Boolean outcome."""
     if n < 1:
         raise ValueError("meas_first needs n >= 1")
-    x, y, z = fresh_name("x"), fresh_name("y"), fresh_name("z")
-    body = CaseNd(Var(x),
-                  close_term(delta_qn(n - 1, boolzero(), var=y), y, hint="y"),
-                  close_term(delta_qn(n - 1, boolone(), var=z), z, hint="z"))
-    return Lam(qn_prop(n), close_term(body, x, hint="x"))
+    return Lam(qn_prop(n), Abs("x", CaseNd(
+        Bound(0), Abs("y", _delta(n - 1, boolzero(), Bound(0))),
+        Abs("z", _delta(n - 1, boolone(), Bound(0))))))
 
 
 def meas_state(n: int) -> Term:
     """Measure the first qubit; returns the post-measurement state."""
     if n < 1:
         raise ValueError("meas_state needs n >= 1")
-    x, y, z = fresh_name("x"), fresh_name("y"), fresh_name("z")
-    body = CaseNd(Var(x),
-                  close_term(Inlr2(Var(y), zero_term(n - 1)), y, hint="y"),
-                  close_term(Inlr2(zero_term(n - 1), Var(z)), z, hint="z"))
-    return Lam(qn_prop(n), close_term(body, x, hint="x"))
+    return Lam(qn_prop(n), Abs("x", CaseNd(
+        Bound(0), Abs("y", Inlr2(Bound(0), zero_term(n - 1))),
+        Abs("z", Inlr2(zero_term(n - 1), Bound(0))))))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +309,13 @@ def load_vector_json(text: str) -> np.ndarray:
 
 
 def _complex_entries(pairs) -> list:
-    return [complex(float(re), float(im)) for re, im in pairs]
+    out = [complex(float(re), float(im)) for re, im in pairs]
+    for i, z in enumerate(out):
+        if not cmath.isfinite(z):
+            raise EncodeError(f"entry {i} is not finite: "
+                              f"[{z.real!r}, {z.imag!r}]")
+    return out
+
 
 def dump_vector_json(v) -> str:
     v = np.asarray(v, dtype=np.complex128)

@@ -23,6 +23,7 @@ reserved words are all derived from these.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 
@@ -468,10 +469,19 @@ def close_term(t: Term, name: str, hint: str | None = None) -> Abs:
 
 
 def subst_multi(mapping: dict, t: Term) -> Term:
-    """Simultaneous capture-avoiding substitution of free variables."""
+    """Simultaneous capture-avoiding substitution of free variables.
+
+    A replacement is lifted past the binders it lands under, so its loose
+    indices keep pointing outside t.
+    """
     if not mapping:
         return t
-    return map_vars(t, lambda v, depth: mapping.get(v.name, v), _keep)
+
+    def on_var(v, depth):
+        u = mapping.get(v.name)
+        return v if u is None else instantiate(u, (), depth)
+
+    return map_vars(t, on_var, _keep)
 
 
 def subst(u: Term, x: str, t: Term) -> Term:
@@ -655,18 +665,24 @@ class _Parser:
 
     # -- scalars --
 
+    def number(self) -> float:
+        tok = self.expect("number")
+        value = float(tok.text)
+        if not math.isfinite(value):
+            self.error(f"scalar {tok.text} is not finite", tok)
+        return value
+
     def scalar(self) -> complex:
         t = self.peek()
         if t.kind == "number":
-            self.next()
-            return complex(float(t.text), 0.0)
+            return complex(self.number(), 0.0)
         if t.kind == "punct" and t.text == "(":
             self.next()
-            re_tok = self.expect("number")
+            re_part = self.number()
             self.expect("punct", ",")
-            im_tok = self.expect("number")
+            im_part = self.number()
             self.expect("punct", ")")
-            return complex(float(re_tok.text), float(im_tok.text))
+            return complex(re_part, im_part)
         self.error(f"expected a scalar, found {t.text!r}", t)
 
     # -- terms --

@@ -9,6 +9,9 @@
 ``infer_cc``      -- the propositional rules minus sum, with the binder form
                      of inlr.
 
+Terms are checked as they are, nameless: Bound(k) is resolved against the
+stack of enclosing binders, and no binder is ever opened to a name.
+
 Where a rule does not pin a proposition syntactically (inl, inr, unannotated
 lambdas, case branches) the checker introduces a placeholder and solves by
 unification; if placeholders survive to the end the term has no unique
@@ -23,8 +26,7 @@ from .syntax import (AndElim1, AndElim2, App, Abs, Bot, BotElim, Bound,
                      Case, CaseNd, Conj, Disj, Impl, Inl, Inlr2, Inlr3, Inr,
                      Lam, Lollipop, MetaProp, One, OneElim, OPlus, Pair,
                      Prod, Proposition, ScalarStar, Star, Sum, Term, TopElim,
-                     Top, Var, _TERM_ALLOWED, fresh_name, open_abs,
-                     print_prop)
+                     Top, Var, _TERM_ALLOWED, print_prop)
 
 TypingContext = dict  # ordered mapping, variable name -> Proposition
 
@@ -73,16 +75,23 @@ ANNOTATION = "annotation-required"
 
 @dataclass
 class _Env:
-    """Checker state: type bindings, pretty names, linear consumption."""
-    types: dict = field(default_factory=dict)    # name -> Proposition
-    pretty: dict = field(default_factory=dict)   # name -> surface name
-    consumed: set = field(default_factory=set)
+    """Checker state: hypotheses, binder names, linear consumption.
+
+    A hypothesis is keyed by its name when it comes from the context and
+    by its binder's level (0 for the outermost binder) otherwise, so
+    Bound(k) is the hypothesis at level len(hints) - 1 - k.
+    """
+    types: dict = field(default_factory=dict)    # key -> Proposition
+    hints: list = field(default_factory=list)    # level -> printed name
+    consumed: set = field(default_factory=set)   # keys used so far
 
 
 class _Checker:
     def __init__(self, mode):
         self.mode = mode
         self.linear = mode == "quantum"
+        self.arrow = Lollipop if self.linear else Impl
+        self.disj = OPlus if self.linear else Disj
         self.solution = {}
         self.counter = 0
         self.meta_origin = {}  # mid -> path that introduced the placeholder
@@ -140,36 +149,64 @@ class _Checker:
                 OUTSIDE, path,
                 f"{type(t).__name__} is not a {self.mode} constructor")
 
-    def render_name(self, env, name):
-        return env.pretty.get(name, name)
+    def render_name(self, env, key):
+        return env.hints[key] if isinstance(key, int) else key
 
     def bind(self, env, a: Abs, prop):
-        name = fresh_name(a.hint or "x")
-        env.types[name] = prop
-        env.pretty[name] = a.hint or "x"
-        return name, open_abs(a, name)
+        env.types[len(env.hints)] = prop
+        env.hints.append(a.hint or "x")
+        return a.body
 
-    def unbind(self, env, name, path):
-        if self.linear and name not in env.consumed:
-            raise TypingError(LINEAR_UNUSED, path,
-                              names=(self.render_name(env, name),),
-                              detail=f"hypothesis {self.render_name(env, name)}"
-                                     " is never used")
-        del env.types[name]
-        env.consumed.discard(name)
+    def unbind(self, env, path):
+        level = len(env.hints) - 1
+        if self.linear and level not in env.consumed:
+            name = env.hints[level]
+            raise TypingError(LINEAR_UNUSED, path, names=(name,),
+                              detail=f"hypothesis {name} is never used")
+        del env.types[level]
+        env.hints.pop()
+        env.consumed.discard(level)
 
-    def branch_consumption(self, env, saved, others, path):
-        """Additive branches must consume identical resources."""
-        first = others[0]
-        for other in others[1:]:
-            if other != first:
-                diff = sorted(self.render_name(env, n)
-                              for n in first.symmetric_difference(other))
-                raise TypingError(
-                    LINEAR_UNUSED, path, names=diff,
-                    detail="branches consume different hypotheses: "
-                           + ", ".join(diff))
+    def use(self, env, key, path):
+        """The hypothesis at key; the linear calculus consumes it."""
+        if self.linear:
+            if key in env.consumed:
+                name = self.render_name(env, key)
+                raise TypingError(LINEAR_REUSED, path, names=(name,),
+                                  detail=f"hypothesis {name} is used twice")
+            env.consumed.add(key)
+        return env.types[key]
+
+    def under(self, env, a: Abs, prop, path, unused_path):
+        """The proposition of a's body with its variable bound to prop."""
+        b = self.infer(env, self.bind(env, a, prop), path)
+        self.unbind(env, unused_path)
+        return b
+
+    def additive(self, env, path, branches, same=True):
+        """The propositions of branches that share the hypotheses.
+
+        Each branch starts from the consumption before the rule.  With
+        `same` the branch propositions unify; then, in the linear
+        calculus, the branches must have consumed the same hypotheses.
+        """
+        saved, used, props = env.consumed, [], []
+        for branch in branches:
+            env.consumed = set(saved)
+            props.append(branch())
+            used.append(env.consumed)
+        if same:
+            self.unify(props[0], props[1], path)
+        first, other = used
+        if other != first:
+            diff = sorted(self.render_name(env, k)
+                          for k in first.symmetric_difference(other))
+            raise TypingError(
+                LINEAR_UNUSED, path, names=diff,
+                detail="branches consume different hypotheses: "
+                       + ", ".join(diff))
         env.consumed = first
+        return props
 
     # -- the checker --
 
@@ -179,18 +216,13 @@ class _Checker:
         if isinstance(t, Var):
             if t.name not in env.types:
                 raise TypingError(UNBOUND, path, f"unbound variable {t.name}")
-            if self.linear:
-                if t.name in env.consumed:
-                    raise TypingError(LINEAR_REUSED, path,
-                                      names=(self.render_name(env, t.name),),
-                                      detail=f"hypothesis "
-                                             f"{self.render_name(env, t.name)}"
-                                             " is used twice")
-                env.consumed.add(t.name)
-            return env.types[t.name]
+            return self.use(env, t.name, path)
 
         if isinstance(t, Bound):
-            raise TypingError(UNBOUND, path, "dangling bound variable")
+            level = len(env.hints) - 1 - t.index
+            if level < 0:
+                raise TypingError(UNBOUND, path, "dangling bound variable")
+            return self.use(env, level, path)
 
         if isinstance(t, Star):
             return Top()
@@ -199,33 +231,18 @@ class _Checker:
             return One()
 
         if isinstance(t, Sum):
-            if self.linear:
-                saved = set(env.consumed)
-                a = self.infer(env, t.left, path + (0,))
-                after_left = set(env.consumed)
-                env.consumed = set(saved)
-                b = self.infer(env, t.right, path + (1,))
-                after_right = set(env.consumed)
-                self.unify(a, b, path)
-                self.branch_consumption(env, saved,
-                                        [after_left, after_right], path)
-                return a
-            a = self.infer(env, t.left, path + (0,))
-            b = self.infer(env, t.right, path + (1,))
-            self.unify(a, b, path)
+            a, _ = self.additive(env, path, (
+                lambda: self.infer(env, t.left, path + (0,)),
+                lambda: self.infer(env, t.right, path + (1,))))
             return a
 
         if isinstance(t, Prod):
             return self.infer(env, t.body, path + (0,))
 
-        if isinstance(t, TopElim):
+        if isinstance(t, (TopElim, OneElim)):
             a = self.infer(env, t.scrut, path + (0,))
-            self.unify(a, Top(), path + (0,))
-            return self.infer(env, t.body, path + (1,))
-
-        if isinstance(t, OneElim):
-            a = self.infer(env, t.scrut, path + (0,))
-            self.unify(a, One(), path + (0,))
+            self.unify(a, Top() if isinstance(t, TopElim) else One(),
+                       path + (0,))
             return self.infer(env, t.body, path + (1,))
 
         if isinstance(t, BotElim):
@@ -235,20 +252,17 @@ class _Checker:
 
         if isinstance(t, Lam):
             ann = t.ann if t.ann is not None else self.fresh_meta(path)
-            name, body = self.bind(env, t.abs, ann)
-            b = self.infer(env, body, path + (0,))
-            self.unbind(env, name, path)
-            return Lollipop(ann, b) if self.mode == "quantum" else Impl(ann, b)
+            return self.arrow(ann, self.under(env, t.abs, ann, path + (0,),
+                                              path))
 
         if isinstance(t, App):
             f = self.infer(env, t.fn, path + (0,))
             f = self.resolve(f)
-            arrow = Lollipop if self.mode == "quantum" else Impl
             if isinstance(f, MetaProp):
                 dom, cod = self.fresh_meta(path), self.fresh_meta(path)
-                self.unify(f, arrow(dom, cod), path + (0,))
-                f = arrow(dom, cod)
-            if not isinstance(f, arrow):
+                self.unify(f, self.arrow(dom, cod), path + (0,))
+                f = self.arrow(dom, cod)
+            if not isinstance(f, self.arrow):
                 raise TypingError(NOT_A_FUNCTION, path + (0,),
                                   f"cannot apply a term of type "
                                   f"{print_prop(self.zonk(f))}")
@@ -266,85 +280,42 @@ class _Checker:
             l, r = self.fresh_meta(path), self.fresh_meta(path)
             self.unify(s, Conj(l, r), path + (0,))
             component = l if isinstance(t, AndElim1) else r
-            name, body = self.bind(env, t.abs, component)
-            c = self.infer(env, body, path + (1,))
-            self.unbind(env, name, path)
-            return c
+            return self.under(env, t.abs, component, path + (1,), path)
 
-        if isinstance(t, Inl):
+        if isinstance(t, (Inl, Inr)):
             a = self.infer(env, t.body, path + (0,))
             other = self.fresh_meta(path)
-            return self.disj(a, other)
-
-        if isinstance(t, Inr):
-            b = self.infer(env, t.body, path + (0,))
-            other = self.fresh_meta(path)
-            return self.disj(other, b)
+            return self.disj(a, other) if isinstance(t, Inl) \
+                else self.disj(other, a)
 
         if isinstance(t, Inlr2):
-            if self.linear:
-                saved = set(env.consumed)
-                a = self.infer(env, t.left, path + (0,))
-                after_left = set(env.consumed)
-                env.consumed = set(saved)
-                b = self.infer(env, t.right, path + (1,))
-                after_right = set(env.consumed)
-                self.branch_consumption(env, saved,
-                                        [after_left, after_right], path)
-                return self.disj(a, b)
-            a = self.infer(env, t.left, path + (0,))
-            b = self.infer(env, t.right, path + (1,))
-            return self.disj(a, b)
+            return self.disj(*self.additive(env, path, (
+                lambda: self.infer(env, t.left, path + (0,)),
+                lambda: self.infer(env, t.right, path + (1,))), same=False))
 
         if isinstance(t, Inlr3):
             s = self.infer(env, t.scrut, path + (0,))
             a1, a2 = self.fresh_meta(path), self.fresh_meta(path)
             self.unify(s, Disj(a1, a2), path + (0,))
-            n1, body1 = self.bind(env, t.left, a1)
-            b1 = self.infer(env, body1, path + (1,))
-            self.unbind(env, n1, path)
-            n2, body2 = self.bind(env, t.right, a2)
-            b2 = self.infer(env, body2, path + (2,))
-            self.unbind(env, n2, path)
-            return Disj(b1, b2)
+            return Disj(self.under(env, t.left, a1, path + (1,), path),
+                        self.under(env, t.right, a2, path + (2,), path))
 
         if isinstance(t, (Case, CaseNd)):
             s = self.infer(env, t.scrut, path + (0,))
             a1, a2 = self.fresh_meta(path), self.fresh_meta(path)
             self.unify(s, self.disj(a1, a2), path + (0,))
-            if self.linear:
-                # the scrutinee's resources are spent; the branches share
-                # the remainder and must agree on what they consume
-                saved = set(env.consumed)
-                n1, body1 = self.bind(env, t.left, a1)
-                c1 = self.infer(env, body1, path + (1,))
-                self.unbind(env, n1, path + (1,))
-                after_left = set(env.consumed)
-                env.consumed = set(saved)
-                n2, body2 = self.bind(env, t.right, a2)
-                c2 = self.infer(env, body2, path + (2,))
-                self.unbind(env, n2, path + (2,))
-                after_right = set(env.consumed)
-                self.unify(c1, c2, path)
-                self.branch_consumption(env, saved,
-                                        [after_left, after_right], path)
-                return c1
-            n1, body1 = self.bind(env, t.left, a1)
-            c1 = self.infer(env, body1, path + (1,))
-            self.unbind(env, n1, path + (1,))
-            n2, body2 = self.bind(env, t.right, a2)
-            c2 = self.infer(env, body2, path + (2,))
-            self.unbind(env, n2, path + (2,))
-            self.unify(c1, c2, path)
+            # the scrutinee's resources are spent; the branches share the
+            # remainder and must agree on what they consume
+            c1, _ = self.additive(env, path, (
+                lambda: self.under(env, t.left, a1, path + (1,), path + (1,)),
+                lambda: self.under(env, t.right, a2, path + (2,),
+                                   path + (2,))))
             return c1
 
         raise TypingError(OUTSIDE, path, f"unknown constructor {type(t).__name__}")
 
-    def disj(self, a, b):
-        return OPlus(a, b) if self.mode == "quantum" else Disj(a, b)
-
     def run(self, ctx, t, expected=None):
-        env = _Env(types=dict(ctx), pretty={k: k for k in ctx})
+        env = _Env(types=dict(ctx))
         prop = self.infer(env, t, ())
         if expected is not None:
             self.unify(prop, expected, ())

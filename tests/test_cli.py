@@ -8,7 +8,7 @@ change and review the diff.
 
 import io
 import os
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -113,6 +113,15 @@ CASES = [
     ("compile_matrix_not_vector",
      ["compile-matrix", g("hadamard.json"),
       "--from", "One -o One", "--to", "One (+) One"], 1),
+    ("norm_scalar_not_finite",
+     ["norm", g("t_scalar_inf.inlr"), "--calculus", "quantum"], 1),
+    ("norm_prod_not_finite",
+     ["norm", g("t_prod_inf.inlr"), "--calculus", "quantum"], 1),
+    ("encode_vec_not_finite",
+     ["encode", "--vec", g("vec_inf.json"), "--prop", "One (+) One"], 1),
+    ("compile_matrix_not_finite",
+     ["compile-matrix", g("matrix_nan.json"), "--from", "One", "--to", "One"],
+     1),
 ]
 
 
@@ -134,6 +143,16 @@ def test_golden(name, argv, want_code):
     assert code2 == want_code
     assert out1 == out2, "output must be byte-identical across runs"
     assert out1 == want
+
+
+@pytest.mark.parametrize("name,argv", [c[:2] for c in CASES
+                                       if c[0].endswith("_not_finite")])
+def test_non_finite_scalar_is_one_error_line(name, argv):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        run_cli(argv)
+    [line] = err.getvalue().splitlines()
+    assert line.startswith("error: ") and "is not finite" in line
 
 
 def test_at_least_twenty_cases():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -162,6 +163,76 @@ def test_compile_agrees_on_basis_vectors():
         e[k] = 1.0
         out = to_vector(App(t, from_vector(e, a)), b)
         assert np.max(np.abs(out - m[:, k])) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# pinned builds
+
+def _builds():
+    """(name, thunk) for the pinned encoder builds."""
+    for n in (0, 1, 2, 3, 4):
+        d = 2 ** n
+        rng = derive_rng(122, d)
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        yield f"compile-{d}", \
+            lambda m=m, n=n: compile_matrix(m, qn_prop(n), qn_prop(n))
+    rng = derive_rng(122, 0)
+    m = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    yield "compile-2x4", lambda: compile_matrix(m, qn_prop(2), qn_prop(1))
+    for n in (1, 2, 3):
+        yield f"meas-first-{n}", lambda n=n: meas_first(n)
+        yield f"meas-state-{n}", lambda n=n: meas_state(n)
+    for n in (0, 1, 2):
+        yield f"delta-{n}", lambda n=n: delta_qn(n, boolzero())
+        yield f"delta-{n}-s", lambda n=n: delta_qn(n, boolone(), var="s")
+
+
+_PINNED_BUILDS = {
+    "compile-1":
+        "9f3489deea930cba6f6f1ac125781e895eaed4632ea921f8a7408558a132aa03",
+    "compile-2":
+        "6945102cb6c0d969a46e640ce95049a1d643c43297b0b4d622a97719e2c8b07b",
+    "compile-4":
+        "6e7efad8f335ae7c3575a53f3373091aa0537bc25e1c3726c855d397b2ba0cfa",
+    "compile-8":
+        "17ddede4704479d758c49ba94f06c6108042d723c0d78dabd23274ba8a342814",
+    "compile-16":
+        "fc7879b483413381522157536596e6c85d24c2bc06af5801ff707192a8635e69",
+    "compile-2x4":
+        "969c7ae4ec9731152ced813a314e1a8dabd2b50694cbb3454e01bebbf4ea15c5",
+    "meas-first-1":
+        "db060379aad19825c02c2f73917187c10be397fe26225ad1fb5bef7a6709be77",
+    "meas-state-1":
+        "b3324ad76c04a2736488b7c2cfd8115b2b8a165396e16ec593f4dd0445219791",
+    "meas-first-2":
+        "743fb9cb19562821a450b81f6b80b70b167f262ed1d1f3f7775149df8d09c82e",
+    "meas-state-2":
+        "e222c77a5656e23336d93f36ba5c4e650e5713b25366eb08b1b2c598041762d3",
+    "meas-first-3":
+        "4630a85532dbde51abea87c5b2671a437890f98ee92286a234884d43427991f5",
+    "meas-state-3":
+        "da518df9c110b389ff4b97580bf5787b9cc674323dca14725e4ca0f1dfa66b41",
+    "delta-0":
+        "282ea599673feb6fe60a69ade0bf9d76d9325629646eef6979666a6b74af42b5",
+    "delta-0-s":
+        "8c03dd2d891d89004f50ebb6ca28f1a610749e54230e9b5e46f9cccc645e3024",
+    "delta-1":
+        "520f9a8fcd396722de45ebe74fc6413a120ac76304ca439d8b70fc0165e05151",
+    "delta-1-s":
+        "2d7e93ace5d2c0242a970e64a8e9f4f82c1a488cfb59dfbc5b6e99f24cb97b21",
+    "delta-2":
+        "42bb3ffe57c41fde72d8bbc24f167dcb3090850a45e33e54d1225dc70a451c58",
+    "delta-2-s":
+        "b6d6e90454cfad4b98eddf3290601aeb1fa8969f97a56c79bee6609835629ed7",
+}
+
+
+def test_builds_are_pinned():
+    # repr shows the binder hints the printer reads, so the built terms
+    # stay exactly as pinned, hints included
+    got = {name: hashlib.sha256(repr(build()).encode("utf-8")).hexdigest()
+           for name, build in _builds()}
+    assert got == _PINNED_BUILDS
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ from inlr_kit.rewrite import (ND_PAIR, Rule, RuleId, RuleSet, ZeroNormStuck,
                               find_redexes, join_peak, normalize, replay,
                               step_at, NoMatchError)
 from inlr_kit.rng import derive_rng
-from inlr_kit.syntax import (App, Inl, Lam, One, OPlus, Star, Sum, Var,
-                             alpha_eq, child_slots, close_term, free_names,
-                             parse_term, print_term)
+from inlr_kit.syntax import (Abs, App, Bound, Inl, Lam, One, OPlus, Star,
+                             Sum, Var, alpha_eq, child_slots, close_term,
+                             free_names, instantiate, parse_term, print_term,
+                             replace_children, subterms)
 
 
 def ip(s):
@@ -344,6 +345,53 @@ def test_every_rule_under_binders():
                 got = step_at(bound, (0,) * len(names), rid, ruleset=rs)
                 want = _bind_names(step_at(t, (), rid, ruleset=rs), names)
                 assert repr(got) == repr(want), (rid, print_term(bound))
+
+
+def _closed_leaves(t, pos=(), depth=0):
+    """(position, binders above it, leaf) for every leaf of t that is
+    not a variable."""
+    slots = child_slots(t)
+    if not slots and not isinstance(t, (Var, Bound)):
+        yield pos, depth, t
+    for i, (name, kind) in enumerate(slots):
+        child = getattr(t, name)
+        if kind == "abs":
+            yield from _closed_leaves(child.body, pos + (i,), depth + 1)
+        else:
+            yield from _closed_leaves(child, pos + (i,), depth)
+
+
+def _replace_at(t, pos, u):
+    if not pos:
+        return u
+    kids = subterms(t)
+    kids[pos[0]] = _replace_at(kids[pos[0]], pos[1:], u)
+    return replace_children(t, kids)
+
+
+def test_quantum_rules_with_loose_indices():
+    # a closed leaf of a quantum redex abstracted to a binder outside the
+    # redex: contracting there and then plugging the leaf back in gives
+    # the contraction of the closed redex
+    checked = set()
+    for number in range(19, 44):
+        rid = RuleId("quantum", number)
+        rule = RULES_QUANTUM.by_number(number)
+        for i in range(4):
+            _ctx, t, _goal = gen.quantum_rule_instance(
+                number, derive_rng(103, number, i))
+            want = repr(step_at(t, (), rid, ruleset=RULES_QUANTUM))
+            for pos, depth, leaf in _closed_leaves(t):
+                u = _replace_at(t, pos, Bound(depth))
+                if not rule.match(u):
+                    continue  # the head or a guard inspects this leaf
+                got = step_at(Lam(None, Abs("w", u)), (0,), rid,
+                              ruleset=RULES_QUANTUM)
+                assert repr(instantiate(got.abs.body, (leaf,))) == want, \
+                    (rid, pos)
+                checked.add(number)
+    # only sum-scalar and prod-scalar inspect every closed leaf they have
+    assert checked == set(range(19, 44)) - {28, 39}
 
 
 def test_a_deep_term_normalizes_without_recursion():

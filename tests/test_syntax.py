@@ -120,6 +120,14 @@ def test_subst_examples():
     assert alpha_eq(got, ip("sum(star, star)"))
 
 
+def test_subst_lifts_loose_indices():
+    # a replacement put under a binder keeps pointing past it
+    t = Lam(None, Abs("y", Var("x")))
+    assert subst(Bound(0), "x", t) == Lam(None, Abs("y", Bound(1)))
+    got = pair_subst(Bound(0), "x", "y", Lam(None, Abs("z", Var("x"))))
+    assert got.abs.body.scrut == Bound(1)
+
+
 def test_subst_free_variable_bound():
     # FV((u/x)t) is contained in (FV(t) - x) plus FV(u)
     for i in range(300):

@@ -1,8 +1,13 @@
+import json
+import os
+
 import pytest
 
 from inlr_kit import gen
 from inlr_kit.rng import derive_rng
-from inlr_kit.syntax import CALCULI, parse_prop, parse_term, print_term
+from inlr_kit.syntax import (CALCULI, Bound, One, ScalarStar, Star, Top, Var,
+                             parse_prop, parse_term, print_prop, print_term,
+                             replace_children, subterms)
 from inlr_kit.typecheck import (TypingError, infer, infer_cc, infer_iplus,
                                 infer_linear)
 
@@ -217,3 +222,88 @@ def test_mismatch_reports_expected_and_found():
         assert data["found"] == "Top => Top"
     else:
         pytest.fail("expected a typing error")
+
+
+# ---------------------------------------------------------------------------
+# pinned typing outcomes
+
+_TYPING = os.path.join(os.path.dirname(__file__), "typing.tsv")
+
+
+def _leaves(t, pos=()):
+    """The positions of t's leaves, in preorder."""
+    kids = subterms(t)
+    if not kids:
+        yield pos
+    for i, c in enumerate(kids):
+        yield from _leaves(c, pos + (i,))
+
+
+def _replace_at(t, pos, u):
+    if not pos:
+        return u
+    kids = subterms(t)
+    kids[pos[0]] = _replace_at(kids[pos[0]], pos[1:], u)
+    return replace_children(t, kids)
+
+
+def _typing_outcome(calculus, ctx, t, expected=None):
+    try:
+        return "ok " + print_prop(infer(calculus, ctx, t, expected))
+    except TypingError as e:
+        return " ".join((e.render(), _compact(e.to_json()),
+                         _compact(e.names)))
+
+
+def _compact(data):
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+
+
+def _typing_rows():
+    """(calculus, index, outcomes): a gen term in its context, checked
+    with and without its proposition, then with one seeded leaf replaced
+    by star, a scalar, Bound(0), a context name and an unknown name."""
+    for c, calculus in enumerate(CALCULI):
+        for i in range(200):
+            rng = derive_rng(121, c, i)
+            ctx, t, goal = gen.random_term_in_context(calculus, rng)
+            leaves = list(_leaves(t))
+            pos = leaves[int(rng.integers(len(leaves)))]
+            named = ctx or {"c": One() if calculus == "quantum" else Top()}
+            names = sorted(named)
+            name = names[int(rng.integers(len(names)))]
+            outs = [_typing_outcome(calculus, ctx, t),
+                    _typing_outcome(calculus, ctx, t, goal)]
+            for leaf in (Star(), ScalarStar(1.0), Bound(0)):
+                outs.append(_typing_outcome(calculus, ctx,
+                                            _replace_at(t, pos, leaf)))
+            outs.append(_typing_outcome(calculus, named,
+                                        _replace_at(t, pos, Var(name))))
+            outs.append(_typing_outcome(calculus, ctx,
+                                        _replace_at(t, pos, Var("nowhere"))))
+            yield calculus, str(i), outs
+
+
+def _packed(outs):
+    """The outcomes with a repeat of the previous column written '"'."""
+    return [o if k == 0 or o != outs[k - 1] else '"'
+            for k, o in enumerate(outs)]
+
+
+def test_typing_is_pinned():
+    # propositions, and for errors the rendering, the JSON and the names,
+    # stay as pinned in typing.tsv
+    with open(_TYPING, encoding="utf-8") as fh:
+        want = [line.rstrip("\n").split("\t") for line in fh]
+    got = [[calculus, i, *_packed(outs)]
+           for calculus, i, outs in _typing_rows()]
+    assert [row[:2] for row in got] == [row[:2] for row in want]
+    for g, w in zip(got, want):
+        assert g == w, g[:2]
+
+
+if __name__ == "__main__":
+    # rewrite typing.tsv; review the diff before committing
+    with open(_TYPING, "w", encoding="utf-8") as fh:
+        for calculus, i, outs in _typing_rows():
+            fh.write("\t".join([calculus, i, *_packed(outs)]) + "\n")
