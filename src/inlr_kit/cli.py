@@ -1,10 +1,10 @@
 """Batch command-line front end.
 
-Exit codes: 0 success, 1 type or syntax error, 2 stuck (zero-norm),
-3 fuel exhausted (or an exploration cut short by its node budget), 4 usage
-(bad arguments or an unreadable input file).  All randomness flows from
---seed through counter-based streams, so identical invocations print
-identical bytes.
+Exit codes: 0 success, 1 type or syntax error, 2 stuck (a zero-norm
+measurement or a scalar overflow), 3 fuel exhausted (or an exploration cut
+short by its node budget), 4 usage (bad arguments or an unreadable input
+file).  All randomness flows from --seed through counter-based streams, so
+identical invocations print identical bytes.
 """
 
 from __future__ import annotations

@@ -18,13 +18,14 @@ strictly decreases the lexicographic pair.
 
 from __future__ import annotations
 
+import cmath
 import json
 from dataclasses import dataclass, field
 
 from .iplus import (SUM_INJECTIONS, _beta, _case_inl, _case_inlr, _case_inr,
                     _sum_lam)
 from .rewrite import (ND_PAIR, ND_SINGLE, Cursor, Rule, RuleId, RuleSet,
-                      ZeroNormStuck, first_step, is_normal, normalize,
+                      Stuck, first_step, is_normal, normalize,
                       register_default_ruleset, step_at)
 from .rng import derive_rng, reseat
 from .syntax import (Abs, App, Bound, Case, CaseNd, Inl, Inlr2, Inr, Lam,
@@ -34,6 +35,18 @@ from .syntax import (Abs, App, Bound, Case, CaseNd, Inl, Inlr2, Inr, Lam,
 
 def _rule(n, name, head, build, **kw):
     return Rule(RuleId("quantum", n), name, head, build, **kw)
+
+
+class ScalarOverflowStuck(Stuck):
+    """A scalar commutation whose sum or product is not finite."""
+    reason = "scalar-overflow"
+
+
+def _scalar_star(value):
+    """The contractum of rules 28 and 39; stuck rather than infinite."""
+    if cmath.isfinite(value):
+        return ScalarStar(value)
+    raise ScalarOverflowStuck(f"scalar {value} is not finite")
 
 
 def _prod_lam(t):
@@ -70,12 +83,12 @@ _ND = (
 
 _COMMUTATIONS = (
     _rule(28, "sum-scalar", (Sum, ScalarStar, ScalarStar),
-          lambda t: ScalarStar(t.left.value + t.right.value)),
+          lambda t: _scalar_star(t.left.value + t.right.value)),
     _rule(29, "sum-lam", (Sum, Lam, Lam), _sum_lam),
     *(_rule(30 + k, name, (Sum, left, right), build)
       for k, (name, left, right, build) in enumerate(SUM_INJECTIONS)),
     _rule(39, "prod-scalar", (Prod, ScalarStar),
-          lambda t: ScalarStar(t.value * t.body.value)),
+          lambda t: _scalar_star(t.value * t.body.value)),
     _rule(40, "prod-lam", (Prod, Lam), _prod_lam),
     _rule(41, "prod-inl", (Prod, Inl),
           lambda t: Inl(Prod(t.value, t.body.body))),
@@ -184,7 +197,12 @@ def mu_subst_additivity(t: Term, u: Term, x: str) -> bool:
 # ---------------------------------------------------------------------------
 # Measurement runs
 
-STUCK_BIN = "<stuck:zero-norm>"
+def _stuck_bin(reason):
+    """The outcome bin of the runs stuck for a reason."""
+    return f"<stuck:{reason}>"
+
+
+STUCK_BIN = _stuck_bin("zero-norm")
 FUEL_BIN = "<fuel-exhausted>"
 
 
@@ -201,8 +219,8 @@ def run_measure(t: Term, shots: int, seed: int,
                 fuel: int = 10 ** 6) -> Histogram:
     """Normalize t repeatedly with independent seeded streams.
 
-    Outcomes are binned by alpha-equivalence of the normal form; zero-norm
-    stuck runs land in their own bin.  Exact weights are attached when the
+    Outcomes are binned by alpha-equivalence of the normal form; stuck
+    runs land in a bin per reason.  Exact weights are attached when the
     outcome distribution is small enough to enumerate.  The steps before
     the first measurement draw nothing, so they are taken once and every
     shot starts after them.
@@ -216,7 +234,7 @@ def run_measure(t: Term, shots: int, seed: int,
         if tr.outcome.kind == "normal-form":
             key = tr.final
         elif tr.outcome.kind == "stuck":
-            key = STUCK_BIN
+            key = _stuck_bin(tr.outcome.reason)
         else:
             key = FUEL_BIN
         counts[key] = counts.get(key, 0) + 1
@@ -239,21 +257,21 @@ def _walk(t: Term, steps: int, fuel: int):
     bin None when the term stops at a measurement step.
     """
     cur = Cursor(t, RULES_QUANTUM)
-    while True:
-        try:
+    try:
+        while True:
             step = cur.next_step()
-        except ZeroNormStuck:
-            return cur.term(), steps, STUCK_BIN
-        if step is None:
-            t = cur.term()
-            return t, steps, t
-        if steps >= fuel:
-            return cur.term(), steps, FUEL_BIN
-        _, alternatives = step
-        if alternatives[0][0].group == ND_PAIR:
-            return cur.term(), steps, None
-        cur.contract(alternatives[0][0].build)
-        steps += 1
+            if step is None:
+                t = cur.term()
+                return t, steps, t
+            if steps >= fuel:
+                return cur.term(), steps, FUEL_BIN
+            _, alternatives = step
+            if alternatives[0][0].group == ND_PAIR:
+                return cur.term(), steps, None
+            cur.contract(alternatives[0][0].build)
+            steps += 1
+    except Stuck as e:
+        return cur.term(), steps, _stuck_bin(e.reason)
 
 
 def _exact_distribution(t: Term, steps: int, fuel: int,

@@ -150,8 +150,14 @@ class NoMatchError(Exception):
     pass
 
 
-class ZeroNormStuck(Exception):
+class Stuck(Exception):
+    """A redex that cannot be contracted; `reason` names the outcome."""
+    reason = "stuck"
+
+
+class ZeroNormStuck(Stuck):
     """Both branch weights of a measurement step are zero."""
+    reason = "zero-norm"
 
 
 # ---------------------------------------------------------------------------
@@ -488,26 +494,27 @@ def normalize(t: Term, ruleset: RuleSet, fuel: int = 10 ** 6,
     """Repeatedly contract the leftmost-outermost redex.
 
     Deterministic given the rng seed; the outcome encodes normal forms,
-    fuel exhaustion, and zero-norm stuck measurements.
+    fuel exhaustion, and stuck redexes (a zero-norm measurement, a scalar
+    overflow), left in the term.
     """
     trace = ReductionTrace(initial=t)
     cur = Cursor(t, ruleset)
-    while True:
-        try:
+    try:
+        while True:
             step = cur.next_step()
-        except ZeroNormStuck:
-            trace.outcome = StuckOutcome(cur.term(), "zero-norm")
-            return trace
-        if step is None:
-            trace.outcome = NormalFormOutcome(cur.term())
-            return trace
-        if len(trace.steps) >= fuel:
-            trace.outcome = FuelExhaustedOutcome(cur.term())
-            return trace
-        pos, alternatives = step
-        rule, weight = _draw(alternatives, rng)
-        cur.contract(rule.build)
-        trace.steps.append(Step(rule.rid, pos, weight))
+            if step is None:
+                trace.outcome = NormalFormOutcome(cur.term())
+                return trace
+            if len(trace.steps) >= fuel:
+                trace.outcome = FuelExhaustedOutcome(cur.term())
+                return trace
+            pos, alternatives = step
+            rule, weight = _draw(alternatives, rng)
+            cur.contract(rule.build)
+            trace.steps.append(Step(rule.rid, pos, weight))
+    except Stuck as e:
+        trace.outcome = StuckOutcome(cur.term(), e.reason)
+        return trace
 
 
 def join_peak(t: Term, ruleset: RuleSet, fuel: int = 10 ** 6) -> bool:

@@ -530,7 +530,13 @@ def alpha_eq(t: Term, u: Term) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Reader
+#
+# One pass of a regular expression cuts the text into (kind, text, offset)
+# tuples, and one loop over an explicit stack of frames reads a term from
+# them, so neither the token count nor the nesting depth costs Python
+# stack.  Line and column are worked out from the offset only when an
+# error is raised.
 
 _TOKEN_RE = re.compile(
     r"""
@@ -540,11 +546,16 @@ _TOKEN_RE = re.compile(
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<conn>""" + "|".join(map(re.escape, _CONNECTIVES)) + r""")
     | (?P<punct>[()\[\],.:])
+    | (?P<other>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 _RESERVED = {"star", "lam", *_FORMS, *_PROP_WORDS}
+
+# The parser looks at most this many tokens past the one it stands on, and
+# it never moves past the first end-of-input token.
+_LOOKAHEAD = 2
 
 
 class ParseError(Exception):
@@ -555,72 +566,109 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str
-    text: str
-    line: int
-    col: int
+def _position(text: str, offset: int):
+    """The line and the column, both counted from 1, of a text offset."""
+    return (text.count("\n", 0, offset) + 1,
+            offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str):
+def _tokenize(text: str) -> list:
+    """The (kind, text, offset) of every token, then end-of-input tokens
+    enough for any lookahead."""
     toks = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    append = toks.append
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        lexeme = m.group()
-        if kind not in ("ws", "comment"):
-            toks.append(_Tok(kind, lexeme, line, col))
-        nl = lexeme.count("\n")
-        if nl:
-            line += nl
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    toks.append(_Tok("eof", "", line, col))
+        if kind == "ws" or kind == "comment":
+            continue
+        if kind == "other":
+            raise ParseError(f"unexpected character {m.group()!r}",
+                             *_position(text, m.start()))
+        append((kind, m.group(), m.start()))
+    toks += [("eof", "", len(text))] * (1 + _LOOKAHEAD)
     return toks
+
+
+# Frames of the term reader's stack.  The bottom frame is None.
+
+_PAREN = "("  # a parenthesized term
+
+
+class _Lam:
+    """A lambda whose body is being read."""
+    __slots__ = ("ann", "name", "outer")
+
+    def __init__(self, ann):
+        self.ann = ann
+
+
+class _Spine:
+    """An application whose next argument is being read."""
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+
+class _Call:
+    """A call form reading its slots in _shape order.
+
+    `forms` are the classes its keyword can still name and `node` the one
+    it names once that is settled; `args` are the slots read so far and
+    `sep` the punctuation before the next.  While an ABS slot's body is
+    read, `name` is its binder.
+    """
+    __slots__ = ("tok", "forms", "node", "args", "sep", "name", "outer")
+
+    def __init__(self, tok, forms):
+        self.tok = tok
+        self.forms = forms
+        self.node = None
+        self.args = []
+        self.sep = "("
+        self.name = None
 
 
 class _Parser:
     def __init__(self, text: str, calculus: str):
         if calculus not in CALCULI:
             raise ValueError(f"unknown calculus {calculus!r}")
+        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
         self.calculus = calculus
-        # the names of the enclosing binders, innermost last
-        self.bound: list[str] = []
+        # the binders around the reader: how many, and for each name the
+        # count at its innermost one
+        self.depth = 0
+        self.scope: dict[str, int] = {}
 
-    def peek(self, ahead=0) -> _Tok:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+    def error(self, message, tok):
+        raise ParseError(message, *_position(self.text, tok[2]))
 
-    def next(self) -> _Tok:
-        t = self.toks[self.i]
-        if t.kind != "eof":
-            self.i += 1
-        return t
+    def take(self, kind) -> tuple:
+        tok = self.toks[self.i]
+        if tok[0] != kind:
+            self.error(f"expected {kind!r}, found {tok[1]!r}", tok)
+        self.i += 1
+        return tok
 
-    def error(self, message, tok=None):
-        tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def expect(self, text):
+        tok = self.toks[self.i]
+        if tok[1] != text:
+            self.error(f"expected {text!r}, found {tok[1]!r}", tok)
+        self.i += 1
 
-    def expect(self, kind, text=None) -> _Tok:
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
-            want = text if text is not None else kind
-            self.error(f"expected {want!r}, found {t.text!r}")
-        return self.next()
+    def end(self, made):
+        tok = self.toks[self.i]
+        if tok[0] != "eof":
+            self.error(f"trailing input starting at {tok[1]!r}", tok)
+        return made
 
     def gate(self, node_type, tok):
         if node_type not in _TERM_ALLOWED[self.calculus]:
             raise CalculusError(
                 f"constructor {node_type.__name__} not in "
-                f"{self.calculus} calculus", tok.line, tok.col)
+                f"{self.calculus} calculus", *_position(self.text, tok[2]))
 
     # -- propositions --
 
@@ -629,190 +677,254 @@ class _Parser:
         if level == _ATOM_LEVEL:
             return self.prop_atom()
         left = self.prop(level + 1)
-        t = self.peek()
-        node = _CONNECTIVES.get(t.text)
+        tok = self.toks[self.i]
+        node = _CONNECTIVES.get(tok[1])
         if node is None or node._level != level:
             return left
-        self.next()
+        self.i += 1
         made = node(left, self.prop(level))
-        self.gate_prop(made, t)
+        self.gate_prop(made, tok)
         return made
 
     def prop_atom(self) -> Proposition:
-        t = self.peek()
-        if t.kind == "punct" and t.text == "(":
-            self.next()
+        tok = self.toks[self.i]
+        kind, text, _ = tok
+        if text == "(":
+            self.i += 1
             p = self.prop()
-            self.expect("punct", ")")
+            self.expect(")")
             return p
-        if t.kind != "ident":
-            self.error(f"expected a proposition, found {t.text!r}", t)
-        self.next()
-        if t.text in _PROP_WORDS:
-            made = _PROP_WORDS[t.text]()
-        elif t.text in _RESERVED:
-            self.error(f"reserved word {t.text!r} is not a proposition", t)
+        if kind != "ident":
+            self.error(f"expected a proposition, found {text!r}", tok)
+        self.i += 1
+        if text in _PROP_WORDS:
+            made = _PROP_WORDS[text]()
+        elif text in _RESERVED:
+            self.error(f"reserved word {text!r} is not a proposition", tok)
         else:
-            made = Atom(t.text)
-        self.gate_prop(made, t)
+            made = Atom(text)
+        self.gate_prop(made, tok)
         return made
 
     def gate_prop(self, p, tok):
         if not isinstance(p, _PROP_ALLOWED[self.calculus]):
             raise CalculusError(
                 f"connective {type(p).__name__} not in {self.calculus} "
-                "propositions", tok.line, tok.col)
+                "propositions", *_position(self.text, tok[2]))
+
+    def bracketed(self) -> Proposition:
+        self.expect("[")
+        p = self.prop()
+        self.expect("]")
+        return p
 
     # -- scalars --
 
     def number(self) -> float:
-        tok = self.expect("number")
-        value = float(tok.text)
+        tok = self.take("number")
+        value = float(tok[1])
         if not math.isfinite(value):
-            self.error(f"scalar {tok.text} is not finite", tok)
+            self.error(f"scalar {tok[1]} is not finite", tok)
         return value
 
     def scalar(self) -> complex:
-        t = self.peek()
-        if t.kind == "number":
+        tok = self.toks[self.i]
+        if tok[0] == "number":
             return complex(self.number(), 0.0)
-        if t.kind == "punct" and t.text == "(":
-            self.next()
+        if tok[1] == "(":
+            self.i += 1
             re_part = self.number()
-            self.expect("punct", ",")
+            self.expect(",")
             im_part = self.number()
-            self.expect("punct", ")")
+            self.expect(")")
             return complex(re_part, im_part)
-        self.error(f"expected a scalar, found {t.text!r}", t)
+        self.error(f"expected a scalar, found {tok[1]!r}", tok)
+
+    def scalar_star(self, tok) -> Term:
+        value = self.scalar()
+        self.expect(".")
+        self.expect("star")
+        self.gate(ScalarStar, tok)
+        return ScalarStar(value)
+
+    # -- binders --
+
+    def binder_name(self) -> str:
+        tok = self.take("ident")
+        if tok[1] in _RESERVED:
+            self.error(f"reserved word {tok[1]!r} cannot bind", tok)
+        return tok[1]
+
+    def at_binder_arg(self) -> bool:
+        tok = self.toks[self.i]
+        return (tok[0] == "ident" and tok[1] not in _RESERVED
+                and self.toks[self.i + 1][1] == ".")
+
+    def enter(self, frame, name):
+        """'.' and then name bound over the term read next; the frame
+        keeps the name and the scope entry it shadows, for `leave`."""
+        self.expect(".")
+        frame.name = name
+        frame.outer = self.scope.get(name)
+        self.depth += 1
+        self.scope[name] = self.depth
+
+    def leave(self, frame):
+        self.depth -= 1
+        if frame.outer is None:
+            del self.scope[frame.name]
+        else:
+            self.scope[frame.name] = frame.outer
 
     # -- terms --
 
     def term(self) -> Term:
-        t = self.peek()
-        if t.kind == "ident" and t.text == "lam":
-            self.next()
-            self.gate(Lam, t)
-            name = self.binder_name()
-            ann = None
-            if self.peek().kind == "punct" and self.peek().text == ":":
-                self.next()
-                ann = self.prop()
-            return Lam(ann, self.scope(name))
-        return self.appterm()
+        """A term, read on an explicit stack of frames.
 
-    def appterm(self) -> Term:
-        t = self.atom()
-        while self.starts_atom(self.peek()):
-            arg = self.atom()
-            t = App(t, arg)
-        return t
+        A construct whose reading is under way has a frame: a lambda, a
+        parenthesis, a call form or an application spine.  The loop reads
+        an atom at a time.  An atom that opens a parenthesis or a call
+        form pushes its frame, and a term starts inside it.  A finished
+        atom extends the spine on top or heads a new term; a finished
+        term closes the lambdas it ends and goes to the frame below.
+        """
+        toks = self.toks
+        stack = [None]
+        start = True  # a term starts here, so a lambda may
+        while True:
+            tok = toks[self.i]
+            if start and tok[1] == "lam":
+                stack.append(self.lam(tok))
+                continue
+            made = self.atom(tok, stack)
+            if made is None:
+                start = True
+                continue
+            while True:
+                # made is an atom: an argument of the spine on top, or the
+                # head of a term
+                top = stack[-1]
+                spine = type(top) is _Spine
+                if spine:
+                    top.fn = App(top.fn, made)
+                kind, text, _ = toks[self.i]
+                if kind == "ident" or kind == "number" or text == "(":
+                    if not spine:
+                        stack.append(_Spine(made))
+                    start = False
+                    break
+                if spine:
+                    stack.pop()
+                    made = top.fn
+                # made is a term
+                top = stack[-1]
+                while type(top) is _Lam:
+                    stack.pop()
+                    self.leave(top)
+                    made = Lam(top.ann, Abs(top.name, made))
+                    top = stack[-1]
+                if top is None:
+                    return made
+                if top is _PAREN:
+                    self.expect(")")
+                    stack.pop()
+                    continue
+                if top.name is not None:
+                    self.leave(top)
+                    made = Abs(top.name, made)
+                    top.name = None
+                top.args.append(made)
+                made = self.slots(top)
+                if made is None:
+                    start = True
+                    break
+                stack.pop()
 
-    def starts_atom(self, tok: _Tok) -> bool:
-        if tok.kind in ("ident", "number"):
-            return True
-        return tok.kind == "punct" and tok.text == "("
+    def lam(self, tok) -> _Lam:
+        """'lam x:P.' or 'lam x.', as the frame of the lambda's body."""
+        self.i += 1
+        self.gate(Lam, tok)
+        name = self.binder_name()
+        ann = None
+        if self.toks[self.i][1] == ":":
+            self.i += 1
+            ann = self.prop()
+        frame = _Lam(ann)
+        self.enter(frame, name)
+        return frame
 
-    def binder_name(self) -> str:
-        name_tok = self.expect("ident")
-        if name_tok.text in _RESERVED:
-            self.error(f"reserved word {name_tok.text!r} cannot bind", name_tok)
-        return name_tok.text
-
-    def scope(self, name) -> Abs:
-        """'. body' with name bound in the body."""
-        self.expect("punct", ".")
-        self.bound.append(name)
-        body = self.term()
-        self.bound.pop()
-        return Abs(name, body)
-
-    def at_binder_arg(self) -> bool:
-        return (self.peek().kind == "ident"
-                and self.peek().text not in _RESERVED
-                and self.peek(1).kind == "punct" and self.peek(1).text == ".")
-
-    def scalar_star(self, tok) -> Term:
-        value = self.scalar()
-        self.expect("punct", ".")
-        self.expect("ident", "star")
-        self.gate(ScalarStar, tok)
-        return ScalarStar(value)
-
-    def atom(self) -> Term:
-        t = self.peek()
-        if t.kind == "number":
-            return self.scalar_star(t)
-        if t.kind == "punct" and t.text == "(":
+    def atom(self, tok, stack):
+        """The atom at tok; or None when it opens a parenthesis or a call
+        form, whose frame is pushed."""
+        kind, text, _ = tok
+        if kind == "ident":
+            if text not in _RESERVED:
+                self.i += 1
+                level = self.scope.get(text)
+                return Var(text) if level is None else Bound(self.depth - level)
+            if text == "star":
+                self.i += 1
+                self.gate(Star, tok)
+                return Star()
+            if text == "lam":
+                self.error("a lambda must be parenthesized here", tok)
+            self.i += 1
+            forms = _FORMS.get(text)
+            if forms is None:  # a proposition constant
+                self.expect("(")
+                self.error(f"unknown form {text!r}", tok)
+            call = _Call(tok, forms)
+            stack.append(call)
+            made = self.slots(call)
+            if made is not None:
+                stack.pop()
+            return made
+        if kind == "number":
+            return self.scalar_star(tok)
+        if text == "(":
             # "(re, im) . star" starts like a parenthesized term; a number
             # followed by a comma settles it.
-            if self.peek(1).kind == "number" and self.peek(2).kind == "punct" \
-                    and self.peek(2).text == ",":
-                return self.scalar_star(t)
-            self.next()
-            inner = self.term()
-            self.expect("punct", ")")
-            return inner
-        if t.kind != "ident":
-            self.error(f"expected a term, found {t.text!r}", t)
-        word = t.text
-        if word == "star":
-            self.next()
-            self.gate(Star, t)
-            return Star()
-        if word == "lam":
-            self.error("a lambda must be parenthesized here", t)
-        self.next()
-        if word in _FORMS:
-            return self.callform(t)
-        if word in _RESERVED:  # a proposition constant
-            self.expect("punct", "(")
-            self.error(f"unknown form {word!r}", t)
-        # the innermost binder wins; k binders lie between it and here
-        for k, name in enumerate(reversed(self.bound)):
-            if name == word:
-                return Bound(k)
-        return Var(word)
+            i = self.i
+            if self.toks[i + 1][0] == "number" and self.toks[i + 2][1] == ",":
+                return self.scalar_star(tok)
+            self.i = i + 1
+            stack.append(_PAREN)
+            return None
+        self.error(f"expected a term, found {text!r}", tok)
 
-    def callform(self, tok: _Tok) -> Term:
-        """Read the slots of the keyword's constructor in _shape order.
+    def slots(self, call: _Call):
+        """Read the call form's slots up to its next TERM or ABS slot and
+        return None, the term to read next; or, once its ')' is read, the
+        finished node.
 
         A PROP slot comes as [P] before the parenthesis.  The calculus gate
         runs when the constructor is known, just before its slot is read:
         the first one, or for inlr the second, where a binder argument
         tells the binder form from the plain one.
         """
-        forms = _FORMS[tok.text]
-        node = None
-        args = []
-        sep = "("
+        forms, node, args = call.forms, call.node, call.args
         while node is None or len(args) < len(node._shape):
             i = len(args)
             kind = forms[0]._shape[i][1]
             if kind != PROP:
-                self.expect("punct", sep)
-                sep = ","
+                self.expect(call.sep)
+                call.sep = ","
             if node is None:
                 if any(f._shape[i][1] != kind for f in forms):
                     kind = ABS if self.at_binder_arg() else TERM
-                    forms = [f for f in forms if f._shape[i][1] == kind]
+                    forms = call.forms = [f for f in forms
+                                          if f._shape[i][1] == kind]
                 if len(forms) == 1:
-                    node = forms[0]
-                    self.gate(node, tok)
-            args.append(self.slot(kind))
-        self.expect("punct", ")")
+                    node = call.node = forms[0]
+                    self.gate(node, call.tok)
+            if kind == TERM:
+                return None
+            if kind == ABS:
+                self.enter(call, self.binder_name())
+                return None
+            args.append(self.scalar() if kind == SCALAR else self.bracketed())
+        self.expect(")")
         return node(*args)
-
-    def slot(self, kind):
-        if kind == TERM:
-            return self.term()
-        if kind == ABS:
-            return self.scope(self.binder_name())
-        if kind == SCALAR:
-            return self.scalar()
-        self.expect("punct", "[")
-        p = self.prop()
-        self.expect("punct", "]")
-        return p
 
 
 def parse_term(text: str, calculus: str) -> Term:
@@ -822,20 +934,12 @@ def parse_term(text: str, calculus: str) -> Term:
     constructor or connective does not belong to the calculus.
     """
     p = _Parser(text, calculus)
-    t = p.term()
-    tok = p.peek()
-    if tok.kind != "eof":
-        p.error(f"trailing input starting at {tok.text!r}", tok)
-    return t
+    return p.end(p.term())
 
 
 def parse_prop(text: str, calculus: str) -> Proposition:
     p = _Parser(text, calculus)
-    made = p.prop()
-    tok = p.peek()
-    if tok.kind != "eof":
-        p.error(f"trailing input starting at {tok.text!r}", tok)
-    return made
+    return p.end(p.prop())
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,13 @@ change and review the diff.
 
 import io
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import inlr_kit
 from inlr_kit.cli import main
 
 HERE = os.path.dirname(__file__)
@@ -122,6 +125,12 @@ CASES = [
     ("compile_matrix_not_finite",
      ["compile-matrix", g("matrix_nan.json"), "--from", "One", "--to", "One"],
      1),
+    ("norm_prod_overflow",
+     ["norm", g("t_prod_overflow.inlr"), "--calculus", "quantum"], 2),
+    ("norm_sum_overflow",
+     ["norm", g("t_sum_overflow.inlr"), "--calculus", "quantum"], 2),
+    ("measure_overflow",
+     ["measure", g("t_sum_overflow.inlr"), "--shots", "10"], 2),
 ]
 
 
@@ -153,6 +162,34 @@ def test_non_finite_scalar_is_one_error_line(name, argv):
         run_cli(argv)
     [line] = err.getvalue().splitlines()
     assert line.startswith("error: ") and "is not finite" in line
+
+
+@pytest.mark.parametrize("name,argv", [c[:2] for c in CASES
+                                       if c[0].startswith("norm_")
+                                       and c[0].endswith("_overflow")])
+def test_scalar_overflow_is_one_stuck_line(name, argv):
+    err = io.StringIO()
+    with redirect_stderr(err):
+        run_cli(argv)
+    assert err.getvalue() == "stuck: scalar-overflow\n"
+
+
+def test_deep_input_normalizes_without_traceback(tmp_path):
+    # nesting costs the reader no Python stack: a fresh interpreter runs
+    # `inlr norm` on an 8000-deep chain of injections
+    depth = 8000
+    path = tmp_path / "deep.inlr"
+    path.write_text("inl(" * depth + "top_elim(star, star)" + ")" * depth)
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(inlr_kit.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run(
+        [sys.executable, "-m", "inlr_kit.cli", "norm", str(path),
+         "--calculus", "iplus"], capture_output=True, text=True, env=env)
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 0
+    assert done.stdout == "inl(" * depth + "star" + ")" * depth + "\n"
 
 
 def test_at_least_twenty_cases():

@@ -3,9 +3,9 @@ import pytest
 from inlr_kit import gen
 from inlr_kit.qencode import NotIrreducible, NotVectorProp, norm_sq
 from inlr_kit.quantum import (RULES_QUANTUM, RULES_QUANTUM_DET, Histogram,
-                              check_lex_decrease, is_introduction,
-                              measure_mu, measure_nu, mu_subst_additivity,
-                              run_measure, STUCK_BIN)
+                              ScalarOverflowStuck, check_lex_decrease,
+                              is_introduction, measure_mu, measure_nu,
+                              mu_subst_additivity, run_measure, STUCK_BIN)
 from inlr_kit.rewrite import (NoMatchError, RuleId, find_redexes, normalize,
                               step_at)
 from inlr_kit.rng import derive_rng
@@ -170,6 +170,37 @@ def test_measure_zero_norm_is_a_distinct_bin():
     assert len(hist.bins) == 1
     assert hist.bins[0]["term"] == STUCK_BIN
     assert hist.bins[0]["count"] == 50
+
+
+@pytest.mark.parametrize("text,number", [
+    ("prod(1e200, 1e200 . star)", 39),
+    ("prod((1e200, 1e200), (1e200, -1e200) . star)", 39),
+    ("sum(1.7e308 . star, 1.7e308 . star)", 28),
+])
+def test_scalar_overflow_is_stuck(text, number):
+    # a scalar commutation whose value is not finite leaves its redex in
+    # place instead of building an infinite scalar
+    t = q(text)
+    with pytest.raises(ScalarOverflowStuck):
+        step_at(t, (), RuleId("quantum", number))
+    for rules in (RULES_QUANTUM, RULES_QUANTUM_DET):
+        tr = normalize(t, rules)
+        assert (tr.outcome.kind, tr.outcome.reason) \
+            == ("stuck", "scalar-overflow")
+        assert tr.final == t and tr.steps == []
+
+
+def test_scalar_overflow_after_steps():
+    # the term at the stuck step is kept, with the steps before it
+    tr = normalize(q("lam x:One. one_elim(x, sum(prod(1.0, 1.7e308 . star), "
+                     "1.7e308 . star))"), RULES_QUANTUM)
+    assert tr.outcome.reason == "scalar-overflow"
+    assert [str(s.rule) for s in tr.steps] == ["quantum:39"]
+    assert tr.final == q("lam x:One. one_elim(x, sum(1.7e308 . star, "
+                         "1.7e308 . star))")
+    hist = run_measure(q("sum(1.7e308 . star, 1.7e308 . star)"), shots=10,
+                       seed=1)
+    assert [b["term"] for b in hist.bins] == ["<stuck:scalar-overflow>"]
 
 
 def test_measure_is_seed_deterministic():

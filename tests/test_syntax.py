@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 
 from inlr_kit import gen
 from inlr_kit.rng import derive_rng
-from inlr_kit.syntax import (ABS, CALCULI, Abs, App, Bound, CalculusError,
-                             Lam, Pair, ParseError, Star, Var, alpha_eq,
-                             close_term, free_names, fresh_name, instantiate,
-                             open_abs, pair_subst, parse_prop, parse_term,
-                             print_prop, print_term, subst, term_size)
+from inlr_kit.syntax import (ABS, CALCULI, _CONNECTIVES, _RESERVED, Abs, App,
+                             Bound, CalculusError, Inl, Lam, Pair, ParseError,
+                             Star, TopElim, Var, alpha_eq, close_term,
+                             free_names, fresh_name, instantiate, open_abs,
+                             pair_subst, parse_prop, parse_term, print_prop,
+                             print_term, subst, term_size)
 
 
 def ip(s):
@@ -85,6 +86,63 @@ def test_roundtrip_random_terms(calculus):
         u = parse_term(text, calculus)
         assert alpha_eq(u, t), text
         assert print_term(u) == text
+
+
+def test_deep_nesting_parses():
+    # the reader keeps its own stack: depth costs it no Python stack
+    depth = 10 ** 5
+    t = parse_term("inl(" * depth + "top_elim(star, star)" + ")" * depth,
+                   "iplus")
+    for _ in range(depth):
+        assert isinstance(t, Inl)
+        t = t.body
+    assert t == TopElim(Star(), Star())
+
+
+# Text over the token alphabet, with stray characters between the tokens.
+_PIECES = sorted(_RESERVED) + sorted(_CONNECTIVES) + list("()[],.:") + [
+    "x", "y", "f", "A", "B", "1.0", "-2", "1e999", "0.5e-3", " ", "\n",
+    "\t", "-- c\n", "--", "$", "\u03bb", "-", "+", "/", "\\", "'"]
+
+
+def _outcome_is_sound(text, parse, reprint):
+    """A position inside the text or at its end, or a fixed-point reprint."""
+    try:
+        made = parse(text)
+    except (ParseError, CalculusError) as e:
+        lines = text.split("\n")
+        assert 1 <= e.line <= len(lines), (text, e)
+        assert 1 <= e.col <= len(lines[e.line - 1]) + 1, (text, e)
+        return
+    printed = reprint(made)
+    assert reprint(parse(printed)) == printed, text
+
+
+@st.composite
+def _edited_terms(draw):
+    """The text of a generated term with a few spans replaced by pieces."""
+    calculus = draw(st.sampled_from(CALCULI))
+    rng = derive_rng(draw(st.integers(0, 10 ** 6)), 103)
+    _ctx, t, _goal = gen.random_term_in_context(calculus, rng)
+    text = print_term(t)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 3)))
+        text = text[:i] + draw(st.sampled_from(_PIECES)) + text[j:]
+    return text
+
+
+@given(st.one_of(
+    st.lists(st.sampled_from(_PIECES), max_size=40).map("".join),
+    st.lists(st.sampled_from(_PIECES), max_size=40).map(" ".join),
+    _edited_terms()))
+@settings(max_examples=400, deadline=None)
+def test_reader_fuzz(text):
+    for calculus in CALCULI:
+        _outcome_is_sound(text, lambda s: parse_term(s, calculus),
+                          print_term)
+        _outcome_is_sound(text, lambda s: parse_prop(s, calculus),
+                          print_prop)
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +318,23 @@ def _outcome(text, calculus):
         return f"{type(e).__name__} {e.line}:{e.col} {e.message}"
 
 
-def _pinned_rows():
+def _pinned_rows(path=_PINNED, decode=str):
     """(input, outcome per calculus); '"' repeats the previous column."""
-    with open(_PINNED, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         for line in fh:
             text, *outs = line.rstrip("\n").split("\t")
             for i in range(1, len(outs)):
                 if outs[i] == '"':
                     outs[i] = outs[i - 1]
-            yield text, outs
+            yield decode(text), outs
+
+
+def _packed_row(text, encode=str):
+    """The row of an input: its outcomes, a repeat of the previous column
+    written '"'."""
+    outs = [_outcome(text, c) for c in CALCULI]
+    return "\t".join([encode(text)] + [
+        o if k == 0 or o != outs[k - 1] else '"' for k, o in enumerate(outs)])
 
 
 def test_parse_errors_are_pinned():
@@ -280,3 +346,81 @@ def test_parse_errors_are_pinned():
     for text, want in rows.items():
         got = [_outcome(text, c) for c in ("iplus", "quantum", "cc")]
         assert got == want, text
+
+
+# Multi-line layouts: positions count lines from 1 at each newline and
+# columns from 1 at each character, a tab or a comment included.  The
+# inputs are stored with their newlines and tabs escaped.
+_POSITIONS = os.path.join(os.path.dirname(__file__), "parse_positions.tsv")
+_LAYOUTS = [
+    "",
+    "-- only a comment",
+    "-- a comment, then a newline\n",
+    "\n\n\t",
+    "-- header\nstar",
+    "-- header\n\n  inl(\n\tstar\n  )",
+    "inl(star -- unclosed\n",
+    "inl(star) -- closed",
+    "inl(star)\n-- a comment before the end",
+    "inl(star)\n\n\n   inr",
+    "pair(\n\tstar,\n\t\tstar\n) extra",
+    "case(inl(star),\n x. ,)",
+    "case(x,\n  y. y,\n  z. lam)",
+    "case(x,\n\n\ty. y,\n\tz.\tz)\n",
+    "and1(u,\n x.\n x) -- done\n",
+    "inlr(u,\n x. x,\n\ty. y)",
+    "inlr(u,\n\tv)",
+    "one_elim(x,\n-- a comment line\n\n  y z w,\n)",
+    "lam x:A =>\n\tB. x",
+    "lam x:One -o\n\tOne. x",
+    "lam x. lam y.\n x\n\t y",
+    "lam x.\n  -- the body\n  x star",
+    "bot_elim[A\n=> B](\n  x)",
+    "bot_elim[A\n=>](x)",
+    "(1.0,\n 2.0) . star",
+    "(1.0,\n x) . star",
+    "prod(2.0,\n\t1e999 . star)",
+    "sum(1.0 . star,\n\t\t2.0 . star) x",
+    "f\r\n  x\r\n",
+    "\t\tstar\t\t",
+    "sum(star,\n\n  star $ star)",
+    "lam x:A.\n  x\n  @",
+    "\n\n\t#",
+    "x\ny\n  \u03bb",
+    "inl(\n  inl(\n -- ( unclosed\n  star)\n",
+    "top_elim(star,\n\tstar)\n\n-- trailing\n-- comments\n",
+    "case_nd(q,\n\ty. one_elim(y, inl(1.0 . star)),\n\tz. z)",
+    "one_elim(x,\n  (0.5,\n   -0.5) . star)",
+    "prod((1.0,\n 2.0),\n\tx) y\n)",
+    "sum(\n  1.0 . star,\n  2.0 .\n  x)",
+    "inlr(1.0 . star, -- left\n  2.0 . star) -- right\n\n",
+]
+
+
+def _escape(text):
+    return text.encode("unicode_escape").decode("ascii")
+
+
+def _unescape(field):
+    return field.encode("ascii").decode("unicode_escape")
+
+
+def test_positions_across_lines_are_pinned():
+    # class, message, line and column (or the printed term) of inputs laid
+    # out over several lines, in the three calculi
+    rows = list(_pinned_rows(_POSITIONS, _unescape))
+    assert [text for text, _ in rows] == _LAYOUTS
+    for text, want in rows:
+        got = [_outcome(text, c) for c in CALCULI]
+        assert got == want, text
+
+
+if __name__ == "__main__":
+    # rewrite parse_errors.tsv and parse_positions.tsv; review the diff
+    # before committing
+    with open(_PINNED, "w", encoding="utf-8") as fh:
+        for text in (w + a for w in _WORDS for a in _ARGS):
+            fh.write(_packed_row(text) + "\n")
+    with open(_POSITIONS, "w", encoding="utf-8") as fh:
+        for text in _LAYOUTS:
+            fh.write(_packed_row(text, _escape) + "\n")
