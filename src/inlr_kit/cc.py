@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .iplus import _beta, _case_inl, _case_inr
-from .rewrite import (ND_CHOICE, Rule, RuleId, RuleSet, find_redexes,
-                      normalize, register_default_ruleset, step_at)
+from .rewrite import (ND_CHOICE, Rule, RuleId, RuleSet, normalize, reducts,
+                      register_default_ruleset, step_at)
 from .syntax import (Abs, AndElim1, AndElim2, App, Bound, BotElim, Case, Conj,
                      Disj, Impl, Inl, Inlr3, Inr, Lam, Pair, Star, Term, Top,
                      TopElim, Var, alpha_eq, close_term, instantiate,
@@ -402,28 +402,25 @@ class ReductionGraph:
 def explore(t: Term, node_budget: int = 500,
             ruleset: RuleSet = RULES_CC) -> ReductionGraph:
     """Breadth-first reduction graph, deduplicated up to alpha."""
-    graph = ReductionGraph()
+    graph = ReductionGraph(terms=[t])
+    terms = graph.terms
     ids = {t: 0}
-    graph.terms.append(t)
-    queue = [0]
-    while queue:
-        i = queue.pop(0)
-        term = graph.terms[i]
-        redexes = find_redexes(term, ruleset)
-        if not redexes:
+    # nodes are numbered in the order they are found, so visiting them
+    # by number is breadth-first
+    for i, term in enumerate(terms):
+        steps = reducts(term, ruleset)
+        if not steps:
             graph.normal_forms.append(i)
             continue
-        for pos, rid in redexes:
-            reduct = step_at(term, pos, rid, ruleset=ruleset)
+        for _pos, rid, reduct in steps:
             j = ids.get(reduct)
             if j is None:
-                if len(graph.terms) >= node_budget:
+                if len(terms) >= node_budget:
                     graph.budget_hit = True
                     continue
-                j = len(graph.terms)
+                j = len(terms)
                 ids[reduct] = j
-                graph.terms.append(reduct)
-                queue.append(j)
+                terms.append(reduct)
             graph.edges.append((i, j, str(rid)))
     return graph
 

@@ -281,14 +281,6 @@ def _draw(alternatives, rng):
 # ---------------------------------------------------------------------------
 # The cursor
 
-def _mark_normal(obj, key):
-    cache = getattr(obj, "_nf", None)
-    if cache is None:
-        object.__setattr__(obj, "_nf", {key})
-    else:
-        cache.add(key)
-
-
 class Cursor:
     """A focus in a nameless term and the frames on the path above it.
 
@@ -296,7 +288,8 @@ class Cursor:
     children[i] of node; dirty says children have been replaced, so node is
     rebuilt, once, when the walk leaves it; clean says no redex has been
     recorded at or below node.  A node the walk leaves clean is marked
-    redex-free for the table, and later walks skip it.
+    redex-free for the table (`Term._mark_normal`), and later walks skip
+    it.
     """
 
     __slots__ = ("rs", "focus", "stack")
@@ -345,27 +338,28 @@ class Cursor:
             t = kids[i]
         self.focus = t
 
-    def seek(self, out=None):
+    def seek(self, visit=None):
         """Move the focus to the first redex at or after it in preorder.
 
         Returns the rules matching there, or None with the focus on the
-        root when no redex is left.  With `out`, every redex is appended
-        to it as (position, rules) and the walk goes on into its children.
+        root when no redex is left.  With `visit`, it is called with the
+        rules matching at every redex, the focus on the redex, and the
+        walk goes on into its children.
         """
         key = self.rs.name
         matching = self.rs._matching
         stack = self.stack
         t = self.focus
         while True:
-            nf = getattr(t, "_nf", None)
+            nf = t._nf
             if nf is None or key not in nf:
                 kids = subterms(t)
                 here = matching(t, kids)
                 if here:
-                    if out is None:
-                        self.focus = t
+                    self.focus = t
+                    if visit is None:
                         return here
-                    out.append((self.pos(), here))
+                    visit(here)
                     if stack:
                         stack[-1][4] = False
                 if kids:
@@ -373,7 +367,7 @@ class Cursor:
                     t = kids[0]
                     continue
                 if not here:
-                    _mark_normal(t, key)
+                    t._mark_normal(key)
             # everything up to t is done: go right, else up
             while stack:
                 frame = stack[-1]
@@ -385,7 +379,7 @@ class Cursor:
                     break
                 t = self._pop()
                 if frame[4]:
-                    _mark_normal(t, key)
+                    t._mark_normal(key)
                 elif stack:
                     stack[-1][4] = False
             else:
@@ -403,6 +397,15 @@ class Cursor:
         if here is None:
             return None
         return self.pos(), _alternatives(self.focus, here)
+
+    def plug(self, u: Term) -> Term:
+        """The whole term with u in place of the focus; the cursor stays."""
+        for node, i, kids, _, _ in reversed(self.stack):
+            old = kids[i]
+            kids[i] = u
+            u = replace_children(node, kids)
+            kids[i] = old
+        return u
 
     def replace(self, build):
         """Replace the focus by `build` of it.
@@ -448,9 +451,33 @@ class Cursor:
 
 def find_redexes(t: Term, ruleset: RuleSet):
     """All (position, rule id) pairs, leftmost-outermost, all alternatives."""
+    cur = Cursor(t, ruleset)
     out = []
-    Cursor(t, ruleset).seek(out)
-    return [(pos, r.rid) for pos, here in out for r in here]
+    cur.seek(lambda here: out.extend((cur.pos(), r.rid) for r in here))
+    return out
+
+
+def reducts(t: Term, ruleset: RuleSet):
+    """Every one-step reduct of t, from one walk.
+
+    The (position, rule id, reduct) triples come in `find_redexes` order,
+    each reduct the one `step_at` gives, and raise what it raises: every
+    matching rule is built on the redex where the walk stands, and the
+    path above is rebuilt from the walk's frames.
+    """
+    cur = Cursor(t, ruleset)
+    out = []
+
+    def visit(here):
+        redex = cur.focus
+        pos = cur.pos()
+        for r in here:
+            if r.group == ND_PAIR:
+                _alternatives(redex, here)  # a zero-norm pair is stuck
+            out.append((pos, r.rid, cur.plug(r.build(redex))))
+
+    cur.seek(visit)
+    return out
 
 
 def is_normal(t: Term, ruleset: RuleSet) -> bool:
@@ -523,8 +550,7 @@ def join_peak(t: Term, ruleset: RuleSet, fuel: int = 10 ** 6) -> bool:
     Only meaningful on a deterministic ruleset (no nd families).
     """
     nfs = []
-    for pos, rid in find_redexes(t, ruleset):
-        u = step_at(t, pos, rid, ruleset=ruleset)
+    for _pos, _rid, u in reducts(t, ruleset):
         tr = normalize(u, ruleset, fuel=fuel)
         if tr.outcome.kind != "normal-form":
             return False

@@ -26,6 +26,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 
 CALCULI = ("iplus", "quantum", "cc")
 
@@ -151,16 +152,116 @@ _FORMS: dict = {}  # call-form keyword -> its classes, in declaration order
 
 
 class Term:
+    """A proof term: a frozen dataclass per constructor.
+
+    Equality and hashing are defined here once, structurally, and the
+    subclasses generate neither.  Binder hints are left out of both.
+    Both walk with an explicit stack, so depth costs no Python stack.
+
+    Each node also keeps a cache outside its dataclass fields, in its
+    instance dict, so `==`, `repr` and the printer never read it:
+
+    * `_hash`, its structural hash, stored by the first `hash(t)` from
+      the constructor, the non-term fields and the children's stored
+      hashes, and read back after that;
+    * `_nf`, the names of the rule tables under which the node holds no
+      redex, added by the rewrite engine's walks (`_mark_normal`).
+    """
+
     _word = None        # the keyword of a call form: word[P](slot, ...)
     _shape: tuple = ()
     _paths: tuple = ()  # the TERM and ABS entries of _shape
+    _fields: tuple = ()  # (name, kind) of every field, kind None off _shape
+    _hash = None
+    _nf = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._paths = tuple((name, kind) for name, kind in cls._shape
                            if kind in (TERM, ABS))
+        kinds = dict(cls._shape)
+        cls._fields = tuple((name, kinds.get(name)) for name in
+                            cls.__dict__.get("__annotations__", ()))
+        # t._kids(t): the path-children as a tuple, an abstraction's body
+        # for the abstraction; t._key(t): what t's hash is taken of
+        paths = [name if kind == TERM else name + ".body"
+                 for name, kind in cls._paths]
+        if len(paths) > 1:
+            kids = attrgetter(*paths)
+        elif paths:
+            only = attrgetter(*paths)
+            kids = lambda t: (only(t),)  # noqa: E731
+        else:
+            kids = lambda t: ()  # noqa: E731
+        cls._kids = staticmethod(kids)
+        cls._key = staticmethod(attrgetter("__class__", *(
+            name + "._hash" if kind == TERM else
+            name + ".body._hash" if kind == ABS else name
+            for name, kind in cls._fields)))
         if cls._word:
             _FORMS.setdefault(cls._word, []).append(cls)
+
+    def __hash__(self):
+        h = self._hash
+        return _store_hashes(self) if h is None else h
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Term):
+            return NotImplemented
+        stack = [(self, other)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            a, b = pop()
+            if a is b:
+                continue
+            cls = type(a)
+            if cls is not type(b):
+                return False
+            ha, hb = a._hash, b._hash
+            if ha is not None and hb is not None and ha != hb:
+                return False
+            for name, kind in cls._fields:
+                x, y = getattr(a, name), getattr(b, name)
+                if kind == TERM:
+                    push((x, y))
+                elif kind == ABS:
+                    push((x.body, y.body))
+                elif x is not y and x != y:
+                    return False
+        return True
+
+    def _mark_normal(self, table: str):
+        """Record that the node holds no redex of the named rule table."""
+        if self._nf is None:
+            self.__dict__["_nf"] = {table}
+        else:
+            self._nf.add(table)
+
+
+def _store_hashes(t: Term) -> int:
+    """Store the hash of t and of every node below it that has none.
+
+    A post-order walk: a node's hash is taken of its `_key`, which holds
+    its children's stored hashes, once the nodes pushed above its exit
+    mark, its children, are done.  Returns t's hash.
+    """
+    stack = [t]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
+        if type(node) is tuple:  # the exit mark of a node
+            node = node[0]
+            node.__dict__["_hash"] = hash(node._key(node))
+        elif node._hash is None:
+            push((node,))
+            stack += node._kids(node)
+    return t._hash
+
+
+# Term constructors: frozen, with the equality and the hash of Term
+_term = dataclass(frozen=True, eq=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,28 +284,28 @@ class Abs:
         return f"Abs({self.hint!r}, {self.body!r})"
 
 
-@dataclass(frozen=True)
+@_term
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@_term
 class Bound(Term):
     index: int
 
 
-@dataclass(frozen=True)
+@_term
 class Star(Term):
     pass
 
 
-@dataclass(frozen=True)
+@_term
 class ScalarStar(Term):
     value: complex
     _shape = (("value", SCALAR),)
 
 
-@dataclass(frozen=True)
+@_term
 class Sum(Term):
     left: Term
     right: Term
@@ -212,7 +313,7 @@ class Sum(Term):
     _shape = (("left", TERM), ("right", TERM))
 
 
-@dataclass(frozen=True)
+@_term
 class Prod(Term):
     value: complex
     body: Term
@@ -220,7 +321,7 @@ class Prod(Term):
     _shape = (("value", SCALAR), ("body", TERM))
 
 
-@dataclass(frozen=True)
+@_term
 class TopElim(Term):
     scrut: Term
     body: Term
@@ -228,7 +329,7 @@ class TopElim(Term):
     _shape = (("scrut", TERM), ("body", TERM))
 
 
-@dataclass(frozen=True)
+@_term
 class BotElim(Term):
     prop: Proposition
     scrut: Term
@@ -236,21 +337,21 @@ class BotElim(Term):
     _shape = (("prop", PROP), ("scrut", TERM))
 
 
-@dataclass(frozen=True)
+@_term
 class Lam(Term):
     ann: Proposition | None
     abs: Abs
     _shape = (("ann", PROP), ("abs", ABS))
 
 
-@dataclass(frozen=True)
+@_term
 class App(Term):
     fn: Term
     arg: Term
     _shape = (("fn", TERM), ("arg", TERM))
 
 
-@dataclass(frozen=True)
+@_term
 class Pair(Term):
     left: Term
     right: Term
@@ -258,7 +359,7 @@ class Pair(Term):
     _shape = (("left", TERM), ("right", TERM))
 
 
-@dataclass(frozen=True)
+@_term
 class AndElim1(Term):
     scrut: Term
     abs: Abs
@@ -266,7 +367,7 @@ class AndElim1(Term):
     _shape = (("scrut", TERM), ("abs", ABS))
 
 
-@dataclass(frozen=True)
+@_term
 class AndElim2(Term):
     scrut: Term
     abs: Abs
@@ -274,21 +375,21 @@ class AndElim2(Term):
     _shape = (("scrut", TERM), ("abs", ABS))
 
 
-@dataclass(frozen=True)
+@_term
 class Inl(Term):
     body: Term
     _word = "inl"
     _shape = (("body", TERM),)
 
 
-@dataclass(frozen=True)
+@_term
 class Inr(Term):
     body: Term
     _word = "inr"
     _shape = (("body", TERM),)
 
 
-@dataclass(frozen=True)
+@_term
 class Inlr2(Term):
     left: Term
     right: Term
@@ -296,7 +397,7 @@ class Inlr2(Term):
     _shape = (("left", TERM), ("right", TERM))
 
 
-@dataclass(frozen=True)
+@_term
 class Inlr3(Term):
     scrut: Term
     left: Abs
@@ -305,7 +406,7 @@ class Inlr3(Term):
     _shape = (("scrut", TERM), ("left", ABS), ("right", ABS))
 
 
-@dataclass(frozen=True)
+@_term
 class Case(Term):
     scrut: Term
     left: Abs
@@ -314,7 +415,7 @@ class Case(Term):
     _shape = (("scrut", TERM), ("left", ABS), ("right", ABS))
 
 
-@dataclass(frozen=True)
+@_term
 class CaseNd(Term):
     scrut: Term
     left: Abs
@@ -323,7 +424,7 @@ class CaseNd(Term):
     _shape = (("scrut", TERM), ("left", ABS), ("right", ABS))
 
 
-@dataclass(frozen=True)
+@_term
 class OneElim(Term):
     scrut: Term
     body: Term
@@ -353,23 +454,26 @@ def child_slots(t: Term):
 
 def subterms(t: Term):
     """The path-children of t, in child_slots order (an Abs gives its body)."""
-    return [getattr(t, name) if kind == TERM else getattr(t, name).body
-            for name, kind in t._paths]
+    return list(t._kids(t))
 
 
 def replace_children(t: Term, new_children) -> Term:
-    """Rebuild t with its path-children replaced, keeping hints and scalars."""
+    """Rebuild t with its path-children replaced, keeping hints and scalars.
+
+    An abstraction whose body comes back unchanged is kept, not copied.
+    """
     it = iter(new_children)
-    kwargs = {}
-    for name, kind in t._shape:
-        old = getattr(t, name)
+    args = []
+    for name, kind in t._fields:
+        arg = getattr(t, name)
         if kind == TERM:
-            kwargs[name] = next(it)
+            arg = next(it)
         elif kind == ABS:
-            kwargs[name] = Abs(old.hint, next(it))
-        else:
-            kwargs[name] = old
-    return type(t)(**kwargs)
+            body = next(it)
+            if body is not arg.body:
+                arg = Abs(arg.hint, body)
+        args.append(arg)
+    return type(t)(*args)
 
 
 def term_size(t: Term) -> int:

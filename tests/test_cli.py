@@ -174,22 +174,41 @@ def test_scalar_overflow_is_one_stuck_line(name, argv):
     assert err.getvalue() == "stuck: scalar-overflow\n"
 
 
-def test_deep_input_normalizes_without_traceback(tmp_path):
-    # nesting costs the reader no Python stack: a fresh interpreter runs
-    # `inlr norm` on an 8000-deep chain of injections
-    depth = 8000
+def _run_fresh(tmp_path, text, *args):
+    """`inlr norm` on a file holding text, in a fresh interpreter."""
     path = tmp_path / "deep.inlr"
-    path.write_text("inl(" * depth + "top_elim(star, star)" + ")" * depth)
+    path.write_text(text)
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(inlr_kit.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run(
-        [sys.executable, "-m", "inlr_kit.cli", "norm", str(path),
-         "--calculus", "iplus"], capture_output=True, text=True, env=env)
+    return subprocess.run(
+        [sys.executable, "-m", "inlr_kit.cli", "norm", str(path), *args],
+        capture_output=True, text=True, env=env)
+
+
+def test_deep_input_normalizes_without_traceback(tmp_path):
+    # nesting costs the reader no Python stack: a fresh interpreter runs
+    # `inlr norm` on an 8000-deep chain of injections
+    depth = 8000
+    done = _run_fresh(
+        tmp_path, "inl(" * depth + "top_elim(star, star)" + ")" * depth,
+        "--calculus", "iplus")
     assert "Traceback" not in done.stderr
     assert done.returncode == 0
     assert done.stdout == "inl(" * depth + "star" + ")" * depth + "\n"
+
+
+def test_deep_input_enumerates_without_traceback(tmp_path):
+    # rules 1 and 13 give equal reducts, so exploring the chain hashes and
+    # compares two 8000-deep terms
+    depth = 8000
+    done = _run_fresh(
+        tmp_path, "inl(" * depth + "top_elim(star, star)" + ")" * depth,
+        "--calculus", "cc", "--enumerate")
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 0
+    assert "inl(" * depth + "star" + ")" * depth in done.stdout
 
 
 def test_at_least_twenty_cases():

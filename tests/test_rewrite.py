@@ -9,9 +9,11 @@ from inlr_kit import gen, qencode
 from inlr_kit.cc import RULES_CC, RULES_CC_DET, explore, pi_term
 from inlr_kit.iplus import RULES_IPLUS
 from inlr_kit.quantum import RULES_QUANTUM, RULES_QUANTUM_DET
-from inlr_kit.rewrite import (ND_PAIR, Rule, RuleId, RuleSet, ZeroNormStuck,
-                              find_redexes, join_peak, normalize, replay,
-                              step_at, NoMatchError)
+from inlr_kit.quantum import ScalarOverflowStuck
+from inlr_kit.rewrite import (ND_PAIR, Rule, RuleId, RuleSet, Stuck,
+                              ZeroNormStuck, find_redexes, join_peak,
+                              normalize, reducts, replay, step_at,
+                              NoMatchError)
 from inlr_kit.rng import derive_rng
 from inlr_kit.syntax import (Abs, App, Bound, Inl, Lam, One, OPlus, Star,
                              Sum, Var, alpha_eq, child_slots, close_term,
@@ -325,6 +327,73 @@ def test_every_trace_step_is_the_first_redex():
     assert outcomes[-3:] == ["normal-form"] * 3
 
 
+def _reducts_reference(t, rs):
+    """The one-step reducts, each stepped from the root."""
+    return [(pos, rid, step_at(t, pos, rid, ruleset=rs))
+            for pos, rid in find_redexes(t, rs)]
+
+
+def _outcome(run):
+    """repr of what run() returns, or the name of the Stuck it raises."""
+    try:
+        return repr(run())
+    except Stuck as e:
+        return type(e).__name__
+
+
+def test_reducts_match_step_at():
+    # the random terms of every table and every rule instance, plain and
+    # under binders: the same triples, binder hints included, and the same
+    # stuck redexes
+    def terms():
+        for j, (name, rs) in enumerate(_TABLES.items()):
+            for i in range(25):
+                _ctx, t, _goal = gen.random_term_in_context(
+                    rs.calculus, derive_rng(105, j, i),
+                    allow_nd=name == "quantum")
+                yield rs, t
+        for rs, make, numbers in _RULE_INSTANCES:
+            for number in numbers:
+                for i in range(2):
+                    yield rs, make(number, derive_rng(106, number, i))[1]
+
+    checked = 0
+    for rs, t in terms():
+        for _tag, u in _variants(t):
+            fresh = _outcome(lambda: reducts(u, rs))
+            want = _outcome(lambda: _reducts_reference(u, rs))
+            # again, over the marks the walks have left
+            assert fresh == want == _outcome(lambda: reducts(u, rs)), \
+                (rs.name, print_term(u))
+            checked += 1
+    assert checked > 400
+
+
+@pytest.mark.parametrize("rs,text,stuck", [
+    (RULES_QUANTUM, "case_nd(inlr(0.0 . star, 0.0 . star), x. x, y. y)",
+     ZeroNormStuck),
+    (RULES_QUANTUM, "inl(sum(1.0 . star, case_nd(inlr(0.0 . star, "
+                    "0.0 . star), x. x, y. y)))", ZeroNormStuck),
+    (RULES_QUANTUM, "prod(1e200, 1e200 . star)", ScalarOverflowStuck),
+    (RULES_QUANTUM_DET, "inl(sum(1.7e308 . star, 1.7e308 . star))",
+     ScalarOverflowStuck),
+])
+def test_reducts_raise_what_step_at_raises(rs, text, stuck):
+    t = q(text)
+    with pytest.raises(stuck):
+        _reducts_reference(t, rs)
+    with pytest.raises(stuck):
+        reducts(t, rs)
+
+
+def test_reducts_share_what_is_off_the_path():
+    t = ip("case(top_elim(star, z), a. a, b. lam x:A. b)")
+    [(pos, rid, u)] = reducts(t, RULES_IPLUS)
+    assert (pos, rid) == ((0,), RuleId("iplus", 1))
+    assert u.scrut == Var("z")
+    assert u.left is t.left and u.right is t.right
+
+
 def _bind_names(t, names):
     """t under one lambda per name, the first name outermost."""
     for name in reversed(names):
@@ -491,6 +560,13 @@ def _reduction_corpus():
         for tag, u in _variants(t):
             yield "cc", f"explore-{number}{tag}", \
                 lambda u=u: explore(u, node_budget=60).to_dot()
+    # random terms at the cc-explore benchmark's size and budget, graphs
+    # that hit the budget and graphs that do not
+    for i in range(40):
+        _ctx, t, _goal = gen.random_term_in_context(
+            "cc", derive_rng(104, i), max_size=30)
+        yield "cc", f"explore-gen-{i}", \
+            lambda t=t: explore(t, node_budget=100).to_dot()
     t1 = App(Var("x1"), Var("x2"))
     t2 = App(Var("x2"), Var("x1"))
     for number in (36, 37, 39, 40, 41, 42):

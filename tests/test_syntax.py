@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import pytest
@@ -11,7 +12,8 @@ from inlr_kit.syntax import (ABS, CALCULI, _CONNECTIVES, _RESERVED, Abs, App,
                              Star, TopElim, Var, alpha_eq, close_term,
                              free_names, fresh_name, instantiate, open_abs,
                              pair_subst, parse_prop, parse_term, print_prop,
-                             print_term, subst, term_size)
+                             print_term, replace_children, subst, subterms,
+                             term_size)
 
 
 def ip(s):
@@ -163,6 +165,68 @@ def test_alpha_eq_is_equivalence(seed):
     assert alpha_eq(t, t)
     assert alpha_eq(t, u) == alpha_eq(u, t)
     assert alpha_eq(t, u)
+
+
+def _chain(depth, leaf):
+    t = leaf
+    for _ in range(depth):
+        t = Inl(t)
+    return t
+
+
+def test_hash_and_eq_on_deep_chains():
+    # both walk with an explicit stack: neither recurses per level
+    depth = 10 ** 5
+    t, u = _chain(depth, Star()), _chain(depth, Star())
+    v = _chain(depth, Var("x"))
+    assert t == u and t != v  # compared before any hash is stored
+    assert hash(t) == hash(u)
+    assert hash(t) != hash(v)
+    assert hash(v) != hash(_chain(depth, Var("y")))
+    assert t == u and t != v  # and again with the stored hashes
+
+
+def test_hints_stay_out_of_hash_and_eq():
+    t = ip("lam x:A. case(z, a. x, b. b)")
+    u = ip("lam y:A. case(z, c. y, d. d)")
+    assert repr(t) != repr(u)
+    assert t == u and hash(t) == hash(u)
+    assert Abs("x", Bound(0)) == Abs("y", Bound(0))
+    assert hash(Abs("x", Bound(0))) == hash(Abs("y", Bound(0)))
+    assert t != ip("lam x:B. case(z, a. x, b. b)")
+
+
+def test_shared_nodes_hash_like_copies():
+    # a node reached along two paths is hashed once, after its children
+    def build(shared):
+        return Pair(Pair(shared(), Star()), Pair(Star(), Inl(shared())))
+
+    shared = Inl(Pair(Var("y"), Star()))
+    t = build(lambda: shared)
+    u = build(lambda: Inl(Pair(Var("y"), Star())))
+    assert hash(t) == hash(u)
+    assert hash(t.left.left) == hash(u.right.right.body)
+    assert t == u
+
+
+def test_the_cache_is_not_a_field():
+    t = ip("case(z, a. inl(a), b. b)")
+    before = repr(t)
+    hash(t)
+    t._mark_normal("iplus")
+    assert repr(t) == before
+    assert [f.name for f in dataclasses.fields(t)] == ["scrut", "left",
+                                                       "right"]
+    assert print_term(t) == "case(z, a. inl(a), b. b)"
+
+
+def test_replace_children_keeps_an_unchanged_abstraction():
+    t = ip("case(z, a. inl(a), b. b)")
+    u = replace_children(t, [Var("w"), *subterms(t)[1:]])
+    assert u.left is t.left and u.right is t.right
+    v = replace_children(t, [t.scrut, Star(), t.right.body])
+    assert v.left is not t.left and v.left.hint == "a"
+    assert v.right is t.right
 
 
 # ---------------------------------------------------------------------------
