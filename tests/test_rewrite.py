@@ -9,7 +9,7 @@ from inlr_kit import gen, qencode
 from inlr_kit.cc import RULES_CC, RULES_CC_DET, explore, pi_term
 from inlr_kit.iplus import RULES_IPLUS
 from inlr_kit.quantum import RULES_QUANTUM, RULES_QUANTUM_DET
-from inlr_kit.quantum import ScalarOverflowStuck
+from inlr_kit.quantum import ScalarOverflowStuck, run_measure
 from inlr_kit.rewrite import (ND_PAIR, Rule, RuleId, RuleSet, Stuck,
                               ZeroNormStuck, find_redexes, join_peak,
                               normalize, reducts, replay, step_at,
@@ -547,6 +547,7 @@ def _reduction_corpus():
                     _record(RULES_QUANTUM, t, 2000,
                             rng=derive_rng(100, n, k, shot), redexes=0)
                     for shot in range(5))
+    yield from _measure_corpus()
     for d in range(2, 9):
         rng = derive_rng(101, d)
         p = _balanced_prop(d)
@@ -572,6 +573,69 @@ def _reduction_corpus():
     for number in (36, 37, 39, 40, 41, 42):
         yield "cc", f"pi-{number}", \
             lambda n=number: repr(pi_term(n, Var("t"), t1, t2))
+
+
+def _nested_measure_text(a, b, c, d):
+    """The nested shape of the measure benchmark: one component of the
+    outer scrutinee is itself an unevaluated measurement."""
+    return (f"case_nd(inlr(case_nd(inlr({a!r} . star, {b!r} . star), "
+            f"x. x, y. prod(0.0, y)), {c!r} . star), "
+            f"x. x, y. prod({d!r}, y))")
+
+
+# (id, term text, shots, seed, fuels): the measurement edge cases
+_MEASURE_CASES = [
+    ("zero", "case_nd(inlr(0.0 . star, 0.0 . star), x. x, y. y)", 50, 1,
+     (10 ** 6,)),
+    # one branch reaches a measurement with no weight
+    ("zero-inner", "case_nd(inlr(1.0 . star, 1.0 . star), "
+     "x. one_elim(x, case_nd(inlr(0.0 . star, 0.0 . star), a. a, b. b)), "
+     "y. y)", 200, 2, (10 ** 6,)),
+    ("overflow", "sum(1.7e308 . star, 1.7e308 . star)", 50, 3, (10 ** 6,)),
+    ("overflow-branch", "case_nd(inlr(1.0 . star, 3.0 . star), "
+     "x. one_elim(x, sum(1.7e308 . star, 1.7e308 . star)), y. y)", 200, 4,
+     (10 ** 6,)),
+    # components that are not vector values: a uniform draw, no exact
+    # weights, and equal outcomes whose binder hints differ
+    ("non-vector", "case_nd(inlr(lam x:One. x, lam y:One. y), a. a, b. b)",
+     200, 5, (10 ** 6,)),
+    ("non-vector-inner", "case_nd(inlr(1.0 . star, 2.0 . star), "
+     "x. one_elim(x, case_nd(inlr(lam u:One. u, lam w:One. w), a. a, b. b)), "
+     "y. one_elim(y, lam v:One. v))", 300, 6, (10 ** 6,)),
+    # fuels that end a run before, at and after each measurement
+    ("fuel-nested", _nested_measure_text(3.0, 1.0, 1.0, 2.0), 100, 7,
+     tuple(range(9))),
+]
+
+
+def measure_inputs():
+    """(id, term, shots, seed, fuels) for every pinned measurement."""
+    for n in (1, 2, 3):
+        for k in range(2):
+            rng = derive_rng(105, n, k)
+            v = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+            t = App(qencode.meas_first(n),
+                    qencode.from_vector(v, qencode.qn_prop(n)))
+            yield f"{n}-{k}", t, 400, 10 * n + k, (10 ** 6,)
+    t = App(qencode.meas_first(2), qencode.from_vector(
+        [1.0, 2.0, 3.0, 4.0], qencode.qn_prop(2)))
+    yield "fuel", t, 100, 8, tuple(range(9))
+    for k in range(3):
+        a, b, c, d = (round(float(x), 3)
+                      for x in derive_rng(106, k).uniform(0.5, 2.0, 4))
+        yield f"nested-{k}", q(_nested_measure_text(a, b, c, d)), 400, \
+            20 + k, (10 ** 6,)
+    for ident, text, shots, seed, fuels in _MEASURE_CASES:
+        yield ident, q(text), shots, seed, fuels
+
+
+def _measure_corpus():
+    """(table, id, record thunk) for the pinned `run_measure` histograms."""
+    for ident, t, shots, seed, fuels in measure_inputs():
+        yield "quantum", f"measure-{ident}", \
+            lambda t=t, shots=shots, seed=seed, fuels=fuels: "\n".join(
+                run_measure(t, shots, seed, fuel=fuel).to_json()
+                for fuel in fuels)
 
 
 def _reduction_rows():
