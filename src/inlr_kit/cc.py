@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .iplus import _beta, _case_inl, _case_inr
-from .rewrite import (ND_CHOICE, Rule, RuleId, RuleSet, normalize, reducts,
+from .rewrite import (ND_CHOICE, Rule, RuleId, RuleSet, reducts,
                       register_default_ruleset, step_at)
 from .syntax import (Abs, AndElim1, AndElim2, App, Bound, BotElim, Case, Conj,
                      Disj, Impl, Inl, Inlr3, Inr, Lam, Pair, Star, Term, Top,
@@ -362,22 +362,6 @@ def pi_term(rule: int | RuleId, t: Term, t1: Term | None = None,
 
 
 DEFAULT_FUEL_CC = 10 ** 5
-
-
-def normalize_cc(t: Term, fuel: int = DEFAULT_FUEL_CC,
-                 policy: str = "first"):
-    """Reduce under fuel.
-
-    Policy "first" is leftmost-outermost taking the first-listed
-    alternative of the bottom-elimination choice; "enumerate" explores the
-    whole reduction graph breadth-first and reports every reachable normal
-    form.
-    """
-    if policy == "first":
-        return normalize(t, RULES_CC, fuel=fuel)
-    if policy == "enumerate":
-        return explore(t, node_budget=fuel)
-    raise ValueError(f"unknown policy {policy!r}")
 
 
 @dataclass

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .cc import DEFAULT_FUEL_CC, normalize_cc
+from .cc import DEFAULT_FUEL_CC, explore
 from .qencode import (compile_matrix, dump_vector_json, from_vector,
                       load_matrix_json, load_vector_json, to_vector,
                       EncodeError)
@@ -99,7 +99,7 @@ def cmd_norm(args):
                   file=sys.stderr)
             return EXIT_USAGE
         budget = min(fuel, 10 ** 4)
-        graph = normalize_cc(t, fuel=budget, policy="enumerate")
+        graph = explore(t, node_budget=budget)
         for i in sorted(graph.normal_forms):
             print(print_term(graph.terms[i]))
         print(graph.to_dot())

@@ -25,8 +25,7 @@ from dataclasses import dataclass, field
 from .iplus import (SUM_INJECTIONS, _beta, _case_inl, _case_inlr, _case_inr,
                     _sum_lam)
 from .rewrite import (ND_PAIR, ND_SINGLE, Cursor, Rule, RuleId, RuleSet,
-                      Stuck, first_step, is_normal, normalize,
-                      register_default_ruleset, step_at)
+                      Stuck, is_normal, register_default_ruleset)
 from .rng import derive_rng, reseat
 from .syntax import (Abs, App, Bound, Case, CaseNd, Inl, Inlr2, Inr, Lam,
                      OneElim, Prod, ScalarStar, Sum, Term, Var, instantiate,
@@ -175,15 +174,6 @@ def lex_gt(t: Term, u: Term) -> bool:
     return measure_nu(t) > measure_nu(u)
 
 
-def check_lex_decrease(t: Term, u: Term) -> bool:
-    """Whether a root step from t to u strictly decreased (mu, nu).
-
-    Only root steps are measured; inner steps go through the monotony
-    argument instead.
-    """
-    return lex_gt(t, u)
-
-
 def mu_subst_additivity(t: Term, u: Term, x: str) -> bool:
     """mu((u/x)t) == mu(t) + mu(u).
 
@@ -221,79 +211,103 @@ def run_measure(t: Term, shots: int, seed: int,
 
     Outcomes are binned by alpha-equivalence of the normal form; stuck
     runs land in a bin per reason.  Exact weights are attached when the
-    outcome distribution is small enough to enumerate.  The steps before
-    the first measurement draw nothing, so they are taken once and every
-    shot starts after them.
+    outcome distribution is small enough to enumerate.  The shots and the
+    exact weights walk one tree of runs, so each run between two
+    measurements is reduced once, whichever walk reaches it first.
     """
-    start, used, _ = _walk(t, 0, fuel)
-    counts = {}
+    root = _Run(t, 0, fuel)
+    hits = {}  # leaf -> shots ending there, in first-hit order
     rng = derive_rng(seed, 0x5407, 0)
     for shot in range(shots):
         reseat(rng, seed, 0x5407, shot)
-        tr = normalize(start, RULES_QUANTUM, fuel=fuel - used, rng=rng)
-        if tr.outcome.kind == "normal-form":
-            key = tr.final
-        elif tr.outcome.kind == "stuck":
-            key = _stuck_bin(tr.outcome.reason)
-        else:
-            key = FUEL_BIN
-        counts[key] = counts.get(key, 0) + 1
-    exact = _exact_distribution(start, used, fuel)
-    bins = []
-    for key, count in counts.items():
+        run = root
+        while run.end is None:  # the draw `rewrite._draw` makes
+            p = run.probs[0]
+            run = run.branch(0 if rng.random() < (0.5 if p is None else p)
+                             else 1)
+        hits[run] = hits.get(run, 0) + 1
+    # each leaf is looked up by its outcome once; a bin keeps the term of
+    # its first hit, whose binder hints it prints
+    bins = {}  # outcome -> [shots, exact weight]
+    bin_of = {}  # leaf -> its bin
+    for leaf, count in hits.items():
+        entry = bin_of[leaf] = bins.setdefault(leaf.end, [0, 0.0])
+        entry[0] += count
+    weights = _leaf_weights(root)
+    for leaf, prob in weights or ():
+        entry = bin_of.get(leaf) or bins.get(leaf.end)
+        if entry is not None:
+            entry[1] += prob
+    out = []
+    for key, (count, weight) in bins.items():
         name = key if isinstance(key, str) else print_term(key)
         entry = {"term": name, "count": count, "frequency": count / shots}
-        if key in exact:
-            entry["exact_weight"] = exact[key]
-        bins.append(entry)
-    bins.sort(key=lambda e: (-e["count"], e["term"]))
-    return Histogram(shots=shots, bins=bins)
+        if weights is not None:
+            entry["exact_weight"] = weight
+        out.append(entry)
+    out.sort(key=lambda e: (-e["count"], e["term"]))
+    return Histogram(shots=shots, bins=out)
 
 
-def _walk(t: Term, steps: int, fuel: int):
-    """Take normalize's steps from t up to a measurement step or an end.
+class _Run:
+    """A node of the tree of runs: normalize's steps from a term, taken up
+    to a measurement step or an end; `steps` were taken before the term.
 
-    `steps` were taken before t.  Returns (term, steps, outcome bin), the
-    bin None when the term stops at a measurement step.
+    At an end, `end` is the outcome bin: the normal form, or the name of
+    a stuck or fuel bin.  At a measurement `end` is None, `probs` are the
+    two branches' probabilities (None for a uniform draw), and
+    `branch(i)` is the run on from branch i, walked the first time it is
+    asked for.
     """
-    cur = Cursor(t, RULES_QUANTUM)
-    try:
-        while True:
-            step = cur.next_step()
-            if step is None:
-                t = cur.term()
-                return t, steps, t
-            if steps >= fuel:
-                return cur.term(), steps, FUEL_BIN
-            _, alternatives = step
-            if alternatives[0][0].group == ND_PAIR:
-                return cur.term(), steps, None
-            cur.contract(alternatives[0][0].build)
-            steps += 1
-    except Stuck as e:
-        return cur.term(), steps, _stuck_bin(e.reason)
+
+    __slots__ = ("end", "probs", "_kids")
+
+    def __init__(self, t: Term, steps: int, fuel: int):
+        self.end = None
+        cur = Cursor(t, RULES_QUANTUM)
+        try:
+            while True:
+                step = cur.next_step()
+                if step is None:
+                    self.end = cur.term()
+                    return
+                if steps >= fuel:
+                    self.end = FUEL_BIN
+                    return
+                _, alternatives = step
+                if alternatives[0][0].group == ND_PAIR:
+                    break
+                cur.contract(alternatives[0][0].build)
+                steps += 1
+        except Stuck as e:
+            self.end = _stuck_bin(e.reason)
+            return
+        self.probs = [p for _, p in alternatives]
+        self._kids = [(cur.plug(rule.build(cur.focus)), steps + 1, fuel)
+                      for rule, _ in alternatives]
+
+    def branch(self, i: int) -> _Run:
+        kid = self._kids[i]
+        if type(kid) is tuple:
+            kid = self._kids[i] = _Run(*kid)
+        return kid
 
 
-def _exact_distribution(t: Term, steps: int, fuel: int,
-                        max_paths: int = 256):
-    """The probability of every outcome bin, following both branches of
-    each measurement; empty when a branch has no weight or when there are
+def _leaf_weights(root: _Run, max_paths: int = 256):
+    """Every leaf under root with its probability, depth first and the
+    left branch first; None when a branch has no weight or when there are
     more than max_paths measurement steps."""
-    out = {}
-    todo = [(t, steps, 1.0)]
+    out = []
+    todo = [(root, 1.0)]
     paths = 0
     while todo:
-        term, used, prob = todo.pop()
-        term, used, key = _walk(term, used, fuel)
-        if key is not None:
-            out[key] = out.get(key, 0.0) + prob
+        run, prob = todo.pop()
+        if run.end is not None:
+            out.append((run, prob))
             continue
         paths += 1
-        pos, alternatives = first_step(term, RULES_QUANTUM)
-        if paths > max_paths or alternatives[0][1] is None:
-            return {}
-        for rule, p in reversed(alternatives):  # the left branch first
-            branch = step_at(term, pos, rule.rid, choice=rule.role,
-                             ruleset=RULES_QUANTUM)
-            todo.append((branch, used + 1, prob * p))
+        if paths > max_paths or run.probs[0] is None:
+            return None
+        for i in (1, 0):  # the left branch first
+            todo.append((run.branch(i), prob * run.probs[i]))
     return out

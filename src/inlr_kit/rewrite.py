@@ -230,18 +230,27 @@ def replay(trace: ReductionTrace, ruleset: RuleSet | None = None) -> Term:
 # The alternatives at a redex
 
 def structural_norm_sq(t: Term) -> float | None:
-    """The squared norm of a closed irreducible vector proof, else None."""
-    if isinstance(t, ScalarStar):
-        return abs(t.value) ** 2
-    if isinstance(t, Inlr2):
-        a = structural_norm_sq(t.left)
-        b = structural_norm_sq(t.right)
-        if a is None or b is None:
+    """The squared norm of a closed irreducible vector proof, else None.
+
+    An explicit stack holds the nodes still to weigh, and None marks an
+    `inlr` whose two norms are on top of `norms`, to be added.
+    """
+    todo = [t]
+    norms = []
+    while todo:
+        t = todo.pop()
+        if t is None:
+            right = norms.pop()
+            norms[-1] += right
+        elif isinstance(t, ScalarStar):
+            norms.append(abs(t.value) ** 2)
+        elif isinstance(t, Inlr2):
+            todo += (None, t.right, t.left)
+        elif isinstance(t, (Inl, Inr)):
+            todo.append(t.body)
+        else:
             return None
-        return a + b
-    if isinstance(t, (Inl, Inr)):
-        return structural_norm_sq(t.body)
-    return None
+    return norms[0]
 
 
 def _alternatives(redex, here):
@@ -485,19 +494,12 @@ def is_normal(t: Term, ruleset: RuleSet) -> bool:
     return Cursor(t, ruleset).seek() is None
 
 
-def first_step(t: Term, ruleset: RuleSet):
-    """The leftmost-outermost redex of t: (position, alternatives), or
-    None when t is normal; see `Cursor.next_step`."""
-    return Cursor(t, ruleset).next_step()
-
-
 def step_at(t: Term, pos, rid: RuleId, choice: str | None = None,
-            rng=None, ruleset: RuleSet | None = None) -> Term:
+            ruleset: RuleSet | None = None) -> Term:
     """Apply one named rule at a position.
 
     For the probabilistic pair of measurement rules `choice`
-    ("left"/"right") forces the branch; otherwise an rng draws it with the
-    norm-proportional weights, and without one the named rule applies.
+    ("left"/"right") forces the branch; without one the named rule applies.
     """
     rs = ruleset or default_ruleset(rid.calculus)
     cur = Cursor(t, rs)
@@ -510,8 +512,6 @@ def step_at(t: Term, pos, rid: RuleId, choice: str | None = None,
         alternatives = _alternatives(cur.focus, here)
         if choice is not None:
             rule = next(r for r, _ in alternatives if r.role == choice)
-        elif rng is not None:
-            rule, _ = _draw(alternatives, rng)
     cur.replace(rule.build)
     return cur.term()
 

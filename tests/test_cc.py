@@ -1,9 +1,9 @@
 import pytest
 
 from inlr_kit import gen
-from inlr_kit.cc import (RULES_CC, RULES_CC_DET, demo_optimization, explore,
-                         normalize_cc, pi_term)
-from inlr_kit.rewrite import RuleId, find_redexes, step_at
+from inlr_kit.cc import (DEFAULT_FUEL_CC, RULES_CC, RULES_CC_DET,
+                         demo_optimization, explore, pi_term)
+from inlr_kit.rewrite import RuleId, find_redexes, normalize, step_at
 from inlr_kit.rng import derive_rng
 from inlr_kit.selftest import cc_pi_terms, cc_rule_soundness
 from inlr_kit.syntax import (Star, Var, alpha_eq, parse_prop, parse_term,
@@ -139,7 +139,7 @@ def test_normal_forms_are_redex_free():
     for i in range(120):
         rng = derive_rng(77, i)
         _ctx, t, _goal = gen.random_term_in_context("cc", rng)
-        trace = normalize_cc(t)
+        trace = normalize(t, RULES_CC, fuel=DEFAULT_FUEL_CC)
         if trace.outcome.kind == "normal-form":
             reached += 1
             assert find_redexes(trace.final, RULES_CC) == []
@@ -147,12 +147,13 @@ def test_normal_forms_are_redex_free():
 
 
 def test_first_policy_takes_inl_for_bot_choice():
-    trace = normalize_cc(cc("bot_elim[A \\/ B](b)"))
+    trace = normalize(cc("bot_elim[A \\/ B](b)"), RULES_CC,
+                      fuel=DEFAULT_FUEL_CC)
     assert alpha_eq(trace.final, cc("inl(bot_elim[A](b))"))
 
 
 def test_enumerate_policy_reaches_both_bot_choices():
-    graph = normalize_cc(cc("bot_elim[A \\/ B](b)"), policy="enumerate")
+    graph = explore(cc("bot_elim[A \\/ B](b)"), node_budget=DEFAULT_FUEL_CC)
     nfs = {print_term(graph.terms[i]) for i in graph.normal_forms}
     assert nfs == {"inl(bot_elim[A](b))", "inr(bot_elim[B](b))"}
 

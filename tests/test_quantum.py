@@ -1,16 +1,21 @@
 import pytest
 
 from inlr_kit import gen
-from inlr_kit.qencode import NotIrreducible, NotVectorProp, norm_sq
+from inlr_kit.qencode import (NotIrreducible, NotVectorProp, from_vector,
+                              meas_first, norm_sq, qn_prop)
 from inlr_kit.quantum import (RULES_QUANTUM, RULES_QUANTUM_DET, Histogram,
-                              ScalarOverflowStuck, check_lex_decrease,
-                              is_introduction, measure_mu, measure_nu,
+                              ScalarOverflowStuck, is_introduction, lex_gt,
+                              measure_mu, measure_nu,
                               mu_subst_additivity, run_measure, STUCK_BIN)
 from inlr_kit.rewrite import (NoMatchError, RuleId, find_redexes, normalize,
                               step_at)
 from inlr_kit.rng import derive_rng
-from inlr_kit.syntax import Var, parse_prop, parse_term, subst
+from inlr_kit.syntax import (Abs, App, Bound, CaseNd, Inl, Inlr2, ScalarStar,
+                             Term, Var, parse_prop, parse_term, print_term,
+                             subst)
 from inlr_kit.typecheck import infer_linear
+
+from test_rewrite import measure_inputs
 
 
 def q(s):
@@ -41,12 +46,12 @@ def test_measure_nu_worked_pair():
 
 
 def test_lex_decrease_examples():
-    assert check_lex_decrease(q("one_elim(2.0 . star, 1.0 . star)"),
-                              q("prod(2.0, 1.0 . star)"))
+    assert lex_gt(q("one_elim(2.0 . star, 1.0 . star)"),
+                  q("prod(2.0, 1.0 . star)"))
     # mu ties (2 = 2) and nu breaks the tie (3 > 2)
     t, u = q("sum(lam x. x, lam x. x)"), q("lam x. sum(x, x)")
     assert measure_mu(t) == measure_mu(u)
-    assert check_lex_decrease(t, u)
+    assert lex_gt(t, u)
 
 
 @pytest.mark.parametrize("number", range(19, 44))
@@ -56,7 +61,7 @@ def test_every_root_step_decreases_lexicographically(number):
         _ctx, t, _expected = gen.quantum_rule_instance(number, rng)
         choice = {26: "left", 27: "right"}.get(number)
         u = step_at(t, (), RuleId("quantum", number), choice=choice)
-        assert check_lex_decrease(t, u), (number, i)
+        assert lex_gt(t, u), (number, i)
         if number <= 27:
             # the cut rules already decrease mu on its own
             assert measure_mu(t) > measure_mu(u), (number, i)
@@ -140,9 +145,6 @@ def test_closed_normal_forms_are_introductions():
 # measurement
 
 def _pi1_applied(left, right):
-    from inlr_kit.qencode import meas_first
-    from inlr_kit.syntax import App
-
     state = q(f"inlr({left} . star, {right} . star)")
     return App(meas_first(1), state)
 
@@ -269,3 +271,73 @@ def test_measurement_waits_for_irreducible_components():
     with pytest.raises(NoMatchError):
         step_at(t, (), RuleId("quantum", 26))
     assert find_redexes(t, RULES_QUANTUM)[0] == ((0, 0), RuleId("quantum", 26))
+
+
+# ---------------------------------------------------------------------------
+# the tree of runs against one normalize per shot
+
+def _per_shot_histogram(t, shots, seed, fuel):
+    """(printed term, count) per bin, from one normalize per shot with the
+    shot's own stream; each bin printed from its first hit."""
+    counts = {}
+    for shot in range(shots):
+        tr = normalize(t, RULES_QUANTUM, fuel,
+                       rng=derive_rng(seed, 0x5407, shot))
+        if tr.outcome.kind == "normal-form":
+            key = tr.final
+        elif tr.outcome.kind == "stuck":
+            key = f"<stuck:{tr.outcome.reason}>"
+        else:
+            key = "<fuel-exhausted>"
+        counts[key] = counts.get(key, 0) + 1
+    bins = [(key if isinstance(key, str) else print_term(key), count)
+            for key, count in counts.items()]
+    return sorted(bins, key=lambda b: (-b[1], b[0]))
+
+
+@pytest.mark.parametrize("t,shots,seed,fuels", [
+    pytest.param(t, shots, seed, fuels, id=ident)
+    for ident, t, shots, seed, fuels in measure_inputs()])
+def test_measure_matches_per_shot_normalize(t, shots, seed, fuels):
+    for fuel in fuels:
+        hist = run_measure(t, shots, seed, fuel=fuel)
+        assert [(b["term"], b["count"]) for b in hist.bins] \
+            == _per_shot_histogram(t, shots, seed, fuel), fuel
+
+
+@pytest.mark.parametrize("t,leaves", [
+    # n nested measurements, two ways each
+    (App(meas_first(3), from_vector([1.0, 2.0, 0.5, 1.5, 1.0, 3.0, 2.5, 0.5],
+                                    qn_prop(3))), 8),
+    # the measurements in both components, then the outer one
+    (q(NESTED[2][0]), 8),
+])
+def test_measure_compares_each_leaf_once(monkeypatch, t, leaves):
+    # a shot's outcome is binned by its leaf of the tree of runs, so the
+    # terms are compared once per leaf, not once per shot
+    calls = []
+    eq = Term.__eq__
+
+    def counted(a, b):
+        calls.append((a, b))
+        return eq(a, b)
+
+    monkeypatch.setattr(Term, "__eq__", counted)
+    hist = run_measure(t, shots=1000, seed=41)
+    assert sum(b["count"] for b in hist.bins) == 1000
+    assert len(calls) <= leaves
+
+
+def test_a_deep_measured_value_is_weighed_without_recursion():
+    depth = 10 ** 5
+    chain = ScalarStar(1.0)
+    for _ in range(depth):
+        chain = Inl(chain)
+    t = CaseNd(Inlr2(chain, ScalarStar(1.0)), Abs("x", Bound(0)),
+               Abs("y", Bound(0)))
+    for seed in range(2):
+        tr = normalize(t, RULES_QUANTUM, rng=derive_rng(seed, 3))
+        assert tr.outcome.kind == "normal-form"
+        assert [s.weight for s in tr.steps] == [0.5]
+        assert tr.final == (chain if str(tr.steps[0].rule) == "quantum:26"
+                            else ScalarStar(1.0))
