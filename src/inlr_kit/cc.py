@@ -9,9 +9,13 @@ commute a case with the introductions in its branches; the six mixed
 inl/inr/inlr combinations need a freshly built scrutinee (the pi witness)
 that repackages the bound hypotheses as conjunction proofs.
 
-Termination of this system is an open question, so everything here runs
-under fuel, and the exploration mode reports what it reached rather than
-asserting uniqueness.
+The table as coded admits a reduction cycle under an arbitrary strategy.
+Rule 37's pi witness ``case(t, x1. inr(x1), x2. inl(x2))`` is itself a
+rule-37 redex, so ``case(case(inl(star), x. inr(x), y. inl(y)), a. star,
+b. star)`` comes back to itself by rule 37 inside and then rule 7 at the
+root.  Leftmost-outermost normalization still terminates on that term, in
+one step by rule 31.  So everything here runs under fuel, and the
+exploration mode reports what it reached rather than asserting uniqueness.
 """
 
 from __future__ import annotations

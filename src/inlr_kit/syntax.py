@@ -116,10 +116,6 @@ class OPlus(Proposition):
     _symbol, _level = "(+)", 2
 
 
-# a parenthesized proposition or a constant binds tighter than any connective
-_ATOM_LEVEL = 1 + max(c._level for c in _CONNECTIVES.values())
-
-
 # Connectives admissible per calculus (atoms are schematic everywhere).
 _PROP_ALLOWED = {
     "iplus": (Top, Bot, Impl, Conj, Disj, Atom),
@@ -165,7 +161,11 @@ class Term:
       the constructor, the non-term fields and the children's stored
       hashes, and read back after that;
     * `_nf`, the names of the rule tables under which the node holds no
-      redex, added by the rewrite engine's walks (`_mark_normal`).
+      redex, added by the rewrite engine's walks (`_mark_normal`);
+    * `_loose`, its loose-index range: 1 + its largest loose de Bruijn
+      index, or 0 if it has none, stored by the first `instantiate` that
+      enters the node.  A leaf without indices has 0 on its class, and
+      `Bound` works its range out from its index.
     """
 
     _word = None        # the keyword of a call form: word[P](slot, ...)
@@ -174,6 +174,8 @@ class Term:
     _fields: tuple = ()  # (name, kind) of every field, kind None off _shape
     _hash = None
     _nf = None
+    _loose = None
+    _binds: tuple = ()  # per path-child: 1 if it is an abstraction's body
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -182,6 +184,7 @@ class Term:
         kinds = dict(cls._shape)
         cls._fields = tuple((name, kinds.get(name)) for name in
                             cls.__dict__.get("__annotations__", ()))
+        cls._binds = tuple(int(kind == ABS) for _, kind in cls._paths)
         # t._kids(t): the path-children as a tuple, an abstraction's body
         # for the abstraction; t._key(t): what t's hash is taken of
         paths = [name if kind == TERM else name + ".body"
@@ -287,22 +290,28 @@ class Abs:
 @_term
 class Var(Term):
     name: str
+    _loose = 0
 
 
 @_term
 class Bound(Term):
     index: int
 
+    @property
+    def _loose(self):
+        return self.index + 1
+
 
 @_term
 class Star(Term):
-    pass
+    _loose = 0
 
 
 @_term
 class ScalarStar(Term):
     value: complex
     _shape = (("value", SCALAR),)
+    _loose = 0
 
 
 @_term
@@ -494,21 +503,26 @@ def is_closed(t: Term) -> bool:
 
 
 def uses_binder(a: Abs) -> bool:
-    """Whether the abstraction actually refers to its bound variable."""
+    """Whether the abstraction actually refers to its bound variable.
 
-    def go(t, depth):
-        if isinstance(t, Bound):
-            return t.index == depth
-        for name, kind in t._shape:
-            if kind == TERM:
-                if go(getattr(t, name), depth):
-                    return True
-            elif kind == ABS:
-                if go(getattr(t, name).body, depth + 1):
-                    return True
-        return False
-
-    return go(a.body, 0)
+    A walk on an explicit stack, each node with the binders passed on
+    the way down.  A node whose stored loose-index range is at most that
+    depth cannot refer to the binder and is not entered; one whose range
+    is exactly one more does.
+    """
+    stack = [(a.body, 0)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        t, depth = pop()
+        r = t._loose
+        if r is not None:
+            if r <= depth:
+                continue
+            if r == depth + 1:
+                return True
+        for kid, bind in zip(t._kids(t), t._binds):
+            push((kid, depth + bind))
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -600,20 +614,74 @@ def instantiate(t: Term, args=(), shift: int = 0) -> Term:
     it lands under; every other loose index k becomes k - n + shift.  So
     `instantiate(a.body, (u,))` plugs u in for the bound variable of a,
     and `instantiate(t, (), 1)` moves t under one more binder.
+
+    One walk on an explicit stack of frames, each node with the binders
+    passed on the way down.  A subterm whose stored loose-index range is
+    at most that depth holds nothing to substitute: it is kept as it is,
+    not entered.  A node entered for the first time stores its range on
+    the way back, and a node whose children all come back unchanged is
+    kept too, so unchanged subterms are shared, not copied.  An argument
+    is lifted once per depth it lands at, by the same walk.
     """
     n = len(args)
     if not n and not shift:
         return t
-
-    def on_bound(b, depth):
-        k = b.index - depth
-        if k < 0:
-            return b
-        if k < n:
-            return instantiate(args[k], (), depth)
-        return Bound(b.index - n + shift)
-
-    return map_vars(t, _keep, on_bound)
+    lifted = {}  # (k, depth) -> args[k] lifted past depth binders
+    # a frame [node, depth, kids, new] per node entered: its children
+    # and the results of those done; a lift's frame is [None, (the walk
+    # to resume), (args[k],), new]
+    stack = []
+    node, depth = t, 0
+    while True:
+        r = node._loose
+        if r is not None and r <= depth:
+            got = node
+        elif type(node) is Bound:
+            k = node.index - depth
+            if k >= n:
+                got = Bound(node.index - n + shift)
+            elif not depth or args[k]._loose == 0:
+                got = args[k]
+            elif (k, depth) in lifted:
+                got = lifted[k, depth]
+            else:
+                node = args[k]
+                stack.append([None, (args, n, shift, (k, depth)), (node,), []])
+                args, n, shift, depth = (), 0, depth, 0
+                continue
+        else:
+            kids = node._kids(node)
+            stack.append([node, depth, kids, []])
+            depth += node._binds[0]
+            node = kids[0]
+            continue
+        # got is the result of node: hand it to the frames above
+        while stack:
+            node, depth, kids, new = stack[-1]
+            new.append(got)
+            i = len(new)
+            if i < len(kids):
+                depth += node._binds[i]
+                node = kids[i]
+                break
+            stack.pop()
+            if node is None:  # the end of a lift: resume the walk
+                args, n, shift, key = depth
+                lifted[key] = got
+                continue
+            if node._loose is None:
+                r = 0
+                for kid, bind in zip(kids, node._binds):
+                    if kid._loose - bind > r:
+                        r = kid._loose - bind
+                node.__dict__["_loose"] = r
+            got = node
+            for old, kid in zip(kids, new):
+                if old is not kid:
+                    got = replace_children(node, new)
+                    break
+        else:
+            return got
 
 
 _ID_ABS = Abs("z", Bound(0))
@@ -695,7 +763,7 @@ def _tokenize(text: str) -> list:
 
 # Frames of the term reader's stack.  The bottom frame is None.
 
-_PAREN = "("  # a parenthesized term
+_PAREN = "("  # an open parenthesis, in a term or a proposition
 
 
 class _Lam:
@@ -776,28 +844,46 @@ class _Parser:
 
     # -- propositions --
 
-    def prop(self, level=1) -> Proposition:
-        """A proposition whose connectives bind at least as tight as level."""
-        if level == _ATOM_LEVEL:
-            return self.prop_atom()
-        left = self.prop(level + 1)
-        tok = self.toks[self.i]
-        node = _CONNECTIVES.get(tok[1])
-        if node is None or node._level != level:
-            return left
-        self.i += 1
-        made = node(left, self.prop(level))
-        self.gate_prop(made, tok)
-        return made
+    def prop(self) -> Proposition:
+        """A proposition, read by one loop over an explicit stack.
 
-    def prop_atom(self) -> Proposition:
-        tok = self.toks[self.i]
+        The stack holds the open parentheses and, above each, the
+        connectives still waiting for their right operands, each with its
+        token and its left operand.  A connective read ends those on top
+        that bind tighter; one of the same precedence waits above them,
+        so connectives associate to the right.  A connective is gated
+        once both its operands are read.
+        """
+        toks = self.toks
+        stack = []
+        while True:
+            tok = toks[self.i]
+            while tok[1] == "(":
+                stack.append(_PAREN)
+                self.i += 1
+                tok = toks[self.i]
+            made = self.prop_atom(tok)
+            while True:
+                tok = toks[self.i]
+                node = _CONNECTIVES.get(tok[1])
+                level = 0 if node is None else node._level
+                while (stack and stack[-1] is not _PAREN
+                       and stack[-1][0]._level > level):
+                    cls, at, left = stack.pop()
+                    made = cls(left, made)
+                    self.gate_prop(made, at)
+                if node is not None:
+                    self.i += 1
+                    stack.append((node, tok, made))
+                    break
+                if not stack:
+                    return made
+                self.expect(")")
+                stack.pop()
+
+    def prop_atom(self, tok) -> Proposition:
+        """The constant or the atom at tok."""
         kind, text, _ = tok
-        if text == "(":
-            self.i += 1
-            p = self.prop()
-            self.expect(")")
-            return p
         if kind != "ident":
             self.error(f"expected a proposition, found {text!r}", tok)
         self.i += 1

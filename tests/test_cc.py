@@ -6,8 +6,8 @@ from inlr_kit.cc import (DEFAULT_FUEL_CC, RULES_CC, RULES_CC_DET,
 from inlr_kit.rewrite import RuleId, find_redexes, normalize, step_at
 from inlr_kit.rng import derive_rng
 from inlr_kit.selftest import cc_pi_terms, cc_rule_soundness
-from inlr_kit.syntax import (Star, Var, alpha_eq, parse_prop, parse_term,
-                             print_term)
+from inlr_kit.syntax import (Inlr3, Star, Top, Var, alpha_eq, parse_prop,
+                             parse_term, print_term)
 from inlr_kit.typecheck import TypingError, infer_cc
 
 
@@ -178,6 +178,40 @@ def test_deterministic_fragment_graphs_single_normal_form():
     # divergence counterexamples are logged, not asserted absent
     assert multi <= 2, f"{multi} graphs with several normal forms"
 
+
+# ---------------------------------------------------------------------------
+# the commuting-cut cycle: the table as coded loops under some strategies
+
+_CYCLE = "case(case(inl(star), x. inr(x), y. inl(y)), a. star, b. star)"
+
+
+@pytest.mark.parametrize("rules", [RULES_CC, RULES_CC_DET],
+                         ids=["cc", "cc-det"])
+def test_commuting_cuts_admit_a_two_cycle(rules):
+    # rule 37 inside, then rule 7 at the root, give back the start
+    start = cc(_CYCLE)
+    assert infer_cc({}, start) == Top()
+    mid = step_at(start, (0,), RuleId("cc", 37), ruleset=rules)
+    assert print_term(mid) == ("case(inlr(case(inl(star), x1. inr(x1), "
+                               "x2. inl(x2)), y. y, x. x), a. star, b. star)")
+    assert step_at(mid, (), RuleId("cc", 7), ruleset=rules) == start
+
+
+def test_the_inr_inl_witness_is_a_rule_37_redex():
+    # rule 37 builds its pi witness case(t, x1. inr(x1), x2. inl(x2)),
+    # a rule-37 redex itself, so its contractum holds the redex again
+    pi = pi_term(37, Var("t"))
+    assert find_redexes(pi, RULES_CC) == [((), RuleId("cc", 37))]
+    out = step_at(pi, (), RuleId("cc", 37))
+    assert isinstance(out, Inlr3) and out.scrut == pi
+
+
+@pytest.mark.parametrize("rules", [RULES_CC, RULES_CC_DET],
+                         ids=["cc", "cc-det"])
+def test_leftmost_outermost_leaves_the_cycle_in_one_step(rules):
+    trace = normalize(cc(_CYCLE), rules)
+    assert [s.rule for s in trace.steps] == [RuleId("cc", 31)]
+    assert trace.outcome.kind == "normal-form" and trace.final == Star()
 
 # ---------------------------------------------------------------------------
 # the optimization demonstration

@@ -174,17 +174,21 @@ def test_scalar_overflow_is_one_stuck_line(name, argv):
     assert err.getvalue() == "stuck: scalar-overflow\n"
 
 
-def _run_fresh(tmp_path, text, *args):
-    """`inlr norm` on a file holding text, in a fresh interpreter."""
-    path = tmp_path / "deep.inlr"
-    path.write_text(text)
+def _cli_fresh(*argv):
+    """The command line on argv, in a fresh interpreter."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(inlr_kit.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.run(
-        [sys.executable, "-m", "inlr_kit.cli", "norm", str(path), *args],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "inlr_kit.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def _run_fresh(tmp_path, text, *args):
+    """`inlr norm` on a file holding text, in a fresh interpreter."""
+    path = tmp_path / "deep.inlr"
+    path.write_text(text)
+    return _cli_fresh("norm", str(path), *args)
 
 
 def test_deep_input_normalizes_without_traceback(tmp_path):
@@ -209,6 +213,31 @@ def test_deep_input_enumerates_without_traceback(tmp_path):
     assert "Traceback" not in done.stderr
     assert done.returncode == 0
     assert "inl(" * depth + "star" + ")" * depth in done.stdout
+
+
+def test_deep_parentheses_in_a_proposition(tmp_path):
+    # the proposition reader keeps its parentheses on a stack: 5000 of
+    # them read as the proposition inside them, in --from and in an
+    # annotation alike
+    deep = "(" * 5000 + "One (+) One" + ")" * 5000
+    matrix = g("hadamard.json")
+    plain = _cli_fresh("compile-matrix", matrix, "--from", "One (+) One",
+                       "--to", "One (+) One")
+    done = _cli_fresh("compile-matrix", matrix, "--from", deep,
+                      "--to", "One (+) One")
+    assert plain.returncode == 0 and plain.stdout.startswith("lam x:")
+    assert (done.returncode, done.stdout, done.stderr) \
+        == (plain.returncode, plain.stdout, plain.stderr)
+    (tmp_path / "plain.inlr").write_text("lam x:One. x")
+    (tmp_path / "deep.inlr").write_text(
+        "lam x:" + "(" * 5000 + "One" + ")" * 5000 + ". x")
+    plain = _cli_fresh("check", str(tmp_path / "plain.inlr"),
+                       "--calculus", "quantum")
+    done = _cli_fresh("check", str(tmp_path / "deep.inlr"),
+                      "--calculus", "quantum")
+    assert plain.returncode == 0 and plain.stdout == "One -o One\n"
+    assert (done.returncode, done.stdout, done.stderr) \
+        == (plain.returncode, plain.stdout, plain.stderr)
 
 
 def test_at_least_twenty_cases():

@@ -15,10 +15,11 @@ from inlr_kit.rewrite import (ND_PAIR, Rule, RuleId, RuleSet, Stuck,
                               normalize, reducts, replay, step_at,
                               NoMatchError)
 from inlr_kit.rng import derive_rng
-from inlr_kit.syntax import (Abs, App, Bound, Inl, Lam, One, OPlus, Star,
-                             Sum, Var, alpha_eq, child_slots, close_term,
-                             free_names, instantiate, parse_term, print_term,
-                             replace_children, subterms)
+from inlr_kit.syntax import (ABS, TERM, Abs, App, Bound, Inl, Lam, One,
+                             OneElim, OPlus, ScalarStar, Star, Sum, Var,
+                             alpha_eq, child_slots, close_term, free_names,
+                             instantiate, parse_term, print_term,
+                             replace_children, subterms, uses_binder)
 
 
 def ip(s):
@@ -478,6 +479,171 @@ def test_a_deep_term_normalizes_without_recursion():
         assert type(u) is Inl
         u = u.body
     assert u == Star()
+
+
+# ---------------------------------------------------------------------------
+# instantiate against the map_vars formulation it replaced
+
+def _map_vars(t, on_var, on_bound, depth=0):
+    """Rebuild t with every variable replaced, visiting every node."""
+    if isinstance(t, Var):
+        return on_var(t, depth)
+    if isinstance(t, Bound):
+        return on_bound(t, depth)
+    kwargs = {}
+    changed = False
+    for nm, kind in t._shape:
+        old = new = getattr(t, nm)
+        if kind == TERM:
+            new = _map_vars(old, on_var, on_bound, depth)
+        elif kind == ABS:
+            body = _map_vars(old.body, on_var, on_bound, depth + 1)
+            if body is not old.body:
+                new = Abs(old.hint, body)
+        changed = changed or new is not old
+        kwargs[nm] = new
+    return type(t)(**kwargs) if changed else t
+
+
+def _reference_instantiate(t, args=(), shift=0):
+    n = len(args)
+    if not n and not shift:
+        return t
+
+    def on_bound(b, depth):
+        k = b.index - depth
+        if k < 0:
+            return b
+        if k < n:
+            return _reference_instantiate(args[k], (), depth)
+        return Bound(b.index - n + shift)
+
+    return _map_vars(t, lambda v, depth: v, on_bound)
+
+
+def _nodes(t):
+    """(node, binders above it in t) for every node of t."""
+    out = []
+    todo = [(t, 0)]
+    while todo:
+        t, depth = todo.pop()
+        out.append((t, depth))
+        for name, kind in child_slots(t):
+            child = getattr(t, name)
+            todo.append((child.body, depth + 1) if kind == ABS
+                        else (child, depth))
+    return out
+
+
+def _recount(t):
+    """1 + the largest loose index of t, or 0, counted afresh."""
+    return max([u.index - depth + 1 for u, depth in _nodes(t)
+                if isinstance(u, Bound)] + [0])
+
+
+def _check_kept(t, got):
+    """Every node of t whose stored range is at most its depth comes back
+    as itself; walks t and its instance side by side."""
+    todo = [(t, got, 0)]
+    while todo:
+        old, new, depth = todo.pop()
+        r = old.__dict__.get("_loose")
+        if r is not None and r <= depth:
+            assert new is old
+        elif not isinstance(old, Bound):
+            assert type(new) is type(old)
+            for (name, kind), a, b in zip(child_slots(old), subterms(old),
+                                          subterms(new)):
+                todo.append((a, b, depth + (kind == ABS)))
+
+
+def _instantiate_inputs():
+    """Terms with and without loose indices: gen's terms of the three
+    calculi and every rule instance, with the bodies of their binders and
+    their free variables bound."""
+    for k, calculus in enumerate(("iplus", "quantum", "cc")):
+        for i in range(30):
+            _ctx, t, _goal = gen.random_term_in_context(
+                calculus, derive_rng(97, k, i))
+            yield t
+    for rs, make, numbers in _RULE_INSTANCES:
+        for number in numbers:
+            _ctx, t, _goal = make(number, derive_rng(98, number))
+            yield t
+
+
+def test_instantiate_matches_the_map_vars_reference():
+    args_rng = derive_rng(99, 0)
+    checked = 0
+    for top in _instantiate_inputs():
+        names = sorted(free_names(top))
+        bodies = [top] + [close_term(top, x).body for x in names[:2]]
+        bodies += [a.body for u, _ in _nodes(top) for name, kind
+                   in child_slots(u) if kind == ABS
+                   for a in [getattr(u, name)]]
+        _ctx, u, _goal = gen.random_term_in_context("iplus", args_rng)
+        loose = App(Bound(1), close_term(u, "u").body) if free_names(u) \
+            else App(Bound(1), Bound(0))
+        for body in bodies:
+            want_uses = any(isinstance(v, Bound) and v.index == depth
+                            for v, depth in _nodes(body))
+            assert uses_binder(Abs("x", body)) == want_uses
+            for args in ((), (u,), (loose,), (loose, u), (Bound(0), u)):
+                for shift in (-1, 0, 1, 2):
+                    want = repr(_reference_instantiate(body, args, shift))
+                    for _fresh_then_stored in range(2):
+                        got = instantiate(body, args, shift)
+                        assert repr(got) == want, (print_term(top), args,
+                                                   shift)
+                        _check_kept(body, got)
+                    checked += 1
+        for t in [top, u, loose]:
+            for node, _ in _nodes(t):
+                r = node.__dict__.get("_loose")
+                assert r is None or r == _recount(node)
+    assert checked > 10000
+
+
+def test_root_beta_keeps_the_closed_columns():
+    # the matrix's columns are closed: the root beta of a d=16 product
+    # keeps them, and with them their normal-form marks
+    rng = derive_rng(100, 0)
+    p = qencode.qn_prop(4)
+    m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    t = App(qencode.compile_matrix(m, p, p),
+            qencode.from_vector(rng.standard_normal(16), p))
+    find_redexes(t, RULES_QUANTUM_DET)  # marks the redex-free nodes
+
+    def columns(t):
+        return [u.body for u, _ in _nodes(t) if isinstance(u, OneElim)]
+
+    before = columns(t)
+    assert len(before) == 16
+    assert all("quantum-det" in c._nf for c in before)
+    tr = normalize(t, RULES_QUANTUM_DET, fuel=1)
+    assert [(s.rule, s.pos) for s in tr.steps] == [(RuleId("quantum", 20),
+                                                    ())]
+    after = columns(tr.final)
+    assert len(after) == 16
+    assert all(a is b for a, b in zip(after, before))
+    assert all("quantum-det" in c._nf for c in after)
+
+
+def test_beta_into_a_deep_body_normalizes():
+    # neither the substitution nor the walks around it recurse per level
+    depth = 10 ** 5
+    chain = Bound(0)
+    for _ in range(depth):
+        chain = Inl(chain)
+    tr = normalize(App(Lam(One(), Abs("x", chain)), ScalarStar(1.0)),
+                   RULES_QUANTUM_DET)
+    assert tr.outcome.kind == "normal-form"
+    assert [s.rule for s in tr.steps] == [RuleId("quantum", 20)]
+    u = tr.final
+    for _ in range(depth):
+        assert type(u) is Inl
+        u = u.body
+    assert u == ScalarStar(1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,11 @@ from inlr_kit import gen
 from inlr_kit.rng import derive_rng
 from inlr_kit.syntax import (ABS, CALCULI, _CONNECTIVES, _RESERVED, Abs, App,
                              Bound, CalculusError, Inl, Lam, Pair, ParseError,
-                             Star, TopElim, Var, alpha_eq, close_term,
-                             free_names, fresh_name, instantiate, open_abs,
-                             pair_subst, parse_prop, parse_term, print_prop,
-                             print_term, replace_children, subst, subterms,
-                             term_size)
+                             ScalarStar, Star, TopElim, Var, alpha_eq,
+                             close_term, free_names, fresh_name, instantiate,
+                             open_abs, pair_subst, parse_prop, parse_term,
+                             print_prop, print_term, replace_children, subst,
+                             subterms, term_size, uses_binder)
 
 
 def ip(s):
@@ -314,6 +314,32 @@ def test_instantiate_shift_and_swap():
     # subterms without loose indices are shared, not copied
     closed = Pair(Star(), Var("v"))
     assert instantiate(App(closed, Bound(0)), (Star(),)).fn is closed
+
+
+def test_instantiate_on_a_deep_chain():
+    # the walk keeps its path in a list, so depth costs no Python stack;
+    # the second call reads the ranges the first one stored
+    depth = 10 ** 5
+    chain = _chain(depth, Bound(0))
+    want = _chain(depth, ScalarStar(1.0))
+    for _ in range(2):
+        assert instantiate(chain, (ScalarStar(1.0),)) == want
+    assert chain._loose == 1
+    assert instantiate(chain, (), 1) == _chain(depth, Bound(1))
+    closed = _chain(depth, Star())
+    assert instantiate(closed, (Star(),)) is closed
+    assert instantiate(closed, (Star(),)) is closed
+
+
+def test_uses_binder_on_a_deep_chain():
+    # before and after instantiate stores the range of every node
+    depth = 10 ** 5
+    for leaf, uses in ((Bound(0), True),
+                       (Lam(None, Abs("y", App(Bound(0), Bound(2)))), False)):
+        body = _chain(depth, leaf)
+        assert uses_binder(Abs("x", body)) == uses
+        instantiate(body, (), 1)
+        assert uses_binder(Abs("x", body)) == uses
 
 
 # ---------------------------------------------------------------------------
