@@ -28,7 +28,7 @@ from .rewrite import (ND_CHOICE, Rule, RuleId, RuleSet, reducts,
 from .syntax import (Abs, AndElim1, AndElim2, App, Bound, BotElim, Case, Conj,
                      Disj, Impl, Inl, Inlr3, Inr, Lam, Pair, Star, Term, Top,
                      TopElim, Var, alpha_eq, close_term, instantiate,
-                     print_term, uses_binder)
+                     print_term, print_terms, uses_binder)
 
 
 def _rule(n, name, head, build, **kw):
@@ -377,9 +377,10 @@ class ReductionGraph:
 
     def to_dot(self) -> str:
         lines = ["digraph reduction {"]
-        for i, t in enumerate(self.terms):
-            label = print_term(t).replace("\\", "\\\\").replace('"', '\\"')
-            shape = ", shape=box" if i in self.normal_forms else ""
+        normal = set(self.normal_forms)
+        for i, text in enumerate(print_terms(self.terms)):
+            label = text.replace("\\", "\\\\").replace('"', '\\"')
+            shape = ", shape=box" if i in normal else ""
             lines.append(f'  n{i} [label="{label}"{shape}];')
         for src, dst, rid in self.edges:
             lines.append(f'  n{src} -> n{dst} [label="{rid}"];')

@@ -1136,19 +1136,38 @@ def parse_prop(text: str, calculus: str) -> Proposition:
 # Printing
 
 def print_prop(p: Proposition) -> str:
-    def go(p, minlevel):
-        if p._symbol:
-            s = f"{go(p.left, p._level + 1)} {p._symbol} {go(p.right, p._level)}"
-            return f"({s})" if minlevel > p._level else s
-        if isinstance(p, Atom):
-            return p.name
-        if isinstance(p, MetaProp):
-            return f"?{p.mid}"
-        if p._word:
-            return p._word
-        raise TypeError(f"not a printable proposition: {p!r}")
+    """Concrete syntax of p, built by one loop over an explicit stack.
 
-    return go(p, 1)
+    The stack holds text still to be written and the propositions still
+    to be printed, each with the least precedence it may print at without
+    parentheses; so nesting depth costs no Python stack.
+    """
+    out = []
+    stack = [(p, 1)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        item = pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        p, minlevel = item
+        if p._symbol:
+            paren = minlevel > p._level
+            if paren:
+                out.append("(")
+                push(")")
+            push((p.right, p._level))
+            push(f" {p._symbol} ")
+            push((p.left, p._level + 1))
+        elif isinstance(p, Atom):
+            out.append(p.name)
+        elif isinstance(p, MetaProp):
+            out.append(f"?{p.mid}")
+        elif p._word:
+            out.append(p._word)
+        else:
+            raise TypeError(f"not a printable proposition: {p!r}")
+    return "".join(out)
 
 
 def format_scalar(a: complex) -> str:
@@ -1157,90 +1176,250 @@ def format_scalar(a: complex) -> str:
     return f"({a.real!r}, {a.imag!r})"
 
 
-def _pick_name(hint: str, avoid) -> str:
+def _name_base(hint: str) -> str:
+    """The printable name a binder hint asks for, before clashes."""
     base = hint or "x"
     if base.startswith("?"):
         base = base[1:] or "x"
     base = re.sub(r"[^A-Za-z0-9_]", "", base) or "x"
     if base[0].isdigit():
         base = "x" + base
-    if base not in avoid and base not in _RESERVED:
+    return base
+
+
+def _pick_name(base: str, free, scope) -> str:
+    """base, or base with the least number after it, that is not free in
+    the binder's body, not in scope and not reserved."""
+    if base not in free and base not in scope and base not in _RESERVED:
         return base
     for k in itertools.count(1):
         cand = f"{base}{k}"
-        if cand not in avoid and cand not in _RESERVED:
+        if cand not in free and cand not in scope and cand not in _RESERVED:
             return cand
 
 
 _NO_NAMES = frozenset()
 
 
+def _leaf_text(t: Term, atomic: bool, names: list):
+    """The text of a leaf under the binder names, innermost last; else None."""
+    cls = type(t)
+    if cls is Var:
+        return t.name
+    if cls is Bound:
+        return names[-1 - t.index]
+    if cls is Star:
+        return "star"
+    if cls is ScalarStar:
+        s = f"{format_scalar(t.value)} . star"
+        return f"({s})" if atomic else s
+    return None
+
+
+_LEAVES = frozenset((Var, Bound, Star, ScalarStar))  # printed in place
+
+
+def _scan(terms: tuple):
+    """The shared nodes and the free names of the nodes reachable from terms.
+
+    Returns the `id`s of the nodes, leaves aside, referenced more than
+    once, counting parent edges and root slots, and a dict from `id` to
+    the free names of each node that has any.  One post-order walk on an
+    explicit stack enters each distinct node once.
+    """
+    seen, shared, free = set(), set(), {}
+    stack = list(terms)
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
+        cls = type(node)
+        if cls is tuple:  # the exit mark of a node
+            node = node[0]
+            names = None
+            for kid in node._kids(node):
+                got = free.get(id(kid))
+                if got is not None and got is not names:
+                    names = got if names is None else names | got
+            if names:
+                free[id(node)] = names
+        elif cls is Var:
+            free[id(node)] = frozenset((node.name,))
+        elif cls in _LEAVES:
+            continue
+        elif id(node) in seen:
+            shared.add(id(node))
+        else:
+            seen.add(id(node))
+            push((node,))
+            stack += node._kids(node)
+    return shared, free
+
+
+def print_terms(terms) -> list:
+    """The concrete syntax of each term, as print_term gives it.
+
+    First `_scan` finds, once per distinct node, whether it is shared and
+    its free names, so that choosing a binder's name never re-walks its
+    body.  Then each term is printed by one walk on an explicit stack of
+    tasks: a text fragment to append, a node to print, and the markers
+    that enter and leave a binder and that close a memoized node.  The
+    fragments are joined once per term.
+
+    A node referenced more than once, across all the terms, is joined into
+    one string and kept for this call under its identity, the binder
+    names in scope (interned, so equal scopes share one id) and whether it
+    must print as an atom; identity, since `==` ignores the hints the
+    printer reads.  The terms are held in a tuple for the whole call, so
+    no id is reused while it is a key.  Leaves print in place.
+    """
+    terms = tuple(terms)
+    shared, free = _scan(terms)
+    memo = {}
+    bases = {}        # hint -> its sanitized name base
+    names = []        # the binder names in scope, innermost last ...
+    scope = {}        # ... each with how many binders in scope use it
+    sids = [0]        # the interned id of names, per binder depth
+    interned = {}     # (enclosing scope id, name) -> scope id
+
+    def binder(a):
+        base = bases.get(a.hint)
+        if base is None:
+            base = bases[a.hint] = _name_base(a.hint)
+        return _pick_name(base, free.get(id(a.body), _NO_NAMES), scope)
+
+    def body_parts(parts, text, name, body):
+        """The pending text, after text, of a body under the binder name.
+
+        A leaf body is written into the text; any other goes on parts,
+        behind text and between the markers binding name, and the text
+        starts afresh.
+        """
+        names.append(name)
+        leaf = _leaf_text(body, False, names)
+        names.pop()
+        if leaf is not None:
+            return text + leaf
+        parts += (text, ("enter", name), (body, False), ("leave", None))
+        return ""
+
+    printed = []
+    for t in terms:
+        out = []
+        stack = [(t, False)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            task = pop()
+            if type(task) is str:
+                out.append(task)
+                continue
+            node, atomic = task
+            if type(node) is str:  # a marker: (what, its argument)
+                if node == "leave":
+                    name = names.pop()
+                    sids.pop()
+                    n = scope[name]
+                    if n == 1:
+                        del scope[name]
+                    else:
+                        scope[name] = n - 1
+                elif node == "enter":
+                    name = atomic
+                    k = (sids[-1], name)
+                    sid = interned.get(k)
+                    if sid is None:
+                        sid = interned[k] = len(interned) + 1
+                    names.append(name)
+                    sids.append(sid)
+                    scope[name] = scope.get(name, 0) + 1
+                else:  # "memo": join the node's text and keep it
+                    key, start = atomic
+                    s = "".join(out[start:])
+                    del out[start:]
+                    out.append(s)
+                    memo[key] = s
+                continue
+            if shared and id(node) in shared:
+                key = (id(node), sids[-1], atomic)
+                s = memo.get(key)
+                if s is not None:
+                    out.append(s)
+                    continue
+                push(("memo", (key, len(out))))
+            # the node's text in order: strings and (node, atomic) tasks
+            parts = []
+            cls = type(node)
+            if node._word:
+                text = node._word
+                sep = "("
+                for field, kind in cls._shape:
+                    v = getattr(node, field)
+                    if kind == PROP:
+                        text += f"[{print_prop(v)}]"
+                        continue
+                    text += sep
+                    sep = ", "
+                    if kind == TERM:
+                        leaf = _leaf_text(v, False, names)
+                        if leaf is None:
+                            parts += (text, (v, False))
+                            text = ""
+                        else:
+                            text += leaf
+                    elif kind == ABS:
+                        name = binder(v)
+                        text = body_parts(parts, f"{text}{name}. ", name,
+                                          v.body)
+                    else:
+                        text += format_scalar(v)
+                parts.append(text + ")")
+            elif cls is Lam:
+                a = node.abs
+                name = binder(a)
+                ann = "" if node.ann is None else f":{print_prop(node.ann)}"
+                text = body_parts(parts, f"{'(' if atomic else ''}lam "
+                                  f"{name}{ann}. ", name, a.body)
+                if atomic:
+                    text += ")"
+                if text:
+                    parts.append(text)
+            elif cls is App:
+                # application is left-associative, so a fn-position App
+                # needs no parentheses while everything else in atom
+                # position does
+                fn, arg = node.fn, node.arg
+                text = "(" if atomic else ""
+                leaf = _leaf_text(fn, True, names)
+                if leaf is None:
+                    if text:
+                        parts.append(text)
+                    parts.append((fn, type(fn) is Lam))
+                    text = " "
+                else:
+                    text += leaf + " "
+                leaf = _leaf_text(arg, True, names)
+                if leaf is None:
+                    parts += (text, (arg, True))
+                    text = ""
+                else:
+                    text += leaf
+                if atomic:
+                    text += ")"
+                if text:
+                    parts.append(text)
+            else:  # a leaf, which only a root can be: others print in place
+                leaf = _leaf_text(node, atomic, names)
+                if leaf is None:
+                    raise TypeError(f"not a printable term: {node!r}")
+                parts.append(leaf)
+            if type(parts[0]) is str:  # a leading fragment goes out now
+                out.append(parts[0])
+                stack += parts[:0:-1]
+            else:
+                stack += parts[::-1]
+        printed.append("".join(out))
+    return printed
+
+
 def print_term(t: Term) -> str:
     """Deterministic concrete syntax; parse_term inverts it up to alpha."""
-    free = {}  # id(binder body) -> its free names
-
-    def collect(t):
-        """t's free names, storing those of every binder body below t."""
-        if isinstance(t, Var):
-            return frozenset((t.name,))
-        names = _NO_NAMES
-        for name, kind in t._paths:
-            child = getattr(t, name)
-            if kind == ABS:
-                child = child.body
-                free[id(child)] = got = collect(child)
-            else:
-                got = collect(child)
-            if got:
-                names = names | got
-        return names
-
-    collect(t)
-
-    def go(t, stack, atomic):
-        # atomic: the output must be a single application atom
-        if isinstance(t, Var):
-            return t.name
-        if isinstance(t, Bound):
-            return stack[-(t.index + 1)]
-        if t._word:
-            head, args = t._word, []
-            for name, kind in t._shape:
-                v = getattr(t, name)
-                if kind == TERM:
-                    args.append(go(v, stack, False))
-                elif kind == ABS:
-                    args.append(binder(v, stack))
-                elif kind == SCALAR:
-                    args.append(format_scalar(v))
-                else:
-                    head += f"[{print_prop(v)}]"
-            return f"{head}({', '.join(args)})"
-        if isinstance(t, Star):
-            return "star"
-        if isinstance(t, ScalarStar):
-            s = f"{format_scalar(t.value)} . star"
-            return f"({s})" if atomic else s
-        if isinstance(t, Lam):
-            name = _pick_name(t.abs.hint, _avoid(t.abs, stack))
-            body = go(t.abs.body, stack + [name], False)
-            ann = f":{print_prop(t.ann)}" if t.ann is not None else ""
-            s = f"lam {name}{ann}. {body}"
-            return f"({s})" if atomic else s
-        if isinstance(t, App):
-            # application is left-associative, so a fn-position App needs
-            # no parentheses while everything else in atom position does
-            fn = go(t.fn, stack, isinstance(t.fn, (Lam, ScalarStar)))
-            arg = go(t.arg, stack, True)
-            s = f"{fn} {arg}"
-            return f"({s})" if atomic else s
-        raise TypeError(f"not a printable term: {t!r}")
-
-    def binder(a, stack):
-        name = _pick_name(a.hint, _avoid(a, stack))
-        return f"{name}. {go(a.body, stack + [name], False)}"
-
-    def _avoid(a, stack):
-        return free[id(a.body)] | set(stack)
-
-    return go(t, [], False)
+    return print_terms((t,))[0]

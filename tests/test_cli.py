@@ -215,6 +215,21 @@ def test_deep_input_enumerates_without_traceback(tmp_path):
     assert "inl(" * depth + "star" + ")" * depth in done.stdout
 
 
+def test_deep_input_prints_without_traceback(tmp_path):
+    # the printer keeps its own stack too: a 10^5-deep chain is parsed,
+    # normalized and printed, and its reduction graph printed as DOT
+    depth = 10 ** 5
+    text = "inl(" * depth + "top_elim(star, star)" + ")" * depth
+    done = _run_fresh(tmp_path, text, "--calculus", "cc")
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 0
+    assert done.stdout == "inl(" * depth + "star" + ")" * depth + "\n"
+    done = _run_fresh(tmp_path, text, "--calculus", "cc", "--enumerate")
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 0
+    assert "inl(" * depth + "star" + ")" * depth in done.stdout
+
+
 def test_deep_parentheses_in_a_proposition(tmp_path):
     # the proposition reader keeps its parentheses on a stack: 5000 of
     # them read as the proposition inside them, in --from and in an

@@ -1,19 +1,24 @@
 import dataclasses
+import itertools
 import os
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inlr_kit import gen
+from inlr_kit import gen, qencode
+from inlr_kit.cc import explore
 from inlr_kit.rng import derive_rng
-from inlr_kit.syntax import (ABS, CALCULI, _CONNECTIVES, _RESERVED, Abs, App,
-                             Bound, CalculusError, Inl, Lam, Pair, ParseError,
-                             ScalarStar, Star, TopElim, Var, alpha_eq,
-                             close_term, free_names, fresh_name, instantiate,
-                             open_abs, pair_subst, parse_prop, parse_term,
-                             print_prop, print_term, replace_children, subst,
-                             subterms, term_size, uses_binder)
+from inlr_kit.syntax import (ABS, CALCULI, SCALAR, TERM, _CONNECTIVES,
+                             _RESERVED, Abs, App, Bound, CalculusError, Inl,
+                             Lam, One, OPlus, Pair, ParseError, ScalarStar,
+                             Star, TopElim, Var, alpha_eq, close_term,
+                             format_scalar, free_names, fresh_name,
+                             instantiate, open_abs, pair_subst, parse_prop,
+                             parse_term, print_prop, print_term, print_terms,
+                             replace_children, subst, subterms, term_size,
+                             uses_binder)
 
 
 def ip(s):
@@ -361,6 +366,175 @@ def test_pair_subst_is_simultaneous():
 
 
 # ---------------------------------------------------------------------------
+# print_terms against the recursive printer it replaced
+
+def _reference_pick_name(hint, avoid):
+    base = hint or "x"
+    if base.startswith("?"):
+        base = base[1:] or "x"
+    base = re.sub(r"[^A-Za-z0-9_]", "", base) or "x"
+    if base[0].isdigit():
+        base = "x" + base
+    if base not in avoid and base not in _RESERVED:
+        return base
+    for k in itertools.count(1):
+        cand = f"{base}{k}"
+        if cand not in avoid and cand not in _RESERVED:
+            return cand
+
+
+def _reference_print_term(t):
+    """print_term as it was before print_terms: one recursion per node."""
+    free = {}  # id(binder body) -> its free names
+
+    def collect(t):
+        if isinstance(t, Var):
+            return frozenset((t.name,))
+        names = frozenset()
+        for name, kind in t._paths:
+            child = getattr(t, name)
+            if kind == ABS:
+                child = child.body
+                free[id(child)] = got = collect(child)
+            else:
+                got = collect(child)
+            names = names | got
+        return names
+
+    collect(t)
+
+    def go(t, stack, atomic):
+        if isinstance(t, Var):
+            return t.name
+        if isinstance(t, Bound):
+            return stack[-(t.index + 1)]
+        if t._word:
+            head, args = t._word, []
+            for name, kind in t._shape:
+                v = getattr(t, name)
+                if kind == TERM:
+                    args.append(go(v, stack, False))
+                elif kind == ABS:
+                    args.append(binder(v, stack))
+                elif kind == SCALAR:
+                    args.append(format_scalar(v))
+                else:
+                    head += f"[{print_prop(v)}]"
+            return f"{head}({', '.join(args)})"
+        if isinstance(t, Star):
+            return "star"
+        if isinstance(t, ScalarStar):
+            s = f"{format_scalar(t.value)} . star"
+            return f"({s})" if atomic else s
+        if isinstance(t, Lam):
+            name = _reference_pick_name(
+                t.abs.hint, free[id(t.abs.body)] | set(stack))
+            body = go(t.abs.body, stack + [name], False)
+            ann = f":{print_prop(t.ann)}" if t.ann is not None else ""
+            s = f"lam {name}{ann}. {body}"
+            return f"({s})" if atomic else s
+        if isinstance(t, App):
+            fn = go(t.fn, stack, isinstance(t.fn, (Lam, ScalarStar)))
+            s = f"{fn} {go(t.arg, stack, True)}"
+            return f"({s})" if atomic else s
+        raise TypeError(f"not a printable term: {t!r}")
+
+    def binder(a, stack):
+        name = _reference_pick_name(a.hint, free[id(a.body)] | set(stack))
+        return f"{name}. {go(a.body, stack + [name], False)}"
+
+    return go(t, [], False)
+
+
+def _prints_like_the_reference(terms):
+    want = [_reference_print_term(t) for t in terms]
+    assert print_terms(terms) == want
+    assert [print_term(t) for t in terms] == want
+
+
+@pytest.mark.parametrize("calculus", CALCULI)
+def test_print_terms_matches_the_reference_on_gen_terms(calculus):
+    terms = [gen.random_term_in_context(
+        calculus, derive_rng(105, CALCULI.index(calculus), i))[1]
+        for i in range(300)]
+    _prints_like_the_reference(terms)
+
+
+def test_print_terms_matches_the_reference_on_reduction_graphs():
+    # the graphs of the explore-gen rows of tests/reductions.tsv: every
+    # reduct shares its off-path subterms with the term it came from
+    for i in range(40):
+        _ctx, t, _goal = gen.random_term_in_context(
+            "cc", derive_rng(104, i), max_size=30)
+        _prints_like_the_reference(explore(t, node_budget=100).terms)
+
+
+def _balanced_prop(d):
+    if d == 1:
+        return One()
+    return OPlus(_balanced_prop(d // 2), _balanced_prop(d - d // 2))
+
+
+def test_print_terms_matches_the_reference_on_compiled_matrices():
+    terms = []
+    for d in range(2, 17):
+        rng = derive_rng(106, d)
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        p = _balanced_prop(d)
+        terms.append(qencode.compile_matrix(m, p, p))
+    _prints_like_the_reference(terms)
+
+
+def test_a_shared_subterm_prints_by_the_binders_around_it():
+    # one object under two binder stacks: under the outer y, its own
+    # binder is printed y1
+    s = Lam(None, Abs("y", Bound(0)))
+    t = Pair(s, Lam(None, Abs("y", Pair(s, Bound(0)))))
+    assert print_terms([t, s]) == [
+        "pair(lam y. y, lam y. pair(lam y1. y1, y))", "lam y. y"]
+    _prints_like_the_reference([t, s])
+
+
+def test_a_binder_name_avoids_the_free_names_of_its_body():
+    t = Lam(None, Abs("x", App(Var("x"), Bound(0))))
+    u = Pair(Lam(None, Abs("y", Inl(Inl(Var("y"))))), t)
+    assert print_terms([t, u]) == [
+        "lam x1. x x1", "pair(lam y1. inl(inl(y)), lam x1. x x1)"]
+    _prints_like_the_reference([t, u])
+
+
+def test_print_terms_reads_hints_not_equality():
+    # equal terms with different hints, shared and as roots, in one call
+    a, b = Lam(None, Abs("a", Bound(0))), Lam(None, Abs("b", Bound(0)))
+    assert a == b
+    terms = [a, b, Pair(a, a), Pair(b, b), Pair(a, b)]
+    assert print_terms(terms) == [
+        "lam a. a", "lam b. b", "pair(lam a. a, lam a. a)",
+        "pair(lam b. b, lam b. b)", "pair(lam a. a, lam b. b)"]
+    _prints_like_the_reference(terms)
+
+
+def test_print_terms_on_repeated_roots_and_a_dag():
+    t = cc("lam x:A. case(x, a. inl(a), b. inr(lam y:B. b))")
+    assert print_terms([t, t]) == [print_term(t)] * 2
+    s = Star()
+    for _ in range(12):
+        s = Pair(s, s)
+    _prints_like_the_reference([s, s, s.left])
+    assert len(print_term(s)) == len(_reference_print_term(s))
+
+
+def test_print_term_on_a_deep_chain():
+    # the printer keeps its own stack: depth costs it no Python stack
+    depth = 10 ** 5
+    assert print_term(_chain(depth, Star())) \
+        == "inl(" * depth + "star" + ")" * depth
+    t = Lam(None, Abs("x", _chain(depth, Bound(0))))
+    assert print_terms([t, t]) \
+        == ["lam x. " + "inl(" * depth + "x" + ")" * depth] * 2
+
+
+# ---------------------------------------------------------------------------
 # propositions
 
 @pytest.mark.parametrize("text,calculus", [
@@ -371,6 +545,16 @@ def test_pair_subst_is_simultaneous():
 def test_prop_roundtrip(text, calculus):
     p = parse_prop(text, calculus)
     assert parse_prop(print_prop(p), calculus) == p
+
+
+def test_print_prop_on_a_deep_proposition():
+    # the printer keeps its own stack; the text read back prints the same
+    text = "One -o " * 30000 + "One"
+    p = parse_prop(text, "quantum")
+    assert print_prop(p) == text
+    assert print_prop(parse_prop(print_prop(p), "quantum")) == text
+    nested = "(" * 30000 + "One -o One" + ") -o One" * 30000
+    assert print_prop(parse_prop(nested, "quantum")) == nested
 
 
 def test_prop_calculus_gate():
