@@ -11,11 +11,10 @@ and property-test suites.
 
 from . import cc, iplus, quantum  # noqa: F401  (registers the rule tables)
 from .syntax import (alpha_eq, parse_prop, parse_term, print_prop,
-                     print_term, subst, pair_subst)
+                     print_term)
 from .typecheck import TypingError, infer, infer_cc, infer_iplus, infer_linear
 
 __all__ = [
     "alpha_eq", "parse_prop", "parse_term", "print_prop", "print_term",
-    "subst", "pair_subst", "TypingError", "infer", "infer_cc", "infer_iplus",
-    "infer_linear",
+    "TypingError", "infer", "infer_cc", "infer_iplus", "infer_linear",
 ]

@@ -27,8 +27,8 @@ from .rewrite import (ND_CHOICE, Rule, RuleId, RuleSet, reducts,
                       register_default_ruleset, step_at)
 from .syntax import (Abs, AndElim1, AndElim2, App, Bound, BotElim, Case, Conj,
                      Disj, Impl, Inl, Inlr3, Inr, Lam, Pair, Star, Term, Top,
-                     TopElim, Var, alpha_eq, close_term, instantiate,
-                     print_term, print_terms, uses_binder)
+                     TopElim, Var, alpha_eq, instantiate, print_term,
+                     print_terms, uses_binder)
 
 
 def _rule(n, name, head, build, **kw):
@@ -347,21 +347,23 @@ def pi_term(rule: int | RuleId, t: Term, t1: Term | None = None,
             t2: Term | None = None) -> Term:
     """The scrutinee witness for one of the six mixed case commutations.
 
-    `t` is the outer scrutinee.  `t1` (typed under hypothesis x1) and `t2`
-    (under x2) are the inner scrutinees where the construction uses them;
-    the built term binds the conventional names x1, x2, y1..y4.
+    `t` is the outer scrutinee.  `t1` and `t2` are the inner scrutinees
+    where the construction uses them, each the body of a binder: `t1`
+    refers to its hypothesis x1 as `Bound(0)` and `t2` to x2, and their
+    loose index k > 0 stands for the outer scrutinee's k - 1.  The built
+    term binds the conventional names x1, x2, y1..y4.
     """
     number = rule.number if isinstance(rule, RuleId) else rule
     if number not in _PI_CASES:
         raise ValueError(f"rule {number} has no pi witness")
     kind, build = _PI_CASES[number]
-    inner = []  # the inner scrutinees used, their hypothesis bound innermost
-    for side, arg, name in zip(kind.split("/"), (t1, t2), ("x1", "x2")):
+    inner = []  # the inner scrutinees used
+    for side, arg in zip(kind.split("/"), (t1, t2)):
         if side == "inlr":
             if arg is None:
                 raise ValueError(
                     f"the {kind} witness needs its inner scrutinee")
-            inner.append(close_term(arg, name).body)
+            inner.append(arg)
     return build(t, *inner)
 
 

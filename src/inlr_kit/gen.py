@@ -7,6 +7,12 @@ linear generator additionally threads the hypotheses that still have to
 be consumed and always has a deterministic way to discharge them, so it
 never backtracks.
 
+Terms are built nameless, as the parser builds them.  A context key is
+either a name (a free `Var`) or the level of a binder (0 outermost), and
+each generator is passed the depth it builds at, so the variable of level
+k is `Bound(depth - 1 - k)` and a binder pushes its hypothesis at level
+`depth`.
+
 The per-rule instance builders at the bottom produce well-typed redexes
 for every entry of the three rule tables; the subject-reduction and
 rule-soundness suites are driven from them.
@@ -16,11 +22,11 @@ from __future__ import annotations
 
 from .quantum import RULES_QUANTUM_DET
 from .rewrite import normalize
-from .syntax import (AndElim1, AndElim2, App, Atom, Bot, BotElim, Case,
-                     CaseNd, Conj, Disj, Impl, Inl, Inlr2, Inlr3, Inr, Lam,
-                     Lollipop, One, OneElim, OPlus, Pair, Prod, Proposition,
-                     ScalarStar, Star, Sum, Top, TopElim, Var,
-                     close_term, fresh_name)
+from .syntax import (Abs, AndElim1, AndElim2, App, Atom, Bot, BotElim, Bound,
+                     Case, CaseNd, Conj, Disj, Impl, Inl, Inlr2, Inlr3, Inr,
+                     Lam, Lollipop, One, OneElim, OPlus, Pair, Prod,
+                     Proposition, ScalarStar, Star, Sum, Top, TopElim, Var,
+                     term_size)
 
 _ATOMS = ("P", "Q", "R")
 
@@ -33,16 +39,9 @@ def _coin(rng, p=0.5):
     return rng.random() < p
 
 
-def _lam(ann, name, body):
-    return Lam(ann, close_term(body, name, hint=_hint(name)))
-
-
-def _hint(name):
-    return name.split("?")[-1].rstrip("0123456789") or "x"
-
-
-def _abs(name, body):
-    return close_term(body, name, hint=_hint(name))
+def _var(key, depth):
+    """The variable of a context key, a name or a binder's level, at depth."""
+    return Var(key) if type(key) is str else Bound(depth - 1 - key)
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +111,14 @@ class _Budget:
         return self.n > 0
 
 
-def _gen_i(goal, ctx, rng, budget, calculus):
-    """A term proving `goal` under ctx; `goal` must satisfy _provable."""
+def _gen_i(goal, ctx, depth, rng, budget, calculus):
+    """A term proving `goal` under ctx, `depth` binders deep; `goal` must
+    satisfy _provable."""
     hyps = tuple(ctx.values())
     candidates = [name for name, p in ctx.items() if p == goal]
 
     if not budget.spend():
-        return _minimal(goal, ctx, calculus)
+        return _minimal(goal, ctx, depth, calculus)
 
     moves = []
     if candidates:
@@ -149,98 +149,95 @@ def _gen_i(goal, ctx, rng, budget, calculus):
 
     move, _ = _pick(rng, moves) if moves else ("minimal", None)
 
+    def gen(goal):
+        return _gen_i(goal, ctx, depth, rng, budget, calculus)
+
+    def bind(hyp, goal):
+        """A proof of goal under one more binder, of hyp."""
+        return _gen_i(goal, {**ctx, depth: hyp}, depth + 1, rng, budget,
+                      calculus)
+
     if move == "var":
-        return Var(_pick(rng, candidates))
+        return _var(_pick(rng, candidates), depth)
     if move == "star":
         return Star()
     if move == "lam":
-        x = fresh_name("x")
-        body = _gen_i(goal.right, {**ctx, x: goal.left}, rng, budget, calculus)
-        return _lam(goal.left, x, body)
+        return Lam(goal.left, Abs("x", bind(goal.left, goal.right)))
     if move == "pair":
-        return Pair(_gen_i(goal.left, ctx, rng, budget, calculus),
-                    _gen_i(goal.right, ctx, rng, budget, calculus))
+        return Pair(gen(goal.left), gen(goal.right))
     if move == "inl":
-        return Inl(_gen_i(goal.left, ctx, rng, budget, calculus))
+        return Inl(gen(goal.left))
     if move == "inr":
-        return Inr(_gen_i(goal.right, ctx, rng, budget, calculus))
+        return Inr(gen(goal.right))
     if move == "inlr2":
-        return Inlr2(_gen_i(goal.left, ctx, rng, budget, calculus),
-                     _gen_i(goal.right, ctx, rng, budget, calculus))
+        return Inlr2(gen(goal.left), gen(goal.right))
     if move == "inlr3":
         d1 = random_provable_prop(rng, hyps, 1)
         d2 = random_provable_prop(rng, hyps, 1)
-        scrut = _gen_i(Disj(d1, d2), ctx, rng, budget, calculus)
-        x1, x2 = fresh_name("x"), fresh_name("y")
-        u1 = _gen_i(goal.left, {**ctx, x1: d1}, rng, budget, calculus)
-        u2 = _gen_i(goal.right, {**ctx, x2: d2}, rng, budget, calculus)
-        return Inlr3(scrut, _abs(x1, u1), _abs(x2, u2))
+        scrut = gen(Disj(d1, d2))
+        u1 = bind(d1, goal.left)
+        u2 = bind(d2, goal.right)
+        return Inlr3(scrut, Abs("x", u1), Abs("y", u2))
     if move == "sum":
-        return Sum(_gen_i(goal, ctx, rng, budget, calculus),
-                   _gen_i(goal, ctx, rng, budget, calculus))
+        return Sum(gen(goal), gen(goal))
     if move == "top_elim":
-        return TopElim(_gen_i(Top(), ctx, rng, budget, calculus),
-                       _gen_i(goal, ctx, rng, budget, calculus))
+        return TopElim(gen(Top()), gen(goal))
     if move == "app":
         a = random_provable_prop(rng, hyps, 1)
-        fn = _gen_i(Impl(a, goal), ctx, rng, budget, calculus)
-        return App(fn, _gen_i(a, ctx, rng, budget, calculus))
+        fn = gen(Impl(a, goal))
+        return App(fn, gen(a))
     if move in ("and1", "and2"):
         a = random_provable_prop(rng, hyps, 1)
         b = random_provable_prop(rng, hyps, 1)
-        scrut = _gen_i(Conj(a, b), ctx, rng, budget, calculus)
-        x = fresh_name("x")
-        bound = a if move == "and1" else b
-        body = _gen_i(goal, {**ctx, x: bound}, rng, budget, calculus)
+        scrut = gen(Conj(a, b))
+        body = bind(a if move == "and1" else b, goal)
         node = AndElim1 if move == "and1" else AndElim2
-        return node(scrut, _abs(x, body))
+        return node(scrut, Abs("x", body))
     if move == "case":
         a = random_provable_prop(rng, hyps, 1)
         b = random_provable_prop(rng, hyps, 1)
-        scrut = _gen_i(Disj(a, b), ctx, rng, budget, calculus)
-        x, y = fresh_name("x"), fresh_name("y")
-        u = _gen_i(goal, {**ctx, x: a}, rng, budget, calculus)
-        v = _gen_i(goal, {**ctx, y: b}, rng, budget, calculus)
-        return Case(scrut, _abs(x, u), _abs(y, v))
+        scrut = gen(Disj(a, b))
+        u = bind(a, goal)
+        v = bind(b, goal)
+        return Case(scrut, Abs("x", u), Abs("y", v))
     if move == "bot_elim":
         bot_var = next(n for n, p in ctx.items() if isinstance(p, Bot))
-        return BotElim(goal, Var(bot_var))
-    return _minimal(goal, ctx, calculus)
+        return BotElim(goal, _var(bot_var, depth))
+    return _minimal(goal, ctx, depth, calculus)
 
 
-def _minimal(goal, ctx, calculus):
+def _minimal(goal, ctx, depth, calculus):
     """Smallest proof; used when the size budget runs out."""
-    for name, p in ctx.items():
+    for key, p in ctx.items():
         if p == goal:
-            return Var(name)
+            return _var(key, depth)
     if isinstance(goal, Top):
         return Star()
     if isinstance(goal, Impl):
-        x = fresh_name("x")
-        return _lam(goal.left, x,
-                    _minimal(goal.right, {**ctx, x: goal.left}, calculus))
+        body = _minimal(goal.right, {**ctx, depth: goal.left}, depth + 1,
+                        calculus)
+        return Lam(goal.left, Abs("x", body))
     if isinstance(goal, Conj):
-        return Pair(_minimal(goal.left, ctx, calculus),
-                    _minimal(goal.right, ctx, calculus))
+        return Pair(_minimal(goal.left, ctx, depth, calculus),
+                    _minimal(goal.right, ctx, depth, calculus))
     if isinstance(goal, Disj):
         if _provable(goal.left, tuple(ctx.values())):
-            return Inl(_minimal(goal.left, ctx, calculus))
-        return Inr(_minimal(goal.right, ctx, calculus))
+            return Inl(_minimal(goal.left, ctx, depth, calculus))
+        return Inr(_minimal(goal.right, ctx, depth, calculus))
     raise RuntimeError(f"unprovable goal reached: {goal}")
 
 
 def _bounded(build, rng, max_size, attempts=40):
     """Rerolls until the built term fits the size bound."""
-    from .syntax import term_size
-
     budget = max(4, max_size // 3)
-    best = None
+    best, best_size = None, float("inf")
     for i in range(attempts):
         t = build(_Budget(budget))
-        if term_size(t) <= max_size:
+        size = term_size(t)
+        if size <= max_size:
             return t
-        if best is None or term_size(t) < term_size(best):
-            best = t
+        if size < best_size:
+            best, best_size = t, size
         if i % 10 == 9:
             budget = max(2, budget - 2)
     return best
@@ -250,11 +247,12 @@ def random_closed_term(calculus, rng, max_size=30):
     """A random closed well-typed term together with its proposition."""
     if calculus == "quantum":
         goal = random_quantum_prop(rng)
-        t = _bounded(lambda b: _gen_q(goal, [], rng, b, allow_nd=False),
+        t = _bounded(lambda b: _gen_q(goal, [], 0, rng, b, allow_nd=False),
                      rng, max_size)
         return t, goal
     goal = random_provable_prop(rng)
-    t = _bounded(lambda b: _gen_i(goal, {}, rng, b, calculus), rng, max_size)
+    t = _bounded(lambda b: _gen_i(goal, {}, 0, rng, b, calculus), rng,
+                 max_size)
     return t, goal
 
 
@@ -262,14 +260,16 @@ def random_term_in_context(calculus, rng, max_size=30, allow_nd=True):
     """(ctx, term, proposition) with a small random context."""
     if calculus == "quantum":
         goal = random_quantum_prop(rng)
-        t = _bounded(lambda b: _gen_q(goal, [], rng, b, allow_nd=allow_nd),
-                     rng, max_size)
+        t = _bounded(
+            lambda b: _gen_q(goal, [], 0, rng, b, allow_nd=allow_nd), rng,
+            max_size)
         return {}, t, goal
     ctx = {}
     for i in range(int(rng.integers(0, 4))):
         ctx[f"h{i}"] = random_any_prop(rng, 1)
     goal = random_provable_prop(rng, tuple(ctx.values()))
-    t = _bounded(lambda b: _gen_i(goal, ctx, rng, b, calculus), rng, max_size)
+    t = _bounded(lambda b: _gen_i(goal, ctx, 0, rng, b, calculus), rng,
+                 max_size)
     return ctx, t, goal
 
 
@@ -284,11 +284,11 @@ def random_scalar(rng, allow_zero=False):
     return complex(_pick(rng, pool))
 
 
-def _gen_q(goal, resources, rng, budget, allow_nd):
-    """A linear term proving `goal` that consumes every resource exactly
-    once."""
+def _gen_q(goal, resources, depth, rng, budget, allow_nd):
+    """A linear term proving `goal`, `depth` binders deep, that consumes
+    every resource exactly once."""
     if not budget.spend():
-        return _consume_all(goal, resources, rng, budget, allow_nd)
+        return _consume_all(goal, resources, depth, rng, budget, allow_nd)
 
     moves = []
     if len(resources) == 1 and resources[0][1] == goal:
@@ -304,91 +304,93 @@ def _gen_q(goal, resources, rng, budget, allow_nd):
         moves += ["consume"] * (2 + 2 * len(resources))
 
     move = _pick(rng, moves)
+
+    def gen(goal):
+        return _gen_q(goal, resources, depth, rng, budget, allow_nd)
+
     if move == "var":
-        return Var(resources[0][0])
+        return _var(resources[0][0], depth)
     if move == "scalar":
         return ScalarStar(random_scalar(rng, allow_zero=True))
     if move == "lam":
-        x = fresh_name("x")
-        body = _gen_q(goal.right, resources + [(x, goal.left)], rng, budget,
-                      allow_nd)
-        return _lam(goal.left, x, body)
+        body = _gen_q(goal.right, resources + [(depth, goal.left)],
+                      depth + 1, rng, budget, allow_nd)
+        return Lam(goal.left, Abs("x", body))
     if move == "inl":
-        return Inl(_gen_q(goal.left, resources, rng, budget, allow_nd))
+        return Inl(gen(goal.left))
     if move == "inr":
-        return Inr(_gen_q(goal.right, resources, rng, budget, allow_nd))
+        return Inr(gen(goal.right))
     if move == "inlr2":
-        return Inlr2(_gen_q(goal.left, resources, rng, budget, allow_nd),
-                     _gen_q(goal.right, resources, rng, budget, allow_nd))
+        return Inlr2(gen(goal.left), gen(goal.right))
     if move == "sum":
-        return Sum(_gen_q(goal, resources, rng, budget, allow_nd),
-                   _gen_q(goal, resources, rng, budget, allow_nd))
+        return Sum(gen(goal), gen(goal))
     if move == "prod":
-        return Prod(random_scalar(rng),
-                    _gen_q(goal, resources, rng, budget, allow_nd))
+        return Prod(random_scalar(rng), gen(goal))
     # consume one resource through its elimination form
     i = int(rng.integers(len(resources)))
     (x, ty) = resources[i]
     rest = resources[:i] + resources[i + 1:]
-    return _consume_term(Var(x), ty, goal, rest, rng, budget, allow_nd)
+    return _consume_term(_var(x, depth), ty, goal, rest, depth, rng, budget,
+                         allow_nd)
 
 
-def _consume_term(term, ty, goal, resources, rng, budget, allow_nd):
+def _consume_term(term, ty, goal, resources, depth, rng, budget, allow_nd):
     """Eliminate `term : ty` (plus all resources) into a proof of goal."""
     if isinstance(ty, One):
-        return OneElim(term, _gen_q(goal, resources, rng, budget, allow_nd))
+        return OneElim(term, _gen_q(goal, resources, depth, rng, budget,
+                                    allow_nd))
     if isinstance(ty, OPlus):
         node = CaseNd if allow_nd and _coin(rng, 0.4) else Case
-        y, z = fresh_name("y"), fresh_name("z")
-        u = _gen_q(goal, resources + [(y, ty.left)], rng, budget, allow_nd)
-        v = _gen_q(goal, resources + [(z, ty.right)], rng, budget, allow_nd)
-        return node(term, _abs(y, u), _abs(z, v))
+        u = _gen_q(goal, resources + [(depth, ty.left)], depth + 1, rng,
+                   budget, allow_nd)
+        v = _gen_q(goal, resources + [(depth, ty.right)], depth + 1, rng,
+                   budget, allow_nd)
+        return node(term, Abs("y", u), Abs("z", v))
     if isinstance(ty, Lollipop):
         # hand a random share of the resources to the argument
         mine, arg_side = [], []
         for r in resources:
             (arg_side if budget.n > 2 and _coin(rng, 0.3) else mine).append(r)
-        arg = _gen_q(ty.left, arg_side, rng, budget, allow_nd)
-        return _consume_term(App(term, arg), ty.right, goal, mine, rng,
-                             budget, allow_nd)
+        arg = _gen_q(ty.left, arg_side, depth, rng, budget, allow_nd)
+        return _consume_term(App(term, arg), ty.right, goal, mine, depth,
+                             rng, budget, allow_nd)
     raise RuntimeError(f"cannot consume resource of type {ty}")
 
 
-def _consume_all(goal, resources, rng, budget, allow_nd):
+def _consume_all(goal, resources, depth, rng, budget, allow_nd):
     if not resources:
-        return _produce_min_q(goal)
+        return _produce_min_q(goal, depth)
     (x, ty) = resources[0]
-    return _consume_min(Var(x), ty, goal, resources[1:], rng, budget,
-                        allow_nd)
+    return _consume_min(_var(x, depth), ty, goal, resources[1:], depth, rng,
+                        budget, allow_nd)
 
 
-def _consume_min(term, ty, goal, resources, rng, budget, allow_nd):
+def _consume_min(term, ty, goal, resources, depth, rng, budget, allow_nd):
     if isinstance(ty, One):
-        return OneElim(term, _consume_all(goal, resources, rng, budget,
+        return OneElim(term, _consume_all(goal, resources, depth, rng, budget,
                                           allow_nd))
     if isinstance(ty, OPlus):
-        y, z = fresh_name("y"), fresh_name("z")
-        u = _consume_all(goal, resources + [(y, ty.left)], rng, budget,
-                         allow_nd)
-        v = _consume_all(goal, resources + [(z, ty.right)], rng, budget,
-                         allow_nd)
-        return Case(term, _abs(y, u), _abs(z, v))
+        u = _consume_all(goal, resources + [(depth, ty.left)], depth + 1, rng,
+                         budget, allow_nd)
+        v = _consume_all(goal, resources + [(depth, ty.right)], depth + 1,
+                         rng, budget, allow_nd)
+        return Case(term, Abs("y", u), Abs("z", v))
     if isinstance(ty, Lollipop):
-        return _consume_min(App(term, _produce_min_q(ty.left)), ty.right,
-                            goal, resources, rng, budget, allow_nd)
+        return _consume_min(App(term, _produce_min_q(ty.left, depth)),
+                            ty.right, goal, resources, depth, rng, budget,
+                            allow_nd)
     raise RuntimeError(f"cannot consume resource of type {ty}")
 
 
-def _produce_min_q(goal):
+def _produce_min_q(goal, depth):
     if isinstance(goal, One):
         return ScalarStar(1.0)
     if isinstance(goal, OPlus):
-        return Inl(_produce_min_q(goal.left))
+        return Inl(_produce_min_q(goal.left, depth))
     if isinstance(goal, Lollipop):
-        x = fresh_name("x")
-        body = _consume_min(Var(x), goal.left, goal.right, [], None, None,
-                            False)
-        return _lam(goal.left, x, body)
+        body = _consume_min(Bound(0), goal.left, goal.right, [], depth + 1,
+                            None, None, False)
+        return Lam(goal.left, Abs("x", body))
     raise RuntimeError(f"no minimal quantum proof of {goal}")
 
 
@@ -400,35 +402,38 @@ def _atoms(*names):
 
 
 def iplus_rule_instance(number, rng, size=8):
-    """(ctx, redex term, expected proposition) for one iplus rule."""
+    """(ctx, redex term, expected proposition) for one iplus rule.
+
+    A binder around a generated body is level 0 in the body's context.
+    """
     ctx = {"h": random_any_prop(rng, 1)}
     hyps = tuple(ctx.values())
     budget = lambda: _Budget(size)
-    gen = lambda goal, extra={}: _gen_i(goal, {**ctx, **extra}, rng,
-                                        budget(), "iplus")
+    gen = lambda goal, extra={}: _gen_i(goal, {**ctx, **extra}, len(extra),
+                                        rng, budget(), "iplus")
     goal = random_provable_prop(rng, hyps, 1)
     a = random_provable_prop(rng, hyps, 1)
     b = random_provable_prop(rng, hyps, 1)
-    x, y = fresh_name("x"), fresh_name("y")
 
     if number == 1:
         return ctx, TopElim(Star(), gen(goal)), goal
     if number == 2:
-        return ctx, App(_lam(a, x, gen(goal, {x: a})), gen(a)), goal
+        return ctx, App(Lam(a, Abs("x", gen(goal, {0: a}))), gen(a)), goal
     if number in (3, 4):
         node = AndElim1 if number == 3 else AndElim2
         bound = a if number == 3 else b
         return ctx, node(Pair(gen(a), gen(b)),
-                         _abs(x, gen(goal, {x: bound}))), goal
+                         Abs("x", gen(goal, {0: bound}))), goal
     if number in (5, 6, 7):
         scrut = {5: lambda: Inl(gen(a)), 6: lambda: Inr(gen(b)),
                  7: lambda: Inlr2(gen(a), gen(b))}[number]()
-        return ctx, Case(scrut, _abs(x, gen(goal, {x: a})),
-                         _abs(y, gen(goal, {y: b}))), goal
+        return ctx, Case(scrut, Abs("x", gen(goal, {0: a})),
+                         Abs("y", gen(goal, {0: b}))), goal
     if number == 8:
         return ctx, Sum(Star(), Star()), Top()
     if number == 9:
-        t = Sum(_lam(a, x, gen(b, {x: a})), _lam(a, y, gen(b, {y: a})))
+        t = Sum(Lam(a, Abs("x", gen(b, {0: a}))),
+                Lam(a, Abs("y", gen(b, {0: a}))))
         return ctx, t, Impl(a, b)
     if number == 10:
         t = Sum(Pair(gen(a), gen(b)), Pair(gen(a), gen(b)))
@@ -448,21 +453,21 @@ def iplus_rule_instance(number, rng, size=8):
 def quantum_rule_instance(number, rng, size=6):
     """(ctx, redex term, expected proposition) for one quantum rule.
 
-    Instances are closed: the linear context is provided by binders.
+    Instances are closed: the linear context is provided by binders, and
+    a binder around a generated body is level 0 in the body's resources.
     """
     budget = lambda: _Budget(size)
-    gen = lambda goal, res=(): _gen_q(goal, list(res), rng, budget(),
-                                      allow_nd=False)
+    gen = lambda goal, res=(): _gen_q(goal, list(res), len(res), rng,
+                                      budget(), allow_nd=False)
     goal = random_quantum_prop(rng, 1)
     a = random_quantum_prop(rng, 1)
     b = random_quantum_prop(rng, 1)
-    x, y = fresh_name("x"), fresh_name("y")
     sa, sb = random_scalar(rng), random_scalar(rng)
 
     if number == 19:
         return {}, OneElim(ScalarStar(sa), gen(goal)), goal
     if number == 20:
-        return {}, App(_lam(a, x, gen(goal, [(x, a)])), gen(a)), goal
+        return {}, App(Lam(a, Abs("x", gen(goal, [(0, a)]))), gen(a)), goal
     if number in (21, 22, 23, 24, 25, 26, 27):
         node = Case if number <= 23 else CaseNd
         kind = {21: "l", 22: "r", 23: "lr", 24: "l", 25: "r",
@@ -473,13 +478,14 @@ def quantum_rule_instance(number, rng, size=6):
             # measurement waits for irreducible components
             scrut = Inlr2(*(normalize(c, RULES_QUANTUM_DET).final
                             for c in (scrut.left, scrut.right)))
-        t = node(scrut, _abs(x, gen(goal, [(x, a)])),
-                 _abs(y, gen(goal, [(y, b)])))
+        t = node(scrut, Abs("x", gen(goal, [(0, a)])),
+                 Abs("y", gen(goal, [(0, b)])))
         return {}, t, goal
     if number == 28:
         return {}, Sum(ScalarStar(sa), ScalarStar(sb)), One()
     if number == 29:
-        t = Sum(_lam(a, x, gen(b, [(x, a)])), _lam(a, y, gen(b, [(y, a)])))
+        t = Sum(Lam(a, Abs("x", gen(b, [(0, a)]))),
+                Lam(a, Abs("y", gen(b, [(0, a)]))))
         return {}, t, Lollipop(a, b)
     if 30 <= number <= 38:
         intro = {"l": lambda: Inl(gen(a)), "r": lambda: Inr(gen(b)),
@@ -492,7 +498,8 @@ def quantum_rule_instance(number, rng, size=6):
     if number == 39:
         return {}, Prod(sa, ScalarStar(sb)), One()
     if number == 40:
-        return {}, Prod(sa, _lam(a, x, gen(b, [(x, a)]))), Lollipop(a, b)
+        return {}, Prod(sa, Lam(a, Abs("x", gen(b, [(0, a)])))), \
+            Lollipop(a, b)
     if number in (41, 42, 43):
         inner = {41: lambda: Inl(gen(a)), 42: lambda: Inr(gen(b)),
                  43: lambda: Inlr2(gen(a), gen(b))}[number]()
@@ -501,49 +508,51 @@ def quantum_rule_instance(number, rng, size=6):
 
 
 def cc_rule_instance(number, rng, size=6):
-    """(ctx, redex term, expected proposition) for one cc rule."""
+    """(ctx, redex term, expected proposition) for one cc rule.
+
+    A binder around a generated body is level 0 in the body's context,
+    and one binder inside it level 1.
+    """
     a1, a2, b1, b2, b3, b4, c, d = _atoms("A1", "A2", "B1", "B2", "B3",
                                           "B4", "C", "D")
     ctx = {"s": Disj(a1, a2), "t1v": Disj(b1, b2), "t2v": Disj(b3, b4),
            "bb": Bot(), "cc": c, "dd": d,
            "hb1": b1, "hb2": b2, "hb3": b3, "hb4": b4}
     budget = lambda: _Budget(size)
-    gen = lambda goal, extra={}: _gen_i(goal, {**ctx, **extra}, rng,
-                                        budget(), "cc")
+    gen = lambda goal, extra={}: _gen_i(goal, {**ctx, **extra}, len(extra),
+                                        rng, budget(), "cc")
     hyps = tuple(ctx.values())
     goal = random_provable_prop(rng, hyps, 1)
     e = random_provable_prop(rng, hyps, 1)
     f = random_provable_prop(rng, hyps, 1)
-    x, y, z = fresh_name("x"), fresh_name("y"), fresh_name("z")
-    x1, x2 = fresh_name("x1"), fresh_name("x2")
-    y1, y2 = fresh_name("y1"), fresh_name("y2")
 
     def inlr3(scrut_prop, left_goal, right_goal, extra):
         scrut = gen(scrut_prop, extra)
-        p, q = fresh_name("p"), fresh_name("q")
+        k = len(extra)
         return Inlr3(scrut,
-                     _abs(p, gen(left_goal, {**extra, p: scrut_prop.left})),
-                     _abs(q, gen(right_goal, {**extra, q: scrut_prop.right})))
+                     Abs("p", gen(left_goal, {**extra, k: scrut_prop.left})),
+                     Abs("q", gen(right_goal,
+                                  {**extra, k: scrut_prop.right})))
 
     if number == 1:
         return ctx, TopElim(Star(), gen(goal)), goal
     if number == 2:
-        return ctx, App(_lam(e, x, gen(goal, {x: e})), gen(e)), goal
+        return ctx, App(Lam(e, Abs("x", gen(goal, {0: e}))), gen(e)), goal
     if number in (3, 4):
         node = AndElim1 if number == 3 else AndElim2
         bound = e if number == 3 else f
         return ctx, node(Pair(gen(e), gen(f)),
-                         _abs(x, gen(goal, {x: bound}))), goal
+                         Abs("x", gen(goal, {0: bound}))), goal
     if number in (5, 6):
         scrut = Inl(gen(e)) if number == 5 else Inr(gen(f))
-        return ctx, Case(scrut, _abs(x, gen(goal, {x: e})),
-                         _abs(y, gen(goal, {y: f}))), goal
+        return ctx, Case(scrut, Abs("x", gen(goal, {0: e})),
+                         Abs("y", gen(goal, {0: f}))), goal
     if number == 7:
-        u1 = gen(b1, {x1: a1})
-        u2 = gen(b2, {x2: a2})
-        t = Case(Inlr3(Var("s"), _abs(x1, u1), _abs(x2, u2)),
-                 _abs(y1, gen(goal, {y1: b1})),
-                 _abs(y2, gen(goal, {y2: b2})))
+        u1 = gen(b1, {0: a1})
+        u2 = gen(b2, {0: a2})
+        t = Case(Inlr3(Var("s"), Abs("x", u1), Abs("x", u2)),
+                 Abs("y", gen(goal, {0: b1})),
+                 Abs("y", gen(goal, {0: b2})))
         return ctx, t, goal
     if 8 <= number <= 12:
         prop = {8: Top(), 9: Impl(e, f), 10: Conj(e, f),
@@ -554,7 +563,8 @@ def cc_rule_instance(number, rng, size=6):
         if number == 13:
             return ctx, TopElim(unit, Star()), Top()
         if number == 14:
-            return ctx, TopElim(unit, _lam(e, x, gen(f, {x: e}))), Impl(e, f)
+            lam = Lam(e, Abs("x", gen(f, {0: e})))
+            return ctx, TopElim(unit, lam), Impl(e, f)
         if number == 15:
             return ctx, TopElim(unit, Pair(gen(e), gen(f))), Conj(e, f)
         if number == 16:
@@ -567,31 +577,31 @@ def cc_rule_instance(number, rng, size=6):
         sub = (number - 19) % 6
         pair = Pair(gen(e), gen(f))
         bound = e if number <= 24 else f
-        extra = {x: bound}
+        extra = {0: bound}
         if sub == 0:
-            return ctx, node(pair, _abs(x, Star())), Top()
+            return ctx, node(pair, Abs("x", Star())), Top()
         if sub == 1:
-            body = _lam(c, y, gen(goal, {**extra, y: c}))
-            return ctx, node(pair, _abs(x, body)), Impl(c, goal)
+            body = Lam(c, Abs("y", gen(goal, {**extra, 1: c})))
+            return ctx, node(pair, Abs("x", body)), Impl(c, goal)
         if sub == 2:
             body = Pair(gen(e, extra), gen(f, extra))
-            return ctx, node(pair, _abs(x, body)), Conj(e, f)
+            return ctx, node(pair, Abs("x", body)), Conj(e, f)
         if sub == 3:
-            return ctx, node(pair, _abs(x, Inl(gen(e, extra)))), Disj(e, f)
+            return ctx, node(pair, Abs("x", Inl(gen(e, extra)))), Disj(e, f)
         if sub == 4:
-            return ctx, node(pair, _abs(x, Inr(gen(f, extra)))), Disj(e, f)
+            return ctx, node(pair, Abs("x", Inr(gen(f, extra)))), Disj(e, f)
         # the commuted scrutinee must not use the projection binder
         body = Inlr3(Var("t1v"),
-                     _abs(y1, gen(e, {**extra, y1: b1})),
-                     _abs(y2, gen(f, {**extra, y2: b2})))
-        return ctx, node(pair, _abs(x, body)), Disj(e, f)
+                     Abs("y", gen(e, {**extra, 1: b1})),
+                     Abs("y", gen(f, {**extra, 1: b2})))
+        return ctx, node(pair, Abs("x", body)), Disj(e, f)
     if 31 <= number <= 42:
-        def branch(kind, binder, bound):
-            extra = {binder: bound}
+        def branch(kind, bound):
+            extra = {0: bound}
             if kind == "star":
                 return Star()
             if kind == "lam":
-                return _lam(c, y, gen(d, {**extra, y: c}))
+                return Lam(c, Abs("y", gen(d, {**extra, 1: c})))
             if kind == "pair":
                 return Pair(gen(e, extra), gen(f, extra))
             if kind == "inl1":
@@ -604,11 +614,11 @@ def cc_rule_instance(number, rng, size=6):
                 return Inr(gen(f, extra))
             if kind == "inlr-left":
                 return Inlr3(Var("t1v"),
-                             _abs(y1, gen(b1, {**extra, y1: b1})),
-                             _abs(y2, gen(b2, {**extra, y2: b2})))
+                             Abs("y", gen(b1, {**extra, 1: b1})),
+                             Abs("y", gen(b2, {**extra, 1: b2})))
             return Inlr3(Var("t2v"),
-                         _abs(y1, gen(b1, {**extra, y1: b3})),
-                         _abs(y2, gen(b2, {**extra, y2: b4})))
+                         Abs("y", gen(b1, {**extra, 1: b3})),
+                         Abs("y", gen(b2, {**extra, 1: b4})))
 
         shapes = {
             31: ("star", "star", Top()),
@@ -625,7 +635,7 @@ def cc_rule_instance(number, rng, size=6):
             42: ("inlr-left", "inlr-right", Disj(b1, b2)),
         }
         left_kind, right_kind, expected = shapes[number]
-        t = Case(Var("s"), _abs(x1, branch(left_kind, x1, a1)),
-                 _abs(x2, branch(right_kind, x2, a2)))
+        t = Case(Var("s"), Abs("x", branch(left_kind, a1)),
+                 Abs("x", branch(right_kind, a2)))
         return ctx, t, expected
     raise ValueError(f"no cc rule {number}")

@@ -29,7 +29,7 @@ from .rewrite import (ND_PAIR, ND_SINGLE, Cursor, Rule, RuleId, RuleSet,
 from .rng import derive_rng, reseat
 from .syntax import (Abs, App, Bound, Case, CaseNd, Inl, Inlr2, Inr, Lam,
                      OneElim, Prod, ScalarStar, Sum, Term, Var, instantiate,
-                     print_term, subst)
+                     print_term)
 
 
 def _rule(n, name, head, build, **kw):
@@ -174,14 +174,16 @@ def lex_gt(t: Term, u: Term) -> bool:
     return measure_nu(t) > measure_nu(u)
 
 
-def mu_subst_additivity(t: Term, u: Term, x: str) -> bool:
-    """mu((u/x)t) == mu(t) + mu(u).
+def mu_subst_additivity(body: Term, u: Term) -> bool:
+    """mu((u/x)t) == mu(t) + mu(u), with t the body of a binder x.
 
-    Assumes the linear typing preconditions, which are not re-checked
-    here: x occurs in t exactly as a linear hypothesis and u proves its
-    proposition.
+    `body` refers to x as its loose index 0, and u is plugged in for it
+    with `instantiate(body, (u,))`.  Assumes the linear typing
+    preconditions, which are not re-checked here: x occurs in the body
+    exactly as a linear hypothesis and u proves its proposition.
     """
-    return measure_mu(subst(u, x, t)) == measure_mu(t) + measure_mu(u)
+    return measure_mu(instantiate(body, (u,))) \
+        == measure_mu(body) + measure_mu(u)
 
 
 # ---------------------------------------------------------------------------

@@ -112,10 +112,11 @@ def confluence_peaks(calculus, target_peaks, seed, fuel=10 ** 6,
         i += 1
         if calculus == "iplus":
             ctx, t1, goal = gen.random_term_in_context(calculus, rng)
-            t2 = gen._gen_i(goal, ctx, rng, gen._Budget(10), calculus)
+            t2 = gen._gen_i(goal, ctx, 0, rng, gen._Budget(10), calculus)
         else:
             t1, goal = gen.random_closed_term(calculus, rng)
-            t2 = gen._gen_q(goal, [], rng, gen._Budget(10), allow_nd=False)
+            t2 = gen._gen_q(goal, [], 0, rng, gen._Budget(10),
+                            allow_nd=False)
         t = Sum(t1, t2)
         terms += 1
         n = len(find_redexes(t, ruleset))
@@ -174,17 +175,16 @@ def gen_worked_lam():
 def mu_additivity(samples, seed) -> CheckResult:
     """mu((u/x)t) = mu(t) + mu(u) on random linear pairs."""
     from .quantum import mu_subst_additivity
-    from .syntax import Var, fresh_name
 
     failures = 0
     for i in range(samples):
         rng = derive_rng(seed, 0xAD, i)
         a = gen.random_quantum_prop(rng, 1)
         b = gen.random_quantum_prop(rng, 1)
-        x = fresh_name("x")
-        t = gen._gen_q(b, [(x, a)], rng, gen._Budget(12), allow_nd=False)
-        u = gen._gen_q(a, [], rng, gen._Budget(12), allow_nd=False)
-        if not mu_subst_additivity(t, u, x):
+        # t is the body of a binder x : a, one binder deep
+        t = gen._gen_q(b, [(0, a)], 1, rng, gen._Budget(12), allow_nd=False)
+        u = gen._gen_q(a, [], 0, rng, gen._Budget(12), allow_nd=False)
+        if not mu_subst_additivity(t, u):
             failures += 1
     return CheckResult("mu-substitution-additivity", failures == 0,
                        f"{samples} pairs, {failures} failures")

@@ -526,86 +526,7 @@ def uses_binder(a: Abs) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Opening / closing binders and substitution
-
-_fresh_counter = itertools.count(1)
-
-
-def fresh_name(hint: str = "x") -> str:
-    # '?' is not a surface-syntax character, so these can never collide with
-    # parsed variable names.
-    return f"?{hint}{next(_fresh_counter)}"
-
-
-def map_vars(t: Term, on_var, on_bound, depth: int = 0) -> Term:
-    """Rebuild t with every variable replaced.
-
-    `on_var(v, depth)` and `on_bound(b, depth)` give the replacement for a
-    free or bound variable, where depth counts the binders passed on the
-    way down.  Subterms that come back unchanged are shared, not copied.
-    """
-    if isinstance(t, Var):
-        return on_var(t, depth)
-    if isinstance(t, Bound):
-        return on_bound(t, depth)
-    kwargs = {}
-    changed = False
-    for nm, kind in t._shape:
-        old = new = getattr(t, nm)
-        if kind == TERM:
-            new = map_vars(old, on_var, on_bound, depth)
-        elif kind == ABS:
-            body = map_vars(old.body, on_var, on_bound, depth + 1)
-            if body is not old.body:
-                new = Abs(old.hint, body)
-        changed = changed or new is not old
-        kwargs[nm] = new
-    return type(t)(**kwargs) if changed else t
-
-
-def _keep(v, depth):
-    return v
-
-
-def open_abs(a: Abs, name: str) -> Term:
-    """Replace the abstraction's bound variable with a free variable."""
-
-    def on_bound(b, depth):
-        if b.index == depth:
-            return Var(name)
-        return Bound(b.index - 1) if b.index > depth else b
-
-    return map_vars(a.body, _keep, on_bound)
-
-
-def close_term(t: Term, name: str, hint: str | None = None) -> Abs:
-    """Abstract the free variable `name` out of t."""
-    body = map_vars(
-        t, lambda v, depth: Bound(depth) if v.name == name else v,
-        lambda b, depth: Bound(b.index + 1) if b.index >= depth else b)
-    return Abs(hint if hint is not None else name, body)
-
-
-def subst_multi(mapping: dict, t: Term) -> Term:
-    """Simultaneous capture-avoiding substitution of free variables.
-
-    A replacement is lifted past the binders it lands under, so its loose
-    indices keep pointing outside t.
-    """
-    if not mapping:
-        return t
-
-    def on_var(v, depth):
-        u = mapping.get(v.name)
-        return v if u is None else instantiate(u, (), depth)
-
-    return map_vars(t, on_var, _keep)
-
-
-def subst(u: Term, x: str, t: Term) -> Term:
-    """Substitute u for the free variable x in t."""
-    return subst_multi({x: u}, t)
-
+# Substitution on nameless terms
 
 def instantiate(t: Term, args=(), shift: int = 0) -> Term:
     """De Bruijn's parallel substitution args[0] ... args[n-1] . shift.
@@ -682,18 +603,6 @@ def instantiate(t: Term, args=(), shift: int = 0) -> Term:
                     break
         else:
             return got
-
-
-_ID_ABS = Abs("z", Bound(0))
-
-
-def pair_subst(w: Term, x: str, y: str, t: Term) -> Term:
-    """Substitute the two conjunct projections of w for x and y in t.
-
-    ``(w/<x,y>)t`` stands for the simultaneous substitution of
-    ``and1(w, z.z)`` for x and ``and2(w, z.z)`` for y.
-    """
-    return subst_multi({x: AndElim1(w, _ID_ABS), y: AndElim2(w, _ID_ABS)}, t)
 
 
 def alpha_eq(t: Term, u: Term) -> bool:

@@ -6,8 +6,9 @@ from inlr_kit.cc import (DEFAULT_FUEL_CC, RULES_CC, RULES_CC_DET,
 from inlr_kit.rewrite import RuleId, find_redexes, normalize, step_at
 from inlr_kit.rng import derive_rng
 from inlr_kit.selftest import cc_pi_terms, cc_rule_soundness
-from inlr_kit.syntax import (Inlr3, Star, Top, Var, alpha_eq, parse_prop,
-                             parse_term, print_term)
+from inlr_kit.syntax import (Abs, AndElim1, Bound, Inlr3, Pair, Star, Top,
+                             Var, alpha_eq, parse_prop, parse_term,
+                             print_term)
 from inlr_kit.typecheck import TypingError, infer_cc
 
 
@@ -103,6 +104,32 @@ def test_pi_inlr_inlr_proposition():
     got = infer_cc(ctx, pi_term(42, Var("t"), Var("t1"), Var("t2")))
     assert got == P("((A1 /\\ B1) \\/ (A2 /\\ B3)) "
                     "\\/ ((A1 /\\ B2) \\/ (A2 /\\ B4))")
+
+
+def _using_hypothesis(name, index=0):
+    """and1(pair(name, x), z. z) with x the loose index given: a proof of
+    what `name` proves that refers to its hypothesis."""
+    return AndElim1(Pair(Var(name), Bound(index)), Abs("z", Bound(0)))
+
+
+def test_pi_term_inner_scrutinees_refer_to_their_hypothesis():
+    # Bound(0) in t1 is x1 and in t2 is x2, the outer case's binders
+    ctx = {"t": P("A1 \\/ A2"), "t1": P("B1 \\/ B2"), "t2": P("B3 \\/ B4")}
+    pi = pi_term(42, Var("t"), _using_hypothesis("t1"),
+                 _using_hypothesis("t2"))
+    assert infer_cc(ctx, pi) == P("((A1 /\\ B1) \\/ (A2 /\\ B3)) "
+                                  "\\/ ((A1 /\\ B2) \\/ (A2 /\\ B4))")
+    assert print_term(pi) == (
+        "case(t, x1. case(and1(pair(t1, x1), z. z), "
+        "y1. inl(inl(pair(x1, y1))), y2. inr(inl(pair(x1, y2)))), "
+        "x2. case(and1(pair(t2, x2), z. z), "
+        "y3. inl(inr(pair(x2, y3))), y4. inr(inr(pair(x2, y4)))))")
+    # an index past the hypothesis points outside the witness
+    pi = pi_term(42, Var("t"), _using_hypothesis("t1", 1),
+                 _using_hypothesis("t2", 1))
+    with pytest.raises(TypingError) as e:
+        infer_cc(ctx, pi)
+    assert e.value.kind == "unbound-var"
 
 
 def test_pi_term_wrong_rule_id():

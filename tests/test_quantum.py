@@ -11,8 +11,8 @@ from inlr_kit.rewrite import (NoMatchError, RuleId, find_redexes, normalize,
                               step_at)
 from inlr_kit.rng import derive_rng
 from inlr_kit.syntax import (Abs, App, Bound, CaseNd, Inl, Inlr2, ScalarStar,
-                             Term, Var, parse_prop, parse_term, print_term,
-                             subst)
+                             Term, Var, instantiate, parse_prop, parse_term,
+                             print_term)
 from inlr_kit.typecheck import infer_linear
 
 from test_rewrite import measure_inputs
@@ -72,21 +72,22 @@ def test_every_root_step_decreases_lexicographically(number):
 
 
 def test_mu_subst_additivity_examples():
-    assert mu_subst_additivity(q("prod(2.0, x)"), q("5.0 . star"), "x")
-    assert mu_subst_additivity(Var("x"), q("lam y. y"), "x")
+    # each body refers to its binder x as Bound(0)
+    body = q("lam x. prod(2.0, x)").abs.body
+    assert mu_subst_additivity(body, q("5.0 . star"))
+    assert mu_subst_additivity(Bound(0), q("lam y. y"))
 
 
 def test_mu_subst_additivity_random():
-    from inlr_kit.syntax import fresh_name
-
     for i in range(500):
         rng = derive_rng(13, i)
         a = gen.random_quantum_prop(rng, 1)
         b = gen.random_quantum_prop(rng, 1)
-        x = fresh_name("x")
-        t = gen._gen_q(b, [(x, a)], rng, gen._Budget(14), allow_nd=False)
-        u = gen._gen_q(a, [], rng, gen._Budget(14), allow_nd=False)
-        assert measure_mu(subst(u, x, t)) == measure_mu(t) + measure_mu(u)
+        # t is the body of a binder x : a, one binder deep
+        t = gen._gen_q(b, [(0, a)], 1, rng, gen._Budget(14), allow_nd=False)
+        u = gen._gen_q(a, [], 0, rng, gen._Budget(14), allow_nd=False)
+        assert measure_mu(instantiate(t, (u,))) \
+            == measure_mu(t) + measure_mu(u)
 
 
 # ---------------------------------------------------------------------------

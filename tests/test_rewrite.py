@@ -17,7 +17,7 @@ from inlr_kit.rewrite import (ND_PAIR, Rule, RuleId, RuleSet, Stuck,
 from inlr_kit.rng import derive_rng
 from inlr_kit.syntax import (ABS, TERM, Abs, App, Bound, Inl, Lam, One,
                              OneElim, OPlus, ScalarStar, Star, Sum, Var,
-                             alpha_eq, child_slots, close_term, free_names,
+                             alpha_eq, child_slots, free_names,
                              instantiate, parse_term, print_term,
                              replace_children, subterms, uses_binder)
 
@@ -398,7 +398,7 @@ def test_reducts_share_what_is_off_the_path():
 def _bind_names(t, names):
     """t under one lambda per name, the first name outermost."""
     for name in reversed(names):
-        t = Lam(None, close_term(t, name))
+        t = Lam(None, _close_term(t, name))
     return t
 
 
@@ -505,6 +505,14 @@ def _map_vars(t, on_var, on_bound, depth=0):
     return type(t)(**kwargs) if changed else t
 
 
+def _close_term(t, name):
+    """The abstraction of the free variable `name` out of t."""
+    body = _map_vars(
+        t, lambda v, depth: Bound(depth) if v.name == name else v,
+        lambda b, depth: Bound(b.index + 1) if b.index >= depth else b)
+    return Abs(name, body)
+
+
 def _reference_instantiate(t, args=(), shift=0):
     n = len(args)
     if not n and not shift:
@@ -577,12 +585,12 @@ def test_instantiate_matches_the_map_vars_reference():
     checked = 0
     for top in _instantiate_inputs():
         names = sorted(free_names(top))
-        bodies = [top] + [close_term(top, x).body for x in names[:2]]
+        bodies = [top] + [_close_term(top, x).body for x in names[:2]]
         bodies += [a.body for u, _ in _nodes(top) for name, kind
                    in child_slots(u) if kind == ABS
                    for a in [getattr(u, name)]]
         _ctx, u, _goal = gen.random_term_in_context("iplus", args_rng)
-        loose = App(Bound(1), close_term(u, "u").body) if free_names(u) \
+        loose = App(Bound(1), _close_term(u, "u").body) if free_names(u) \
             else App(Bound(1), Bound(0))
         for body in bodies:
             want_uses = any(isinstance(v, Bound) and v.index == depth
@@ -734,8 +742,10 @@ def _reduction_corpus():
             "cc", derive_rng(104, i), max_size=30)
         yield "cc", f"explore-gen-{i}", \
             lambda t=t: explore(t, node_budget=100).to_dot()
-    t1 = App(Var("x1"), Var("x2"))
-    t2 = App(Var("x2"), Var("x1"))
+    # the inner scrutinees on pi_term's indices: Bound(0) is x1 in t1 and
+    # x2 in t2
+    t1 = App(Bound(0), Var("x2"))
+    t2 = App(Bound(0), Var("x1"))
     for number in (36, 37, 39, 40, 41, 42):
         yield "cc", f"pi-{number}", \
             lambda n=number: repr(pi_term(n, Var("t"), t1, t2))

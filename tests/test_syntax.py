@@ -11,14 +11,13 @@ from inlr_kit import gen, qencode
 from inlr_kit.cc import explore
 from inlr_kit.rng import derive_rng
 from inlr_kit.syntax import (ABS, CALCULI, SCALAR, TERM, _CONNECTIVES,
-                             _RESERVED, Abs, App, Bound, CalculusError, Inl,
-                             Lam, One, OPlus, Pair, ParseError, ScalarStar,
-                             Star, TopElim, Var, alpha_eq, close_term,
-                             format_scalar, free_names, fresh_name,
-                             instantiate, open_abs, pair_subst, parse_prop,
-                             parse_term, print_prop, print_term, print_terms,
-                             replace_children, subst, subterms, term_size,
-                             uses_binder)
+                             _RESERVED, Abs, AndElim1, AndElim2, App, Bound,
+                             CalculusError, Inl, Lam, One, OPlus, Pair,
+                             ParseError, ScalarStar, Star, TopElim, Var,
+                             alpha_eq, format_scalar, free_names, instantiate,
+                             parse_prop, parse_term, print_prop, print_term,
+                             print_terms, replace_children, subterms,
+                             term_size, uses_binder)
 
 
 def ip(s):
@@ -235,45 +234,51 @@ def test_replace_children_keeps_an_unchanged_abstraction():
 
 
 # ---------------------------------------------------------------------------
-# substitution
+# substitution: `instantiate(a.body, (u,))` plugs u in for the variable
+# bound by a, which the body refers to as its loose index 0
 
 def test_subst_examples():
-    assert subst(Star(), "x", Var("x")) == Star()
-    out = subst(Var("y"), "x", ip("lam y:A. x"))
+    assert instantiate(Bound(0), (Star(),)) == Star()
+    out = instantiate(ip("lam x:A. lam y:A. x").abs.body, (Var("y"),))
     assert alpha_eq(out, ip("lam z:A. y"))
-    # the bound y was renamed, not captured
-    assert "lam y" not in print_term(out) or print_term(out).endswith(". y")
-    got = subst(Star(), "x", ip("sum(x, x)"))
+    # the bound y is not captured: the printer renames it
+    assert print_term(out) == "lam y1:A. y"
+    got = instantiate(ip("lam x:A. sum(x, x)").abs.body, (Star(),))
     assert alpha_eq(got, ip("sum(star, star)"))
 
 
 def test_subst_lifts_loose_indices():
     # a replacement put under a binder keeps pointing past it
-    t = Lam(None, Abs("y", Var("x")))
-    assert subst(Bound(0), "x", t) == Lam(None, Abs("y", Bound(1)))
-    got = pair_subst(Bound(0), "x", "y", Lam(None, Abs("z", Var("x"))))
+    t = Lam(None, Abs("y", Bound(1)))
+    assert instantiate(t, (Bound(0),)) == Lam(None, Abs("y", Bound(1)))
+    assert instantiate(t, (Bound(3),)) == Lam(None, Abs("y", Bound(4)))
+    got = instantiate(Lam(None, Abs("z", Bound(2))), _pair_args(Bound(0)))
     assert got.abs.body.scrut == Bound(1)
 
 
 def test_subst_free_variable_bound():
-    # FV((u/x)t) is contained in (FV(t) - x) plus FV(u)
+    # FV((u/x)t) is FV(t) plus FV(u) where t uses x, FV(t) where not
     for i in range(300):
         rng = derive_rng(77, i)
-        ctx, t, _goal = gen.random_term_in_context("iplus", rng)
-        u = Var("fresh_u")
-        got = free_names(subst(u, "h0", t))
-        assert got <= (free_names(t) - {"h0"}) | {"fresh_u"}
+        ctx, _t, goal = gen.random_term_in_context("iplus", rng)
+        a = gen.random_any_prop(rng, 1)
+        t = gen._gen_i(goal, {**ctx, 0: a}, 1, rng, gen._Budget(10), "iplus")
+        got = free_names(instantiate(t, (Var("fresh_u"),)))
+        uses = uses_binder(Abs("x", t))
+        assert got == free_names(t) | ({"fresh_u"} if uses else set())
 
 
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=60, deadline=None)
 def test_subst_respects_alpha(seed):
+    # the same substitution on alpha-equivalent terms, as printed and
+    # read back, gives alpha-equivalent results
     rng = derive_rng(seed, 1)
     _ctx, t, _goal = gen.random_term_in_context("iplus", rng)
     t2 = parse_term(print_term(t), "iplus")
-    a = subst(Star(), "h0", t)
-    b = subst(Star(), "h0", t2)
-    assert alpha_eq(a, b)
+    for a, a2 in zip(_abstractions(t), _abstractions(t2), strict=True):
+        assert alpha_eq(instantiate(a.body, (Star(),)),
+                        instantiate(a2.body, (Star(),)))
 
 
 def _abstractions(t):
@@ -289,22 +294,6 @@ def _abstractions(t):
                 child = child.body
             todo.append(child)
     return out
-
-
-@pytest.mark.parametrize("calculus", ["iplus", "cc"])
-def test_instantiate_plugs_in_the_bound_variable(calculus):
-    # one pass does what opening with a fresh name and substituting for it
-    # does, on abstractions with their free variables bound and inside
-    # terms, where indices point past them
-    for i in range(200):
-        rng = derive_rng(78, CALCULI.index(calculus), i)
-        _ctx, t, _goal = gen.random_term_in_context(calculus, rng)
-        _ctx, u, _goal = gen.random_term_in_context(calculus, rng)
-        tops = [close_term(t, name) for name in sorted(free_names(t))]
-        for a in tops + _abstractions(t):
-            x = fresh_name(a.hint)
-            want = subst(u, x, open_abs(a, x))
-            assert repr(instantiate(a.body, (u,))) == repr(want)
 
 
 def test_instantiate_shift_and_swap():
@@ -348,21 +337,31 @@ def test_uses_binder_on_a_deep_chain():
 
 
 # ---------------------------------------------------------------------------
-# pair substitution
+# pair substitution: (w/<x,y>)t plugs the conjunct projections of w in for
+# the hypotheses x (one binder out) and y (innermost) of t
+
+def _pair_args(w):
+    ident = Abs("z", Bound(0))
+    return AndElim2(w, ident), AndElim1(w, ident)
+
 
 def test_pair_subst_examples():
     w = Var("w")
-    got = pair_subst(w, "x", "y", cc("pair(x, y)"))
+    body = cc("lam x:A. lam y:B. pair(x, y)").abs.body.abs.body
+    got = instantiate(body, _pair_args(w))
     assert alpha_eq(got, cc("pair(and1(w, z. z), and2(w, z. z))"))
-    assert pair_subst(w, "x", "y", Star()) == Star()
-    assert alpha_eq(pair_subst(w, "x", "y", Var("x")), cc("and1(w, z. z)"))
+    assert instantiate(Star(), _pair_args(w)) == Star()
+    assert alpha_eq(instantiate(Bound(1), _pair_args(w)),
+                    cc("and1(w, z. z)"))
 
 
 def test_pair_subst_is_simultaneous():
-    # occurrences of x inside w itself must not be rewritten again
-    t = cc("pair(x, y)")
-    got = pair_subst(Var("x"), "x", "y", t)
-    assert alpha_eq(got, cc("pair(and1(x, z. z), and2(x, z. z))"))
+    # the loose indices of w itself are not substituted again: w's
+    # Bound(1) points past t, not at t's x
+    t = Pair(Bound(1), Bound(0))
+    got = instantiate(t, _pair_args(Bound(1)))
+    assert got == Pair(AndElim1(Bound(1), Abs("z", Bound(0))),
+                       AndElim2(Bound(1), Abs("z", Bound(0))))
 
 
 # ---------------------------------------------------------------------------

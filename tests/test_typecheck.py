@@ -5,7 +5,8 @@ import pytest
 
 from inlr_kit import gen
 from inlr_kit.rng import derive_rng
-from inlr_kit.syntax import (CALCULI, Bound, One, ScalarStar, Star, Top, Var,
+from inlr_kit.syntax import (CALCULI, Abs, Bound, Impl, Lam, Lollipop, One,
+                             ScalarStar, Star, Top, Var, instantiate,
                              parse_prop, parse_term, print_prop, print_term,
                              replace_children, subterms)
 from inlr_kit.typecheck import (TypingError, infer, infer_cc, infer_iplus,
@@ -160,31 +161,29 @@ def test_cc_projection_under_lambda():
 
 @pytest.mark.parametrize("calculus", ["iplus", "cc"])
 def test_substitution_preserves_typing(calculus):
-    # a proof of B under x:A composed with a proof of A stays a proof of B
-    from inlr_kit.syntax import subst
-
+    # a proof of B under x:A composed with a proof of A stays a proof of B;
+    # t is the body of the binder x, one binder deep
     for i in range(150):
         rng = derive_rng(66, CALCULI.index(calculus), i)
         a = gen.random_provable_prop(rng)
         b = gen.random_provable_prop(rng, (a,))
-        t = gen._gen_i(b, {"x": a}, rng, gen._Budget(10), calculus)
-        u = gen._gen_i(a, {}, rng, gen._Budget(10), calculus)
-        assert infer(calculus, {"x": a}, t, expected=b) == b
-        assert infer(calculus, {}, subst(u, "x", t), expected=b) == b
+        t = gen._gen_i(b, {0: a}, 1, rng, gen._Budget(10), calculus)
+        u = gen._gen_i(a, {}, 0, rng, gen._Budget(10), calculus)
+        assert infer(calculus, {}, Lam(a, Abs("x", t)),
+                     expected=Impl(a, b)) == Impl(a, b)
+        assert infer(calculus, {}, instantiate(t, (u,)), expected=b) == b
 
 
 def test_substitution_preserves_typing_linear():
-    from inlr_kit.syntax import fresh_name, subst
-
     for i in range(150):
         rng = derive_rng(67, i)
         a = gen.random_quantum_prop(rng, 1)
         b = gen.random_quantum_prop(rng, 1)
-        x = fresh_name("x")
-        t = gen._gen_q(b, [(x, a)], rng, gen._Budget(10), allow_nd=False)
-        u = gen._gen_q(a, [], rng, gen._Budget(10), allow_nd=False)
-        assert infer_linear({x: a}, t, expected=b) == b
-        assert infer_linear({}, subst(u, x, t), expected=b) == b
+        t = gen._gen_q(b, [(0, a)], 1, rng, gen._Budget(10), allow_nd=False)
+        u = gen._gen_q(a, [], 0, rng, gen._Budget(10), allow_nd=False)
+        assert infer_linear({}, Lam(a, Abs("x", t)),
+                            expected=Lollipop(a, b)) == Lollipop(a, b)
+        assert infer_linear({}, instantiate(t, (u,)), expected=b) == b
 
 
 # ---------------------------------------------------------------------------
