@@ -759,6 +759,20 @@ def _nested_measure_text(a, b, c, d):
             f"x. x, y. prod({d!r}, y))")
 
 
+def _deep_measure_text(depth):
+    """`depth` measurements along one path: each leans 9:1 towards the
+    branch that measures again, so most shots draw many times."""
+    text = "2.0 . star"
+    for k in range(depth):
+        if k % 2:
+            text = (f"case_nd(inlr(3.0 . star, 1.0 . star), "
+                    f"x. one_elim(x, {text}), y. y)")
+        else:
+            text = (f"case_nd(inlr(1.0 . star, 3.0 . star), "
+                    f"x. x, y. one_elim(y, {text}))")
+    return text
+
+
 # (id, term text, shots, seed, fuels): the measurement edge cases
 _MEASURE_CASES = [
     ("zero", "case_nd(inlr(0.0 . star, 0.0 . star), x. x, y. y)", 50, 1,
@@ -781,6 +795,9 @@ _MEASURE_CASES = [
     # fuels that end a run before, at and after each measurement
     ("fuel-nested", _nested_measure_text(3.0, 1.0, 1.0, 2.0), 100, 7,
      tuple(range(9))),
+    # up to 12 draws a shot, so a shot's stream is read past its first
+    # and second Philox blocks of four words; fuel 30 ends runs mid-path
+    ("deep", _deep_measure_text(12), 300, 9, (10 ** 6, 30)),
 ]
 
 
