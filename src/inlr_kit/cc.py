@@ -389,6 +389,72 @@ class ReductionGraph:
         lines.append("}")
         return "\n".join(lines)
 
+    def shortest_cycle(self):
+        """One shortest cycle of reductions: (node ids, rule ids), rule i
+        leading from node i to the next and the last back to the first,
+        which is the cycle's lowest node; None when there is no cycle.
+
+        Nodes that cannot lie on a cycle (no way in, or no way out, among
+        the nodes left) are peeled off first.  Then a breadth-first search
+        from each node s left, over the higher nodes and no deeper than
+        the shortest cycle so far, finds the shortest cycle whose lowest
+        node is s.
+        """
+        n = len(self.terms)
+        succ = [[] for _ in range(n)]
+        pred = [[] for _ in range(n)]
+        for src, dst, rid in self.edges:
+            succ[src].append((dst, rid))
+            pred[dst].append(src)
+        live = [True] * n
+        ins = [len(p) for p in pred]
+        outs = [len(s) for s in succ]
+        todo = [i for i in range(n) if not ins[i] or not outs[i]]
+        while todo:
+            i = todo.pop()
+            if not live[i]:
+                continue
+            live[i] = False
+            for j, _rid in succ[i]:
+                ins[j] -= 1
+                if not ins[j] and live[j]:
+                    todo.append(j)
+            for j in pred[i]:
+                outs[j] -= 1
+                if not outs[j] and live[j]:
+                    todo.append(j)
+        best = None
+        for s in range(n):
+            if not live[s]:
+                continue
+            back = {s: None}  # node -> (its parent, the rule between)
+            frontier, length, closing = [s], 0, None
+            while frontier and closing is None \
+                    and (best is None or length + 1 < len(best[0])):
+                length += 1
+                nxt = []
+                for u in frontier:
+                    for v, rid in succ[u]:
+                        if v == s:
+                            closing = (u, rid)
+                            break
+                        if v > s and live[v] and v not in back:
+                            back[v] = (u, rid)
+                            nxt.append(v)
+                    if closing is not None:
+                        break
+                frontier = nxt
+            if closing is not None:
+                nodes, rules = [], [closing[1]]
+                u = closing[0]
+                while u != s:
+                    parent, rid = back[u]
+                    nodes.append(u)
+                    rules.append(rid)
+                    u = parent
+                best = ([s] + nodes[::-1], rules[::-1])
+        return best
+
 
 def explore(t: Term, node_budget: int = 500,
             ruleset: RuleSet = RULES_CC) -> ReductionGraph:

@@ -103,6 +103,11 @@ def cmd_norm(args):
         for i in sorted(graph.normal_forms):
             print(print_term(graph.terms[i]))
         print(graph.to_dot())
+        cycle = graph.shortest_cycle()
+        if cycle is not None:
+            nodes, rules = cycle
+            path = "".join(f"n{i} -{rid}-> " for i, rid in zip(nodes, rules))
+            print(f"cycle: {path}n{nodes[0]}", file=sys.stderr)
         if graph.budget_hit:
             print(f"truncated: node budget {budget} reached", file=sys.stderr)
             return EXIT_FUEL
@@ -137,6 +142,8 @@ def cmd_measure(args):
         return EXIT_TYPE
     hist = run_measure(t, shots=args.shots, seed=args.seed, fuel=args.fuel)
     print(hist.to_json())
+    if args.stats:
+        print(json.dumps(hist.stats, sort_keys=True), file=sys.stderr)
     if any(b["term"].startswith("<stuck") for b in hist.bins):
         return EXIT_STUCK
     if any(b["term"].startswith("<fuel") for b in hist.bins):
@@ -221,6 +228,9 @@ def build_parser():
     m.add_argument("--shots", type=_count(1), default=1000)
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--fuel", type=_count(0), default=10 ** 6)
+    m.add_argument("--stats", action="store_true",
+                   help="print how the shots were walked as one JSON line "
+                        "on stderr")
     m.set_defaults(fn=cmd_measure)
 
     cm = sub.add_parser("compile-matrix",

@@ -22,11 +22,13 @@ import cmath
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .iplus import (SUM_INJECTIONS, _beta, _case_inl, _case_inlr, _case_inr,
                     _sum_lam)
 from .rewrite import (ND_PAIR, ND_SINGLE, Cursor, Rule, RuleId, RuleSet,
                       Stuck, is_normal, register_default_ruleset)
-from .rng import derive_rng, reseat
+from .rng import draw_block
 from .syntax import (Abs, App, Bound, Case, CaseNd, Inl, Inlr2, Inr, Lam,
                      OneElim, Prod, ScalarStar, Sum, Term, Var, instantiate,
                      print_term)
@@ -202,37 +204,45 @@ FUEL_BIN = "<fuel-exhausted>"
 class Histogram:
     shots: int
     bins: list = field(default_factory=list)  # [{term, count, frequency, ...}]
+    stats: dict = field(default_factory=dict)  # how the shots were walked
 
     def to_json(self) -> str:
         return json.dumps(self.bins, indent=2, sort_keys=True)
 
 
+#: the shots drawn and walked together; bounds the draw arrays' memory
+CHUNK = 1 << 16
+
+# the lane prefix of the shot streams: shot s draws from
+# derive_rng(seed, _SHOT_LANE, s)
+_SHOT_LANE = 0x5407
+
+
 def run_measure(t: Term, shots: int, seed: int,
                 fuel: int = 10 ** 6) -> Histogram:
-    """Normalize t repeatedly with independent seeded streams.
+    """The outcomes of `shots` normalizations of t, shot s drawing its
+    measurements from its own stream, `derive_rng(seed, 0x5407, s)`.
 
-    Outcomes are binned by alpha-equivalence of the normal form; stuck
-    runs land in a bin per reason.  Exact weights are attached when the
-    outcome distribution is small enough to enumerate.  The shots and the
-    exact weights walk one tree of runs, so each run between two
-    measurements is reduced once, whichever walk reaches it first.
+    The shots walk one tree of runs together, a chunk of CHUNK shots at a
+    time: at a measurement the node's shots split by their draws between
+    its two branches, so each run between two measurements is reduced
+    once, and the Python work grows with the nodes of the tree, not with
+    the shots.  Outcomes are binned by alpha-equivalence of the normal
+    form; stuck runs land in a bin per reason.  Exact weights are
+    attached when the outcome distribution is small enough to enumerate;
+    they walk the same tree.  `stats` counts the runs reduced, the leaves
+    the shots hit and the most draws a shot made, and gives the share of
+    the shots in the fuel bin and whether exact weights were attached.
     """
     root = _Run(t, 0, fuel)
-    hits = {}  # leaf -> shots ending there, in first-hit order
-    rng = derive_rng(seed, 0x5407, 0)
-    for shot in range(shots):
-        reseat(rng, seed, 0x5407, shot)
-        run = root
-        while run.end is None:  # the draw `rewrite._draw` makes
-            p = run.probs[0]
-            run = run.branch(0 if rng.random() < (0.5 if p is None else p)
-                             else 1)
-        hits[run] = hits.get(run, 0) + 1
-    # each leaf is looked up by its outcome once; a bin keeps the term of
-    # its first hit, whose binder hints it prints
+    hits = {}  # leaf -> [first shot ending there, shots, draws]
+    for start in range(0, shots, CHUNK):
+        _walk(root, seed, range(start, min(start + CHUNK, shots)), hits)
+    # each leaf is looked up by its outcome once, in first-hit order; a bin
+    # keeps the term of its first hit, whose binder hints it prints
     bins = {}  # outcome -> [shots, exact weight]
     bin_of = {}  # leaf -> its bin
-    for leaf, count in hits.items():
+    for leaf, (_, count, _) in sorted(hits.items(), key=lambda h: h[1][0]):
         entry = bin_of[leaf] = bins.setdefault(leaf.end, [0, 0.0])
         entry[0] += count
     weights = _leaf_weights(root)
@@ -248,7 +258,53 @@ def run_measure(t: Term, shots: int, seed: int,
             entry["exact_weight"] = weight
         out.append(entry)
     out.sort(key=lambda e: (-e["count"], e["term"]))
-    return Histogram(shots=shots, bins=out)
+    fuel_shots = bins.get(FUEL_BIN, (0,))[0]
+    stats = {"shots": shots, "runs": _runs(root), "leaves_hit": len(hits),
+             "max_draws": max((d for _, _, d in hits.values()), default=0),
+             "fuel_mass": fuel_shots / shots if shots else 0.0,
+             "exact_weights": weights is not None}
+    return Histogram(shots=shots, bins=out, stats=stats)
+
+
+def _walk(root: _Run, seed: int, chunk: range, hits: dict) -> None:
+    """Walk the shots of chunk down the tree from root, adding to hits.
+
+    A node holds its shots as a sorted array of their offsets in chunk.
+    At a measurement at depth d, a shot takes the left branch when its
+    d-th draw is below the left branch's probability, as `rewrite._draw`
+    decides; the draws come a Philox block of four per shot at a time,
+    drawn for the whole chunk when the walk first needs the block.
+    """
+    blocks = []  # block b: draws 4b .. 4b+3 of every shot of chunk
+    todo = [(root, np.arange(len(chunk)), 0)]
+    while todo:
+        run, idx, depth = todo.pop()
+        if run.end is not None:
+            hit = hits.get(run)
+            if hit is None:
+                hits[run] = [chunk.start + int(idx[0]), len(idx), depth]
+            else:
+                hit[1] += len(idx)
+            continue
+        block, word = divmod(depth, 4)
+        if block == len(blocks):
+            blocks.append(draw_block(seed, (_SHOT_LANE,), chunk, block))
+        p = run.probs[0]
+        left = blocks[block][word][idx] < (0.5 if p is None else p)
+        for i, side in ((1, idx[~left]), (0, idx[left])):
+            if len(side):
+                todo.append((run.branch(i), side, depth + 1))
+
+
+def _runs(root: _Run) -> int:
+    """The runs of the tree reduced so far."""
+    count, todo = 0, [root]
+    while todo:
+        run = todo.pop()
+        count += 1
+        if run.end is None:
+            todo.extend(kid for kid in run._kids if type(kid) is not tuple)
+    return count
 
 
 class _Run:

@@ -2,7 +2,7 @@ import pytest
 
 from inlr_kit import gen
 from inlr_kit.cc import (DEFAULT_FUEL_CC, RULES_CC, RULES_CC_DET,
-                         demo_optimization, explore, pi_term)
+                         ReductionGraph, demo_optimization, explore, pi_term)
 from inlr_kit.rewrite import RuleId, find_redexes, normalize, step_at
 from inlr_kit.rng import derive_rng
 from inlr_kit.selftest import cc_pi_terms, cc_rule_soundness
@@ -239,6 +239,33 @@ def test_leftmost_outermost_leaves_the_cycle_in_one_step(rules):
     trace = normalize(cc(_CYCLE), rules)
     assert [s.rule for s in trace.steps] == [RuleId("cc", 31)]
     assert trace.outcome.kind == "normal-form" and trace.final == Star()
+
+
+def test_exploration_finds_the_two_cycle():
+    # n0 -37-> n3 -7-> n0; the graph of the tower is cut by its budget
+    graph = explore(cc(_CYCLE), node_budget=200)
+    assert graph.budget_hit and len(graph.terms) == 200
+    assert graph.shortest_cycle() == ([0, 3], ["cc:37", "cc:7"])
+    assert (0, 3, "cc:37") in graph.edges and (3, 0, "cc:7") in graph.edges
+
+
+def test_shortest_cycle_of_a_graph():
+    edges = [(0, 1, "a"), (1, 2, "b"), (2, 0, "c"), (2, 5, "g"),
+             (3, 4, "d"), (4, 3, "e")]
+    graph = ReductionGraph(terms=[None] * 6, edges=list(edges))
+    assert graph.shortest_cycle() == ([3, 4], ["d", "e"])
+    graph.edges.append((2, 2, "f"))
+    assert graph.shortest_cycle() == ([2], ["f"])
+    graph = ReductionGraph(terms=[None] * 6, edges=edges[:3])
+    assert graph.shortest_cycle() == ([0, 1, 2], ["a", "b", "c"])
+    graph = ReductionGraph(terms=[None] * 6, edges=edges[:2] + edges[3:4])
+    assert graph.shortest_cycle() is None
+
+
+def test_terminating_exploration_has_no_cycle():
+    graph = explore(cc("case(inlr(star, x. x, y. y), a. a, b. b)"))
+    assert not graph.budget_hit and graph.shortest_cycle() is None
+
 
 # ---------------------------------------------------------------------------
 # the optimization demonstration

@@ -7,6 +7,7 @@ change and review the diff.
 """
 
 import io
+import json
 import os
 import subprocess
 import sys
@@ -257,3 +258,48 @@ def test_deep_parentheses_in_a_proposition(tmp_path):
 
 def test_at_least_twenty_cases():
     assert len(CASES) >= 20
+
+
+def _run_cli_both(argv):
+    """(exit code, stdout, stderr) of the command line on argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_measure_stats_is_one_stderr_line():
+    argv = ["measure", g("t_measure_nested.inlr"), "--shots", "1000",
+            "--seed", "3"]
+    with open(g("measure_nested.out"), "r", encoding="utf-8") as fh:
+        want = fh.read()
+    code, out, err = _run_cli_both(argv + ["--stats"])
+    assert (code, out) == (0, want)
+    [line] = err.splitlines()
+    assert json.loads(line) == {"shots": 1000, "runs": 7, "leaves_hit": 3,
+                                "max_draws": 2, "fuel_mass": 0.0,
+                                "exact_weights": True}
+    assert _run_cli_both(argv)[2] == ""
+
+
+def test_measure_many_shots():
+    # the shots are walked in chunks of quantum.CHUNK; more shots than
+    # three chunks are counted in full
+    code, out = run_cli(["measure", g("t_pi1_balanced.inlr"),
+                         "--shots", "200000", "--seed", "4"])
+    assert code == 0
+    assert sum(b["count"] for b in json.loads(out)) == 200000
+
+
+def test_enumerate_reports_a_cycle(tmp_path):
+    path = tmp_path / "cycle.inlr"
+    path.write_text(
+        "case(case(inl(star), x. inr(x), y. inl(y)), a. star, b. star)")
+    code, _out, err = _run_cli_both(["norm", str(path), "--calculus", "cc",
+                                     "--enumerate", "--fuel", "200"])
+    assert code == 3
+    assert err == ("cycle: n0 -cc:37-> n3 -cc:7-> n0\n"
+                   "truncated: node budget 200 reached\n")
+    code, _out, err = _run_cli_both(["norm", g("t_bot_choice.inlr"),
+                                     "--calculus", "cc", "--enumerate"])
+    assert (code, err) == (0, "")

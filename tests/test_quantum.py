@@ -1,12 +1,13 @@
 import pytest
 
-from inlr_kit import gen
+from inlr_kit import gen, quantum
 from inlr_kit.qencode import (NotIrreducible, NotVectorProp, from_vector,
                               meas_first, norm_sq, qn_prop)
 from inlr_kit.quantum import (RULES_QUANTUM, RULES_QUANTUM_DET, Histogram,
                               ScalarOverflowStuck, is_introduction, lex_gt,
                               measure_mu, measure_nu,
-                              mu_subst_additivity, run_measure, STUCK_BIN)
+                              mu_subst_additivity, run_measure, FUEL_BIN,
+                              STUCK_BIN)
 from inlr_kit.rewrite import (NoMatchError, RuleId, find_redexes, normalize,
                               step_at)
 from inlr_kit.rng import derive_rng
@@ -304,6 +305,40 @@ def test_measure_matches_per_shot_normalize(t, shots, seed, fuels):
         hist = run_measure(t, shots, seed, fuel=fuel)
         assert [(b["term"], b["count"]) for b in hist.bins] \
             == _per_shot_histogram(t, shots, seed, fuel), fuel
+
+
+def _measure_input(ident):
+    [case] = [case[1:] for case in measure_inputs() if case[0] == ident]
+    return case
+
+
+@pytest.mark.parametrize("ident", ["deep", "non-vector-inner"])
+def test_chunks_of_shots_walk_as_one(monkeypatch, ident):
+    # the shots are drawn and walked CHUNK at a time; chunks of 7 shots
+    # give the same histogram, bin order and first-hit binder hints
+    # included, as one chunk and as one normalize per shot
+    t, shots, seed, fuels = _measure_input(ident)
+    whole = [run_measure(t, shots, seed, fuel=fuel) for fuel in fuels]
+    monkeypatch.setattr(quantum, "CHUNK", 7)
+    assert shots % 7 and shots > 7
+    for fuel, want in zip(fuels, whole):
+        got = run_measure(t, shots, seed, fuel=fuel)
+        assert got.to_json() == want.to_json()
+        assert got.stats == want.stats
+        assert [(b["term"], b["count"]) for b in got.bins] \
+            == _per_shot_histogram(t, shots, seed, fuel), fuel
+
+
+def test_measure_stats_count_the_walk():
+    # 12 measurements along one path, each with a leaf off the path
+    t, shots, seed, _fuels = _measure_input("deep")
+    hist = run_measure(t, shots, seed)
+    assert hist.stats == {"shots": 300, "runs": 25, "leaves_hit": 13,
+                          "max_draws": 12, "fuel_mass": 0.0,
+                          "exact_weights": True}
+    hist = run_measure(t, shots, seed, fuel=30)
+    [fuel_bin] = [b for b in hist.bins if b["term"] == FUEL_BIN]
+    assert hist.stats["fuel_mass"] == fuel_bin["frequency"] > 0
 
 
 @pytest.mark.parametrize("t,leaves", [

@@ -796,7 +796,8 @@ _MEASURE_CASES = [
     ("fuel-nested", _nested_measure_text(3.0, 1.0, 1.0, 2.0), 100, 7,
      tuple(range(9))),
     # up to 12 draws a shot, so a shot's stream is read past its first
-    # and second Philox blocks of four words; fuel 30 ends runs mid-path
+    # and second Philox blocks of four words; fuel 30 ends the runs of
+    # the three deepest leaves
     ("deep", _deep_measure_text(12), 300, 9, (10 ** 6, 30)),
 ]
 
