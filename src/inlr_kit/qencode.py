@@ -81,22 +81,18 @@ def to_vector(t: Term, p: Proposition, fuel: int = 10 ** 6) -> np.ndarray:
     out = np.zeros(dim(p), dtype=np.complex128)
 
     def read(t, p, offset):
-        if isinstance(p, One):
-            if not isinstance(t, ScalarStar):
-                raise EncodeError(
-                    f"shape mismatch against {p}: {print_term(t)}")
+        if isinstance(p, One) and isinstance(t, ScalarStar):
             out[offset] = t.value
-            return
-        if isinstance(t, Inlr2):
+        elif isinstance(p, One) or not isinstance(t, (Inlr2, Inl, Inr)):
+            raise EncodeError(f"shape mismatch against {print_prop(p)}: "
+                              f"{print_term(t)}")
+        elif isinstance(t, Inlr2):
             read(t.left, p.left, offset)
             read(t.right, p.right, offset + dim(p.left))
         elif isinstance(t, Inl):
             read(t.body, p.left, offset)
-        elif isinstance(t, Inr):
-            read(t.body, p.right, offset + dim(p.left))
         else:
-            raise EncodeError(f"shape mismatch against proposition: "
-                              f"{print_term(t)}")
+            read(t.body, p.right, offset + dim(p.left))
 
     read(tr.final, p, 0)
     return out
@@ -281,7 +277,8 @@ def load_matrix_json(text: str) -> np.ndarray:
         data = json.loads(text)
         rows, cols = int(data["rows"]), int(data["cols"])
         flat = _complex_entries(data["entries"])
-    except (KeyError, TypeError, ValueError, RecursionError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError,
+            RecursionError) as e:
         raise EncodeError(f"malformed matrix JSON: {type(e).__name__}: {e}") from e
     if rows < 1 or cols < 1:
         raise EncodeError(f"need positive rows and cols, got {rows}, {cols}")
@@ -304,7 +301,8 @@ def load_vector_json(text: str) -> np.ndarray:
         if isinstance(data, dict):
             data = data["entries"]
         return np.array(_complex_entries(data), dtype=np.complex128)
-    except (KeyError, TypeError, ValueError, RecursionError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError,
+            RecursionError) as e:
         raise EncodeError(f"malformed vector JSON: {type(e).__name__}: {e}") from e
 
 

@@ -29,9 +29,9 @@ from .iplus import (SUM_INJECTIONS, _beta, _case_inl, _case_inlr, _case_inr,
 from .rewrite import (ND_PAIR, ND_SINGLE, Cursor, Rule, RuleId, RuleSet,
                       Stuck, is_normal, register_default_ruleset)
 from .rng import draw_block
-from .syntax import (Abs, App, Bound, Case, CaseNd, Inl, Inlr2, Inr, Lam,
-                     OneElim, Prod, ScalarStar, Sum, Term, Var, instantiate,
-                     print_term)
+from .syntax import (_TERM_ALLOWED, Abs, App, Bound, Case, CaseNd, Inl, Inlr2,
+                     Inr, Lam, OneElim, Prod, ScalarStar, Sum, Term, Var, fold,
+                     instantiate, print_term)
 
 
 def _rule(n, name, head, build, **kw):
@@ -119,53 +119,32 @@ def is_introduction(t: Term) -> bool:
 
 def measure_mu(t: Term) -> int:
     """The size-like measure; cut rules strictly decrease it at the root."""
-    if isinstance(t, (Var, Bound)):
-        return 0
-    if isinstance(t, Sum):
-        return 1 + max(measure_mu(t.left), measure_mu(t.right))
-    if isinstance(t, Prod):
-        return 1 + measure_mu(t.body)
-    if isinstance(t, ScalarStar):
-        return 1
-    if isinstance(t, OneElim):
-        return 1 + measure_mu(t.scrut) + measure_mu(t.body)
-    if isinstance(t, Lam):
-        return 1 + measure_mu(t.abs.body)
-    if isinstance(t, App):
-        return 1 + measure_mu(t.fn) + measure_mu(t.arg)
-    if isinstance(t, (Inl, Inr)):
-        return 1 + measure_mu(t.body)
-    if isinstance(t, Inlr2):
-        return 1 + max(measure_mu(t.left), measure_mu(t.right))
-    if isinstance(t, (Case, CaseNd)):
-        return 1 + measure_mu(t.scrut) + max(measure_mu(t.left.body),
-                                             measure_mu(t.right.body))
-    raise ValueError(f"{type(t).__name__} is not a quantum constructor")
+    def mu(node, values):
+        cls = type(node)
+        if cls is Sum or cls is Inlr2:
+            return 1 + max(values)
+        if cls is Case or cls is CaseNd:
+            return 1 + values[0] + max(values[1], values[2])
+        if cls in _TERM_ALLOWED["quantum"]:
+            return 0 if cls is Var or cls is Bound else 1 + sum(values)
+        raise ValueError(f"{cls.__name__} is not a quantum constructor")
+
+    return fold(t, mu)
 
 
 def measure_nu(t: Term) -> int:
     """The depth-weighted measure; commutations strictly decrease it."""
-    if isinstance(t, (Var, Bound)):
-        return 0
-    if isinstance(t, Sum):
-        return 1 + 2 * max(measure_nu(t.left), measure_nu(t.right))
-    if isinstance(t, Prod):
-        return 1 + 2 * measure_nu(t.body)
-    if isinstance(t, ScalarStar):
-        return 1
-    if isinstance(t, OneElim):
-        return 1
-    if isinstance(t, Lam):
-        return 1 + measure_nu(t.abs.body)
-    if isinstance(t, App):
-        return 1
-    if isinstance(t, (Inl, Inr)):
-        return 1 + measure_nu(t.body)
-    if isinstance(t, Inlr2):
-        return 1 + max(measure_nu(t.left), measure_nu(t.right))
-    if isinstance(t, (Case, CaseNd)):
-        return 1
-    raise ValueError(f"{type(t).__name__} is not a quantum constructor")
+    def nu(node, values):
+        cls = type(node)
+        if cls is Sum or cls is Prod:
+            return 1 + 2 * max(values)
+        if cls in (Lam, Inl, Inr, Inlr2):
+            return 1 + max(values)
+        if cls in _TERM_ALLOWED["quantum"]:
+            return 0 if cls is Var or cls is Bound else 1
+        raise ValueError(f"{cls.__name__} is not a quantum constructor")
+
+    return fold(t, nu)
 
 
 def lex_gt(t: Term, u: Term) -> bool:

@@ -339,14 +339,21 @@ def cc_demo() -> CheckResult:
                        else "routes disagree")
 
 
-def cc_enumeration(samples, seed, size=25, budget=400) -> CheckResult:
-    """Deterministic-fragment graphs reach a single normal form or report
-    the divergence; divergences are logged, not asserted absent."""
+def cc_enumeration(samples, seed, size=25, budget=400):
+    """(enumeration result, cycles result) over deterministic-fragment
+    graphs: the complete graphs that reach more than one normal form, and
+    the graphs, truncated ones too, that hold a cycle of reductions.  Both
+    are logged, not asserted absent."""
     multi = []
+    cycles = []
     for i in range(samples):
         rng = derive_rng(seed, 0xCE, i)
         ctx, t, _ = gen.random_term_in_context("cc", rng, max_size=size)
         graph = explore(t, node_budget=budget, ruleset=RULES_CC_DET)
+        cycle = graph.shortest_cycle()
+        if cycle is not None:
+            rules = ", ".join(map(str, cycle[1]))
+            cycles.append(f"{print_term(t)} ({rules})")
         if graph.budget_hit:
             continue
         nfs = {graph.terms[i] for i in graph.normal_forms}
@@ -355,7 +362,11 @@ def cc_enumeration(samples, seed, size=25, budget=400) -> CheckResult:
     detail = f"{samples} graphs, {len(multi)} with multiple normal forms"
     if multi:
         detail += f"; first: {multi[0]}"
-    return CheckResult("cc-enumeration", True, detail)
+    cycle_detail = f"{samples} graphs, {len(cycles)} with a cycle"
+    if cycles:
+        cycle_detail += f"; first: {cycles[0]}"
+    return (CheckResult("cc-enumeration", True, detail),
+            CheckResult("cc-cycles", True, cycle_detail))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +403,7 @@ def suite_cc(samples, seed):
         cc_rule_soundness(samples, seed),
         cc_pi_terms(seed),
         cc_demo(),
-        cc_enumeration(max(2, samples // 10), seed),
+        *cc_enumeration(max(2, samples // 10), seed),
     ]
 
 

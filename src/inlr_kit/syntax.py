@@ -154,8 +154,8 @@ class Term:
     subclasses generate neither.  Binder hints are left out of both.
     Both walk with an explicit stack, so depth costs no Python stack.
 
-    Each node also keeps a cache outside its dataclass fields, in its
-    instance dict, so `==`, `repr` and the printer never read it:
+    Each node also keeps a cache outside its dataclass fields, written
+    only through `_store`, so `==`, `repr` and the printer never read it:
 
     * `_hash`, its structural hash, stored by the first `hash(t)` from
       the constructor, the non-term fields and the children's stored
@@ -235,10 +235,13 @@ class Term:
                     return False
         return True
 
+    # t._store(name, value) writes one cache entry, and no per-node dict
+    _store = object.__setattr__
+
     def _mark_normal(self, table: str):
         """Record that the node holds no redex of the named rule table."""
         if self._nf is None:
-            self.__dict__["_nf"] = {table}
+            self._store("_nf", {table})
         else:
             self._nf.add(table)
 
@@ -256,7 +259,7 @@ def _store_hashes(t: Term) -> int:
         node = pop()
         if type(node) is tuple:  # the exit mark of a node
             node = node[0]
-            node.__dict__["_hash"] = hash(node._key(node))
+            node._store("_hash", hash(node._key(node)))
         elif node._hash is None:
             push((node,))
             stack += node._kids(node)
@@ -485,17 +488,34 @@ def replace_children(t: Term, new_children) -> Term:
     return type(t)(*args)
 
 
+def fold(t: Term, combine):
+    """combine(node, values) at t, where values are the results at the
+    node's path-children in `_kids` order, by one post-order walk on an
+    explicit stack: a node's exit mark waits below its children."""
+    stack, done = [t], []
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
+        if type(node) is tuple:  # the exit mark of a node with n children
+            node, n = node
+            done[-n:] = (combine(node, done[-n:]),)
+            continue
+        kids = node._kids(node)
+        if kids:
+            push((node, len(kids)))
+            stack += kids[::-1]
+        else:
+            done.append(combine(node, ()))
+    return done[0]
+
+
 def term_size(t: Term) -> int:
-    return 1 + sum(term_size(c) for c in subterms(t))
+    return fold(t, lambda node, sizes: 1 + sum(sizes))
 
 
 def free_names(t: Term) -> frozenset:
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    out = frozenset()
-    for c in subterms(t):
-        out |= free_names(c)
-    return out
+    return fold(t, lambda node, names: frozenset((node.name,))
+                if type(node) is Var else frozenset().union(*names))
 
 
 def is_closed(t: Term) -> bool:
@@ -595,7 +615,7 @@ def instantiate(t: Term, args=(), shift: int = 0) -> Term:
                 for kid, bind in zip(kids, node._binds):
                     if kid._loose - bind > r:
                         r = kid._loose - bind
-                node.__dict__["_loose"] = r
+                node._store("_loose", r)
             got = node
             for old, kid in zip(kids, new):
                 if old is not kid:

@@ -5,7 +5,7 @@ from inlr_kit.cc import (DEFAULT_FUEL_CC, RULES_CC, RULES_CC_DET,
                          ReductionGraph, demo_optimization, explore, pi_term)
 from inlr_kit.rewrite import RuleId, find_redexes, normalize, step_at
 from inlr_kit.rng import derive_rng
-from inlr_kit.selftest import cc_pi_terms, cc_rule_soundness
+from inlr_kit.selftest import cc_enumeration, cc_pi_terms, cc_rule_soundness
 from inlr_kit.syntax import (Abs, AndElim1, Bound, Inlr3, Pair, Star, Top,
                              Var, alpha_eq, parse_prop, parse_term,
                              print_term)
@@ -265,6 +265,18 @@ def test_shortest_cycle_of_a_graph():
 def test_terminating_exploration_has_no_cycle():
     graph = explore(cc("case(inlr(star, x. x, y. y), a. a, b. b)"))
     assert not graph.budget_hit and graph.shortest_cycle() is None
+
+
+def test_selftest_reports_a_seeded_cycle():
+    # the third graph of seed 12 holds the rule 37 + 7 cycle; it is
+    # truncated, so the enumeration line skips it
+    enumeration, cycles = cc_enumeration(3, 12)
+    assert enumeration.line() \
+        == "ok   cc-enumeration: 3 graphs, 0 with multiple normal forms"
+    assert cycles.line() == (
+        "ok   cc-cycles: 3 graphs, 1 with a cycle; first: "
+        "case(case(inl(star), x. inr(lam x1:Top. x), y. inl(pair(star, "
+        "star))), x. star, y. star) (cc:37, cc:7)")
 
 
 # ---------------------------------------------------------------------------

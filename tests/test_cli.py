@@ -14,9 +14,12 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import inlr_kit
 from inlr_kit.cli import main
+from inlr_kit.syntax import CALCULI
 
 HERE = os.path.dirname(__file__)
 GOLDEN = os.path.join(HERE, "golden")
@@ -303,3 +306,56 @@ def test_enumerate_reports_a_cycle(tmp_path):
     code, _out, err = _run_cli_both(["norm", g("t_bot_choice.inlr"),
                                      "--calculus", "cc", "--enumerate"])
     assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("prop", ["One", "One (+) One"])
+def test_shape_mismatch_prints_the_proposition(tmp_path, prop):
+    path = tmp_path / "nd.inlr"
+    path.write_text("case_nd(inlr(1.0 . star, 1.0 . star), x. x, y. y)")
+    code, out, err = _run_cli_both(["encode", "--term", str(path),
+                                    "--prop", prop])
+    assert (code, out) == (1, "")
+    assert err == (f"error: shape mismatch against {prop}: "
+                   "case_nd(inlr(1.0 . star, 1.0 . star), x. x, y. y)\n")
+
+
+# words of the term, proposition and JSON syntax, so that drawn inputs
+# get past the tokenizer as well as stop in it
+_WORDS = ["lam", "x", "y", "star", "sum", "prod", "inl", "inr", "inlr",
+          "case", "case_nd", "one_elim", "top_elim", "bot_elim", "pair",
+          "and1", "and2", "One", "Top", "Bot", "A", "-o", "(+)", "=>",
+          "/\\", "\\/", "(", ")", "[", "]", ",", ".", ":", "1.0", "-2.5",
+          "1e999", "0", "--", "{", "}", '"rows"', '"cols"', '"entries"',
+          "?", "\n"]
+_TEXT = st.one_of(
+    st.text(max_size=200),
+    st.lists(st.sampled_from(_WORDS), max_size=60).map(
+        lambda words: " ".join(words)[:200]))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=_TEXT, prop=_TEXT, calculus=st.sampled_from(CALCULI),
+       command=st.integers(0, 6), shots=st.integers(1, 50),
+       fuel=st.integers(0, 500), seed=st.integers(0, 2 ** 32))
+def test_shallow_input_never_raises(tmp_path_factory, text, prop, calculus,
+                                    command, shots, fuel, seed):
+    # arbitrary short text as the input file and as a proposition, into
+    # every subcommand that reads them: a documented exit code, no raise
+    path = tmp_path_factory.getbasetemp() / "fuzz-input"
+    path.write_text(text, encoding="utf-8")
+    f = str(path)
+    argv = [
+        ["check", f, "--calculus", calculus],
+        ["norm", f, "--calculus", calculus, "--fuel", str(fuel),
+         "--seed", str(seed)],
+        ["norm", f, "--calculus", calculus, "--enumerate",
+         "--fuel", str(fuel)],
+        ["measure", f, "--shots", str(shots), "--seed", str(seed),
+         "--fuel", str(fuel)],
+        ["encode", "--term", f, "--prop", prop],
+        ["encode", "--vec", f, "--prop", prop],
+        ["compile-matrix", f, "--from", prop, "--to", prop],
+    ][command]
+    code, _out, _err = _run_cli_both(argv)
+    assert code in (0, 1, 2, 3, 4)

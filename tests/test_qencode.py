@@ -344,13 +344,16 @@ def test_matrix_json_rejects_wrong_count():
     (load_matrix_json, '{"rows": 1}'),
     (load_matrix_json, '{"rows": -1, "cols": -1, "entries": [[1, 0]]}'),
     (load_matrix_json, '[[1, 0]]'),
+    (load_matrix_json, '{"rows": 1e999, "cols": 1, "entries": [[1, 0]]}'),
     (load_vector_json, "[1, 2]"),
     (load_vector_json, '{"rows": 1}'),
     (load_vector_json, '"ab"'),
     (load_vector_json, "[" * 100000 + "]" * 100000),
+    (load_vector_json, "[[1" + "0" * 400 + ", 0]]"),
 ], ids=["matrix-not-json", "matrix-no-cols", "matrix-negative",
-        "matrix-list", "vector-not-pairs", "vector-no-entries",
-        "vector-string", "vector-deep"])
+        "matrix-list", "matrix-infinite-rows", "vector-not-pairs",
+        "vector-no-entries", "vector-string", "vector-deep",
+        "vector-int-past-float"])
 def test_malformed_json_raises_encode_error(load, text):
     with pytest.raises(EncodeError):
         load(text)

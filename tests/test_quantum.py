@@ -11,8 +11,9 @@ from inlr_kit.quantum import (RULES_QUANTUM, RULES_QUANTUM_DET, Histogram,
 from inlr_kit.rewrite import (NoMatchError, RuleId, find_redexes, normalize,
                               step_at)
 from inlr_kit.rng import derive_rng
-from inlr_kit.syntax import (Abs, App, Bound, CaseNd, Inl, Inlr2, ScalarStar,
-                             Term, Var, instantiate, parse_prop, parse_term,
+from inlr_kit.syntax import (Abs, App, Bound, Case, CaseNd, Inl, Inlr2, Inr,
+                             Lam, OneElim, Prod, ScalarStar, Star, Sum, Term,
+                             Var, instantiate, parse_prop, parse_term,
                              print_term)
 from inlr_kit.typecheck import infer_linear
 
@@ -39,11 +40,82 @@ def test_table_numbers():
 def test_measure_mu_base_cases():
     assert measure_mu(Var("x")) == 0
     assert measure_mu(q("prod(2.0, 5.0 . star)")) == 2
+    # both measures fold on their own stack: a 10^5-deep chain costs no
+    # Python stack
+    deep = q("5.0 . star")
+    for _ in range(10 ** 5):
+        deep = Inl(deep)
+    assert measure_mu(deep) == measure_nu(deep) == 10 ** 5 + 1
+    # every node is checked, below an application too
+    for measure in (measure_mu, measure_nu):
+        with pytest.raises(ValueError, match="Star is not a quantum"):
+            measure(App(Star(), Star()))
 
 
 def test_measure_nu_worked_pair():
     assert measure_nu(q("sum(lam x. x, lam x. x)")) == 3
     assert measure_nu(q("lam x. sum(x, x)")) == 2
+
+
+def _mu_rec(t):
+    """The recursive measure_mu that `fold` replaced: the reference."""
+    if isinstance(t, (Var, Bound)):
+        return 0
+    if isinstance(t, Sum):
+        return 1 + max(_mu_rec(t.left), _mu_rec(t.right))
+    if isinstance(t, Prod):
+        return 1 + _mu_rec(t.body)
+    if isinstance(t, ScalarStar):
+        return 1
+    if isinstance(t, OneElim):
+        return 1 + _mu_rec(t.scrut) + _mu_rec(t.body)
+    if isinstance(t, Lam):
+        return 1 + _mu_rec(t.abs.body)
+    if isinstance(t, App):
+        return 1 + _mu_rec(t.fn) + _mu_rec(t.arg)
+    if isinstance(t, (Inl, Inr)):
+        return 1 + _mu_rec(t.body)
+    if isinstance(t, Inlr2):
+        return 1 + max(_mu_rec(t.left), _mu_rec(t.right))
+    if isinstance(t, (Case, CaseNd)):
+        return 1 + _mu_rec(t.scrut) + max(_mu_rec(t.left.body),
+                                          _mu_rec(t.right.body))
+    raise ValueError(f"{type(t).__name__} is not a quantum constructor")
+
+
+def _nu_rec(t):
+    """The recursive measure_nu that `fold` replaced: the reference."""
+    if isinstance(t, (Var, Bound)):
+        return 0
+    if isinstance(t, Sum):
+        return 1 + 2 * max(_nu_rec(t.left), _nu_rec(t.right))
+    if isinstance(t, Prod):
+        return 1 + 2 * _nu_rec(t.body)
+    if isinstance(t, (ScalarStar, OneElim, App, Case, CaseNd)):
+        return 1
+    if isinstance(t, Lam):
+        return 1 + _nu_rec(t.abs.body)
+    if isinstance(t, (Inl, Inr)):
+        return 1 + _nu_rec(t.body)
+    if isinstance(t, Inlr2):
+        return 1 + max(_nu_rec(t.left), _nu_rec(t.right))
+    raise ValueError(f"{type(t).__name__} is not a quantum constructor")
+
+
+def test_measures_match_the_recursive_ones():
+    for i in range(300):
+        rng = derive_rng(72, i)
+        _ctx, t, _goal = gen.random_term_in_context("quantum", rng)
+        _ctx, redex, _goal = gen.quantum_rule_instance(19 + i % 25, rng)
+        # a body built under a binder x, one binder deep: it refers to x
+        # as a loose Bound
+        a = gen.random_quantum_prop(rng, 1)
+        b = gen.random_quantum_prop(rng, 1)
+        body = gen._gen_q(b, [(0, a)], 1, rng, gen._Budget(12),
+                          allow_nd=True)
+        for u in (t, redex, body):
+            assert measure_mu(u) == _mu_rec(u)
+            assert measure_nu(u) == _nu_rec(u)
 
 
 def test_lex_decrease_examples():

@@ -15,9 +15,9 @@ from inlr_kit.syntax import (ABS, CALCULI, SCALAR, TERM, _CONNECTIVES,
                              CalculusError, Inl, Lam, One, OPlus, Pair,
                              ParseError, ScalarStar, Star, TopElim, Var,
                              alpha_eq, format_scalar, free_names, instantiate,
-                             parse_prop, parse_term, print_prop, print_term,
-                             print_terms, replace_children, subterms,
-                             term_size, uses_binder)
+                             is_closed, parse_prop, parse_term, print_prop,
+                             print_term, print_terms, replace_children,
+                             subterms, term_size, uses_binder)
 
 
 def ip(s):
@@ -565,6 +565,50 @@ def test_prop_calculus_gate():
 
 def test_term_size():
     assert term_size(ip("sum(star, star)")) == 3
+    # the fold keeps its own stack, so a 10^5-deep chain costs no Python
+    # stack
+    opened, closed = Var("x"), Star()
+    for _ in range(10 ** 5):
+        opened, closed = Inl(opened), Inl(closed)
+    assert term_size(opened) == term_size(closed) == 10 ** 5 + 1
+    assert free_names(opened) == {"x"} and not is_closed(opened)
+    assert free_names(closed) == set() and is_closed(closed)
+
+
+def _term_size_rec(t):
+    """The recursive term_size that `fold` replaced: the reference."""
+    return 1 + sum(_term_size_rec(c) for c in subterms(t))
+
+
+def _free_names_rec(t):
+    """The recursive free_names that `fold` replaced: the reference."""
+    if isinstance(t, Var):
+        return frozenset((t.name,))
+    out = frozenset()
+    for c in subterms(t):
+        out |= _free_names_rec(c)
+    return out
+
+
+@pytest.mark.parametrize("calculus", CALCULI)
+def test_fold_walks_match_the_recursive_ones(calculus):
+    for i in range(200):
+        rng = derive_rng(71, CALCULI.index(calculus), i)
+        _ctx, t, _goal = gen.random_term_in_context(calculus, rng)
+        # a body built under a binder x, one binder deep: it refers to x
+        # as a loose Bound
+        if calculus == "quantum":
+            a = gen.random_quantum_prop(rng, 1)
+            b = gen.random_quantum_prop(rng, 1)
+            body = gen._gen_q(b, [(0, a)], 1, rng, gen._Budget(12),
+                              allow_nd=True)
+        else:
+            a = gen.random_provable_prop(rng)
+            b = gen.random_provable_prop(rng, (a,))
+            body = gen._gen_i(b, {0: a}, 1, rng, gen._Budget(12), calculus)
+        for u in (t, body):
+            assert term_size(u) == _term_size_rec(u)
+            assert free_names(u) == _free_names_rec(u)
 
 
 # ---------------------------------------------------------------------------
