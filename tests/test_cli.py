@@ -18,8 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import inlr_kit
+from inlr_kit import gen
 from inlr_kit.cli import main
-from inlr_kit.syntax import CALCULI
+from inlr_kit.rng import derive_rng
+from inlr_kit.syntax import CALCULI, print_prop, print_term
 
 HERE = os.path.dirname(__file__)
 GOLDEN = os.path.join(HERE, "golden")
@@ -327,6 +329,24 @@ _WORDS = ["lam", "x", "y", "star", "sum", "prod", "inl", "inr", "inlr",
           "/\\", "\\/", "(", ")", "[", "]", ",", ".", ":", "1.0", "-2.5",
           "1e999", "0", "--", "{", "}", '"rows"', '"cols"', '"entries"',
           "?", "\n"]
+
+
+@st.composite
+def _printed(draw, kind):
+    """A printed seeded `gen` term of calculus kind, or quantum
+    proposition for kind "prop", or a prefix of one: text that gets past
+    the reader to the checkers and the engine."""
+    rng = derive_rng(draw(st.integers(0, 2 ** 32)), 0xF2)
+    if kind == "prop":
+        text = print_prop(gen.random_quantum_prop(rng))
+    else:
+        text = print_term(gen.random_term_in_context(kind, rng,
+                                                     max_size=12)[1])
+    if draw(st.booleans()):
+        text = text[:draw(st.integers(0, len(text)))]
+    return text[:200]
+
+
 _TEXT = st.one_of(
     st.text(max_size=200),
     st.lists(st.sampled_from(_WORDS), max_size=60).map(
@@ -335,13 +355,16 @@ _TEXT = st.one_of(
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(text=_TEXT, prop=_TEXT, calculus=st.sampled_from(CALCULI),
+@given(data=st.data(), calculus=st.sampled_from(CALCULI),
        command=st.integers(0, 6), shots=st.integers(1, 50),
        fuel=st.integers(0, 500), seed=st.integers(0, 2 ** 32))
-def test_shallow_input_never_raises(tmp_path_factory, text, prop, calculus,
+def test_shallow_input_never_raises(tmp_path_factory, data, calculus,
                                     command, shots, fuel, seed):
-    # arbitrary short text as the input file and as a proposition, into
-    # every subcommand that reads them: a documented exit code, no raise
+    # short text as the input file and as a proposition, into every
+    # subcommand that reads them: a documented exit code, no raise
+    kind = "quantum" if command in (3, 4) else calculus
+    text = data.draw(st.one_of(_TEXT, _printed(kind)), label="text")
+    prop = data.draw(st.one_of(_TEXT, _printed("prop")), label="prop")
     path = tmp_path_factory.getbasetemp() / "fuzz-input"
     path.write_text(text, encoding="utf-8")
     f = str(path)
