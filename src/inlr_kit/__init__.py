@@ -12,9 +12,9 @@ and property-test suites.
 from . import cc, iplus, quantum  # noqa: F401  (registers the rule tables)
 from .syntax import (alpha_eq, parse_prop, parse_term, print_prop,
                      print_term)
-from .typecheck import TypingError, infer, infer_cc, infer_iplus, infer_linear
+from .typecheck import TypingError, infer
 
 __all__ = [
     "alpha_eq", "parse_prop", "parse_term", "print_prop", "print_term",
-    "TypingError", "infer", "infer_cc", "infer_iplus", "infer_linear",
+    "TypingError", "infer",
 ]

@@ -21,7 +21,7 @@ from .quantum import run_measure
 from .rewrite import default_ruleset, normalize
 from .selftest import SUITES
 from .syntax import (CalculusError, ParseError, parse_prop, parse_term,
-                     print_term)
+                     print_prop, print_term)
 from .typecheck import TypingError, infer
 
 EXIT_OK = 0
@@ -68,28 +68,19 @@ def _parse_file(path, calculus):
 
 
 def cmd_check(args):
+    t = _parse_file(args.file, args.calculus)
     try:
-        t = _parse_file(args.file, args.calculus)
         prop = infer(args.calculus, {}, t)
-    except (ParseError, CalculusError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_TYPE
     except TypingError as e:
         print(e.render(), file=sys.stderr)
         print(json.dumps(e.to_json(), sort_keys=True))
         return EXIT_TYPE
-    from .syntax import print_prop
-
     print(print_prop(prop))
     return EXIT_OK
 
 
 def cmd_norm(args):
-    try:
-        t = _parse_file(args.file, args.calculus)
-    except (ParseError, CalculusError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_TYPE
+    t = _parse_file(args.file, args.calculus)
     from .rng import derive_rng
 
     fuel = args.fuel if args.fuel is not None else DEFAULT_FUEL[args.calculus]
@@ -131,12 +122,9 @@ def cmd_norm(args):
 
 
 def cmd_measure(args):
+    t = _parse_file(args.file, "quantum")
     try:
-        t = _parse_file(args.file, "quantum")
         infer("quantum", {}, t)
-    except (ParseError, CalculusError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_TYPE
     except TypingError as e:
         print(e.render(), file=sys.stderr)
         return EXIT_TYPE
@@ -152,15 +140,10 @@ def cmd_measure(args):
 
 
 def cmd_compile_matrix(args):
-    try:
-        m = load_matrix_json(_read(args.matrix))
-        a = parse_prop(args.from_prop, "quantum")
-        b = parse_prop(args.to_prop, "quantum")
-        t = compile_matrix(m, a, b)
-    except (ParseError, CalculusError, EncodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_TYPE
-    print(print_term(t))
+    m = load_matrix_json(_read(args.matrix))
+    a = parse_prop(args.from_prop, "quantum")
+    b = parse_prop(args.to_prop, "quantum")
+    print(print_term(compile_matrix(m, a, b)))
     return EXIT_OK
 
 
@@ -169,17 +152,13 @@ def cmd_encode(args):
         print("error: encode needs exactly one of --vec or --term",
               file=sys.stderr)
         return EXIT_USAGE
-    try:
-        prop = parse_prop(args.prop, "quantum")
-        if args.vec is not None:
-            v = load_vector_json(_read(args.vec))
-            print(print_term(from_vector(v, prop)))
-        else:
-            t = _parse_file(args.term, "quantum")
-            print(dump_vector_json(to_vector(t, prop)))
-    except (ParseError, CalculusError, EncodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_TYPE
+    prop = parse_prop(args.prop, "quantum")
+    if args.vec is not None:
+        v = load_vector_json(_read(args.vec))
+        print(print_term(from_vector(v, prop)))
+    else:
+        t = _parse_file(args.term, "quantum")
+        print(dump_vector_json(to_vector(t, prop)))
     return EXIT_OK
 
 
@@ -270,6 +249,9 @@ def main(argv=None):
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except (ParseError, CalculusError, EncodeError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_TYPE
 
 
 if __name__ == "__main__":

@@ -122,32 +122,31 @@ def _gen_i(goal, ctx, depth, rng, budget, calculus):
 
     moves = []
     if candidates:
-        moves += [("var", None)] * 3
+        moves += ["var"] * 3
     if isinstance(goal, Top):
-        moves += [("star", None)] * 3
+        moves += ["star"] * 3
     elif isinstance(goal, Impl):
-        moves += [("lam", None)] * 3
+        moves += ["lam"] * 3
     elif isinstance(goal, Conj):
-        moves += [("pair", None)] * 3
+        moves += ["pair"] * 3
     elif isinstance(goal, Disj):
         if _provable(goal.left, hyps):
-            moves.append(("inl", None))
+            moves.append("inl")
         if _provable(goal.right, hyps):
-            moves.append(("inr", None))
+            moves.append("inr")
         if _provable(goal.left, hyps) and _provable(goal.right, hyps):
             if calculus == "iplus":
-                moves += [("inlr2", None)] * 2
+                moves += ["inlr2"] * 2
             else:
-                moves += [("inlr3", None)] * 2
+                moves += ["inlr3"] * 2
     if calculus == "iplus":
-        moves.append(("sum", None))
+        moves.append("sum")
     if budget.n > 4:
-        moves += [("top_elim", None), ("app", None),
-                  ("and1", None), ("and2", None), ("case", None)]
+        moves += ["top_elim", "app", "and1", "and2", "case"]
         if any(isinstance(p, Bot) for p in hyps):
-            moves.append(("bot_elim", None))
+            moves.append("bot_elim")
 
-    move, _ = _pick(rng, moves) if moves else ("minimal", None)
+    move = _pick(rng, moves) if moves else "minimal"
 
     def gen(goal):
         return _gen_i(goal, ctx, depth, rng, budget, calculus)

@@ -275,11 +275,16 @@ def load_matrix_json(text: str) -> np.ndarray:
     """Parse {"rows": n, "cols": m, "entries": [[re, im], ...]} (row-major)."""
     try:
         data = json.loads(text)
-        rows, cols = int(data["rows"]), int(data["cols"])
+        rows, cols = data["rows"], data["cols"]
         flat = _complex_entries(data["entries"])
     except (KeyError, TypeError, ValueError, OverflowError,
             RecursionError) as e:
         raise EncodeError(f"malformed matrix JSON: {type(e).__name__}: {e}") from e
+    # JSON integers only: a bool is an int to Python, and int() would
+    # truncate 1.9 and parse "2"
+    if type(rows) is not int or type(cols) is not int:
+        raise EncodeError(f"rows and cols must be integers, got "
+                          f"{type(rows).__name__}, {type(cols).__name__}")
     if rows < 1 or cols < 1:
         raise EncodeError(f"need positive rows and cols, got {rows}, {cols}")
     if len(flat) != rows * cols:

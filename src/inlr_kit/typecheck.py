@@ -1,16 +1,19 @@
-"""Syntax-directed type checkers for the three calculi.
+"""Syntax-directed type checking for the three calculi.
 
-``infer_iplus``   -- propositional rules with the sum rule and inlr.
-``infer_linear``  -- the linear rules: multiplicative eliminations split the
-                     context, additive rules (sum, prod, inlr) share it, and
-                     every hypothesis must be consumed exactly once.  The
-                     splitting is algorithmic: consumption is threaded left
-                     to right instead of guessing a partition.
-``infer_cc``      -- the propositional rules minus sum, with the binder form
-                     of inlr.
+``infer(calculus, ctx, t, expected)`` checks t in ``iplus`` (propositional
+rules with the sum rule and inlr), ``cc`` (the same minus sum, with the
+binder form of inlr) or ``quantum``, the linear rules: multiplicative
+eliminations split the context, additive rules (sum, prod, inlr) share it,
+and every hypothesis must be consumed exactly once.  The splitting is
+algorithmic: consumption is threaded left to right instead of guessing a
+partition.
 
 Terms are checked as they are, nameless: Bound(k) is resolved against the
-stack of enclosing binders, and no binder is ever opened to a name.
+stack of enclosing binders, and no binder is ever opened to a name.  One
+loop walks the term on a stack of rule frames, and propositions are walked
+on explicit stacks, so depth costs no Python stack.  A node's position is a
+cell (i, its parent's cell), None at the root; a path tuple is built from
+it only for an error.
 
 Where a rule does not pin a proposition syntactically (inl, inr, unannotated
 lambdas, case branches) the checker introduces a placeholder and solves by
@@ -20,13 +23,11 @@ proposition and the checker reports annotation-required.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .syntax import (AndElim1, AndElim2, App, Abs, Bot, BotElim, Bound,
-                     Case, CaseNd, Conj, Disj, Impl, Inl, Inlr2, Inlr3, Inr,
-                     Lam, Lollipop, MetaProp, One, OneElim, OPlus, Pair,
-                     Prod, Proposition, ScalarStar, Star, Sum, Term, TopElim,
-                     Top, Var, _TERM_ALLOWED, print_prop)
+from .syntax import (AndElim1, AndElim2, App, Bot, BotElim, Bound, Case,
+                     CaseNd, Conj, Disj, Impl, Inl, Inlr2, Inlr3, Inr, Lam,
+                     Lollipop, MetaProp, One, OneElim, OPlus, Pair, Prod,
+                     Proposition, Star, Sum, Term, TopElim, Top, Var,
+                     _TERM_ALLOWED, print_prop)
 
 TypingContext = dict  # ordered mapping, variable name -> Proposition
 
@@ -72,35 +73,48 @@ LINEAR_REUSED = "linear-reused"
 OUTSIDE = "constructor-outside-calculus"
 ANNOTATION = "annotation-required"
 
+_SCRUTINEE = {TopElim: Top, OneElim: One, BotElim: Bot}
 
-@dataclass
-class _Env:
-    """Checker state: hypotheses, binder names, linear consumption.
+
+def _path(pos):
+    """The path tuple of a position cell."""
+    path = []
+    while pos is not None:
+        i, pos = pos
+        path.append(i)
+    return tuple(reversed(path))
+
+
+def _child(i, t):
+    """A rule step: path-child i, t, asked for and its proposition returned."""
+    return (yield i, t)
+
+
+class _Checker:
+    """One run's placeholders, hypotheses and linear consumption.
 
     A hypothesis is keyed by its name when it comes from the context and
     by its binder's level (0 for the outermost binder) otherwise, so
     Bound(k) is the hypothesis at level len(hints) - 1 - k.
     """
-    types: dict = field(default_factory=dict)    # key -> Proposition
-    hints: list = field(default_factory=list)    # level -> printed name
-    consumed: set = field(default_factory=set)   # keys used so far
 
-
-class _Checker:
-    def __init__(self, mode):
+    def __init__(self, mode, ctx):
         self.mode = mode
         self.linear = mode == "quantum"
         self.arrow = Lollipop if self.linear else Impl
         self.disj = OPlus if self.linear else Disj
+        self.types = dict(ctx)  # key -> Proposition
+        self.hints = []         # level -> printed name
+        self.consumed = set()   # keys used so far
         self.solution = {}
         self.counter = 0
-        self.meta_origin = {}  # mid -> path that introduced the placeholder
+        self.meta_origin = {}  # mid -> the cell that introduced it
 
     # -- metavariables --
 
-    def fresh_meta(self, path):
+    def fresh_meta(self, pos):
         self.counter += 1
-        self.meta_origin[self.counter] = tuple(path)
+        self.meta_origin[self.counter] = pos
         return MetaProp(self.counter)
 
     def resolve(self, p):
@@ -109,261 +123,247 @@ class _Checker:
         return p
 
     def zonk(self, p):
-        p = self.resolve(p)
-        if isinstance(p, (Impl, Conj, Disj, Lollipop, OPlus)):
-            return type(p)(self.zonk(p.left), self.zonk(p.right))
-        return p
+        """p with its solved placeholders replaced, by a post-order walk: a
+        connective's class, as its exit mark, waits below its sides."""
+        stack, done, solution = [p], [], self.solution
+        while stack:
+            p = stack.pop()
+            if isinstance(p, type):
+                done[-2:] = (p(*done[-2:]),)
+            elif p._symbol:
+                stack += (type(p), p.right, p.left)
+            elif isinstance(p, MetaProp) and p.mid in solution:
+                stack.append(solution[p.mid])
+            else:
+                done.append(p)
+        return done[0]
 
-    def occurs(self, mid, p):
-        p = self.resolve(p)
-        if isinstance(p, MetaProp):
-            return p.mid == mid
-        if isinstance(p, (Impl, Conj, Disj, Lollipop, OPlus)):
-            return self.occurs(mid, p.left) or self.occurs(mid, p.right)
-        return False
+    def find_meta(self, p, mid=None):
+        """The leftmost unsolved placeholder in p (numbered mid), or None."""
+        stack, solution = [p], self.solution
+        while stack:
+            p = stack.pop()
+            if p._symbol:
+                stack += (p.right, p.left)
+            elif isinstance(p, MetaProp):
+                if p.mid in solution:
+                    stack.append(solution[p.mid])
+                elif mid is None or p.mid == mid:
+                    return p
+        return None
 
-    def unify(self, a, b, path):
-        a, b = self.resolve(a), self.resolve(b)
-        if a == b:
-            return
-        if isinstance(a, MetaProp):
-            if self.occurs(a.mid, b):
-                raise TypingError(MISMATCH, path, "circular proposition")
-            self.solution[a.mid] = b
-            return
-        if isinstance(b, MetaProp):
-            self.unify(b, a, path)
-            return
-        if type(a) is type(b) and isinstance(a, (Impl, Conj, Disj, Lollipop, OPlus)):
-            self.unify(a.left, b.left, path)
-            self.unify(a.right, b.right, path)
-            return
-        raise TypingError(MISMATCH, path, expected=self.zonk(a),
-                          found=self.zonk(b))
+    def unify(self, a, b, pos):
+        """Solve placeholders so that a and b agree, left sides first."""
+        stack, resolve = [(a, b)], self.resolve
+        while stack:
+            a, b = stack.pop()
+            a, b = resolve(a), resolve(b)
+            if a is b or a == b:
+                continue
+            if isinstance(b, MetaProp) and not isinstance(a, MetaProp):
+                a, b = b, a
+            if isinstance(a, MetaProp):
+                if self.find_meta(b, a.mid) is not None:
+                    raise TypingError(MISMATCH, _path(pos),
+                                      "circular proposition")
+                self.solution[a.mid] = b
+            elif a._symbol and type(a) is type(b):
+                stack += ((a.right, b.right), (a.left, b.left))
+            else:
+                raise TypingError(MISMATCH, _path(pos), expected=self.zonk(a),
+                                  found=self.zonk(b))
 
-    # -- helpers --
+    # -- hypotheses --
 
-    def gate(self, t, path):
-        if not isinstance(t, _TERM_ALLOWED[self.mode]):
-            raise TypingError(
-                OUTSIDE, path,
-                f"{type(t).__name__} is not a {self.mode} constructor")
+    def name(self, key):
+        return self.hints[key] if isinstance(key, int) else key
 
-    def render_name(self, env, key):
-        return env.hints[key] if isinstance(key, int) else key
-
-    def bind(self, env, a: Abs, prop):
-        env.types[len(env.hints)] = prop
-        env.hints.append(a.hint or "x")
-        return a.body
-
-    def unbind(self, env, path):
-        level = len(env.hints) - 1
-        if self.linear and level not in env.consumed:
-            name = env.hints[level]
-            raise TypingError(LINEAR_UNUSED, path, names=(name,),
-                              detail=f"hypothesis {name} is never used")
-        del env.types[level]
-        env.hints.pop()
-        env.consumed.discard(level)
-
-    def use(self, env, key, path):
+    def use(self, key, pos):
         """The hypothesis at key; the linear calculus consumes it."""
         if self.linear:
-            if key in env.consumed:
-                name = self.render_name(env, key)
-                raise TypingError(LINEAR_REUSED, path, names=(name,),
+            if key in self.consumed:
+                name = self.name(key)
+                raise TypingError(LINEAR_REUSED, _path(pos), names=(name,),
                                   detail=f"hypothesis {name} is used twice")
-            env.consumed.add(key)
-        return env.types[key]
+            self.consumed.add(key)
+        return self.types[key]
 
-    def under(self, env, a: Abs, prop, path, unused_path):
-        """The proposition of a's body with its variable bound to prop."""
-        b = self.infer(env, self.bind(env, a, prop), path)
-        self.unbind(env, unused_path)
-        return b
+    def under(self, i, a, prop, unused):
+        """A rule step: the body of a, path-child i, under a variable of
+        prop; a linear one never used is reported at the cell `unused`."""
+        level = len(self.hints)
+        self.types[level] = prop
+        self.hints.append(a.hint or "x")
+        body = yield i, a.body
+        if self.linear and level not in self.consumed:
+            name = self.hints[level]
+            raise TypingError(LINEAR_UNUSED, _path(unused), names=(name,),
+                              detail=f"hypothesis {name} is never used")
+        del self.types[level]
+        self.hints.pop()
+        self.consumed.discard(level)
+        return body
 
-    def additive(self, env, path, branches, same=True):
-        """The propositions of branches that share the hypotheses.
-
-        Each branch starts from the consumption before the rule.  With
-        `same` the branch propositions unify; then, in the linear
-        calculus, the branches must have consumed the same hypotheses.
-        """
-        saved, used, props = env.consumed, [], []
+    def additive(self, pos, branches, same=True):
+        """A rule step: the steps `branches` run on shared hypotheses, each
+        from the consumption before the rule, and must consume the same
+        ones; with `same` their propositions unify."""
+        saved, used, props = self.consumed, [], []
         for branch in branches:
-            env.consumed = set(saved)
-            props.append(branch())
-            used.append(env.consumed)
+            self.consumed = set(saved)
+            props.append((yield from branch))
+            used.append(self.consumed)
         if same:
-            self.unify(props[0], props[1], path)
+            self.unify(props[0], props[1], pos)
         first, other = used
         if other != first:
-            diff = sorted(self.render_name(env, k)
+            diff = sorted(self.name(k)
                           for k in first.symmetric_difference(other))
             raise TypingError(
-                LINEAR_UNUSED, path, names=diff,
+                LINEAR_UNUSED, _path(pos), names=diff,
                 detail="branches consume different hypotheses: "
                        + ", ".join(diff))
-        env.consumed = first
+        self.consumed = first
         return props
 
-    # -- the checker --
+    # -- the rules: a generator per constructor yields (i, child) for each
+    # path-child it needs and is sent back that child's proposition --
 
-    def infer(self, env, t, path):
-        self.gate(t, path)
+    def sum_rule(self, t, pos):  # and inlr's pair form
+        same = type(t) is Sum
+        a, b = yield from self.additive(pos, (_child(0, t.left),
+                                              _child(1, t.right)), same)
+        return a if same else self.disj(a, b)
 
-        if isinstance(t, Var):
-            if t.name not in env.types:
-                raise TypingError(UNBOUND, path, f"unbound variable {t.name}")
-            return self.use(env, t.name, path)
+    def prod_rule(self, t, pos):
+        return (yield 0, t.body)
 
-        if isinstance(t, Bound):
-            level = len(env.hints) - 1 - t.index
-            if level < 0:
-                raise TypingError(UNBOUND, path, "dangling bound variable")
-            return self.use(env, level, path)
+    def elim(self, t, pos):  # of Top, One and Bot
+        a = yield 0, t.scrut
+        self.unify(a, _SCRUTINEE[type(t)](), (0, pos))
+        return t.prop if type(t) is BotElim else (yield 1, t.body)
 
-        if isinstance(t, Star):
-            return Top()
+    def lam(self, t, pos):
+        ann = t.ann if t.ann is not None else self.fresh_meta(pos)
+        return self.arrow(ann, (yield from self.under(0, t.abs, ann, pos)))
 
-        if isinstance(t, ScalarStar):
-            return One()
+    def app(self, t, pos):
+        f = self.resolve((yield 0, t.fn))
+        if isinstance(f, MetaProp):
+            dom, cod = self.fresh_meta(pos), self.fresh_meta(pos)
+            self.unify(f, self.arrow(dom, cod), (0, pos))
+            f = self.arrow(dom, cod)
+        if not isinstance(f, self.arrow):
+            raise TypingError(NOT_A_FUNCTION, _path((0, pos)),
+                              f"cannot apply a term of type "
+                              f"{print_prop(self.zonk(f))}")
+        a = yield 1, t.arg
+        self.unify(f.left, a, (1, pos))
+        return f.right
 
-        if isinstance(t, Sum):
-            a, _ = self.additive(env, path, (
-                lambda: self.infer(env, t.left, path + (0,)),
-                lambda: self.infer(env, t.right, path + (1,))))
-            return a
+    def pair(self, t, pos):
+        a = yield 0, t.left
+        return Conj(a, (yield 1, t.right))
 
-        if isinstance(t, Prod):
-            return self.infer(env, t.body, path + (0,))
+    def and_elim(self, t, pos):
+        s = yield 0, t.scrut
+        l, r = self.fresh_meta(pos), self.fresh_meta(pos)
+        self.unify(s, Conj(l, r), (0, pos))
+        component = l if type(t) is AndElim1 else r
+        return (yield from self.under(1, t.abs, component, pos))
 
-        if isinstance(t, (TopElim, OneElim)):
-            a = self.infer(env, t.scrut, path + (0,))
-            self.unify(a, Top() if isinstance(t, TopElim) else One(),
-                       path + (0,))
-            return self.infer(env, t.body, path + (1,))
+    def inj(self, t, pos):
+        a = yield 0, t.body
+        other = self.fresh_meta(pos)
+        return self.disj(a, other) if type(t) is Inl else self.disj(other, a)
 
-        if isinstance(t, BotElim):
-            a = self.infer(env, t.scrut, path + (0,))
-            self.unify(a, Bot(), path + (0,))
-            return t.prop
+    def case(self, t, pos):  # and inlr's binder form
+        s = yield 0, t.scrut
+        a1, a2 = self.fresh_meta(pos), self.fresh_meta(pos)
+        self.unify(s, self.disj(a1, a2), (0, pos))
+        if type(t) is Inlr3:
+            left = yield from self.under(1, t.left, a1, pos)
+            return Disj(left, (yield from self.under(2, t.right, a2, pos)))
+        # the scrutinee's resources are spent; the branches share the
+        # remainder and must agree on what they consume
+        c1, _ = yield from self.additive(pos, (
+            self.under(1, t.left, a1, (1, pos)),
+            self.under(2, t.right, a2, (2, pos))))
+        return c1
 
-        if isinstance(t, Lam):
-            ann = t.ann if t.ann is not None else self.fresh_meta(path)
-            return self.arrow(ann, self.under(env, t.abs, ann, path + (0,),
-                                              path))
+    RULES = {Sum: sum_rule, Inlr2: sum_rule, Prod: prod_rule, TopElim: elim,
+             OneElim: elim, BotElim: elim, Lam: lam, App: app, Pair: pair,
+             AndElim1: and_elim, AndElim2: and_elim, Inl: inj, Inr: inj,
+             Case: case, CaseNd: case, Inlr3: case}
 
-        if isinstance(t, App):
-            f = self.infer(env, t.fn, path + (0,))
-            f = self.resolve(f)
-            if isinstance(f, MetaProp):
-                dom, cod = self.fresh_meta(path), self.fresh_meta(path)
-                self.unify(f, self.arrow(dom, cod), path + (0,))
-                f = self.arrow(dom, cod)
-            if not isinstance(f, self.arrow):
-                raise TypingError(NOT_A_FUNCTION, path + (0,),
-                                  f"cannot apply a term of type "
-                                  f"{print_prop(self.zonk(f))}")
-            a = self.infer(env, t.arg, path + (1,))
-            self.unify(f.left, a, path + (1,))
-            return f.right
+    def infer(self, t):
+        """The proposition of t, by one loop over a stack of rule frames."""
+        rules, frames, pos = _RULES[self.mode], [], None
+        hints, types, use = self.hints, self.types, self.use
+        while True:
+            cls = type(t)
+            if cls not in rules:
+                raise TypingError(
+                    OUTSIDE, _path(pos),
+                    f"{cls.__name__} is not a {self.mode} constructor")
+            rule = rules[cls]
+            if rule is not None:
+                frames.append((rule(self, t, pos), pos))
+                prop = None  # starts the new frame
+            elif cls is Bound:
+                level = len(hints) - 1 - t.index
+                if level < 0:
+                    raise TypingError(UNBOUND, _path(pos),
+                                      "dangling bound variable")
+                prop = use(level, pos)
+            elif cls is Var:
+                if t.name not in types:
+                    raise TypingError(UNBOUND, _path(pos),
+                                      f"unbound variable {t.name}")
+                prop = use(t.name, pos)
+            else:
+                prop = Top() if cls is Star else One()
+            # hand prop up the frames until one asks for a child
+            while frames:
+                frame, at = frames[-1]
+                try:
+                    i, t = frame.send(prop)
+                except StopIteration as done:
+                    frames.pop()
+                    prop = done.value
+                else:
+                    pos = (i, at)
+                    break
+            else:
+                return prop
 
-        if isinstance(t, Pair):
-            a = self.infer(env, t.left, path + (0,))
-            b = self.infer(env, t.right, path + (1,))
-            return Conj(a, b)
-
-        if isinstance(t, (AndElim1, AndElim2)):
-            s = self.infer(env, t.scrut, path + (0,))
-            l, r = self.fresh_meta(path), self.fresh_meta(path)
-            self.unify(s, Conj(l, r), path + (0,))
-            component = l if isinstance(t, AndElim1) else r
-            return self.under(env, t.abs, component, path + (1,), path)
-
-        if isinstance(t, (Inl, Inr)):
-            a = self.infer(env, t.body, path + (0,))
-            other = self.fresh_meta(path)
-            return self.disj(a, other) if isinstance(t, Inl) \
-                else self.disj(other, a)
-
-        if isinstance(t, Inlr2):
-            return self.disj(*self.additive(env, path, (
-                lambda: self.infer(env, t.left, path + (0,)),
-                lambda: self.infer(env, t.right, path + (1,))), same=False))
-
-        if isinstance(t, Inlr3):
-            s = self.infer(env, t.scrut, path + (0,))
-            a1, a2 = self.fresh_meta(path), self.fresh_meta(path)
-            self.unify(s, Disj(a1, a2), path + (0,))
-            return Disj(self.under(env, t.left, a1, path + (1,), path),
-                        self.under(env, t.right, a2, path + (2,), path))
-
-        if isinstance(t, (Case, CaseNd)):
-            s = self.infer(env, t.scrut, path + (0,))
-            a1, a2 = self.fresh_meta(path), self.fresh_meta(path)
-            self.unify(s, self.disj(a1, a2), path + (0,))
-            # the scrutinee's resources are spent; the branches share the
-            # remainder and must agree on what they consume
-            c1, _ = self.additive(env, path, (
-                lambda: self.under(env, t.left, a1, path + (1,), path + (1,)),
-                lambda: self.under(env, t.right, a2, path + (2,),
-                                   path + (2,))))
-            return c1
-
-        raise TypingError(OUTSIDE, path, f"unknown constructor {type(t).__name__}")
-
-    def run(self, ctx, t, expected=None):
-        env = _Env(types=dict(ctx))
-        prop = self.infer(env, t, ())
+    def run(self, t, expected=None):
+        prop = self.infer(t)
         if expected is not None:
-            self.unify(prop, expected, ())
+            self.unify(prop, expected, None)
         if self.linear:
-            unused = [k for k in env.types if k not in env.consumed]
+            unused = [k for k in self.types if k not in self.consumed]
             if unused:
                 raise TypingError(LINEAR_UNUSED, (), names=tuple(unused),
                                   detail="hypotheses never used: "
                                          + ", ".join(unused))
         out = self.zonk(prop)
-        leftover = _first_meta(out)
+        leftover = self.find_meta(out)
         if leftover is not None:
             raise TypingError(
-                ANNOTATION, self.meta_origin.get(leftover.mid, ()),
+                ANNOTATION, _path(self.meta_origin.get(leftover.mid)),
                 "the proposition is not determined by the term; "
                 "add an annotation")
         return out
 
 
-def _first_meta(p):
-    if isinstance(p, MetaProp):
-        return p
-    if isinstance(p, (Impl, Conj, Disj, Lollipop, OPlus)):
-        return _first_meta(p.left) or _first_meta(p.right)
-    return None
-
-
-def infer_iplus(ctx: TypingContext, t: Term,
-                expected: Proposition | None = None) -> Proposition:
-    """Infer the proposition of an iplus term; raises TypingError."""
-    return _Checker("iplus").run(ctx, t, expected)
-
-
-def infer_linear(ctx: TypingContext, t: Term,
-                 expected: Proposition | None = None) -> Proposition:
-    """Infer the proposition of a quantum term under the linear discipline."""
-    return _Checker("quantum").run(ctx, t, expected)
-
-
-def infer_cc(ctx: TypingContext, t: Term,
-             expected: Proposition | None = None) -> Proposition:
-    """Infer the proposition of a cc term (no sum, binder-form inlr)."""
-    return _Checker("cc").run(ctx, t, expected)
-
-
-_INFER = {"iplus": infer_iplus, "quantum": infer_linear, "cc": infer_cc}
+# calculus -> {each of its constructors: its rule, None for a leaf}
+_RULES = {mode: {cls: _Checker.RULES.get(cls) for cls in allowed}
+          for mode, allowed in _TERM_ALLOWED.items()}
 
 
 def infer(calculus: str, ctx: TypingContext, t: Term,
           expected: Proposition | None = None) -> Proposition:
-    return _INFER[calculus](ctx, t, expected)
+    """The proposition of t under ctx by the rules of the calculus ("iplus",
+    "quantum" or "cc"); raises TypingError."""
+    return _Checker(calculus, ctx).run(t, expected)

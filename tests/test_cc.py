@@ -9,7 +9,7 @@ from inlr_kit.selftest import cc_enumeration, cc_pi_terms, cc_rule_soundness
 from inlr_kit.syntax import (Abs, AndElim1, Bound, Inlr3, Pair, Star, Top,
                              Var, alpha_eq, parse_prop, parse_term,
                              print_term)
-from inlr_kit.typecheck import TypingError, infer_cc
+from inlr_kit.typecheck import TypingError, infer
 
 
 def cc(s):
@@ -101,7 +101,7 @@ def test_pi_terms_typecheck_at_stated_propositions():
 
 def test_pi_inlr_inlr_proposition():
     ctx = {"t": P("A1 \\/ A2"), "t1": P("B1 \\/ B2"), "t2": P("B3 \\/ B4")}
-    got = infer_cc(ctx, pi_term(42, Var("t"), Var("t1"), Var("t2")))
+    got = infer("cc", ctx, pi_term(42, Var("t"), Var("t1"), Var("t2")))
     assert got == P("((A1 /\\ B1) \\/ (A2 /\\ B3)) "
                     "\\/ ((A1 /\\ B2) \\/ (A2 /\\ B4))")
 
@@ -117,7 +117,7 @@ def test_pi_term_inner_scrutinees_refer_to_their_hypothesis():
     ctx = {"t": P("A1 \\/ A2"), "t1": P("B1 \\/ B2"), "t2": P("B3 \\/ B4")}
     pi = pi_term(42, Var("t"), _using_hypothesis("t1"),
                  _using_hypothesis("t2"))
-    assert infer_cc(ctx, pi) == P("((A1 /\\ B1) \\/ (A2 /\\ B3)) "
+    assert infer("cc", ctx, pi) == P("((A1 /\\ B1) \\/ (A2 /\\ B3)) "
                                   "\\/ ((A1 /\\ B2) \\/ (A2 /\\ B4))")
     assert print_term(pi) == (
         "case(t, x1. case(and1(pair(t1, x1), z. z), "
@@ -128,7 +128,7 @@ def test_pi_term_inner_scrutinees_refer_to_their_hypothesis():
     pi = pi_term(42, Var("t"), _using_hypothesis("t1", 1),
                  _using_hypothesis("t2", 1))
     with pytest.raises(TypingError) as e:
-        infer_cc(ctx, pi)
+        infer("cc", ctx, pi)
     assert e.value.kind == "unbound-var"
 
 
@@ -153,7 +153,7 @@ def test_rhs_of_every_rule_typechecks():
         ctx, t, expected = gen.cc_rule_instance(number, rng)
         u = step_at(t, (), RuleId("cc", number))
         try:
-            infer_cc(ctx, u, expected=expected)
+            infer("cc", ctx, u, expected=expected)
         except TypingError as e:
             pytest.fail(f"rule {number}: {print_term(u)}: {e}")
 
@@ -217,7 +217,7 @@ _CYCLE = "case(case(inl(star), x. inr(x), y. inl(y)), a. star, b. star)"
 def test_commuting_cuts_admit_a_two_cycle(rules):
     # rule 37 inside, then rule 7 at the root, give back the start
     start = cc(_CYCLE)
-    assert infer_cc({}, start) == Top()
+    assert infer("cc", {}, start) == Top()
     mid = step_at(start, (0,), RuleId("cc", 37), ruleset=rules)
     assert print_term(mid) == ("case(inlr(case(inl(star), x1. inr(x1), "
                                "x2. inl(x2)), y. y, x. x), a. star, b. star)")
@@ -301,4 +301,4 @@ def test_demo_terms_typecheck():
     ctx = {"x": P("A /\\ B"), "u": P("C")}
     demo = demo_optimization()
     for _label, text in demo.applied.stages:
-        infer_cc(ctx, parse_term(text, "cc"), expected=P("C /\\ A"))
+        infer("cc", ctx, parse_term(text, "cc"), expected=P("C /\\ A"))

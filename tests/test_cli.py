@@ -236,6 +236,33 @@ def test_deep_input_prints_without_traceback(tmp_path):
     assert "inl(" * depth + "star" + ")" * depth in done.stdout
 
 
+def test_deep_input_checks_without_traceback(tmp_path):
+    # the checker walks terms and propositions on explicit stacks: a
+    # 10^5-deep chain, a 30 000-deep annotation and a 20 000-deep chain
+    # under a binder are checked in fresh interpreters
+    def check(text, calculus):
+        path = tmp_path / "deep.inlr"
+        path.write_text(text)
+        done = _cli_fresh("check", str(path), "--calculus", calculus)
+        assert "Traceback" not in done.stderr
+        return done
+
+    depth = 10 ** 5
+    done = check("inl(" * depth + "top_elim(star, star)" + ")" * depth, "cc")
+    assert done.returncode == 1
+    assert json.loads(done.stdout)["kind"] == "annotation-required"
+    ann = "One -o " * 30000 + "One"
+    done = check(f"lam x:{ann}. x", "quantum")
+    assert done.returncode == 0
+    assert done.stdout == f"({ann}) -o {ann}\n"
+    depth = 20000
+    done = check("lam x:Top. " + "inl(" * depth + "x" + ")" * depth, "iplus")
+    assert done.returncode == 1
+    # the leftmost placeholder is the innermost inl's
+    assert done.stderr.startswith(
+        "0" + ".0" * (depth - 1) + ": annotation-required")
+
+
 def test_deep_parentheses_in_a_proposition(tmp_path):
     # the proposition reader keeps its parentheses on a stack: 5000 of
     # them read as the proposition inside them, in --from and in an

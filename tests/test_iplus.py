@@ -6,7 +6,7 @@ from inlr_kit.rewrite import RuleId, find_redexes, normalize, step_at
 from inlr_kit.rng import derive_rng
 from inlr_kit.selftest import introduction_property
 from inlr_kit.syntax import Star, Var, alpha_eq, parse_term
-from inlr_kit.typecheck import infer_iplus
+from inlr_kit.typecheck import infer
 
 
 def ip(s):
@@ -51,9 +51,9 @@ def test_subject_reduction_per_rule(number):
     for i in range(8):
         rng = derive_rng(2024, number, i)
         ctx, t, expected = gen.iplus_rule_instance(number, rng)
-        before = infer_iplus(ctx, t, expected=expected)
+        before = infer("iplus", ctx, t, expected=expected)
         u = step_at(t, (), RuleId("iplus", number))
-        after = infer_iplus(ctx, u, expected=expected)
+        after = infer("iplus", ctx, u, expected=expected)
         assert before == after
 
 
@@ -64,8 +64,8 @@ def test_sum_commutation_soundness(number):
         rng = derive_rng(31, number, i)
         ctx, t, expected = gen.iplus_rule_instance(number, rng)
         u = step_at(t, (), RuleId("iplus", number))
-        assert infer_iplus(ctx, t, expected=expected) \
-            == infer_iplus(ctx, u, expected=expected)
+        assert infer("iplus", ctx, t, expected=expected) \
+            == infer("iplus", ctx, u, expected=expected)
 
 
 def test_normalize_sum_of_injections_is_introduction():

@@ -16,7 +16,7 @@ from inlr_kit.rng import derive_rng
 from inlr_kit.selftest import _vector_prop_of_dim_at_most
 from inlr_kit.syntax import (App, Inl, Inr, alpha_eq, free_names, parse_prop,
                              parse_term, print_term)
-from inlr_kit.typecheck import infer_linear
+from inlr_kit.typecheck import infer
 
 
 def q(s):
@@ -143,7 +143,7 @@ def test_compiled_term_typechecks():
     t = compile_matrix(m, a, b)
     from inlr_kit.syntax import Lollipop
 
-    assert infer_linear({}, t) == Lollipop(a, b)
+    assert infer("quantum", {}, t) == Lollipop(a, b)
 
 
 def test_compile_rejects_bad_shape():
@@ -257,8 +257,10 @@ def test_zero_term():
 def test_meas_first_typechecks():
     from inlr_kit.syntax import Lollipop
 
-    assert infer_linear({}, meas_first(1)) == Lollipop(qn_prop(1), qn_prop(1))
-    assert infer_linear({}, meas_first(2)) == Lollipop(qn_prop(2), qn_prop(1))
+    assert infer("quantum", {}, meas_first(1)) \
+        == Lollipop(qn_prop(1), qn_prop(1))
+    assert infer("quantum", {}, meas_first(2)) \
+        == Lollipop(qn_prop(2), qn_prop(1))
 
 
 def test_meas_state_is_not_strictly_linear():
@@ -269,7 +271,7 @@ def test_meas_state_is_not_strictly_linear():
     from inlr_kit.typecheck import TypingError
 
     with pytest.raises(TypingError) as exc:
-        infer_linear({}, meas_state(1))
+        infer("quantum", {}, meas_state(1))
     assert exc.value.kind == "linear-unused"
 
 
@@ -345,13 +347,17 @@ def test_matrix_json_rejects_wrong_count():
     (load_matrix_json, '{"rows": -1, "cols": -1, "entries": [[1, 0]]}'),
     (load_matrix_json, '[[1, 0]]'),
     (load_matrix_json, '{"rows": 1e999, "cols": 1, "entries": [[1, 0]]}'),
+    (load_matrix_json, '{"rows": 1.9, "cols": true, "entries": [[1, 0]]}'),
+    (load_matrix_json,
+     '{"rows": "2", "cols": 1, "entries": [[1, 0], [0, 0]]}'),
     (load_vector_json, "[1, 2]"),
     (load_vector_json, '{"rows": 1}'),
     (load_vector_json, '"ab"'),
     (load_vector_json, "[" * 100000 + "]" * 100000),
     (load_vector_json, "[[1" + "0" * 400 + ", 0]]"),
 ], ids=["matrix-not-json", "matrix-no-cols", "matrix-negative",
-        "matrix-list", "matrix-infinite-rows", "vector-not-pairs",
+        "matrix-list", "matrix-infinite-rows", "matrix-float-bool-dims",
+        "matrix-string-dims", "vector-not-pairs",
         "vector-no-entries", "vector-string", "vector-deep",
         "vector-int-past-float"])
 def test_malformed_json_raises_encode_error(load, text):

@@ -15,7 +15,7 @@ from inlr_kit.syntax import (Abs, App, Bound, Case, CaseNd, Inl, Inlr2, Inr,
                              Lam, OneElim, Prod, ScalarStar, Star, Sum, Term,
                              Var, instantiate, parse_prop, parse_term,
                              print_term)
-from inlr_kit.typecheck import infer_linear
+from inlr_kit.typecheck import infer
 
 from test_rewrite import measure_inputs
 
@@ -171,10 +171,10 @@ def test_subject_reduction_per_rule(number):
     for i in range(8):
         rng = derive_rng(2025, number, i)
         ctx, t, expected = gen.quantum_rule_instance(number, rng)
-        before = infer_linear(ctx, t, expected=expected)
+        before = infer("quantum", ctx, t, expected=expected)
         choice = {26: "left", 27: "right"}.get(number)
         u = step_at(t, (), RuleId("quantum", number), choice=choice)
-        after = infer_linear(ctx, u, expected=expected)
+        after = infer("quantum", ctx, u, expected=expected)
         assert before == after
 
 
@@ -295,7 +295,7 @@ def test_histogram_json_shape():
 def test_spec_pi1_on_well_typed_state():
     # the whole applied measurement is well-typed at the Boolean type
     t = _pi1_applied("1.0", "1.0")
-    assert infer_linear({}, t) == qp("One (+) One")
+    assert infer("quantum", {}, t) == qp("One (+) One")
 
 
 # An inner measurement inside a scrutinee component is taken first; the
