@@ -46,6 +46,8 @@ def _read(path):
     except UnicodeDecodeError as e:
         raise InputError(f"{path} is not UTF-8 text: {e.reason} "
                          f"at byte {e.start}") from e
+    except ValueError as e:  # a path holding a NUL byte
+        raise InputError(f"cannot read {path!r}: {e}") from e
 
 
 def _count(low):

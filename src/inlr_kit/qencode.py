@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quantum import RULES_QUANTUM, RULES_QUANTUM_DET
-from .rewrite import is_normal, normalize
+from .rewrite import is_normal, normalize, structural_norm_sq
 from .rng import derive_rng
 from .syntax import (Abs, App, Bound, Case, CaseNd, Inl, Inlr2, Inr, Lam,
                      OneElim, OPlus, One, Prod, Proposition, ScalarStar, Sum,
@@ -41,19 +41,78 @@ class NotIrreducible(Exception):
     pass
 
 
-def is_vector_prop(p: Proposition) -> bool:
-    if isinstance(p, One):
-        return True
-    return isinstance(p, OPlus) and is_vector_prop(p.left) and is_vector_prop(p.right)
+def _vector_fold(p: Proposition, leaf, node):
+    """leaf(q, i) at the i-th One q of p, counted left to right, and
+    node(q, left, right) at each (+) q on its sides' values, by one
+    post-order walk on an explicit stack.  Raises NotVectorProp at the
+    first sub-proposition in preorder that is neither One nor (+).
+    """
+    stack, done, i = [p], [], 0
+    while stack:
+        q = stack.pop()
+        if type(q) is tuple:  # the exit mark of a (+)
+            done[-2:] = (node(q[0], *done[-2:]),)
+        elif type(q) is One:
+            done.append(leaf(q, i))
+            i += 1
+        elif type(q) is OPlus:
+            stack += ((q,), q.right, q.left)
+        else:
+            raise NotVectorProp(q)
+    return done[0]
 
 
 def dim(p: Proposition) -> int:
-    """Number of One leaves of a vector proposition."""
-    if isinstance(p, One):
-        return 1
-    if isinstance(p, OPlus):
-        return dim(p.left) + dim(p.right)
-    raise NotVectorProp(p)
+    """Number of One leaves of a vector proposition; NotVectorProp as in
+    `_vector_fold`, by the same preorder but with no value built."""
+    n, stack = 0, [p]
+    while stack:
+        q = stack.pop()
+        if type(q) is OPlus:
+            stack += (q.right, q.left)
+        elif type(q) is One:
+            n += 1
+        else:
+            raise NotVectorProp(q)
+    return n
+
+
+def is_vector_prop(p: Proposition) -> bool:
+    try:
+        dim(p)
+    except NotVectorProp:
+        return False
+    return True
+
+
+def _scalars(t: Term, p: Proposition, mismatch) -> tuple:
+    """The offsets and the values of the scalars of the irreducible value t
+    of the vector proposition p, left to right, by one walk of t against p
+    on an explicit stack with a running offset: a side that an inl or an
+    inr leaves out adds its dimension.  At the first subterm s that does
+    not fit its sub-proposition q, raises mismatch(s, q).
+    """
+    offsets, values, offset, stack = [], [], 0, [(t, p)]
+    while stack:
+        t, p = stack.pop()
+        cls = type(t)
+        if t is None:  # a side left out
+            offset += dim(p)
+        elif type(p) is One:
+            if cls is not ScalarStar:
+                raise mismatch(t, p)
+            offsets.append(offset)
+            values.append(t.value)
+            offset += 1
+        elif cls is Inlr2:
+            stack += ((t.right, p.right), (t.left, p.left))
+        elif cls is Inl:
+            stack += ((None, p.right), (t.body, p.left))
+        elif cls is Inr:
+            stack += ((t.body, p.right), (None, p.left))
+        else:
+            raise mismatch(t, p)
+    return offsets, values
 
 
 def qn_prop(n: int) -> Proposition:
@@ -79,22 +138,9 @@ def to_vector(t: Term, p: Proposition, fuel: int = 10 ** 6) -> np.ndarray:
     if tr.outcome.kind != "normal-form":
         raise EncodeError(f"term does not normalize: {tr.outcome.kind}")
     out = np.zeros(dim(p), dtype=np.complex128)
-
-    def read(t, p, offset):
-        if isinstance(p, One) and isinstance(t, ScalarStar):
-            out[offset] = t.value
-        elif isinstance(p, One) or not isinstance(t, (Inlr2, Inl, Inr)):
-            raise EncodeError(f"shape mismatch against {print_prop(p)}: "
-                              f"{print_term(t)}")
-        elif isinstance(t, Inlr2):
-            read(t.left, p.left, offset)
-            read(t.right, p.right, offset + dim(p.left))
-        elif isinstance(t, Inl):
-            read(t.body, p.left, offset)
-        else:
-            read(t.body, p.right, offset + dim(p.left))
-
-    read(tr.final, p, 0)
+    offsets, values = _scalars(tr.final, p, lambda s, q: EncodeError(
+        f"shape mismatch against {print_prop(q)}: {print_term(s)}"))
+    out[offsets] = values
     return out
 
 
@@ -104,21 +150,8 @@ def norm_sq(t: Term, prop: Proposition) -> float:
         raise NotVectorProp(prop)
     if not is_closed(t) or not is_normal(t, RULES_QUANTUM):
         raise NotIrreducible(print_term(t))
-
-    def go(t, p):
-        if isinstance(p, One):
-            if isinstance(t, ScalarStar):
-                return abs(t.value) ** 2
-            raise NotIrreducible(print_term(t))
-        if isinstance(t, Inlr2):
-            return go(t.left, p.left) + go(t.right, p.right)
-        if isinstance(t, Inl):
-            return go(t.body, p.left)
-        if isinstance(t, Inr):
-            return go(t.body, p.right)
-        raise NotIrreducible(print_term(t))
-
-    return go(t, prop)
+    _scalars(t, prop, lambda s, q: NotIrreducible(print_term(s)))
+    return structural_norm_sq(t)
 
 
 def from_vector(v, p: Proposition) -> Term:
@@ -128,33 +161,28 @@ def from_vector(v, p: Proposition) -> Term:
     if v.shape != (n,):
         raise EncodeError(f"dimension mismatch: vector {v.shape}, "
                           f"proposition wants ({n},)")
-
-    def build(v, p):
-        if isinstance(p, One):
-            return ScalarStar(complex(v[0]))
-        k = dim(p.left)
-        return Inlr2(build(v[:k], p.left), build(v[k:], p.right))
-
-    return build(v, p)
+    values = v.tolist()
+    return _vector_fold(p, lambda q, i: ScalarStar(values[i]),
+                        lambda q, left, right: Inlr2(left, right))
 
 
 def compile_matrix(m, a: Proposition, b: Proposition) -> Term:
     """A closed proof of ``a -o b`` computing the matrix-vector product.
 
-    Single-column matrices become ``lam x. one_elim(x, <column>)``; wider
-    ones split into column blocks and dispatch on the input with case.
+    Column j, at the j-th One of a, becomes ``lam x. one_elim(x, <column>)``;
+    each (+) of a dispatches on the input with case to its sides' proofs.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.shape != (dim(b), dim(a)):
         raise EncodeError(f"matrix shape {m.shape} does not fit "
                           f"{dim(b)}x{dim(a)}")
-    if isinstance(a, One):
-        return Lam(a, Abs("x", OneElim(Bound(0), from_vector(m[:, 0], b))))
-    k = dim(a.left)
-    t1 = compile_matrix(m[:, :k], a.left, b)
-    t2 = compile_matrix(m[:, k:], a.right, b)
-    return Lam(a, Abs("x", Case(Bound(0), Abs("y", App(t1, Bound(0))),
-                                Abs("z", App(t2, Bound(0))))))
+    return _vector_fold(
+        a,
+        lambda q, j: Lam(q, Abs("x", OneElim(Bound(0),
+                                              from_vector(m[:, j], b)))),
+        lambda q, t1, t2: Lam(q, Abs("x", Case(
+            Bound(0), Abs("y", App(t1, Bound(0))),
+            Abs("z", App(t2, Bound(0)))))))
 
 
 # ---------------------------------------------------------------------------

@@ -24,13 +24,10 @@ constructor carries a guard, and not at the root.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 from .syntax import (Inl, Inlr2, Inr, ScalarStar, Term, alpha_eq,
                      replace_children, subterms)
-
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
 
 # nd-family tags
 ND_PAIR = "nd-inlr"      # probabilistic pair (quantum 26/27)

@@ -31,6 +31,126 @@ from operator import attrgetter
 CALCULI = ("iplus", "quantum", "cc")
 
 # ---------------------------------------------------------------------------
+# Nodes
+
+# Shape entry kinds: a child node (a subterm, or a side of a connective),
+# an abstraction, a scalar and a term's proposition.
+TERM = "term"
+ABS = "abs"
+SCALAR = "scalar"
+PROP = "prop"
+
+
+class Node:
+    """A proposition or a proof term: a frozen dataclass per constructor.
+
+    Equality and hashing are defined here once, structurally, for both
+    families; the subclasses generate neither.  Binder hints are left out
+    of both.  Both walk with an explicit stack, so depth costs no Python
+    stack.  A class lists its children in `_shape`, as (field, kind), and
+    derives from it when it is defined: `_fields`, (name, kind) of every
+    field, kind None off `_shape`; `_paths`, the TERM and ABS entries; and
+    `_kids(t)`, the path-children as a tuple, an abstraction's body for
+    the abstraction.
+
+    `_hash`, the structural hash, is stored by the first `hash(t)` from
+    `_key(t)`: the class, the children's stored hashes and the other
+    fields.  It is a cache outside the dataclass fields, written only
+    through `_store`, so `==` and `repr` never read it.
+    """
+
+    _shape: tuple = ()
+    _paths: tuple = ()
+    _fields: tuple = ()
+    _binds: tuple = ()  # per path-child: 1 if it is an abstraction's body
+    _hash = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._paths = tuple((name, kind) for name, kind in cls._shape
+                           if kind in (TERM, ABS))
+        kinds = dict(cls._shape)
+        cls._fields = tuple((name, kinds.get(name)) for name in
+                            cls.__dict__.get("__annotations__", ()))
+        cls._binds = tuple(int(kind == ABS) for _, kind in cls._paths)
+        paths = [name if kind == TERM else name + ".body"
+                 for name, kind in cls._paths]
+        if len(paths) > 1:
+            kids = attrgetter(*paths)
+        elif paths:
+            only = attrgetter(*paths)
+            kids = lambda t: (only(t),)  # noqa: E731
+        else:
+            kids = lambda t: ()  # noqa: E731
+        cls._kids = staticmethod(kids)
+        cls._key = staticmethod(attrgetter("__class__", *(
+            name + "._hash" if kind == TERM else
+            name + ".body._hash" if kind == ABS else name
+            for name, kind in cls._fields)))
+
+    def __hash__(self):
+        h = self._hash
+        return _store_hashes(self) if h is None else h
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        cls = type(self)
+        if type(other) is not cls:
+            return False if isinstance(other, Node) else NotImplemented
+        if not cls._paths:  # a leaf: its key holds all its fields
+            return cls._key(self) == cls._key(other)
+        stack = [(self, other)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            a, b = pop()
+            if a is b:
+                continue
+            cls = type(a)
+            if cls is not type(b):
+                return False
+            ha, hb = a._hash, b._hash
+            if ha is not None and hb is not None and ha != hb:
+                return False
+            for name, kind in cls._fields:
+                x, y = getattr(a, name), getattr(b, name)
+                if kind == TERM:
+                    push((x, y))
+                elif kind == ABS:
+                    push((x.body, y.body))
+                elif x is not y and x != y:
+                    return False
+        return True
+
+    # t._store(name, value) writes one cache entry, and no per-node dict
+    _store = object.__setattr__
+
+
+def _store_hashes(t: Node) -> int:
+    """Store the hash of t and of every node below it that has none.
+
+    A post-order walk: a node's hash is taken of its `_key`, which holds
+    its children's stored hashes, once the nodes pushed above its exit
+    mark, its children, are done.  Returns t's hash.
+    """
+    stack = [t]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
+        if type(node) is tuple:  # the exit mark of a node
+            node = node[0]
+            node._store("_hash", hash(node._key(node)))
+        elif node._hash is None:
+            push((node,))
+            stack += node._kids(node)
+    return t._hash
+
+
+# Constructors: frozen, with the equality and the hash of Node
+_node = dataclass(frozen=True, eq=False)
+
+
+# ---------------------------------------------------------------------------
 # Propositions
 
 
@@ -38,35 +158,38 @@ _PROP_WORDS: dict = {}   # constant keyword -> its class
 _CONNECTIVES: dict = {}  # infix symbol -> its class
 
 
-class Proposition:
+class Proposition(Node):
+    """A proposition; a binary connective's sides are its children."""
+
     _word = None    # the keyword of a constant
     _symbol = None  # the infix symbol of a binary connective, ...
     _level = 0      # ... and its precedence: 1 binds loosest, all associate right
 
     def __init_subclass__(cls, **kwargs):
+        if cls._symbol:
+            cls._shape = (("left", TERM), ("right", TERM))
+            _CONNECTIVES[cls._symbol] = cls
         super().__init_subclass__(**kwargs)
         if cls._word:
             _PROP_WORDS[cls._word] = cls
-        if cls._symbol:
-            _CONNECTIVES[cls._symbol] = cls
 
 
-@dataclass(frozen=True)
+@_node
 class Top(Proposition):
     _word = "Top"
 
 
-@dataclass(frozen=True)
+@_node
 class Bot(Proposition):
     _word = "Bot"
 
 
-@dataclass(frozen=True)
+@_node
 class One(Proposition):
     _word = "One"
 
 
-@dataclass(frozen=True)
+@_node
 class Atom(Proposition):
     name: str
 
@@ -75,41 +198,41 @@ class Atom(Proposition):
             raise ValueError("atom names must be nonempty")
 
 
-@dataclass(frozen=True)
+@_node
 class MetaProp(Proposition):
     """A type checker's unification placeholder, printed as ?<mid>."""
     mid: int
 
 
-@dataclass(frozen=True)
+@_node
 class Impl(Proposition):
     left: Proposition
     right: Proposition
     _symbol, _level = "=>", 1
 
 
-@dataclass(frozen=True)
+@_node
 class Conj(Proposition):
     left: Proposition
     right: Proposition
     _symbol, _level = "/\\", 3
 
 
-@dataclass(frozen=True)
+@_node
 class Disj(Proposition):
     left: Proposition
     right: Proposition
     _symbol, _level = "\\/", 2
 
 
-@dataclass(frozen=True)
+@_node
 class Lollipop(Proposition):
     left: Proposition
     right: Proposition
     _symbol, _level = "-o", 1
 
 
-@dataclass(frozen=True)
+@_node
 class OPlus(Proposition):
     left: Proposition
     right: Proposition
@@ -137,29 +260,16 @@ class CalculusError(Exception):
 # ---------------------------------------------------------------------------
 # Terms
 
-# Shape entry kinds, used by the generic traversal helpers.
-TERM = "term"
-ABS = "abs"
-SCALAR = "scalar"
-PROP = "prop"
-
-
 _FORMS: dict = {}  # call-form keyword -> its classes, in declaration order
 
 
-class Term:
-    """A proof term: a frozen dataclass per constructor.
+class Term(Node):
+    """A proof term.
 
-    Equality and hashing are defined here once, structurally, and the
-    subclasses generate neither.  Binder hints are left out of both.
-    Both walk with an explicit stack, so depth costs no Python stack.
+    Beside its `_hash`, each term keeps a cache outside its dataclass
+    fields, written only through `_store`, so `==`, `repr` and the printer
+    never read it:
 
-    Each node also keeps a cache outside its dataclass fields, written
-    only through `_store`, so `==`, `repr` and the printer never read it:
-
-    * `_hash`, its structural hash, stored by the first `hash(t)` from
-      the constructor, the non-term fields and the children's stored
-      hashes, and read back after that;
     * `_nf`, the names of the rule tables under which the node holds no
       redex, added by the rewrite engine's walks (`_mark_normal`);
     * `_loose`, its loose-index range: 1 + its largest loose de Bruijn
@@ -169,74 +279,13 @@ class Term:
     """
 
     _word = None        # the keyword of a call form: word[P](slot, ...)
-    _shape: tuple = ()
-    _paths: tuple = ()  # the TERM and ABS entries of _shape
-    _fields: tuple = ()  # (name, kind) of every field, kind None off _shape
-    _hash = None
     _nf = None
     _loose = None
-    _binds: tuple = ()  # per path-child: 1 if it is an abstraction's body
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._paths = tuple((name, kind) for name, kind in cls._shape
-                           if kind in (TERM, ABS))
-        kinds = dict(cls._shape)
-        cls._fields = tuple((name, kinds.get(name)) for name in
-                            cls.__dict__.get("__annotations__", ()))
-        cls._binds = tuple(int(kind == ABS) for _, kind in cls._paths)
-        # t._kids(t): the path-children as a tuple, an abstraction's body
-        # for the abstraction; t._key(t): what t's hash is taken of
-        paths = [name if kind == TERM else name + ".body"
-                 for name, kind in cls._paths]
-        if len(paths) > 1:
-            kids = attrgetter(*paths)
-        elif paths:
-            only = attrgetter(*paths)
-            kids = lambda t: (only(t),)  # noqa: E731
-        else:
-            kids = lambda t: ()  # noqa: E731
-        cls._kids = staticmethod(kids)
-        cls._key = staticmethod(attrgetter("__class__", *(
-            name + "._hash" if kind == TERM else
-            name + ".body._hash" if kind == ABS else name
-            for name, kind in cls._fields)))
         if cls._word:
             _FORMS.setdefault(cls._word, []).append(cls)
-
-    def __hash__(self):
-        h = self._hash
-        return _store_hashes(self) if h is None else h
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Term):
-            return NotImplemented
-        stack = [(self, other)]
-        pop, push = stack.pop, stack.append
-        while stack:
-            a, b = pop()
-            if a is b:
-                continue
-            cls = type(a)
-            if cls is not type(b):
-                return False
-            ha, hb = a._hash, b._hash
-            if ha is not None and hb is not None and ha != hb:
-                return False
-            for name, kind in cls._fields:
-                x, y = getattr(a, name), getattr(b, name)
-                if kind == TERM:
-                    push((x, y))
-                elif kind == ABS:
-                    push((x.body, y.body))
-                elif x is not y and x != y:
-                    return False
-        return True
-
-    # t._store(name, value) writes one cache entry, and no per-node dict
-    _store = object.__setattr__
 
     def _mark_normal(self, table: str):
         """Record that the node holds no redex of the named rule table."""
@@ -244,30 +293,6 @@ class Term:
             self._store("_nf", {table})
         else:
             self._nf.add(table)
-
-
-def _store_hashes(t: Term) -> int:
-    """Store the hash of t and of every node below it that has none.
-
-    A post-order walk: a node's hash is taken of its `_key`, which holds
-    its children's stored hashes, once the nodes pushed above its exit
-    mark, its children, are done.  Returns t's hash.
-    """
-    stack = [t]
-    pop, push = stack.pop, stack.append
-    while stack:
-        node = pop()
-        if type(node) is tuple:  # the exit mark of a node
-            node = node[0]
-            node._store("_hash", hash(node._key(node)))
-        elif node._hash is None:
-            push((node,))
-            stack += node._kids(node)
-    return t._hash
-
-
-# Term constructors: frozen, with the equality and the hash of Term
-_term = dataclass(frozen=True, eq=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,13 +315,13 @@ class Abs:
         return f"Abs({self.hint!r}, {self.body!r})"
 
 
-@_term
+@_node
 class Var(Term):
     name: str
     _loose = 0
 
 
-@_term
+@_node
 class Bound(Term):
     index: int
 
@@ -305,19 +330,19 @@ class Bound(Term):
         return self.index + 1
 
 
-@_term
+@_node
 class Star(Term):
     _loose = 0
 
 
-@_term
+@_node
 class ScalarStar(Term):
     value: complex
     _shape = (("value", SCALAR),)
     _loose = 0
 
 
-@_term
+@_node
 class Sum(Term):
     left: Term
     right: Term
@@ -325,7 +350,7 @@ class Sum(Term):
     _shape = (("left", TERM), ("right", TERM))
 
 
-@_term
+@_node
 class Prod(Term):
     value: complex
     body: Term
@@ -333,7 +358,7 @@ class Prod(Term):
     _shape = (("value", SCALAR), ("body", TERM))
 
 
-@_term
+@_node
 class TopElim(Term):
     scrut: Term
     body: Term
@@ -341,7 +366,7 @@ class TopElim(Term):
     _shape = (("scrut", TERM), ("body", TERM))
 
 
-@_term
+@_node
 class BotElim(Term):
     prop: Proposition
     scrut: Term
@@ -349,21 +374,21 @@ class BotElim(Term):
     _shape = (("prop", PROP), ("scrut", TERM))
 
 
-@_term
+@_node
 class Lam(Term):
     ann: Proposition | None
     abs: Abs
     _shape = (("ann", PROP), ("abs", ABS))
 
 
-@_term
+@_node
 class App(Term):
     fn: Term
     arg: Term
     _shape = (("fn", TERM), ("arg", TERM))
 
 
-@_term
+@_node
 class Pair(Term):
     left: Term
     right: Term
@@ -371,7 +396,7 @@ class Pair(Term):
     _shape = (("left", TERM), ("right", TERM))
 
 
-@_term
+@_node
 class AndElim1(Term):
     scrut: Term
     abs: Abs
@@ -379,7 +404,7 @@ class AndElim1(Term):
     _shape = (("scrut", TERM), ("abs", ABS))
 
 
-@_term
+@_node
 class AndElim2(Term):
     scrut: Term
     abs: Abs
@@ -387,21 +412,21 @@ class AndElim2(Term):
     _shape = (("scrut", TERM), ("abs", ABS))
 
 
-@_term
+@_node
 class Inl(Term):
     body: Term
     _word = "inl"
     _shape = (("body", TERM),)
 
 
-@_term
+@_node
 class Inr(Term):
     body: Term
     _word = "inr"
     _shape = (("body", TERM),)
 
 
-@_term
+@_node
 class Inlr2(Term):
     left: Term
     right: Term
@@ -409,7 +434,7 @@ class Inlr2(Term):
     _shape = (("left", TERM), ("right", TERM))
 
 
-@_term
+@_node
 class Inlr3(Term):
     scrut: Term
     left: Abs
@@ -418,7 +443,7 @@ class Inlr3(Term):
     _shape = (("scrut", TERM), ("left", ABS), ("right", ABS))
 
 
-@_term
+@_node
 class Case(Term):
     scrut: Term
     left: Abs
@@ -427,7 +452,7 @@ class Case(Term):
     _shape = (("scrut", TERM), ("left", ABS), ("right", ABS))
 
 
-@_term
+@_node
 class CaseNd(Term):
     scrut: Term
     left: Abs
@@ -436,7 +461,7 @@ class CaseNd(Term):
     _shape = (("scrut", TERM), ("left", ABS), ("right", ABS))
 
 
-@_term
+@_node
 class OneElim(Term):
     scrut: Term
     body: Term

@@ -153,12 +153,21 @@ class _Checker:
         return None
 
     def unify(self, a, b, pos):
-        """Solve placeholders so that a and b agree, left sides first."""
+        """Solve placeholders so that a and b agree, left sides first.  The
+        pair is walked node by node, resolving only placeholders."""
         stack, resolve = [(a, b)], self.resolve
         while stack:
             a, b = stack.pop()
-            a, b = resolve(a), resolve(b)
-            if a is b or a == b:
+            if type(a) is MetaProp:
+                a = resolve(a)
+            if type(b) is MetaProp:
+                b = resolve(b)
+            if a is b:
+                continue
+            if type(a) is type(b) and a._symbol:
+                stack += ((a.right, b.right), (a.left, b.left))
+                continue
+            if a == b:
                 continue
             if isinstance(b, MetaProp) and not isinstance(a, MetaProp):
                 a, b = b, a
@@ -167,8 +176,6 @@ class _Checker:
                     raise TypingError(MISMATCH, _path(pos),
                                       "circular proposition")
                 self.solution[a.mid] = b
-            elif a._symbol and type(a) is type(b):
-                stack += ((a.right, b.right), (a.left, b.left))
             else:
                 raise TypingError(MISMATCH, _path(pos), expected=self.zonk(a),
                                   found=self.zonk(b))

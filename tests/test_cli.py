@@ -21,6 +21,7 @@ import inlr_kit
 from inlr_kit import gen
 from inlr_kit.cli import main
 from inlr_kit.rng import derive_rng
+from inlr_kit.selftest import SUITES
 from inlr_kit.syntax import CALCULI, print_prop, print_term
 
 HERE = os.path.dirname(__file__)
@@ -261,6 +262,55 @@ def test_deep_input_checks_without_traceback(tmp_path):
     # the leftmost placeholder is the innermost inl's
     assert done.stderr.startswith(
         "0" + ".0" * (depth - 1) + ": annotation-required")
+    # unifying two 30 000-deep annotations walks the pair, node by node
+    a = f"({ann})"
+    done = check(f"(lam f:({a} -o {a}). f) (lam x:{a}. x)", "quantum")
+    assert done.returncode == 0
+    assert done.stdout == f"({ann}) -o {ann}\n"
+
+
+def test_deep_vector_proposition_encodes_without_traceback(tmp_path):
+    # the vector proposition walks keep their own stacks: a 15 000-deep
+    # right-nested One (+) ... (+) One, in fresh interpreters (an argument
+    # tops out near 16 000 levels, at the length limit of one argument)
+    n = 15000
+    prop = "One (+) " * (n - 1) + "One"
+    vec = "inlr(1.0 . star, " * (n - 1) + "1.0 . star" + ")" * (n - 1)
+    ones = json.dumps([[1.0, 0.0]] * n)
+    (tmp_path / "v.json").write_text(ones)
+    (tmp_path / "t.inlr").write_text(vec)
+    (tmp_path / "m.json").write_text(json.dumps(
+        {"rows": n, "cols": 1, "entries": [[1.0, 0.0]] * n}))
+    for argv, want in [
+            (["encode", "--vec", str(tmp_path / "v.json"), "--prop", prop],
+             vec),
+            (["encode", "--term", str(tmp_path / "t.inlr"), "--prop", prop],
+             ones),
+            (["compile-matrix", str(tmp_path / "m.json"), "--from", "One",
+              "--to", prop], f"lam x:One. one_elim(x, {vec})")]:
+        done = _cli_fresh(*argv)
+        assert "Traceback" not in done.stderr
+        assert (done.returncode, done.stdout) == (0, want + "\n")
+
+
+def test_the_recursion_limit_is_left_alone(tmp_path):
+    # importing the package and running the command line change no
+    # interpreter setting
+    path = tmp_path / "t.inlr"
+    path.write_text("inl(" * 50 + "star" + ")" * 50)
+    src = os.path.dirname(os.path.dirname(inlr_kit.__file__))
+    code = (
+        "import sys\n"
+        "before = sys.getrecursionlimit()\n"
+        "import inlr_kit.cli\n"
+        "for calculus in ('iplus', 'cc'):\n"
+        f"    inlr_kit.cli.main(['norm', {str(path)!r}, '--calculus',"
+        " calculus])\n"
+        "print(before, sys.getrecursionlimit())\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    before, after = done.stdout.split()[-2:]
+    assert before == after
 
 
 def test_deep_parentheses_in_a_proposition(tmp_path):
@@ -337,6 +387,13 @@ def test_enumerate_reports_a_cycle(tmp_path):
     assert (code, err) == (0, "")
 
 
+def test_a_path_with_a_nul_byte_is_a_usage_error():
+    # only a caller of main can pass one: a command line cannot hold it
+    code, out, err = _run_cli_both(["check", "a\x00b", "--calculus", "cc"])
+    assert (code, out) == (4, "")
+    assert err == "error: cannot read 'a\\x00b': embedded null byte\n"
+
+
 @pytest.mark.parametrize("prop", ["One", "One (+) One"])
 def test_shape_mismatch_prints_the_proposition(tmp_path, prop):
     path = tmp_path / "nd.inlr"
@@ -407,5 +464,59 @@ def test_shallow_input_never_raises(tmp_path_factory, data, calculus,
         ["encode", "--vec", f, "--prop", prop],
         ["compile-matrix", f, "--from", prop, "--to", prop],
     ][command]
+    code, _out, _err = _run_cli_both(argv)
+    assert code in (0, 1, 2, 3, 4)
+
+
+
+_COMMANDS = ["check", "norm", "measure", "compile-matrix", "encode",
+             "demo-opt", "selftest"]
+# small numbers only, so that a drawn --shots, --fuel or --samples keeps
+# the run short
+_NUMBERS = ["0", "1", "2", "7", "-1"]
+_PROPS = ["One", "One (+) One", "(One (+) One) (+) One", "One -o One",
+          "Top"]
+_SWITCHES = ["--trace", "--enumerate", "--stats", "--help", "--"]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_arbitrary_arguments_never_raise(tmp_path_factory, data):
+    # arbitrary bytes as the input file, and an argument list of a
+    # subcommand, then flags with their values or junk, switches, the
+    # file and junk words, in any order: a documented exit code, no raise
+    content = data.draw(st.one_of(st.binary(max_size=200),
+                                  _TEXT.map(str.encode)), label="file")
+    path = tmp_path_factory.getbasetemp() / "fuzz-arguments"
+    path.write_bytes(content)
+    file, junk = str(path), st.text(max_size=12)
+    takes = {"--calculus": CALCULI, "--fuel": _NUMBERS, "--seed": _NUMBERS,
+             "--shots": _NUMBERS, "--samples": _NUMBERS,
+             "--suite": sorted(SUITES), "--from": _PROPS, "--to": _PROPS,
+             "--prop": _PROPS, "--vec": [file], "--term": [file]}
+    piece = st.one_of(
+        st.sampled_from(sorted(takes)).flatmap(lambda flag: st.tuples(
+            st.just(flag), st.one_of(st.sampled_from(takes[flag]), junk))),
+        st.tuples(st.sampled_from(_SWITCHES)),
+        st.tuples(st.one_of(st.just(file), junk)))
+    argv = [data.draw(st.one_of(st.sampled_from(_COMMANDS), junk),
+                      label="command")]
+    if argv[0] in _COMMANDS and data.draw(st.booleans(), label="required"):
+        # what the subcommand requires, so that more runs get past the
+        # argument parser
+        calculus, prop, suite = (data.draw(st.sampled_from(values))
+                                 for values in (CALCULI, _PROPS, takes["--suite"]))
+        argv += {"check": [file, "--calculus", calculus],
+                 "norm": [file, "--calculus", calculus],
+                 "measure": [file],
+                 "compile-matrix": [file, "--from", prop, "--to", prop],
+                 "encode": ["--prop", prop,
+                            data.draw(st.sampled_from(["--vec", "--term"])),
+                            file],
+                 "demo-opt": [],
+                 "selftest": ["--suite", suite]}[argv[0]]
+    argv += (w for p in data.draw(st.lists(piece, max_size=6), label="pieces")
+             for w in p)
     code, _out, _err = _run_cli_both(argv)
     assert code in (0, 1, 2, 3, 4)

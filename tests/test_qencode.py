@@ -14,8 +14,8 @@ from inlr_kit.quantum import run_measure
 from inlr_kit.rewrite import RuleId, step_at
 from inlr_kit.rng import derive_rng
 from inlr_kit.selftest import _vector_prop_of_dim_at_most
-from inlr_kit.syntax import (App, Inl, Inr, alpha_eq, free_names, parse_prop,
-                             parse_term, print_term)
+from inlr_kit.syntax import (App, Inl, Inr, One, OPlus, alpha_eq, free_names,
+                             parse_prop, parse_term, print_term)
 from inlr_kit.typecheck import infer
 
 
@@ -163,6 +163,27 @@ def test_compile_agrees_on_basis_vectors():
         e[k] = 1.0
         out = to_vector(App(t, from_vector(e, a)), b)
         assert np.max(np.abs(out - m[:, k])) < 1e-9
+
+
+def test_left_nested_vector_proposition():
+    # the walks keep a running leaf index or offset, so a 20 000-leaf
+    # left-nested proposition costs linear time and no Python stack
+    n = 20000
+    p = One()
+    for _ in range(n - 1):
+        p = OPlus(p, One())
+    assert dim(p) == n
+    v = np.arange(n) + 1j
+    t = from_vector(v, p)
+    assert np.array_equal(to_vector(t, p), v)
+    assert norm_sq(t, p) == pytest.approx(np.sum(np.abs(v) ** 2))
+    # an inl or an inr skips the other side's leaves
+    assert np.array_equal(to_vector(Inl(t.left), p), np.append(v[:-1], 0))
+    assert np.array_equal(to_vector(Inr(t.right), p),
+                          np.append(np.zeros(n - 1), v[-1]))
+    # one column: lam x:One. one_elim(x, <the column at p>)
+    m = compile_matrix(v.reshape(n, 1), One(), p)
+    assert m.ann == One() and m.abs.body.body == t
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ from inlr_kit import gen, qencode
 from inlr_kit.cc import explore
 from inlr_kit.rng import derive_rng
 from inlr_kit.syntax import (ABS, CALCULI, SCALAR, TERM, _CONNECTIVES,
-                             _RESERVED, Abs, AndElim1, AndElim2, App, Bound,
-                             CalculusError, Inl, Lam, One, OPlus, Pair,
-                             ParseError, ScalarStar, Star, TopElim, Var,
+                             _RESERVED, Abs, AndElim1, AndElim2, App, Atom,
+                             BotElim, Bound, CalculusError, Impl, Inl, Lam,
+                             Lollipop, MetaProp, Node, One, OPlus, Pair,
+                             ParseError, Proposition, ScalarStar, Star, Top,
+                             TopElim, Var,
                              alpha_eq, format_scalar, free_names, instantiate,
                              is_closed, parse_prop, parse_term, print_prop,
                              print_term, print_terms, replace_children,
@@ -554,6 +556,114 @@ def test_print_prop_on_a_deep_proposition():
     assert print_prop(parse_prop(print_prop(p), "quantum")) == text
     nested = "(" * 30000 + "One -o One" + ") -o One" * 30000
     assert print_prop(parse_prop(nested, "quantum")) == nested
+
+
+def _values(p):
+    return [getattr(p, f.name) for f in dataclasses.fields(p)]
+
+
+def _ref_prop_eq(p, q):
+    """The dataclass-generated `==` that `Node.__eq__` replaced on
+    propositions, recursive: the reference."""
+    return type(p) is type(q) and all(
+        _ref_prop_eq(x, y) if isinstance(x, Proposition) else x == y
+        for x, y in zip(_values(p), _values(q)))
+
+
+def _ref_prop_hash(p):
+    """A recursive hash of the fields, as the generated one took, with the
+    class added: the generated hash left it out, so Top and Bot, or A => B
+    and A /\\ B, collided."""
+    return hash((type(p), *(_ref_prop_hash(x) if isinstance(x, Proposition)
+                            else x for x in _values(p))))
+
+
+def _copy(p):
+    """An equal proposition that shares no node with p."""
+    return type(p)(*(_copy(x) if isinstance(x, Proposition) else x
+                     for x in _values(p)))
+
+
+def _leaf_edits(p):
+    """Copies of p, each with one leaf changed."""
+    if p._symbol:
+        return ([type(p)(x, _copy(p.right)) for x in _leaf_edits(p.left)]
+                + [type(p)(_copy(p.left), x) for x in _leaf_edits(p.right)])
+    if isinstance(p, Atom):
+        return [Atom(p.name + "x"), Top()]
+    if isinstance(p, MetaProp):
+        return [MetaProp(p.mid + 1), Atom("A")]
+    return [Atom("A"), One() if isinstance(p, Top) else Top()]
+
+
+def _prop_pairs():
+    props = []
+    for i in range(40):
+        rng = derive_rng(83, i)
+        props += (gen.random_any_prop(rng, 3), gen.random_quantum_prop(rng, 3),
+                  gen.random_provable_prop(rng, depth=3))
+    metas = [MetaProp(1), MetaProp(2), Impl(MetaProp(1), Top()),
+             Lollipop(One(), MetaProp(3)), Impl(Atom("A"), MetaProp(1))]
+    pairs = [(a, b) for a in metas for b in metas]
+    pool = props + metas
+    for i, p in enumerate(pool):
+        pairs += [(p, p), (p, _copy(p)), (p, pool[i - 1])]
+        pairs += [(p, e) for e in _leaf_edits(p)]
+    return pairs
+
+
+def test_prop_eq_and_hash_match_the_recursive_reference():
+    # gen propositions, copies, pairs that differ in one leaf and
+    # placeholders; each pair compared fresh, before any hash is stored,
+    # then hashed, then compared again with the stored hashes
+    for p, q in _prop_pairs():
+        p, q = _copy(p), _copy(q)
+        want = _ref_prop_eq(p, q)
+        assert (p == q) is want and (p != q) is (not want)
+        assert (hash(p) == hash(q)) is want
+        assert (_ref_prop_hash(p) == _ref_prop_hash(q)) is want
+        assert (p == q) is want and (q == p) is want
+        # and as the annotations of terms
+        for make in (lambda a: Lam(a, Abs("x", Bound(0))),
+                     lambda a: BotElim(a, Var("x"))):
+            t, u = make(_copy(p)), make(_copy(q))
+            assert (t == u) is want
+            assert (hash(t) == hash(u)) is want
+            assert (t == u) is want
+        assert Lam(None, Abs("x", Bound(0))) != Lam(p, Abs("x", Bound(0)))
+
+
+def test_every_node_class_has_the_one_eq_and_hash():
+    # a class body that defined __eq__ would also get __hash__ = None
+    classes, todo = [], [Node]
+    while todo:
+        cls = todo.pop()
+        classes.append(cls)
+        todo += cls.__subclasses__()
+    assert Proposition in classes and Atom in classes and Lam in classes
+    for cls in classes[1:]:
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)
+        assert cls.__eq__ is Node.__eq__ and cls.__hash__ is Node.__hash__
+
+
+def test_prop_eq_and_hash_on_deep_propositions():
+    # both walk with an explicit stack, on propositions as on terms
+    depth = 10 ** 5
+
+    def chain(leaf, left):
+        p = leaf
+        for _ in range(depth):
+            p = OPlus(p, One()) if left else Lollipop(One(), p)
+        return p
+
+    for left in (False, True):
+        p, q, r = chain(One(), left), chain(One(), left), chain(Atom("A"), left)
+        assert p == q and p != r  # compared before any hash is stored
+        assert hash(p) == hash(q) and hash(p) != hash(r)
+        assert p == q and p != r  # and again with the stored hashes
+        t, u = Lam(p, Abs("x", Bound(0))), Lam(q, Abs("y", Bound(0)))
+        assert t == u and hash(t) == hash(u)
+        assert t != Lam(r, Abs("x", Bound(0)))
 
 
 def test_prop_calculus_gate():
