@@ -22,13 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .iplus import _beta, _case_inl, _case_inr
+from .iplus import CUTS
 from .rewrite import (ND_CHOICE, Rule, RuleId, RuleSet, reducts,
                       register_default_ruleset, step_at)
 from .syntax import (Abs, AndElim1, AndElim2, App, Bound, BotElim, Case, Conj,
                      Disj, Impl, Inl, Inlr3, Inr, Lam, Pair, Star, Term, Top,
-                     TopElim, Var, alpha_eq, instantiate, print_term,
-                     print_terms, uses_binder)
+                     TopElim, Var, alpha_eq, instantiate, parse_term,
+                     print_term, print_terms, uses_binder)
 
 
 def _rule(n, name, head, build, **kw):
@@ -271,14 +271,7 @@ def _pi_inlr_inlr(t, t1, t2):
 
 RULES_CC = register_default_ruleset(RuleSet("cc", "cc", (
     # figure I: ordinary cuts
-    _rule(1, "top-elim", (TopElim, Star), lambda t: t.body),
-    _rule(2, "beta", (App, Lam), _beta),
-    _rule(3, "and-elim-1", (AndElim1, Pair),
-          lambda t: instantiate(t.abs.body, (t.scrut.left,))),
-    _rule(4, "and-elim-2", (AndElim2, Pair),
-          lambda t: instantiate(t.abs.body, (t.scrut.right,))),
-    _rule(5, "case-inl", (Case, Inl), _case_inl),
-    _rule(6, "case-inr", (Case, Inr), _case_inr),
+    *(_rule(1 + k, *cut) for k, cut in enumerate(CUTS)),
     _rule(7, "case-inlr", (Case, Inlr3), _case_inlr3),
     # figure II: bottom-elimination
     _bot_rule(8, "bot-top", Top, lambda t: Star()),
@@ -516,8 +509,6 @@ def demo_optimization() -> DemoResult:
     past the lambda unblocks the beta redex even before the function is
     applied; both orders of doing things land on the same program.
     """
-    from .syntax import parse_term
-
     body_src = "and1(x, y. lam z:C. pair(z, y))"
     body = parse_term(body_src, "cc")
     applied = App(body, Var("u"))

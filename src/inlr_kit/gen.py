@@ -226,11 +226,12 @@ def _minimal(goal, ctx, depth, calculus):
     raise RuntimeError(f"unprovable goal reached: {goal}")
 
 
-def _bounded(build, rng, max_size, attempts=40):
-    """Rerolls until the built term fits the size bound."""
+def _bounded(build, max_size):
+    """Rerolls, up to 40 times, until the built term fits the size bound;
+    else the smallest built."""
     budget = max(4, max_size // 3)
     best, best_size = None, float("inf")
-    for i in range(attempts):
+    for i in range(40):
         t = build(_Budget(budget))
         size = term_size(t)
         if size <= max_size:
@@ -247,11 +248,10 @@ def random_closed_term(calculus, rng, max_size=30):
     if calculus == "quantum":
         goal = random_quantum_prop(rng)
         t = _bounded(lambda b: _gen_q(goal, [], 0, rng, b, allow_nd=False),
-                     rng, max_size)
+                     max_size)
         return t, goal
     goal = random_provable_prop(rng)
-    t = _bounded(lambda b: _gen_i(goal, {}, 0, rng, b, calculus), rng,
-                 max_size)
+    t = _bounded(lambda b: _gen_i(goal, {}, 0, rng, b, calculus), max_size)
     return t, goal
 
 
@@ -260,15 +260,13 @@ def random_term_in_context(calculus, rng, max_size=30, allow_nd=True):
     if calculus == "quantum":
         goal = random_quantum_prop(rng)
         t = _bounded(
-            lambda b: _gen_q(goal, [], 0, rng, b, allow_nd=allow_nd), rng,
-            max_size)
+            lambda b: _gen_q(goal, [], 0, rng, b, allow_nd=allow_nd), max_size)
         return {}, t, goal
     ctx = {}
     for i in range(int(rng.integers(0, 4))):
         ctx[f"h{i}"] = random_any_prop(rng, 1)
     goal = random_provable_prop(rng, tuple(ctx.values()))
-    t = _bounded(lambda b: _gen_i(goal, ctx, 0, rng, b, calculus), rng,
-                 max_size)
+    t = _bounded(lambda b: _gen_i(goal, ctx, 0, rng, b, calculus), max_size)
     return ctx, t, goal
 
 

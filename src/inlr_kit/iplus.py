@@ -41,6 +41,19 @@ def _case_inlr(t):
                instantiate(t.right.body, (t.scrut.right,)))
 
 
+#: the cuts that iplus and cc share, as (name, head, build) (iplus 1-6,
+#: cc 1-6)
+CUTS = (
+    ("top-elim", (TopElim, Star), lambda t: t.body),
+    ("beta", (App, Lam), _beta),
+    ("and-elim-1", (AndElim1, Pair),
+     lambda t: instantiate(t.abs.body, (t.scrut.left,))),
+    ("and-elim-2", (AndElim2, Pair),
+     lambda t: instantiate(t.abs.body, (t.scrut.right,))),
+    ("case-inl", (Case, Inl), _case_inl),
+    ("case-inr", (Case, Inr), _case_inr),
+)
+
 #: the sum against two injections (iplus 11-19, quantum 30-38)
 SUM_INJECTIONS = (
     ("sum-inl-inl", Inl, Inl, lambda t: Inl(Sum(t.left.body, t.right.body))),
@@ -62,14 +75,7 @@ SUM_INJECTIONS = (
 
 
 RULES_IPLUS = register_default_ruleset(RuleSet("iplus", "iplus", (
-    _rule(1, "top-elim", (TopElim, Star), lambda t: t.body),
-    _rule(2, "beta", (App, Lam), _beta),
-    _rule(3, "and-elim-1", (AndElim1, Pair),
-          lambda t: instantiate(t.abs.body, (t.scrut.left,))),
-    _rule(4, "and-elim-2", (AndElim2, Pair),
-          lambda t: instantiate(t.abs.body, (t.scrut.right,))),
-    _rule(5, "case-inl", (Case, Inl), _case_inl),
-    _rule(6, "case-inr", (Case, Inr), _case_inr),
+    *(_rule(1 + k, *cut) for k, cut in enumerate(CUTS)),
     _rule(7, "case-inlr", (Case, Inlr2), _case_inlr),
     _rule(8, "sum-star", (Sum, Star, Star), lambda t: Star()),
     _rule(9, "sum-lam", (Sum, Lam, Lam), _sum_lam),

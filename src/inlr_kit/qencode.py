@@ -23,7 +23,7 @@ from .rewrite import is_normal, normalize, structural_norm_sq
 from .rng import derive_rng
 from .syntax import (Abs, App, Bound, Case, CaseNd, Inl, Inlr2, Inr, Lam,
                      OneElim, OPlus, One, Prod, Proposition, ScalarStar, Sum,
-                     Term, Var, is_closed, print_prop, print_term)
+                     Term, Var, fold, is_closed, print_prop, print_term)
 
 
 class EncodeError(Exception):
@@ -41,30 +41,9 @@ class NotIrreducible(Exception):
     pass
 
 
-def _vector_fold(p: Proposition, leaf, node):
-    """leaf(q, i) at the i-th One q of p, counted left to right, and
-    node(q, left, right) at each (+) q on its sides' values, by one
-    post-order walk on an explicit stack.  Raises NotVectorProp at the
-    first sub-proposition in preorder that is neither One nor (+).
-    """
-    stack, done, i = [p], [], 0
-    while stack:
-        q = stack.pop()
-        if type(q) is tuple:  # the exit mark of a (+)
-            done[-2:] = (node(q[0], *done[-2:]),)
-        elif type(q) is One:
-            done.append(leaf(q, i))
-            i += 1
-        elif type(q) is OPlus:
-            stack += ((q,), q.right, q.left)
-        else:
-            raise NotVectorProp(q)
-    return done[0]
-
-
 def dim(p: Proposition) -> int:
-    """Number of One leaves of a vector proposition; NotVectorProp as in
-    `_vector_fold`, by the same preorder but with no value built."""
+    """Number of One leaves of a vector proposition; NotVectorProp at the
+    first sub-proposition in preorder that is neither One nor (+)."""
     n, stack = 0, [p]
     while stack:
         q = stack.pop()
@@ -126,7 +105,7 @@ def qn_prop(n: int) -> Proposition:
 BOOL_PROP = qn_prop(1)
 
 
-def to_vector(t: Term, p: Proposition, fuel: int = 10 ** 6) -> np.ndarray:
+def to_vector(t: Term, p: Proposition) -> np.ndarray:
     """Denote a closed proof of vector proposition p as a complex vector.
 
     The term is normalized first; the denotation is defined on the
@@ -134,7 +113,7 @@ def to_vector(t: Term, p: Proposition, fuel: int = 10 ** 6) -> np.ndarray:
     """
     if not is_vector_prop(p):
         raise NotVectorProp(p)
-    tr = normalize(t, RULES_QUANTUM_DET, fuel=fuel)
+    tr = normalize(t, RULES_QUANTUM_DET)
     if tr.outcome.kind != "normal-form":
         raise EncodeError(f"term does not normalize: {tr.outcome.kind}")
     out = np.zeros(dim(p), dtype=np.complex128)
@@ -161,9 +140,10 @@ def from_vector(v, p: Proposition) -> Term:
     if v.shape != (n,):
         raise EncodeError(f"dimension mismatch: vector {v.shape}, "
                           f"proposition wants ({n},)")
-    values = v.tolist()
-    return _vector_fold(p, lambda q, i: ScalarStar(values[i]),
-                        lambda q, left, right: Inlr2(left, right))
+    # fold meets the Ones of p left to right: the i-th takes v[i]
+    values = iter(v.tolist())
+    return fold(p, lambda q, sides: Inlr2(*sides) if sides
+                else ScalarStar(next(values)))
 
 
 def compile_matrix(m, a: Proposition, b: Proposition) -> Term:
@@ -176,13 +156,17 @@ def compile_matrix(m, a: Proposition, b: Proposition) -> Term:
     if m.shape != (dim(b), dim(a)):
         raise EncodeError(f"matrix shape {m.shape} does not fit "
                           f"{dim(b)}x{dim(a)}")
-    return _vector_fold(
-        a,
-        lambda q, j: Lam(q, Abs("x", OneElim(Bound(0),
-                                              from_vector(m[:, j], b)))),
-        lambda q, t1, t2: Lam(q, Abs("x", Case(
-            Bound(0), Abs("y", App(t1, Bound(0))),
-            Abs("z", App(t2, Bound(0)))))))
+    columns = iter(m.T)  # fold meets the Ones of a left to right
+
+    def proof(q, sides):
+        if not sides:
+            return Lam(q, Abs("x", OneElim(Bound(0),
+                                           from_vector(next(columns), b))))
+        t1, t2 = sides
+        return Lam(q, Abs("x", Case(Bound(0), Abs("y", App(t1, Bound(0))),
+                                    Abs("z", App(t2, Bound(0))))))
+
+    return fold(a, proof)
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +199,13 @@ def delta_qn(n: int, b: Term, var: str = "x") -> Term:
 
 
 def _delta(n, b, v):
-    if n == 0:
-        return OneElim(v, b)
-    inner = _delta(n - 1, b, Bound(0))
-    return CaseNd(v, Abs("y", inner), Abs("z", inner))
+    """one_elim(., b) under n case_nd levels, the outermost on v and each
+    other on Bound(0), built from the inside out; a level's two branches
+    share one body."""
+    t = OneElim(Bound(0) if n else v, b)
+    for level in range(n - 1, -1, -1):  # 0 is the outermost
+        t = CaseNd(Bound(0) if level else v, Abs("y", t), Abs("z", t))
+    return t
 
 
 def meas_first(n: int) -> Term:

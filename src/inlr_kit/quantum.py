@@ -330,10 +330,10 @@ class _Run:
         return kid
 
 
-def _leaf_weights(root: _Run, max_paths: int = 256):
+def _leaf_weights(root: _Run):
     """Every leaf under root with its probability, depth first and the
     left branch first; None when a branch has no weight or when there are
-    more than max_paths measurement steps."""
+    more than 256 measurement steps."""
     out = []
     todo = [(root, 1.0)]
     paths = 0
@@ -343,7 +343,7 @@ def _leaf_weights(root: _Run, max_paths: int = 256):
             out.append((run, prob))
             continue
         paths += 1
-        if paths > max_paths or run.probs[0] is None:
+        if paths > 256 or run.probs[0] is None:
             return None
         for i in (1, 0):  # the left branch first
             todo.append((run.branch(i), prob * run.probs[i]))

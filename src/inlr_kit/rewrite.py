@@ -208,18 +208,18 @@ class ReductionTrace:
         return [json.dumps(s.to_json(), sort_keys=True) for s in self.steps]
 
 
-def replay_states(trace: ReductionTrace, ruleset: RuleSet | None = None):
+def replay_states(trace: ReductionTrace):
     """The terms along a recorded trace, the initial one first."""
     t = trace.initial
     yield t
     for s in trace.steps:
-        t = step_at(t, s.pos, s.rule, ruleset=ruleset)
+        t = step_at(t, s.pos, s.rule)
         yield t
 
 
-def replay(trace: ReductionTrace, ruleset: RuleSet | None = None) -> Term:
+def replay(trace: ReductionTrace) -> Term:
     """Re-run the recorded steps; reproduces the outcome term exactly."""
-    *_, last = replay_states(trace, ruleset)
+    *_, last = replay_states(trace)
     return last
 
 

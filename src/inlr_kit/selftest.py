@@ -16,14 +16,16 @@ from . import gen
 from .cc import RULES_CC, RULES_CC_DET, demo_optimization, explore, pi_term
 from .iplus import RULES_IPLUS
 from .iplus import is_introduction as is_intro_iplus
-from .quantum import RULES_QUANTUM, RULES_QUANTUM_DET, lex_gt, measure_nu
+from .quantum import (RULES_QUANTUM, RULES_QUANTUM_DET, lex_gt, measure_nu,
+                      mu_subst_additivity)
 from .quantum import is_introduction as is_intro_quantum
 from .qencode import (check_linear_map, compile_matrix, dim, from_vector,
                       to_vector)
 from .rewrite import (RuleId, default_ruleset, find_redexes, join_peak,
                       normalize, replay_states, step_at)
 from .rng import derive_rng
-from .syntax import Atom, Conj, Disj, OPlus, One, Prod, Sum, print_term
+from .syntax import (App, Atom, Conj, Disj, OPlus, One, Prod, Sum, Var,
+                     parse_term, print_term)
 from .typecheck import TypingError, infer
 
 
@@ -40,8 +42,7 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 # Shared property drivers
 
-def subject_reduction(calculus, samples, seed, fuel=10 ** 6,
-                      max_size=30) -> CheckResult:
+def subject_reduction(calculus, samples, seed) -> CheckResult:
     """Every step of every normalization preserves the checked proposition."""
     ruleset = default_ruleset(calculus)
     failures = 0
@@ -49,10 +50,8 @@ def subject_reduction(calculus, samples, seed, fuel=10 ** 6,
     for i in range(samples):
         rng = derive_rng(seed, 0x5B, i)
         ctx, t, goal = gen.random_term_in_context(
-            calculus, rng, max_size=max_size,
-            allow_nd=(calculus == "quantum"))
-        trace = normalize(t, ruleset, fuel=fuel,
-                          rng=derive_rng(seed, 0x5C, i))
+            calculus, rng, allow_nd=(calculus == "quantum"))
+        trace = normalize(t, ruleset, rng=derive_rng(seed, 0x5C, i))
         for term in replay_states(trace):
             steps += 1
             try:
@@ -82,32 +81,29 @@ def introduction_counts(calculus, samples, seed, fuel=10 ** 6):
     return non_intro, fuel_out
 
 
-def introduction_property(calculus, samples, seed,
-                          fuel=10 ** 6) -> CheckResult:
+def introduction_property(calculus, samples, seed) -> CheckResult:
     """Closed well-typed terms normalize to introductions within fuel."""
-    non_intro, fuel_out = introduction_counts(calculus, samples, seed, fuel)
+    non_intro, fuel_out = introduction_counts(calculus, samples, seed)
     return CheckResult(
         f"introduction[{calculus}]", non_intro == 0 and fuel_out == 0,
         f"{samples} closed terms, {non_intro} non-introduction normal "
         f"forms, {fuel_out} fuel exhaustions")
 
 
-def confluence_peaks(calculus, target_peaks, seed, fuel=10 ** 6,
-                     max_terms=None) -> CheckResult:
+def confluence_peaks(calculus, target_peaks, seed) -> CheckResult:
     """One-step peaks of random well-typed terms all join.
 
     A term with n redexes contributes n*(n-1)/2 peaks; sums of two
     independently generated proofs of one proposition are used because
     they are reliably redex-rich.  Terms are drawn until target_peaks
-    peaks have been joined.
+    peaks have been joined, or 40 terms per target peak have been.
     """
     ruleset = RULES_IPLUS if calculus == "iplus" else RULES_QUANTUM_DET
     failures = 0
     peaks = 0
     terms = 0
-    cap = max_terms if max_terms is not None else 40 * target_peaks
     i = 0
-    while peaks < target_peaks and terms < cap:
+    while peaks < target_peaks and terms < 40 * target_peaks:
         rng = derive_rng(seed, 0xC0F, i)
         i += 1
         if calculus == "iplus":
@@ -121,15 +117,15 @@ def confluence_peaks(calculus, target_peaks, seed, fuel=10 ** 6,
         terms += 1
         n = len(find_redexes(t, ruleset))
         peaks += n * (n - 1) // 2
-        if not join_peak(t, ruleset, fuel=fuel):
+        if not join_peak(t, ruleset):
             failures += 1
     return CheckResult(
         f"confluence[{calculus}]", failures == 0 and peaks >= target_peaks,
         f"{terms} terms, {peaks} peaks joined, {failures} unjoined")
 
 
-def lex_decrease_on_traces(samples, seed, fuel=10 ** 6,
-                           deterministic=False, lane=0x1E) -> CheckResult:
+def lex_decrease_on_traces(samples, seed, deterministic=False,
+                           lane=0x1E) -> CheckResult:
     """Every observed quantum root step strictly decreases (mu, nu).
 
     Inner steps only decrease non-strictly (monotony), so only the pairs
@@ -142,8 +138,7 @@ def lex_decrease_on_traces(samples, seed, fuel=10 ** 6,
     for i in range(samples):
         rng = derive_rng(seed, lane, i)
         t, _goal = gen.random_closed_term("quantum", rng)
-        trace = normalize(t, ruleset, fuel=fuel,
-                          rng=None if deterministic
+        trace = normalize(t, ruleset, rng=None if deterministic
                           else derive_rng(seed, 0x1F, i))
         terms = list(replay_states(trace))
         for s, cur, nxt in zip(trace.steps, terms, terms[1:]):
@@ -161,21 +156,15 @@ def lex_decrease_on_traces(samples, seed, fuel=10 ** 6,
 
 
 def gen_worked_sum():
-    from .syntax import parse_term
-
     return parse_term("sum(lam x. x, lam x. x)", "quantum")
 
 
 def gen_worked_lam():
-    from .syntax import parse_term
-
     return parse_term("lam x. sum(x, x)", "quantum")
 
 
 def mu_additivity(samples, seed) -> CheckResult:
     """mu((u/x)t) = mu(t) + mu(u) on random linear pairs."""
-    from .quantum import mu_subst_additivity
-
     failures = 0
     for i in range(samples):
         rng = derive_rng(seed, 0xAD, i)
@@ -233,11 +222,8 @@ def encode_roundtrip(samples, seed) -> CheckResult:
                        f"{samples} vectors, {failures} failures")
 
 
-def matrix_suite(matrices, vectors_per, seed, tol=1e-9, max_dim=8,
-                 linear_trials=3):
+def matrix_suite(matrices, vectors_per, seed, tol=1e-9, max_dim=8):
     """(oracle-agreement result, linearity result) for compiled matrices."""
-    from .syntax import App
-
     max_err = 0.0
     linear_err = 0.0
     linear_fail = 0
@@ -253,7 +239,7 @@ def matrix_suite(matrices, vectors_per, seed, tol=1e-9, max_dim=8,
                  + 1j * rng.standard_normal(dim(a)))
             got = to_vector(App(t, from_vector(u, a)), b)
             max_err = max(max_err, float(np.max(np.abs(got - m @ u))))
-        report = check_linear_map(t, a, b, trials=linear_trials, tol=tol,
+        report = check_linear_map(t, a, b, trials=3, tol=tol,
                                   seed=int(derive_rng(seed, 0x3B, i)
                                            .integers(2 ** 32)))
         linear_err = max(linear_err, report.max_error)
@@ -269,9 +255,8 @@ def matrix_suite(matrices, vectors_per, seed, tol=1e-9, max_dim=8,
     return agree, linear
 
 
-def matrix_agreement(matrices, vectors_per, seed, tol=1e-9,
-                     max_dim=8) -> CheckResult:
-    agree, linear = matrix_suite(matrices, vectors_per, seed, tol, max_dim)
+def matrix_agreement(matrices, vectors_per, seed) -> CheckResult:
+    agree, linear = matrix_suite(matrices, vectors_per, seed)
     return CheckResult("matrix-oracle-agreement",
                        agree.ok and linear.ok,
                        f"{agree.detail}; linearity: {linear.detail}")
@@ -305,8 +290,6 @@ def cc_pi_terms(seed) -> CheckResult:
     """The six pi witnesses typecheck at their stated propositions."""
     a1, a2 = Atom("A1"), Atom("A2")
     b1, b2, b3, b4 = Atom("B1"), Atom("B2"), Atom("B3"), Atom("B4")
-    from .syntax import Var
-
     ctx = {"t": Disj(a1, a2), "t1": Disj(b1, b2), "t2": Disj(b3, b4)}
     expected = {
         36: Disj(Disj(a1, Conj(a2, b3)), Conj(a2, b4)),
@@ -339,17 +322,18 @@ def cc_demo() -> CheckResult:
                        else "routes disagree")
 
 
-def cc_enumeration(samples, seed, size=25, budget=400):
+def cc_enumeration(samples, seed):
     """(enumeration result, cycles result) over deterministic-fragment
-    graphs: the complete graphs that reach more than one normal form, and
-    the graphs, truncated ones too, that hold a cycle of reductions.  Both
-    are logged, not asserted absent."""
+    graphs of size-25 terms, cut at 400 nodes: the complete graphs that
+    reach more than one normal form, and the graphs, truncated ones too,
+    that hold a cycle of reductions.  Both are logged, not asserted
+    absent."""
     multi = []
     cycles = []
     for i in range(samples):
         rng = derive_rng(seed, 0xCE, i)
-        ctx, t, _ = gen.random_term_in_context("cc", rng, max_size=size)
-        graph = explore(t, node_budget=budget, ruleset=RULES_CC_DET)
+        ctx, t, _ = gen.random_term_in_context("cc", rng, max_size=25)
+        graph = explore(t, node_budget=400, ruleset=RULES_CC_DET)
         cycle = graph.shortest_cycle()
         if cycle is not None:
             rules = ", ".join(map(str, cycle[1]))

@@ -13,11 +13,12 @@ Binders are stored nameless (de Bruijn indices) with a name hint kept for
 printing, so alpha-equivalence is plain structural equality and substitution
 cannot capture.
 
-The concrete syntax is declared once, on the classes: a call-form
-constructor names its keyword in ``_word`` beside its ``_shape``, a
+Each constructor declares its fields once, as annotations, and derives
+its ``_shape`` from them.  The concrete syntax is declared once, on the
+classes too: a call-form constructor names its keyword in ``_word``, a
 proposition constant its keyword in ``_word``, and a binary connective its
-``_symbol`` and precedence ``_level``.  The parser, the printer and the
-reserved words are all derived from these.
+``_symbol`` and precedence ``_level``.  The parser, the printer (one for
+terms and propositions) and the reserved words are all derived from these.
 """
 
 from __future__ import annotations
@@ -47,11 +48,16 @@ class Node:
     Equality and hashing are defined here once, structurally, for both
     families; the subclasses generate neither.  Binder hints are left out
     of both.  Both walk with an explicit stack, so depth costs no Python
-    stack.  A class lists its children in `_shape`, as (field, kind), and
-    derives from it when it is defined: `_fields`, (name, kind) of every
-    field, kind None off `_shape`; `_paths`, the TERM and ABS entries; and
-    `_kids(t)`, the path-children as a tuple, an abstraction's body for
-    the abstraction.
+    stack.
+
+    A class declares each field once, as an annotation, and its family's
+    `_kinds` gives the field's kind by the annotation's text; any other
+    annotation raises TypeError when the class is defined.  From them the
+    class derives: `_fields`, (name, kind) of every field, kind None for
+    a data field; `_shape`, the fields that have a kind; `_paths`, the
+    TERM and ABS entries; `_binds`, 1 per path-child that is an
+    abstraction's body; and `_kids(t)`, the path-children as a tuple, an
+    abstraction's body for the abstraction.
 
     `_hash`, the structural hash, is stored by the first `hash(t)` from
     `_key(t)`: the class, the children's stored hashes and the other
@@ -59,19 +65,19 @@ class Node:
     through `_store`, so `==` and `repr` never read it.
     """
 
-    _shape: tuple = ()
-    _paths: tuple = ()
-    _fields: tuple = ()
-    _binds: tuple = ()  # per path-child: 1 if it is an abstraction's body
     _hash = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._paths = tuple((name, kind) for name, kind in cls._shape
-                           if kind in (TERM, ABS))
-        kinds = dict(cls._shape)
-        cls._fields = tuple((name, kinds.get(name)) for name in
-                            cls.__dict__.get("__annotations__", ()))
+        fields = []
+        for name, ann in cls.__dict__.get("__annotations__", {}).items():
+            if ann not in cls._kinds:
+                raise TypeError(f"{cls.__name__}.{name}: no field kind for "
+                                f"the annotation {ann!r}")
+            fields.append((name, cls._kinds[ann]))
+        cls._fields = tuple(fields)
+        cls._shape = tuple(f for f in fields if f[1] is not None)
+        cls._paths = tuple(f for f in fields if f[1] in (TERM, ABS))
         cls._binds = tuple(int(kind == ABS) for _, kind in cls._paths)
         paths = [name if kind == TERM else name + ".body"
                  for name, kind in cls._paths]
@@ -159,17 +165,18 @@ _CONNECTIVES: dict = {}  # infix symbol -> its class
 
 
 class Proposition(Node):
-    """A proposition; a binary connective's sides are its children."""
+    """A proposition; a binary connective's sides, its fields annotated
+    `Proposition`, are its children, and `str` and `int` fields are data."""
 
+    _kinds = {"Proposition": TERM, "str": None, "int": None}
     _word = None    # the keyword of a constant
     _symbol = None  # the infix symbol of a binary connective, ...
     _level = 0      # ... and its precedence: 1 binds loosest, all associate right
 
     def __init_subclass__(cls, **kwargs):
-        if cls._symbol:
-            cls._shape = (("left", TERM), ("right", TERM))
-            _CONNECTIVES[cls._symbol] = cls
         super().__init_subclass__(**kwargs)
+        if cls._symbol:
+            _CONNECTIVES[cls._symbol] = cls
         if cls._word:
             _PROP_WORDS[cls._word] = cls
 
@@ -266,6 +273,11 @@ _FORMS: dict = {}  # call-form keyword -> its classes, in declaration order
 class Term(Node):
     """A proof term.
 
+    A field annotated `Term` is a subterm, `Abs` an abstraction, `complex`
+    a scalar and `Proposition` (or `Proposition | None`) the term's
+    proposition, which is data beside its children; `str` and `int`
+    fields are data.
+
     Beside its `_hash`, each term keeps a cache outside its dataclass
     fields, written only through `_store`, so `==`, `repr` and the printer
     never read it:
@@ -278,6 +290,9 @@ class Term(Node):
       `Bound` works its range out from its index.
     """
 
+    _kinds = {"Term": TERM, "Abs": ABS, "complex": SCALAR,
+              "Proposition": PROP, "Proposition | None": PROP,
+              "str": None, "int": None}
     _word = None        # the keyword of a call form: word[P](slot, ...)
     _nf = None
     _loose = None
@@ -338,7 +353,6 @@ class Star(Term):
 @_node
 class ScalarStar(Term):
     value: complex
-    _shape = (("value", SCALAR),)
     _loose = 0
 
 
@@ -347,7 +361,6 @@ class Sum(Term):
     left: Term
     right: Term
     _word = "sum"
-    _shape = (("left", TERM), ("right", TERM))
 
 
 @_node
@@ -355,7 +368,6 @@ class Prod(Term):
     value: complex
     body: Term
     _word = "prod"
-    _shape = (("value", SCALAR), ("body", TERM))
 
 
 @_node
@@ -363,7 +375,6 @@ class TopElim(Term):
     scrut: Term
     body: Term
     _word = "top_elim"
-    _shape = (("scrut", TERM), ("body", TERM))
 
 
 @_node
@@ -371,21 +382,18 @@ class BotElim(Term):
     prop: Proposition
     scrut: Term
     _word = "bot_elim"
-    _shape = (("prop", PROP), ("scrut", TERM))
 
 
 @_node
 class Lam(Term):
     ann: Proposition | None
     abs: Abs
-    _shape = (("ann", PROP), ("abs", ABS))
 
 
 @_node
 class App(Term):
     fn: Term
     arg: Term
-    _shape = (("fn", TERM), ("arg", TERM))
 
 
 @_node
@@ -393,7 +401,6 @@ class Pair(Term):
     left: Term
     right: Term
     _word = "pair"
-    _shape = (("left", TERM), ("right", TERM))
 
 
 @_node
@@ -401,7 +408,6 @@ class AndElim1(Term):
     scrut: Term
     abs: Abs
     _word = "and1"
-    _shape = (("scrut", TERM), ("abs", ABS))
 
 
 @_node
@@ -409,21 +415,18 @@ class AndElim2(Term):
     scrut: Term
     abs: Abs
     _word = "and2"
-    _shape = (("scrut", TERM), ("abs", ABS))
 
 
 @_node
 class Inl(Term):
     body: Term
     _word = "inl"
-    _shape = (("body", TERM),)
 
 
 @_node
 class Inr(Term):
     body: Term
     _word = "inr"
-    _shape = (("body", TERM),)
 
 
 @_node
@@ -431,7 +434,6 @@ class Inlr2(Term):
     left: Term
     right: Term
     _word = "inlr"
-    _shape = (("left", TERM), ("right", TERM))
 
 
 @_node
@@ -440,7 +442,6 @@ class Inlr3(Term):
     left: Abs
     right: Abs
     _word = "inlr"
-    _shape = (("scrut", TERM), ("left", ABS), ("right", ABS))
 
 
 @_node
@@ -449,7 +450,6 @@ class Case(Term):
     left: Abs
     right: Abs
     _word = "case"
-    _shape = (("scrut", TERM), ("left", ABS), ("right", ABS))
 
 
 @_node
@@ -458,7 +458,6 @@ class CaseNd(Term):
     left: Abs
     right: Abs
     _word = "case_nd"
-    _shape = (("scrut", TERM), ("left", ABS), ("right", ABS))
 
 
 @_node
@@ -466,7 +465,6 @@ class OneElim(Term):
     scrut: Term
     body: Term
     _word = "one_elim"
-    _shape = (("scrut", TERM), ("body", TERM))
 
 
 _TERM_ALLOWED = {
@@ -1089,41 +1087,6 @@ def parse_prop(text: str, calculus: str) -> Proposition:
 # ---------------------------------------------------------------------------
 # Printing
 
-def print_prop(p: Proposition) -> str:
-    """Concrete syntax of p, built by one loop over an explicit stack.
-
-    The stack holds text still to be written and the propositions still
-    to be printed, each with the least precedence it may print at without
-    parentheses; so nesting depth costs no Python stack.
-    """
-    out = []
-    stack = [(p, 1)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        item = pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        p, minlevel = item
-        if p._symbol:
-            paren = minlevel > p._level
-            if paren:
-                out.append("(")
-                push(")")
-            push((p.right, p._level))
-            push(f" {p._symbol} ")
-            push((p.left, p._level + 1))
-        elif isinstance(p, Atom):
-            out.append(p.name)
-        elif isinstance(p, MetaProp):
-            out.append(f"?{p.mid}")
-        elif p._word:
-            out.append(p._word)
-        else:
-            raise TypeError(f"not a printable proposition: {p!r}")
-    return "".join(out)
-
-
 def format_scalar(a: complex) -> str:
     if a.imag == 0.0:
         return repr(a.real)
@@ -1155,22 +1118,26 @@ def _pick_name(base: str, free, scope) -> str:
 _NO_NAMES = frozenset()
 
 
-def _leaf_text(t: Term, atomic: bool, names: list):
-    """The text of a leaf under the binder names, innermost last; else None."""
-    cls = type(t)
+def _leaf_text(node: Node, atomic, names: list):
+    """The text of a leaf under the binder names, innermost last; None for
+    a node with children."""
+    cls = type(node)
+    if cls._paths:
+        return None
     if cls is Var:
-        return t.name
+        return node.name
     if cls is Bound:
-        return names[-1 - t.index]
+        return names[-1 - node.index]
     if cls is Star:
         return "star"
     if cls is ScalarStar:
-        s = f"{format_scalar(t.value)} . star"
+        s = f"{format_scalar(node.value)} . star"
         return f"({s})" if atomic else s
-    return None
-
-
-_LEAVES = frozenset((Var, Bound, Star, ScalarStar))  # printed in place
+    if cls is Atom:
+        return node.name
+    if cls is MetaProp:
+        return f"?{node.mid}"
+    return cls._word  # a proposition constant's
 
 
 def _scan(terms: tuple):
@@ -1198,7 +1165,7 @@ def _scan(terms: tuple):
                 free[id(node)] = names
         elif cls is Var:
             free[id(node)] = frozenset((node.name,))
-        elif cls in _LEAVES:
+        elif not cls._paths:  # a leaf, printed in place
             continue
         elif id(node) in seen:
             shared.add(id(node))
@@ -1210,21 +1177,25 @@ def _scan(terms: tuple):
 
 
 def print_terms(terms) -> list:
-    """The concrete syntax of each term, as print_term gives it.
+    """The concrete syntax of each term or proposition, as print_term and
+    print_prop give it.
 
     First `_scan` finds, once per distinct node, whether it is shared and
     its free names, so that choosing a binder's name never re-walks its
-    body.  Then each term is printed by one walk on an explicit stack of
-    tasks: a text fragment to append, a node to print, and the markers
-    that enter and leave a binder and that close a memoized node.  The
-    fragments are joined once per term.
+    body.  Then each root is printed by one walk on an explicit stack of
+    tasks: a text fragment to append, a (node, context) pair to print, and
+    the markers that enter and leave a binder and that close a memoized
+    node.  A term's context is whether it must print as an atom; a
+    proposition's, the least precedence level it prints at without
+    parentheses.  A leaf prints in place; a term's proposition is one
+    more task.  The fragments are joined once per root.
 
-    A node referenced more than once, across all the terms, is joined into
+    A node referenced more than once, across all the roots, is joined into
     one string and kept for this call under its identity, the binder
-    names in scope (interned, so equal scopes share one id) and whether it
-    must print as an atom; identity, since `==` ignores the hints the
-    printer reads.  The terms are held in a tuple for the whole call, so
-    no id is reused while it is a key.  Leaves print in place.
+    names in scope (interned, so equal scopes share one id) and its
+    context; identity, since `==` ignores the hints the printer reads.
+    The roots are held in a tuple for the whole call, so no id is reused
+    while it is a key.
     """
     terms = tuple(terms)
     shared, free = _scan(terms)
@@ -1241,13 +1212,21 @@ def print_terms(terms) -> list:
             base = bases[a.hint] = _name_base(a.hint)
         return _pick_name(base, free.get(id(a.body), _NO_NAMES), scope)
 
-    def body_parts(parts, text, name, body):
-        """The pending text, after text, of a body under the binder name.
+    def put(parts, text, node, context):
+        """The pending text, after text, of the node in its context.
 
-        A leaf body is written into the text; any other goes on parts,
-        behind text and between the markers binding name, and the text
-        starts afresh.
+        A leaf is written into the text; any other node goes on parts,
+        behind text, and the text starts afresh.
         """
+        leaf = _leaf_text(node, context, names)
+        if leaf is not None:
+            return text + leaf
+        parts += (text, (node, context))
+        return ""
+
+    def body_parts(parts, text, name, body):
+        """The pending text, after text, of a body under the binder name,
+        which a body that is not a leaf reads between the markers."""
         names.append(name)
         leaf = _leaf_text(body, False, names)
         names.pop()
@@ -1258,7 +1237,13 @@ def print_terms(terms) -> list:
 
     printed = []
     for t in terms:
+        leaf = _leaf_text(t, False, names)
+        if leaf is not None:
+            printed.append(leaf)
+            continue
         out = []
+        # a root prints bare: as a proposition, False is level 0, below
+        # every connective's
         stack = [(t, False)]
         pop, push = stack.pop, stack.append
         while stack:
@@ -1299,26 +1284,21 @@ def print_terms(terms) -> list:
                     out.append(s)
                     continue
                 push(("memo", (key, len(out))))
-            # the node's text in order: strings and (node, atomic) tasks
+            # the node's text in order: strings and (node, context) tasks
             parts = []
             cls = type(node)
-            if node._word:
+            if node._word:  # a call form
                 text = node._word
                 sep = "("
                 for field, kind in cls._shape:
                     v = getattr(node, field)
                     if kind == PROP:
-                        text += f"[{print_prop(v)}]"
+                        text = put(parts, text + "[", v, 1) + "]"
                         continue
                     text += sep
                     sep = ", "
                     if kind == TERM:
-                        leaf = _leaf_text(v, False, names)
-                        if leaf is None:
-                            parts += (text, (v, False))
-                            text = ""
-                        else:
-                            text += leaf
+                        text = put(parts, text, v, False)
                     elif kind == ABS:
                         name = binder(v)
                         text = body_parts(parts, f"{text}{name}. ", name,
@@ -1329,9 +1309,10 @@ def print_terms(terms) -> list:
             elif cls is Lam:
                 a = node.abs
                 name = binder(a)
-                ann = "" if node.ann is None else f":{print_prop(node.ann)}"
-                text = body_parts(parts, f"{'(' if atomic else ''}lam "
-                                  f"{name}{ann}. ", name, a.body)
+                text = f"{'(' if atomic else ''}lam {name}"
+                if node.ann is not None:
+                    text = put(parts, text + ":", node.ann, 1)
+                text = body_parts(parts, text + ". ", name, a.body)
                 if atomic:
                     text += ")"
                 if text:
@@ -1340,7 +1321,7 @@ def print_terms(terms) -> list:
                 # application is left-associative, so a fn-position App
                 # needs no parentheses while everything else in atom
                 # position does
-                fn, arg = node.fn, node.arg
+                fn = node.fn
                 text = "(" if atomic else ""
                 leaf = _leaf_text(fn, True, names)
                 if leaf is None:
@@ -1350,21 +1331,22 @@ def print_terms(terms) -> list:
                     text = " "
                 else:
                     text += leaf + " "
-                leaf = _leaf_text(arg, True, names)
-                if leaf is None:
-                    parts += (text, (arg, True))
-                    text = ""
-                else:
-                    text += leaf
+                text = put(parts, text, node.arg, True)
                 if atomic:
                     text += ")"
                 if text:
                     parts.append(text)
-            else:  # a leaf, which only a root can be: others print in place
-                leaf = _leaf_text(node, atomic, names)
-                if leaf is None:
-                    raise TypeError(f"not a printable term: {node!r}")
-                parts.append(leaf)
+            elif cls._symbol:  # a connective; all associate to the right
+                level = cls._level
+                text = "(" if atomic > level else ""
+                text = put(parts, text, node.left, level + 1)
+                text = put(parts, f"{text} {cls._symbol} ", node.right, level)
+                if atomic > level:
+                    text += ")"
+                if text:
+                    parts.append(text)
+            else:
+                raise TypeError(f"not a printable node: {node!r}")
             if type(parts[0]) is str:  # a leading fragment goes out now
                 out.append(parts[0])
                 stack += parts[:0:-1]
@@ -1377,3 +1359,8 @@ def print_terms(terms) -> list:
 def print_term(t: Term) -> str:
     """Deterministic concrete syntax; parse_term inverts it up to alpha."""
     return print_terms((t,))[0]
+
+
+def print_prop(p: Proposition) -> str:
+    """Concrete syntax; parse_prop inverts it."""
+    return print_terms((p,))[0]

@@ -1,22 +1,30 @@
-"""Source checks on the package: which functions may call themselves."""
+"""Source checks on the package: which functions may call themselves,
+where node fields are declared and where a frozen node is written."""
 
 import ast
 import pathlib
 
+import pytest
+
 import inlr_kit
+from inlr_kit.syntax import Proposition, Term
 
 SRC = pathlib.Path(inlr_kit.__file__).parent
 
 # Every other walk keeps its own stack, so input depth costs no Python
 # stack.  These recurse, each bounded by an argument its caller chooses:
-# gen's generators by their size budget or depth, and qencode._delta by
-# the qubit count.
+# gen's generators by their size budget or depth.
 ALLOWED = {
     "gen._consume_min", "gen._consume_term", "gen._gen_i", "gen._gen_q",
     "gen._minimal", "gen._produce_min_q", "gen._provable",
     "gen.random_any_prop", "gen.random_provable_prop",
-    "gen.random_quantum_prop", "qencode._delta",
+    "gen.random_quantum_prop",
 }
+
+
+def _trees():
+    return [(path.stem, ast.parse(path.read_text()))
+            for path in sorted(SRC.glob("*.py"))]
 
 
 def _self_recursive(module: str, tree: ast.AST) -> set:
@@ -59,6 +67,55 @@ def test_the_lint_sees_recursion():
 
 def test_only_the_bounded_functions_recurse():
     found = set()
-    for path in sorted(SRC.glob("*.py")):
-        found |= _self_recursive(path.stem, ast.parse(path.read_text()))
+    for module, tree in _trees():
+        found |= _self_recursive(module, tree)
     assert found == ALLOWED
+
+
+def test_no_class_body_assigns_a_shape():
+    # a node class declares its fields as annotations; Node derives _shape
+    found = []
+    for module, tree in _trees():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.Assign):
+                    targets = stmt.targets
+                elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+                    targets = [stmt.target]
+                else:
+                    continue
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name) and name.id == "_shape":
+                            found.append(f"{module}.{cls.name}")
+    assert found == []
+
+
+def test_only_node_store_calls_object_setattr():
+    # the frozen nodes' caches are written through Node._store alone
+    found = []
+    for module, tree in _trees():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr == "__setattr__"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "object"):
+                found.append((module, node.lineno))
+    syntax = dict(_trees())["syntax"]
+    store = [stmt.value for cls in syntax.body
+             if isinstance(cls, ast.ClassDef) and cls.name == "Node"
+             for stmt in cls.body if isinstance(stmt, ast.Assign)
+             and [t.id for t in stmt.targets] == ["_store"]]
+    assert [ast.unparse(v) for v in store] == ["object.__setattr__"]
+    assert found == [("syntax", store[0].lineno)]
+
+
+@pytest.mark.parametrize("base,annotation", [
+    (Term, "float"), (Term, "list"), (Term, "Term | None"),
+    (Proposition, "Term"), (Proposition, "Proposition | None"),
+])
+def test_an_unknown_field_annotation_raises_at_definition(base, annotation):
+    with pytest.raises(TypeError, match="no field kind"):
+        type("Bad", (base,), {"__annotations__": {"field": annotation}})

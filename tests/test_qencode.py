@@ -14,8 +14,9 @@ from inlr_kit.quantum import run_measure
 from inlr_kit.rewrite import RuleId, step_at
 from inlr_kit.rng import derive_rng
 from inlr_kit.selftest import _vector_prop_of_dim_at_most
-from inlr_kit.syntax import (App, Inl, Inr, One, OPlus, alpha_eq, free_names,
-                             parse_prop, parse_term, print_term)
+from inlr_kit.syntax import (App, Bound, CaseNd, Inl, Inr, One, OneElim,
+                             OPlus, Var, alpha_eq, free_names, parse_prop,
+                             parse_term, print_term)
 from inlr_kit.typecheck import infer
 
 
@@ -263,6 +264,20 @@ def test_delta_qn_base_case():
     t = delta_qn(0, boolzero(), var="x")
     assert alpha_eq(t, q("one_elim(x, inl(1.0 . star))"))
     assert free_names(t) == {"x"}
+
+
+def test_delta_qn_is_built_without_recursion():
+    # as a tree the term has 2^n nodes, so it is walked down its spine,
+    # not printed or sized: each level's two branches share one body
+    n = 3000
+    t = delta_qn(n, boolzero())
+    scrut = Var("x")
+    for _ in range(n):
+        assert type(t) is CaseNd and t.scrut == scrut
+        assert t.left.body is t.right.body
+        t, scrut = t.left.body, Bound(0)
+    assert type(t) is OneElim
+    assert t.scrut == Bound(0) and t.body == boolzero()
 
 
 def test_boolzero_boolone():

@@ -12,10 +12,10 @@ from inlr_kit.cc import explore
 from inlr_kit.rng import derive_rng
 from inlr_kit.syntax import (ABS, CALCULI, SCALAR, TERM, _CONNECTIVES,
                              _RESERVED, Abs, AndElim1, AndElim2, App, Atom,
-                             BotElim, Bound, CalculusError, Impl, Inl, Lam,
-                             Lollipop, MetaProp, Node, One, OPlus, Pair,
-                             ParseError, Proposition, ScalarStar, Star, Top,
-                             TopElim, Var,
+                             Bot, BotElim, Bound, CalculusError, Conj, Disj,
+                             Impl, Inl, Lam, Lollipop, MetaProp, Node, One,
+                             OPlus, Pair, ParseError, Proposition, ScalarStar,
+                             Star, Top, TopElim, Var,
                              alpha_eq, format_scalar, free_names, instantiate,
                              is_closed, parse_prop, parse_term, print_prop,
                              print_term, print_terms, replace_children,
@@ -384,6 +384,28 @@ def _reference_pick_name(hint, avoid):
             return cand
 
 
+# connective -> (symbol, precedence level); all associate to the right
+_REFERENCE_CONNECTIVES = {Impl: ("=>", 1), Lollipop: ("-o", 1),
+                          Disj: ("\\/", 2), OPlus: ("(+)", 2),
+                          Conj: ("/\\", 3)}
+_REFERENCE_CONSTANTS = {Top: "Top", Bot: "Bot", One: "One"}
+
+
+def _reference_print_prop(p, level=1):
+    """print_prop as a recursion: a connective is parenthesized when the
+    level of its context is above its own."""
+    if type(p) is Atom:
+        return p.name
+    if type(p) is MetaProp:
+        return f"?{p.mid}"
+    if type(p) in _REFERENCE_CONSTANTS:
+        return _REFERENCE_CONSTANTS[type(p)]
+    symbol, own = _REFERENCE_CONNECTIVES[type(p)]
+    s = (f"{_reference_print_prop(p.left, own + 1)} {symbol} "
+         f"{_reference_print_prop(p.right, own)}")
+    return f"({s})" if level > own else s
+
+
 def _reference_print_term(t):
     """print_term as it was before print_terms: one recursion per node."""
     free = {}  # id(binder body) -> its free names
@@ -420,7 +442,7 @@ def _reference_print_term(t):
                 elif kind == SCALAR:
                     args.append(format_scalar(v))
                 else:
-                    head += f"[{print_prop(v)}]"
+                    head += f"[{_reference_print_prop(v)}]"
             return f"{head}({', '.join(args)})"
         if isinstance(t, Star):
             return "star"
@@ -431,7 +453,8 @@ def _reference_print_term(t):
             name = _reference_pick_name(
                 t.abs.hint, free[id(t.abs.body)] | set(stack))
             body = go(t.abs.body, stack + [name], False)
-            ann = f":{print_prop(t.ann)}" if t.ann is not None else ""
+            ann = (f":{_reference_print_prop(t.ann)}" if t.ann is not None
+                   else "")
             s = f"lam {name}{ann}. {body}"
             return f"({s})" if atomic else s
         if isinstance(t, App):
@@ -468,6 +491,28 @@ def test_print_terms_matches_the_reference_on_reduction_graphs():
         _ctx, t, _goal = gen.random_term_in_context(
             "cc", derive_rng(104, i), max_size=30)
         _prints_like_the_reference(explore(t, node_budget=100).terms)
+
+
+def test_print_prop_matches_the_reference():
+    props = []
+    for i in range(300):
+        props.append(gen.random_any_prop(derive_rng(107, 0, i), 4))
+        props.append(gen.random_quantum_prop(derive_rng(107, 1, i), 4))
+    a, m0, m7 = Atom("A"), MetaProp(0), MetaProp(7)
+    props += [m0, Impl(m0, Conj(m7, a)), Disj(Conj(a, m7), Impl(m0, m0)),
+              Lollipop(OPlus(m0, One()), m7)]
+    # deep chains, nested to the left and to the right, of one connective
+    # and of each pair of connectives
+    for outer, inner in itertools.product(_REFERENCE_CONNECTIVES, repeat=2):
+        left, right = a, a
+        for k in range(300):
+            node = outer if k % 2 else inner
+            left, right = node(left, a), node(a, right)
+        props += [left, right]
+    props += [qencode.qn_prop(n) for n in range(9)]  # both sides one node
+    want = [_reference_print_prop(p) for p in props]
+    assert [print_prop(p) for p in props] == want
+    assert print_terms(props) == want
 
 
 def _balanced_prop(d):
