@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .iplus import CUTS
-from .rewrite import (ND_CHOICE, Rule, RuleId, RuleSet, reducts,
+from .rewrite import (ND_CHOICE, Cursor, Rule, RuleId, RuleSet,
                       register_default_ruleset, step_at)
 from .syntax import (Abs, AndElim1, AndElim2, App, Bound, BotElim, Case, Conj,
                      Disj, Impl, Inl, Inlr3, Inr, Lam, Pair, Star, Term, Top,
@@ -451,27 +451,48 @@ class ReductionGraph:
 
 def explore(t: Term, node_budget: int = 500,
             ruleset: RuleSet = RULES_CC) -> ReductionGraph:
-    """Breadth-first reduction graph, deduplicated up to alpha."""
+    """Breadth-first reduction graph, deduplicated up to alpha.
+
+    Nodes are numbered in the order they are found, so visiting them by
+    number is breadth-first.  One cursor walk per node finds its redexes
+    in `reducts` order, and only the contractum of each is built.  The
+    reduct's hash is worked out along the walk's frames, and the reduct
+    is compared in place with the nodes of that hash; it is built only
+    when it is a new node and the budget has room.  So each alpha-class
+    keeps its first member found, binder hints and all, and a reduct past
+    the budget is never built.  Alternatives at a redex carry no weights
+    here: each one is an edge.
+    """
     graph = ReductionGraph(terms=[t])
-    terms = graph.terms
-    ids = {t: 0}
-    # nodes are numbered in the order they are found, so visiting them
-    # by number is breadth-first
-    for i, term in enumerate(terms):
-        steps = reducts(term, ruleset)
-        if not steps:
-            graph.normal_forms.append(i)
-            continue
-        for _pos, rid, reduct in steps:
-            j = ids.get(reduct)
-            if j is None:
+    terms, edges = graph.terms, graph.edges
+    by_hash = {hash(t): [0]}  # hash -> the ids of the nodes that have it
+    reducible = False
+
+    def visit(here):
+        nonlocal reducible
+        reducible = True
+        redex = cur.focus
+        for r in here:
+            u = r.build(redex)
+            hashes = cur.plug_hashes(u)
+            for j in by_hash.get(hashes[-1], ()):
+                if cur.plugs_to(terms[j], u):
+                    break
+            else:
                 if len(terms) >= node_budget:
                     graph.budget_hit = True
                     continue
                 j = len(terms)
-                ids[reduct] = j
-                terms.append(reduct)
-            graph.edges.append((i, j, str(rid)))
+                by_hash.setdefault(hashes[-1], []).append(j)
+                terms.append(cur.plug_hashed(u, hashes))
+            edges.append((i, j, str(r.rid)))
+
+    for i, term in enumerate(terms):
+        reducible = False
+        cur = Cursor(term, ruleset)
+        cur.seek(visit)
+        if not reducible:
+            graph.normal_forms.append(i)
     return graph
 
 

@@ -413,6 +413,55 @@ class Cursor:
             kids[i] = old
         return u
 
+    def plug_hashes(self, u: Term) -> list:
+        """The hashes of the nodes `plug(u)` would build, u's first and the
+        whole term's last, worked out without building them: at each frame
+        from the focus up, the node's `_key` with the hash from below in
+        place of the path-child's, hashed as `_store_hashes` would.  The
+        term's hashes must be stored (`hash` of it does)."""
+        h = hash(u)
+        out = [h]
+        for node, i, _, _, _ in reversed(self.stack):
+            key = list(node._key(node))
+            key[node._key_at[i]] = h
+            h = hash(tuple(key))
+            out.append(h)
+        return out
+
+    def plugs_to(self, c: Term, u: Term) -> bool:
+        """Whether c == plug(u), compared in place without building it.
+
+        Down the frames, c must have each node's class and `==` fields
+        but for the path-child, whose subterm is compared at the next
+        frame; below the last, c's subterm must `==` u.  Binder hints are
+        ignored, as by `==`.
+        """
+        for node, i, _, _, _ in self.stack:
+            if c is not node:
+                cls = type(node)
+                if type(c) is not cls:
+                    return False
+                skip = cls._key_at[i] - 1
+                for k, (name, _) in enumerate(cls._fields):
+                    if k != skip:
+                        x, y = getattr(c, name), getattr(node, name)
+                        if x is not y and x != y:
+                            return False
+            c = c._kids(c)[i]
+        return c == u
+
+    def plug_hashed(self, u: Term, hashes: list) -> Term:
+        """`plug(u)`, storing on each node it builds its hash from
+        `plug_hashes(u)`."""
+        for (node, i, kids, _, _), h in zip(reversed(self.stack),
+                                            hashes[1:]):
+            old = kids[i]
+            kids[i] = u
+            u = replace_children(node, kids)
+            u._store("_hash", h)
+            kids[i] = old
+        return u
+
     def replace(self, build):
         """Replace the focus by `build` of it.
 

@@ -61,8 +61,9 @@ class Node:
 
     `_hash`, the structural hash, is stored by the first `hash(t)` from
     `_key(t)`: the class, the children's stored hashes and the other
-    fields.  It is a cache outside the dataclass fields, written only
-    through `_store`, so `==` and `repr` never read it.
+    fields; `_key_at[i]` is the index of path-child i's hash in it.  It is
+    a cache outside the dataclass fields, written only through `_store`,
+    so `==` and `repr` never read it.
     """
 
     _hash = None
@@ -93,6 +94,7 @@ class Node:
             name + "._hash" if kind == TERM else
             name + ".body._hash" if kind == ABS else name
             for name, kind in cls._fields)))
+        cls._key_at = tuple(1 + fields.index(f) for f in cls._paths)
 
     def __hash__(self):
         h = self._hash

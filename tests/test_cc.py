@@ -3,12 +3,13 @@ import pytest
 from inlr_kit import gen
 from inlr_kit.cc import (DEFAULT_FUEL_CC, RULES_CC, RULES_CC_DET,
                          ReductionGraph, demo_optimization, explore, pi_term)
-from inlr_kit.rewrite import RuleId, find_redexes, normalize, step_at
+from inlr_kit.rewrite import (Cursor, RuleId, find_redexes, normalize,
+                              reducts, step_at)
 from inlr_kit.rng import derive_rng
 from inlr_kit.selftest import cc_enumeration, cc_pi_terms, cc_rule_soundness
 from inlr_kit.syntax import (Abs, AndElim1, Bound, Inlr3, Pair, Star, Top,
-                             Var, alpha_eq, parse_prop, parse_term,
-                             print_term)
+                             Var, _store_hashes, alpha_eq, fold, parse_prop,
+                             parse_term, print_term, replace_children)
 from inlr_kit.typecheck import TypingError, infer
 
 
@@ -204,6 +205,149 @@ def test_deterministic_fragment_graphs_single_normal_form():
             multi += 1
     # divergence counterexamples are logged, not asserted absent
     assert multi <= 2, f"{multi} graphs with several normal forms"
+
+
+# ---------------------------------------------------------------------------
+# exploration builds only the reducts it keeps
+
+def _reference_explore(t, node_budget, ruleset):
+    """The exploration as it was: every one-step reduct built by `reducts`
+    and looked up in a dict keyed by terms."""
+    graph = ReductionGraph(terms=[t])
+    terms = graph.terms
+    ids = {t: 0}
+    for i, term in enumerate(terms):
+        steps = reducts(term, ruleset)
+        if not steps:
+            graph.normal_forms.append(i)
+            continue
+        for _pos, rid, reduct in steps:
+            j = ids.get(reduct)
+            if j is None:
+                if len(terms) >= node_budget:
+                    graph.budget_hit = True
+                    continue
+                j = len(terms)
+                ids[reduct] = j
+                terms.append(reduct)
+            graph.edges.append((i, j, str(rid)))
+    return graph
+
+
+def _seeded_cc(seed, i):
+    """A fresh copy of a seeded `gen` cc term: nothing stored on it yet."""
+    return gen.random_term_in_context("cc", derive_rng(seed, i),
+                                      max_size=20)[1]
+
+
+@pytest.mark.parametrize("rules", [RULES_CC, RULES_CC_DET],
+                         ids=["cc", "cc-det"])
+def test_explore_matches_the_reducts_reference(rules):
+    truncated = 0
+    for seed in (5, 6, 7):
+        for i in range(100):
+            for budget in (1, 7, 100):
+                want = _reference_explore(_seeded_cc(seed, i), budget, rules)
+                got = explore(_seeded_cc(seed, i), budget, rules)
+                where = (seed, i, budget)
+                assert got.edges == want.edges, where
+                assert got.normal_forms == want.normal_forms, where
+                assert got.budget_hit == want.budget_hit, where
+                assert [repr(u) for u in got.terms] \
+                    == [repr(u) for u in want.terms], where
+                assert [print_term(u) for u in got.terms] \
+                    == [print_term(u) for u in want.terms], where
+                truncated += got.budget_hit
+    assert 150 < truncated < 750  # both kinds of graph are covered
+
+
+def _unhashed_copy(t):
+    return fold(t, lambda node, kids: replace_children(node, kids))
+
+
+def test_every_graph_node_stores_its_one_hash():
+    # the hashes worked out along the cursor's frames are the ones
+    # `_store_hashes` takes of a fresh copy
+    for i in range(12):
+        for rules in (RULES_CC, RULES_CC_DET):
+            graph = explore(_seeded_cc(8, i), 100, rules)
+            seen = set()
+            todo = list(graph.terms)
+            while todo:
+                node = todo.pop()
+                if id(node) in seen:
+                    continue
+                seen.add(id(node))
+                assert node._hash is not None
+                copy = _unhashed_copy(node)
+                assert copy._hash is None
+                assert _store_hashes(copy) == node._hash
+                todo += node._kids(node)
+
+
+def test_explore_builds_only_the_nodes_it_keeps(monkeypatch):
+    built = []
+    plug_hashed = Cursor.plug_hashed
+
+    def counting(self, u, hashes):
+        built.append(u)
+        return plug_hashed(self, u, hashes)
+
+    monkeypatch.setattr(Cursor, "plug_hashed", counting)
+    monkeypatch.setattr(Cursor, "plug", None)  # explore never plugs
+    graph = explore(cc(_CYCLE), node_budget=60)
+    assert graph.budget_hit
+    assert len(built) == len(graph.terms) - 1 == 59
+
+
+# `(lam x:A. pair(x, v)) (lam y:B. inl(y))`, the focus on `inl(y)`
+_PLUGGED = "(lam x:A. pair(x, v)) (lam y:B. inr(y))"
+
+
+@pytest.mark.parametrize("candidate, equal", [
+    (_PLUGGED, True),
+    ("(lam x:A. pair(x, star)) (lam y:B. inr(y))", False),  # a sibling
+    ("(lam x:A. pair(x, w)) (lam y:B. inr(y))", False),   # a Var name
+    ("(lam x:C. pair(x, v)) (lam y:B. inr(y))", False),   # annotation
+    ("(lam x:A. pair(x, v)) (lam y:C. inr(y))", False),   # on the path
+    ("(lam x:A. pair(x, v)) (lam y:B. inl(y))", False),   # the focus
+    ("(lam x:A. pair(x, v)) (lam y:B. inr(v))", False),   # below it
+    ("pair(lam x:A. pair(x, v), lam y:B. inr(y))", False),  # a class
+    ("(lam z:A. pair(z, v)) (lam w:B. inr(w))", True),    # hints only
+], ids=["same", "sibling", "var-name", "annotation", "path-annotation",
+        "focus", "below-focus", "class", "hints"])
+def test_plugs_to_compares_in_place(candidate, equal):
+    t = cc("(lam x:A. pair(x, v)) (lam y:B. inl(y))")
+    hash(t)  # plug_hashes reads the hashes stored along the frames
+    cur = Cursor(t, RULES_CC)
+    cur.descend((1, 0))
+    u = cc("lam y:B. inr(y)").abs.body
+    c = cc(candidate)
+    hash(c)
+    assert cur.plugs_to(c, u) is equal
+    assert (cur.plug(u) == c) is equal
+    assert cur.plug_hashes(u)[-1] == hash(cur.plug(u)) == hash(cc(_PLUGGED))
+
+
+# Found by a search over seeded `gen` cc terms: rule 7 at the root of node
+# 45 gives node 10 again, but with other binder hints.
+_HINT_TWIN = (
+    "case(inlr(case(inl(lam x:P. x), x. inlr(inr(lam x1:Top. x1), x1. lam "
+    "x2:Top. x2, y. inl(star)), y. inl(lam x:Top. x)), x. lam x1:R. star, "
+    "y. lam x:P. star), x. h0, y. h0)")
+
+
+def test_a_hint_only_duplicate_keeps_the_first_node():
+    graph = explore(cc(_HINT_TWIN), node_budget=46)
+    into = [e for e in graph.edges if e[1] == 10]
+    assert into == [(4, 10, "cc:7"), (45, 10, "cc:7")]
+    [twin] = [u for pos, rid, u in reducts(graph.terms[45], RULES_CC)
+              if pos == () and rid == RuleId("cc", 7)]
+    assert twin == graph.terms[10] and repr(twin) != repr(graph.terms[10])
+    assert print_term(twin) == "case(inr(lam x1:Top. x1), y1. h0, y2. h0)"
+    assert print_term(graph.terms[10]) \
+        == "case(inr(lam x1:Top. x1), x1. h0, y. h0)"
+    assert [j for j, u in enumerate(graph.terms) if u == twin] == [10]
 
 
 # ---------------------------------------------------------------------------
