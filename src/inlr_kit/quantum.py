@@ -27,7 +27,8 @@ import numpy as np
 from .iplus import (SUM_INJECTIONS, _beta, _case_inl, _case_inlr, _case_inr,
                     _sum_lam)
 from .rewrite import (ND_PAIR, ND_SINGLE, Cursor, Rule, RuleId, RuleSet,
-                      Stuck, is_normal, register_default_ruleset)
+                      Stuck, _alternatives, is_normal,
+                      register_default_ruleset)
 from .rng import draw_block
 from .syntax import (_TERM_ALLOWED, Abs, App, Bound, Case, CaseNd, Inl, Inlr2,
                      Inr, Lam, OneElim, Prod, ScalarStar, Sum, Term, Var, fold,
@@ -304,17 +305,19 @@ class _Run:
         cur = Cursor(t, RULES_QUANTUM)
         try:
             while True:
-                step = cur.next_step()
-                if step is None:
+                here = cur.seek()
+                if here is None:
                     self.end = cur.term()
                     return
+                # asked before the fuel check, as `normalize` does
+                alternatives = (_alternatives(cur.focus, here)
+                                if here[0].group == ND_PAIR else None)
                 if steps >= fuel:
                     self.end = FUEL_BIN
                     return
-                _, alternatives = step
-                if alternatives[0][0].group == ND_PAIR:
+                if alternatives is not None:
                     break
-                cur.contract(alternatives[0][0].build)
+                cur.contract(here[0].build)
                 steps += 1
         except Stuck as e:
             self.end = _stuck_bin(e.reason)

@@ -4,9 +4,10 @@ Rule tables are data: every rule has an id (calculus tag + number), a
 head (the constructor at the root and the constructors of the children it
 inspects), an optional guard for side conditions, and a contractum
 builder.  Each table compiles its heads once into a dict keyed by
-constructors.  The engine discovers redexes in leftmost-outermost order,
-steps with an explicit rng for the non-deterministic rules, records traces
-that replay exactly, and joins one-step peaks for confluence testing.
+constructors, looked up by the node's class first.  The engine discovers
+redexes in leftmost-outermost order, steps with an explicit rng for the
+non-deterministic rules, records traces that replay exactly, and joins
+one-step peaks for confluence testing.
 
 Matching only inspects constructors, so redexes are found on the nameless
 term as it is.  One cursor does every walk: it keeps the path above its
@@ -19,15 +20,18 @@ the same context; they move subterms across binders with
 A head inspects a node and its children, so a contraction can only turn
 its parent into a redex, unless a guard looks deeper; the search
 therefore resumes at the parent, or at the outermost ancestor whose
-constructor carries a guard, and not at the root.
+constructor carries a guard, and not at the root.  `normalize` is one
+loop over the cursor: it takes the first matching rule, or weighs a
+non-deterministic family's alternatives and draws one, reads the
+position from the frames and contracts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .syntax import (Inl, Inlr2, Inr, ScalarStar, Term, alpha_eq,
-                     replace_children, subterms)
+from .syntax import Inl, Inlr2, Inr, ScalarStar, Term, alpha_eq
 
 # nd-family tags
 ND_PAIR = "nd-inlr"      # probabilistic pair (quantum 26/27)
@@ -44,12 +48,7 @@ class RuleId:
         return f"{self.calculus}:{self.number}"
 
 
-def _head_key(t: Term, kids: list, width: int) -> tuple:
-    """t's constructor, then those of its first `width` path-children."""
-    return (type(t), *map(type, kids[:width]))
-
-
-def _fits(head: tuple, key: tuple) -> bool:
+def _fits(head: tuple, key) -> bool:
     """Whether a rule head admits a constructor key (None is a wildcard)."""
     return all(want is None or want is got for want, got in zip(head, key))
 
@@ -69,8 +68,7 @@ class Rule:
     def match(self, t: Term) -> bool:
         """Whether the head and the guard both accept t."""
         return (type(t) is self.head[0]
-                and _fits(self.head,
-                          _head_key(t, subterms(t), len(self.head) - 1))
+                and _fits(self.head, map(type, (t, *t._kids(t))))
                 and (self.guard is None or self.guard(t)))
 
 
@@ -81,7 +79,8 @@ class RuleSet:
         self.name = name
         self.calculus = calculus
         self.rules = rules
-        # root constructor -> how many path-children its rule heads inspect
+        # root constructor -> how many path-children its rule heads
+        # inspect; a constructor no rule roots at is absent
         self._width = {}
         for r in rules:
             self._width[r.head[0]] = max(self._width.get(r.head[0], 0),
@@ -93,26 +92,36 @@ class RuleSet:
         self._guarded = frozenset(
             r.head[0] for r in rules if r.guard is not None)
 
-    def _heads(self, key: tuple) -> tuple:
-        """The rules whose heads admit a constructor key, in table order."""
-        hits = self._index.get(key)
-        if hits is None:
-            hits = tuple(r for r in self.rules if _fits(r.head, key))
-            self._index[key] = hits
-        return hits
-
     def matching(self, t: Term) -> list:
         """The rules whose left-hand sides match t, in table order.
 
         A guard that several rules share is asked once.
         """
-        return self._matching(t, subterms(t))
+        return list(self._matching(t, t._kids(t)))
 
-    def _matching(self, t: Term, kids: list) -> list:
-        """`matching`, given t's path-children."""
-        hits = self._heads(_head_key(t, kids, self._width.get(type(t), 0)))
-        if not hits:
-            return []
+    def _matching(self, t: Term, kids):
+        """`matching` as a sequence, given t's path-children.
+
+        The heads are looked up by t's class first, so a constructor no
+        rule roots at costs one dict lookup; guards are asked only at a
+        constructor some guarded rule roots at.
+        """
+        cls = type(t)
+        width = self._width.get(cls)
+        if width is None:
+            return ()
+        if width == 1:
+            key = (cls, type(kids[0]))
+        elif width == 2:
+            key = (cls, type(kids[0]), type(kids[1]))
+        else:
+            key = (cls, *[type(kid) for kid in kids[:width]])
+        hits = self._index.get(key)
+        if hits is None:
+            hits = self._index[key] = tuple(
+                r for r in self.rules if _fits(r.head, key))
+        if not hits or cls not in self._guarded:
+            return hits
         verdicts = {}
         out = []
         for r in hits:
@@ -161,8 +170,7 @@ class ZeroNormStuck(Stuck):
 # Traces
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     rule: RuleId
     pos: tuple
     weight: float | None
@@ -320,7 +328,7 @@ class Cursor:
         stack = self.stack
         node, _, kids, dirty, _ = stack.pop()
         if dirty:
-            node = replace_children(node, kids)
+            node = node._rebuild(node, kids)
             if stack:
                 frame = stack[-1]
                 frame[2][frame[1]] = node
@@ -339,7 +347,7 @@ class Cursor:
         for k, i in enumerate(pos):
             if not 0 <= i < len(t._paths):
                 raise NoMatchError(f"position {pos[k:]} does not exist")
-            kids = subterms(t)
+            kids = list(t._kids(t))
             self.stack.append([t, i, kids, False, True])
             t = kids[i]
         self.focus = t
@@ -359,7 +367,7 @@ class Cursor:
         while True:
             nf = t._nf
             if nf is None or key not in nf:
-                kids = subterms(t)
+                kids = t._kids(t)
                 here = matching(t, kids)
                 if here:
                     self.focus = t
@@ -369,7 +377,7 @@ class Cursor:
                     if stack:
                         stack[-1][4] = False
                 if kids:
-                    stack.append([t, 0, kids, False, not here])
+                    stack.append([t, 0, list(kids), False, not here])
                     t = kids[0]
                     continue
                 if not here:
@@ -392,24 +400,12 @@ class Cursor:
                 self.focus = t
                 return None
 
-    def next_step(self):
-        """The next redex: (position, alternatives), or None at the end.
-
-        The alternatives are (rule, probability) pairs as `_alternatives`
-        gives them.  Raises ZeroNormStuck on a measurement whose two
-        weights are zero.
-        """
-        here = self.seek()
-        if here is None:
-            return None
-        return self.pos(), _alternatives(self.focus, here)
-
     def plug(self, u: Term) -> Term:
         """The whole term with u in place of the focus; the cursor stays."""
         for node, i, kids, _, _ in reversed(self.stack):
             old = kids[i]
             kids[i] = u
-            u = replace_children(node, kids)
+            u = node._rebuild(node, kids)
             kids[i] = old
         return u
 
@@ -457,48 +453,39 @@ class Cursor:
                                             hashes[1:]):
             old = kids[i]
             kids[i] = u
-            u = replace_children(node, kids)
+            u = node._rebuild(node, kids)
             u._store("_hash", h)
             kids[i] = old
         return u
 
-    def replace(self, build):
-        """Replace the focus by `build` of it.
+    def contract(self, build):
+        """Replace the focus by `build` of it, and refocus where the
+        search must resume.
 
         The focus goes to `build` as it sits in the term, its loose
         indices pointing at the binders above it, and the contractum comes
         back in the same context.
-        """
-        stack = self.stack
-        self.focus = build(self.focus)
-        if stack:
-            frame = stack[-1]
-            frame[2][frame[1]] = self.focus
-            frame[3] = True
-
-    def contract(self, build):
-        """Replace the focus by `build` of it, and refocus where the
-        search must resume.
 
         Matching looks at a node and its children, so only the parent can
         turn into a redex, unless a guard looks deeper: then the search
         resumes at the outermost ancestor whose constructor carries a
         guard.
         """
-        self.replace(build)
         stack = self.stack
+        self.focus = build(self.focus)
         if not stack:
             return
+        frame = stack[-1]
+        frame[2][frame[1]] = self.focus
+        frame[3] = True
         rs = self.rs
         if rs._guarded:
             for depth, above in enumerate(stack):
                 if type(above[0]) in rs._guarded:
                     self.focus = self._climb(depth)
                     return
-        node, i, kids, _, _ = stack[-1]
-        width = rs._width.get(type(node), 0)
-        if i < width and rs._heads(_head_key(node, kids, width)):
-            self.focus = self._climb(len(stack) - 1)
+        if rs._matching(frame[0], frame[2]):
+            self.focus = self._pop()
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +545,7 @@ def step_at(t: Term, pos, rid: RuleId, choice: str | None = None,
         alternatives = _alternatives(cur.focus, here)
         if choice is not None:
             rule = next(r for r, _ in alternatives if r.role == choice)
-    cur.replace(rule.build)
+    cur.contract(rule.build)
     return cur.term()
 
 
@@ -571,20 +558,29 @@ def normalize(t: Term, ruleset: RuleSet, fuel: int = 10 ** 6,
     overflow), left in the term.
     """
     trace = ReductionTrace(initial=t)
+    steps = trace.steps
     cur = Cursor(t, ruleset)
+    seek, contract, stack = cur.seek, cur.contract, cur.stack
     try:
         while True:
-            step = cur.next_step()
-            if step is None:
+            here = seek()
+            if here is None:
                 trace.outcome = NormalFormOutcome(cur.term())
                 return trace
-            if len(trace.steps) >= fuel:
+            rule = here[0]
+            # asked before the fuel check: a zero-norm measurement is
+            # stuck even when no fuel is left
+            alternatives = (None if rule.group is None
+                            else _alternatives(cur.focus, here))
+            if len(steps) >= fuel:
                 trace.outcome = FuelExhaustedOutcome(cur.term())
                 return trace
-            pos, alternatives = step
-            rule, weight = _draw(alternatives, rng)
-            cur.contract(rule.build)
-            trace.steps.append(Step(rule.rid, pos, weight))
+            weight = None
+            if alternatives is not None:
+                rule, weight = _draw(alternatives, rng)
+            pos = tuple([frame[1] for frame in stack])
+            contract(rule.build)
+            steps.append(Step(rule.rid, pos, weight))
     except Stuck as e:
         trace.outcome = StuckOutcome(cur.term(), e.reason)
         return trace

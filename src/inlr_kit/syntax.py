@@ -56,8 +56,10 @@ class Node:
     class derives: `_fields`, (name, kind) of every field, kind None for
     a data field; `_shape`, the fields that have a kind; `_paths`, the
     TERM and ABS entries; `_binds`, 1 per path-child that is an
-    abstraction's body; and `_kids(t)`, the path-children as a tuple, an
-    abstraction's body for the abstraction.
+    abstraction's body; `_kids(t)`, the path-children as a tuple, an
+    abstraction's body for the abstraction; and `_rebuild(t, kids)`, a
+    node of t's class with t's other fields and new path-children, an
+    abstraction of t kept when its body comes back as it was.
 
     `_hash`, the structural hash, is stored by the first `hash(t)` from
     `_key(t)`: the class, the children's stored hashes and the other
@@ -90,6 +92,7 @@ class Node:
         else:
             kids = lambda t: ()  # noqa: E731
         cls._kids = staticmethod(kids)
+        cls._rebuild = staticmethod(_rebuilder(cls))
         cls._key = staticmethod(attrgetter("__class__", *(
             name + "._hash" if kind == TERM else
             name + ".body._hash" if kind == ABS else name
@@ -152,6 +155,34 @@ def _store_hashes(t: Node) -> int:
             push((node,))
             stack += node._kids(node)
     return t._hash
+
+
+def _rebuilder(cls):
+    """`cls._rebuild`.  A class whose fields are all children is called on
+    the new children as they are; any other on its fields in turn: a
+    child from `kids`, an abstraction kept, or rebuilt with its hint
+    around a new body, and a data field as t has it."""
+    if all(kind == TERM for _, kind in cls._fields):
+        return lambda t, kids: cls(*kids)
+    plan = []
+    for name, kind in cls._fields:
+        plan.append((name, kind, cls._paths.index((name, kind))
+                     if kind in (TERM, ABS) else None))
+    plan = tuple(plan)
+
+    def rebuild(t, kids):
+        args = []
+        for name, kind, i in plan:
+            if kind == TERM:
+                args.append(kids[i])
+            elif kind == ABS:
+                a = getattr(t, name)
+                args.append(a if a.body is kids[i] else Abs(a.hint, kids[i]))
+            else:
+                args.append(getattr(t, name))
+        return cls(*args)
+
+    return rebuild
 
 
 # Constructors: frozen, with the equality and the hash of Node
@@ -495,22 +526,12 @@ def subterms(t: Term):
 
 
 def replace_children(t: Term, new_children) -> Term:
-    """Rebuild t with its path-children replaced, keeping hints and scalars.
+    """Rebuild t with its path-children, a sequence in `_kids` order,
+    replaced, keeping hints and scalars.
 
     An abstraction whose body comes back unchanged is kept, not copied.
     """
-    it = iter(new_children)
-    args = []
-    for name, kind in t._fields:
-        arg = getattr(t, name)
-        if kind == TERM:
-            arg = next(it)
-        elif kind == ABS:
-            body = next(it)
-            if body is not arg.body:
-                arg = Abs(arg.hint, body)
-        args.append(arg)
-    return type(t)(*args)
+    return t._rebuild(t, new_children)
 
 
 def fold(t: Term, combine):
@@ -644,7 +665,7 @@ def instantiate(t: Term, args=(), shift: int = 0) -> Term:
             got = node
             for old, kid in zip(kids, new):
                 if old is not kid:
-                    got = replace_children(node, new)
+                    got = node._rebuild(node, new)
                     break
         else:
             return got

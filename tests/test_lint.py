@@ -112,6 +112,59 @@ def test_only_node_store_calls_object_setattr():
     assert found == [("syntax", store[0].lineno)]
 
 
+_DICT_MUTATORS = {"update", "setdefault", "pop", "popitem", "clear",
+                  "__setitem__", "__delitem__", "__ior__"}
+
+
+def _is_instance_dict(node) -> bool:
+    """Whether node reads an instance dict: x.__dict__ or vars(x)."""
+    return (isinstance(node, ast.Attribute) and node.attr == "__dict__"
+            or isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "vars")
+
+
+def _dict_writes(tree: ast.AST) -> list:
+    """The lines that write an instance dict: an item set or deleted, a
+    mutating method called, the dict itself assigned, or set by name."""
+    found = []
+    for node in ast.walk(tree):
+        ctx = getattr(node, "ctx", None)
+        if (isinstance(node, ast.Subscript) and _is_instance_dict(node.value)
+                and isinstance(ctx, (ast.Store, ast.Del))
+                or isinstance(node, ast.Attribute) and node.attr == "__dict__"
+                and isinstance(ctx, (ast.Store, ast.Del))
+                or isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _DICT_MUTATORS
+                and _is_instance_dict(node.func.value)
+                or isinstance(node, ast.Call)
+                and any(isinstance(a, ast.Constant) and a.value == "__dict__"
+                        for a in node.args)):
+            found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_the_lint_sees_dict_writes():
+    tree = ast.parse("t.__dict__['_hash'] = 1\n"
+                     "del t.__dict__['_nf']\n"
+                     "t.__dict__.update(_loose=0)\n"
+                     "vars(t)['_hash'] = 2\n"
+                     "t.__dict__ = {}\n"
+                     "setattr(t, '__dict__', {})\n"
+                     "x = t.__dict__.get('_hash')\n"
+                     "y = cls.__dict__.get('__annotations__', {})\n")
+    assert _dict_writes(tree) == [1, 2, 3, 4, 5, 6]
+
+
+def test_no_instance_dict_is_written():
+    # a node keeps its caches in the dict CPython holds inline until the
+    # first write through __dict__; such a write materializes it, which
+    # was measured at 64 more bytes per node
+    found = [(module, line) for module, tree in _trees()
+             for line in _dict_writes(tree)]
+    assert found == []
+
+
 @pytest.mark.parametrize("base,annotation", [
     (Term, "float"), (Term, "list"), (Term, "Term | None"),
     (Proposition, "Term"), (Proposition, "Proposition | None"),

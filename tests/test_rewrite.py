@@ -10,10 +10,10 @@ from inlr_kit.cc import RULES_CC, RULES_CC_DET, explore, pi_term
 from inlr_kit.iplus import RULES_IPLUS
 from inlr_kit.quantum import RULES_QUANTUM, RULES_QUANTUM_DET
 from inlr_kit.quantum import ScalarOverflowStuck, run_measure
-from inlr_kit.rewrite import (ND_PAIR, Rule, RuleId, RuleSet, Stuck,
-                              ZeroNormStuck, find_redexes, join_peak,
-                              normalize, reducts, replay, step_at,
-                              NoMatchError)
+from inlr_kit.rewrite import (ND_PAIR, Cursor, Rule, RuleId, RuleSet, Stuck,
+                              ZeroNormStuck, _alternatives, _draw,
+                              find_redexes, join_peak, normalize, reducts,
+                              replay, step_at, NoMatchError)
 from inlr_kit.rng import derive_rng
 from inlr_kit.syntax import (ABS, TERM, Abs, App, Bound, Inl, Lam, One,
                              OneElim, OPlus, ScalarStar, Star, Sum, Var,
@@ -170,6 +170,21 @@ def test_fuel_bounds_steps_not_checks():
     tr = normalize(ip("top_elim(star, star)"), RULES_IPLUS, fuel=0)
     assert tr.outcome.kind == "fuel-exhausted"
     assert tr.steps == []
+    # a measurement is weighed before the fuel is checked: a zero-norm
+    # one is stuck even with no fuel left
+    tr = normalize(q("case_nd(inlr(0.0 . star, 0.0 . star), x. x, y. y)"),
+                   RULES_QUANTUM, fuel=0)
+    assert (tr.outcome.kind, tr.outcome.reason) == ("stuck", "zero-norm")
+    # a contraction is built after the fuel check: an overflow one step
+    # past the fuel is not reached
+    t = q("prod(1e200, prod(1e200, 1.0 . star))")
+    tr = normalize(t, RULES_QUANTUM, fuel=1)
+    assert tr.outcome.kind == "fuel-exhausted"
+    assert [s.rule.number for s in tr.steps] == [39]
+    tr = normalize(t, RULES_QUANTUM, fuel=2)
+    assert (tr.outcome.kind, tr.outcome.reason) == ("stuck",
+                                                     "scalar-overflow")
+    assert len(tr.steps) == 1
 
 
 def test_zero_norm_normalize_outcome():
@@ -326,6 +341,97 @@ def test_every_trace_step_is_the_first_redex():
         outcomes.append(tr.outcome.kind)
     # the full-length runs come last
     assert outcomes[-3:] == ["normal-form"] * 3
+
+
+def _reference_normalize(t, rs, fuel=10 ** 6, rng=None):
+    """normalize as one `next_step` per step: the position and every
+    alternative at each redex, the fuel checked after both; returns the
+    (rule, pos, weight) steps, their JSON lines, the outcome kind, its
+    reason and the final term."""
+    cur = Cursor(t, rs)
+    steps = []
+    try:
+        while True:
+            here = cur.seek()
+            if here is None:
+                kind, reason = "normal-form", None
+                break
+            pos, alternatives = cur.pos(), _alternatives(cur.focus, here)
+            if len(steps) >= fuel:
+                kind, reason = "fuel-exhausted", None
+                break
+            rule, weight = _draw(alternatives, rng)
+            cur.contract(rule.build)
+            steps.append((rule.rid, pos, weight))
+    except Stuck as e:
+        kind, reason = "stuck", e.reason
+    lines = [json.dumps({"rule": str(rid), "pos": list(pos),
+                         "weight": weight}, sort_keys=True)
+             for rid, pos, weight in steps]
+    return steps, lines, kind, reason, cur.term()
+
+
+def _fused_loop_inputs():
+    """(table, make, fuel, rng seed): make() builds a fresh copy of the
+    term, so neither side walks over the marks the other left.  Each gen
+    term runs at fuel 40 and again at fuel 3, which cuts many runs short;
+    the measurements and the stuck runs are made by hand."""
+    for name, rng_seed in (("iplus", None), ("quantum", 95),
+                           ("quantum-det", None), ("cc", None)):
+        rs = _TABLES[name]
+        for i in range(40):
+            def make(i=i, rs=rs, name=name):
+                return gen.random_term_in_context(
+                    rs.calculus, derive_rng(96, i), max_size=40,
+                    allow_nd=name == "quantum")[1]
+            for fuel in (40, 3):
+                yield rs, make, fuel, rng_seed and (rng_seed, i)
+    for k, text in enumerate((
+            "case_nd(inlr(0.0 . star, 0.0 . star), x. x, y. y)",
+            "prod(1e200, prod(1e200, 1.0 . star))",
+            "case_nd(inl(1.0 . star), x. x, y. y)",
+            "case_nd(inlr(sum(1.0 . star, 1.0 . star), 2.0 . star), "
+            "x. prod(0.5, x), y. y)",
+            "case_nd(inlr(case_nd(inlr(1.0 . star, 2.0 . star), "
+            "x. prod(3.0, x), y. prod(0.5, y)), 3.0 . star), "
+            "x. x, y. prod(2.0, y))")):
+        for j in range(4):
+            yield RULES_QUANTUM, lambda text=text: q(text), 40, (98, k, j)
+    for j in range(4):
+        def make():
+            p2 = qencode.qn_prop(2)
+            u = derive_rng(99, 0).standard_normal(4)
+            return App(qencode.meas_first(2), qencode.from_vector(u, p2))
+        yield RULES_QUANTUM, make, 40, (99, 1, j)
+    for d in (4, 16):
+        def make(d=d):
+            rng = derive_rng(97, d)
+            p = qencode.qn_prop(d.bit_length() - 1)
+            m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            return App(qencode.compile_matrix(m, p, p),
+                       qencode.from_vector(rng.standard_normal(d), p))
+        yield RULES_QUANTUM_DET, make, 10 ** 6, None
+
+
+def test_normalize_matches_the_next_step_loop():
+    kinds, weights = set(), set()
+    for rs, make, fuel, seed in _fused_loop_inputs():
+        want = _reference_normalize(make(), rs, fuel,
+                                    seed and derive_rng(*seed))
+        tr = normalize(make(), rs, fuel, seed and derive_rng(*seed))
+        got = ([(s.rule, s.pos, s.weight) for s in tr.steps],
+               tr.step_lines(), tr.outcome.kind,
+               getattr(tr.outcome, "reason", None), tr.final)
+        assert got[:4] == want[:4], rs.name
+        assert repr(got[4]) == repr(want[4]), rs.name
+        kinds.add((rs.name, tr.outcome.kind))
+        weights.update(s.weight for s in tr.steps)
+    assert kinds >= {(name, kind) for name in ("iplus", "quantum",
+                                               "quantum-det", "cc")
+                     for kind in ("normal-form", "fuel-exhausted")}
+    assert ("quantum", "stuck") in kinds
+    # unweighted steps, a certain one and drawn measurements
+    assert {None, 1.0} < weights and len(weights) > 3
 
 
 def _reducts_reference(t, rs):

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from inlr_kit import gen, qencode
 from inlr_kit.cc import explore
 from inlr_kit.rng import derive_rng
-from inlr_kit.syntax import (ABS, CALCULI, SCALAR, TERM, _CONNECTIVES,
+from inlr_kit.syntax import (ABS, CALCULI, PROP, SCALAR, TERM, _CONNECTIVES,
                              _RESERVED, Abs, AndElim1, AndElim2, App, Atom,
                              Bot, BotElim, Bound, CalculusError, Conj, Disj,
                              Impl, Inl, Lam, Lollipop, MetaProp, Node, One,
                              OPlus, Pair, ParseError, Proposition, ScalarStar,
-                             Star, Top, TopElim, Var,
+                             Star, Term, Top, TopElim, Var,
                              alpha_eq, format_scalar, free_names, instantiate,
                              is_closed, parse_prop, parse_term, print_prop,
                              print_term, print_terms, replace_children,
@@ -233,6 +233,56 @@ def test_replace_children_keeps_an_unchanged_abstraction():
     v = replace_children(t, [t.scrut, Star(), t.right.body])
     assert v.left is not t.left and v.left.hint == "a"
     assert v.right is t.right
+
+
+# every term class and connective with children
+_PARENTS = [cls for base in (Term, Proposition)
+            for cls in base.__subclasses__()
+            if cls.__module__ == "inlr_kit.syntax" and cls._paths]
+
+
+def _sample(cls):
+    """A node of cls: a distinct leaf per child, a hinted abstraction
+    per binder and a value in every other field."""
+    leaf = Var if issubclass(cls, Term) else Atom
+    args = []
+    for k, (name, kind) in enumerate(cls._fields):
+        args.append(leaf(f"c{k}") if kind == TERM
+                    else Abs(f"h{k}", Bound(0)) if kind == ABS
+                    else 2.5 - 1j if kind == SCALAR
+                    else Impl(Atom("P"), Atom("Q")) if kind == PROP
+                    else 3 if cls.__annotations__[name] == "int" else "n")
+    return cls(*args)
+
+
+def test_every_class_with_children_is_sampled():
+    names = {cls.__name__ for cls in _PARENTS}
+    assert {"Sum", "Prod", "BotElim", "Lam", "Case", "Inlr3", "Impl",
+            "OPlus"} <= names
+    assert len(_PARENTS) == 21
+
+
+@pytest.mark.parametrize("cls", _PARENTS, ids=lambda cls: cls.__name__)
+def test_replace_children_rebuilds_every_class(cls):
+    t = _sample(cls)
+    kids = t._kids(t)
+    u = replace_children(t, kids)
+    assert type(u) is cls and u == t and repr(u) == repr(t)
+    for name, kind in cls._fields:
+        if kind != TERM:  # data fields and unchanged abstractions are kept
+            assert getattr(u, name) is getattr(t, name), name
+    leaf = Star() if issubclass(cls, Term) else Top()
+    for i, (name, kind) in enumerate(cls._paths):
+        new = list(kids)
+        new[i] = leaf
+        v = replace_children(t, new)
+        assert v._kids(v) == tuple(new) and type(v) is cls
+        for other, other_kind in cls._paths:
+            if other_kind == ABS and other != name:
+                assert getattr(v, other) is getattr(t, other)
+        if kind == ABS:  # a changed body: a new abstraction, the old hint
+            a, b = getattr(v, name), getattr(t, name)
+            assert a is not b and a.hint == b.hint and a.body is leaf
 
 
 # ---------------------------------------------------------------------------
