@@ -7,6 +7,12 @@ linear generator additionally threads the hypotheses that still have to
 be consumed and always has a deterministic way to discharge them, so it
 never backtracks.
 
+Every decision is a draw through `_pick`, `_coin` or `_roll`, and each
+takes its first option when there is no rng.  A generator whose size
+budget is spent goes on with no rng and offers no move that restates its
+goal, so the smallest proof is the same generator, each decision its
+first.
+
 Terms are built nameless, as the parser builds them.  A context key is
 either a name (a free `Var`) or the level of a binder (0 outermost), and
 each generator is passed the depth it builds at, so the variable of level
@@ -20,6 +26,9 @@ rule-soundness suites are driven from them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
+from .iplus import SUM_INJECTIONS
 from .quantum import RULES_QUANTUM_DET
 from .rewrite import normalize
 from .syntax import (Abs, AndElim1, AndElim2, App, Atom, Bot, BotElim, Bound,
@@ -32,11 +41,19 @@ _ATOMS = ("P", "Q", "R")
 
 
 def _pick(rng, xs):
-    return xs[int(rng.integers(len(xs)))]
+    """A uniform element of xs; the first without an rng."""
+    return xs[0] if rng is None else xs[int(rng.integers(len(xs)))]
 
 
 def _coin(rng, p=0.5):
-    return rng.random() < p
+    """True with probability p; False without an rng."""
+    return rng is not None and rng.random() < p
+
+
+def _roll(rng, cuts):
+    """The index of the interval between the ascending cuts that a uniform
+    draw falls in; 0 without an rng."""
+    return 0 if rng is None else bisect_right(cuts, rng.random())
 
 
 def _var(key, depth):
@@ -85,13 +102,13 @@ def random_provable_prop(rng, hyps=(), depth=2) -> Proposition:
     direct = [p for p in hyps if isinstance(p, (Atom, Bot))]
     if depth <= 0:
         return _pick(rng, [Top()] + direct) if direct and _coin(rng) else Top()
-    roll = rng.random()
-    if roll < 0.25:
+    roll = _roll(rng, (0.25, 0.45, 0.65))
+    if roll == 0:
         return _pick(rng, [Top()] + direct)
-    if roll < 0.45:
+    if roll == 1:
         return Conj(random_provable_prop(rng, hyps, depth - 1),
                     random_provable_prop(rng, hyps, depth - 1))
-    if roll < 0.65:
+    if roll == 2:
         good = random_provable_prop(rng, hyps, depth - 1)
         other = random_any_prop(rng, depth - 1)
         return Disj(good, other) if _coin(rng) else Disj(other, good)
@@ -106,19 +123,21 @@ class _Budget:
     def __init__(self, n):
         self.n = n
 
-    def spend(self, k=1):
-        self.n -= k
+    def spend(self):
+        self.n -= 1
         return self.n > 0
 
 
 def _gen_i(goal, ctx, depth, rng, budget, calculus):
     """A term proving `goal` under ctx, `depth` binders deep; `goal` must
-    satisfy _provable."""
-    hyps = tuple(ctx.values())
-    candidates = [name for name, p in ctx.items() if p == goal]
-
+    satisfy _provable.  Once the budget is spent, the smallest proof."""
     if not budget.spend():
-        return _minimal(goal, ctx, depth, calculus)
+        rng = None
+    hyps = tuple(ctx.values())
+    candidates = []  # a loop, as a comprehension would close over goal
+    for key, p in ctx.items():
+        if p == goal:
+            candidates.append(key)
 
     moves = []
     if candidates:
@@ -130,100 +149,68 @@ def _gen_i(goal, ctx, depth, rng, budget, calculus):
     elif isinstance(goal, Conj):
         moves += ["pair"] * 3
     elif isinstance(goal, Disj):
-        if _provable(goal.left, hyps):
+        left, right = _provable(goal.left, hyps), _provable(goal.right, hyps)
+        if left:
             moves.append("inl")
-        if _provable(goal.right, hyps):
+        if right:
             moves.append("inr")
-        if _provable(goal.left, hyps) and _provable(goal.right, hyps):
-            if calculus == "iplus":
-                moves += ["inlr2"] * 2
-            else:
-                moves += ["inlr3"] * 2
-    if calculus == "iplus":
+        if left and right:
+            moves += ["inlr2" if calculus == "iplus" else "inlr3"] * 2
+    if calculus == "iplus" and rng is not None:
         moves.append("sum")
     if budget.n > 4:
         moves += ["top_elim", "app", "and1", "and2", "case"]
         if any(isinstance(p, Bot) for p in hyps):
             moves.append("bot_elim")
-
-    move = _pick(rng, moves) if moves else "minimal"
-
-    def gen(goal):
-        return _gen_i(goal, ctx, depth, rng, budget, calculus)
-
-    def bind(hyp, goal):
-        """A proof of goal under one more binder, of hyp."""
-        return _gen_i(goal, {**ctx, depth: hyp}, depth + 1, rng, budget,
-                      calculus)
+    if not moves:
+        raise RuntimeError(f"unprovable goal reached: {goal}")
+    move = _pick(rng, moves)
 
     if move == "var":
         return _var(_pick(rng, candidates), depth)
     if move == "star":
         return Star()
     if move == "lam":
-        return Lam(goal.left, Abs("x", bind(goal.left, goal.right)))
-    if move == "pair":
-        return Pair(gen(goal.left), gen(goal.right))
+        body = _gen_i(goal.right, {**ctx, depth: goal.left}, depth + 1, rng,
+                      budget, calculus)
+        return Lam(goal.left, Abs("x", body))
+    if move in ("pair", "inlr2"):
+        node = Pair if move == "pair" else Inlr2
+        return node(_gen_i(goal.left, ctx, depth, rng, budget, calculus),
+                    _gen_i(goal.right, ctx, depth, rng, budget, calculus))
     if move == "inl":
-        return Inl(gen(goal.left))
+        return Inl(_gen_i(goal.left, ctx, depth, rng, budget, calculus))
     if move == "inr":
-        return Inr(gen(goal.right))
-    if move == "inlr2":
-        return Inlr2(gen(goal.left), gen(goal.right))
-    if move == "inlr3":
-        d1 = random_provable_prop(rng, hyps, 1)
-        d2 = random_provable_prop(rng, hyps, 1)
-        scrut = gen(Disj(d1, d2))
-        u1 = bind(d1, goal.left)
-        u2 = bind(d2, goal.right)
-        return Inlr3(scrut, Abs("x", u1), Abs("y", u2))
+        return Inr(_gen_i(goal.right, ctx, depth, rng, budget, calculus))
     if move == "sum":
-        return Sum(gen(goal), gen(goal))
+        return Sum(_gen_i(goal, ctx, depth, rng, budget, calculus),
+                   _gen_i(goal, ctx, depth, rng, budget, calculus))
     if move == "top_elim":
-        return TopElim(gen(Top()), gen(goal))
+        return TopElim(_gen_i(Top(), ctx, depth, rng, budget, calculus),
+                       _gen_i(goal, ctx, depth, rng, budget, calculus))
     if move == "app":
         a = random_provable_prop(rng, hyps, 1)
-        fn = gen(Impl(a, goal))
-        return App(fn, gen(a))
-    if move in ("and1", "and2"):
-        a = random_provable_prop(rng, hyps, 1)
-        b = random_provable_prop(rng, hyps, 1)
-        scrut = gen(Conj(a, b))
-        body = bind(a if move == "and1" else b, goal)
-        node = AndElim1 if move == "and1" else AndElim2
-        return node(scrut, Abs("x", body))
-    if move == "case":
-        a = random_provable_prop(rng, hyps, 1)
-        b = random_provable_prop(rng, hyps, 1)
-        scrut = gen(Disj(a, b))
-        u = bind(a, goal)
-        v = bind(b, goal)
-        return Case(scrut, Abs("x", u), Abs("y", v))
+        fn = _gen_i(Impl(a, goal), ctx, depth, rng, budget, calculus)
+        return App(fn, _gen_i(a, ctx, depth, rng, budget, calculus))
     if move == "bot_elim":
         bot_var = next(n for n, p in ctx.items() if isinstance(p, Bot))
         return BotElim(goal, _var(bot_var, depth))
-    return _minimal(goal, ctx, depth, calculus)
-
-
-def _minimal(goal, ctx, depth, calculus):
-    """Smallest proof; used when the size budget runs out."""
-    for key, p in ctx.items():
-        if p == goal:
-            return _var(key, depth)
-    if isinstance(goal, Top):
-        return Star()
-    if isinstance(goal, Impl):
-        body = _minimal(goal.right, {**ctx, depth: goal.left}, depth + 1,
-                        calculus)
-        return Lam(goal.left, Abs("x", body))
-    if isinstance(goal, Conj):
-        return Pair(_minimal(goal.left, ctx, depth, calculus),
-                    _minimal(goal.right, ctx, depth, calculus))
-    if isinstance(goal, Disj):
-        if _provable(goal.left, tuple(ctx.values())):
-            return Inl(_minimal(goal.left, ctx, depth, calculus))
-        return Inr(_minimal(goal.right, ctx, depth, calculus))
-    raise RuntimeError(f"unprovable goal reached: {goal}")
+    # and1, and2, case and inlr3 eliminate a scrutinee built for side
+    # propositions a and b
+    a = random_provable_prop(rng, hyps, 1)
+    b = random_provable_prop(rng, hyps, 1)
+    if move in ("and1", "and2"):
+        scrut = _gen_i(Conj(a, b), ctx, depth, rng, budget, calculus)
+        body = _gen_i(goal, {**ctx, depth: a if move == "and1" else b},
+                      depth + 1, rng, budget, calculus)
+        node = AndElim1 if move == "and1" else AndElim2
+        return node(scrut, Abs("x", body))
+    scrut = _gen_i(Disj(a, b), ctx, depth, rng, budget, calculus)
+    left, right = (goal.left, goal.right) if move == "inlr3" else (goal, goal)
+    u = _gen_i(left, {**ctx, depth: a}, depth + 1, rng, budget, calculus)
+    v = _gen_i(right, {**ctx, depth: b}, depth + 1, rng, budget, calculus)
+    node = Inlr3 if move == "inlr3" else Case
+    return node(scrut, Abs("x", u), Abs("y", v))
 
 
 def _bounded(build, max_size):
@@ -246,9 +233,8 @@ def _bounded(build, max_size):
 def random_closed_term(calculus, rng, max_size=30):
     """A random closed well-typed term together with its proposition."""
     if calculus == "quantum":
-        goal = random_quantum_prop(rng)
-        t = _bounded(lambda b: _gen_q(goal, [], 0, rng, b, allow_nd=False),
-                     max_size)
+        _, t, goal = random_term_in_context(calculus, rng, max_size,
+                                            allow_nd=False)
         return t, goal
     goal = random_provable_prop(rng)
     t = _bounded(lambda b: _gen_i(goal, {}, 0, rng, b, calculus), max_size)
@@ -263,7 +249,7 @@ def random_term_in_context(calculus, rng, max_size=30, allow_nd=True):
             lambda b: _gen_q(goal, [], 0, rng, b, allow_nd=allow_nd), max_size)
         return {}, t, goal
     ctx = {}
-    for i in range(int(rng.integers(0, 4))):
+    for i in range(_pick(rng, range(4))):
         ctx[f"h{i}"] = random_any_prop(rng, 1)
     goal = random_provable_prop(rng, tuple(ctx.values()))
     t = _bounded(lambda b: _gen_i(goal, ctx, 0, rng, b, calculus), max_size)
@@ -277,33 +263,37 @@ _SCALARS = (1.0, -1.0, 2.0, 0.5, 1j, 1 + 1j, -0.5j, 3.0)
 
 
 def random_scalar(rng, allow_zero=False):
+    """A complex scalar from a small pool; without an rng, the float 1.0."""
     pool = _SCALARS + ((0.0,) if allow_zero else ())
-    return complex(_pick(rng, pool))
+    x = _pick(rng, pool)
+    return x if rng is None else complex(x)
 
 
 def _gen_q(goal, resources, depth, rng, budget, allow_nd):
     """A linear term proving `goal`, `depth` binders deep, that consumes
-    every resource exactly once."""
+    every resource exactly once.  Once the budget is spent, the smallest
+    proof, which consumes resources[0] first."""
     if not budget.spend():
-        return _consume_all(goal, resources, depth, rng, budget, allow_nd)
-
-    moves = []
-    if len(resources) == 1 and resources[0][1] == goal:
-        moves += ["var"] * 4
-    if isinstance(goal, One) and not resources:
-        moves += ["scalar"] * 3
-    if isinstance(goal, Lollipop):
-        moves += ["lam"] * 3
-    if isinstance(goal, OPlus):
-        moves += ["inl", "inr", "inlr2", "inlr2"]
-    moves += ["sum", "prod"]
-    if resources:
-        moves += ["consume"] * (2 + 2 * len(resources))
-
+        rng = None
+    if rng is None and resources:
+        moves = ["consume"]
+    else:
+        moves = []
+        if len(resources) == 1 and resources[0][1] == goal:
+            moves += ["var"] * 4
+        if isinstance(goal, One) and not resources:
+            moves += ["scalar"] * 3
+        if isinstance(goal, Lollipop):
+            moves += ["lam"] * 3
+        if isinstance(goal, OPlus):
+            moves += ["inl", "inr", "inlr2", "inlr2"]
+        if rng is not None:
+            moves += ["sum", "prod"]
+        if resources:
+            moves += ["consume"] * (2 + 2 * len(resources))
+    if not moves:
+        raise RuntimeError(f"unprovable goal reached: {goal}")
     move = _pick(rng, moves)
-
-    def gen(goal):
-        return _gen_q(goal, resources, depth, rng, budget, allow_nd)
 
     if move == "var":
         return _var(resources[0][0], depth)
@@ -314,17 +304,22 @@ def _gen_q(goal, resources, depth, rng, budget, allow_nd):
                       depth + 1, rng, budget, allow_nd)
         return Lam(goal.left, Abs("x", body))
     if move == "inl":
-        return Inl(gen(goal.left))
+        return Inl(_gen_q(goal.left, resources, depth, rng, budget, allow_nd))
     if move == "inr":
-        return Inr(gen(goal.right))
+        return Inr(_gen_q(goal.right, resources, depth, rng, budget,
+                          allow_nd))
     if move == "inlr2":
-        return Inlr2(gen(goal.left), gen(goal.right))
+        left = _gen_q(goal.left, resources, depth, rng, budget, allow_nd)
+        return Inlr2(left, _gen_q(goal.right, resources, depth, rng, budget,
+                                  allow_nd))
     if move == "sum":
-        return Sum(gen(goal), gen(goal))
+        return Sum(_gen_q(goal, resources, depth, rng, budget, allow_nd),
+                   _gen_q(goal, resources, depth, rng, budget, allow_nd))
     if move == "prod":
-        return Prod(random_scalar(rng), gen(goal))
+        return Prod(random_scalar(rng),
+                    _gen_q(goal, resources, depth, rng, budget, allow_nd))
     # consume one resource through its elimination form
-    i = int(rng.integers(len(resources)))
+    i = _pick(rng, range(len(resources)))
     (x, ty) = resources[i]
     rest = resources[:i] + resources[i + 1:]
     return _consume_term(_var(x, depth), ty, goal, rest, depth, rng, budget,
@@ -354,48 +349,38 @@ def _consume_term(term, ty, goal, resources, depth, rng, budget, allow_nd):
     raise RuntimeError(f"cannot consume resource of type {ty}")
 
 
-def _consume_all(goal, resources, depth, rng, budget, allow_nd):
-    if not resources:
-        return _produce_min_q(goal, depth)
-    (x, ty) = resources[0]
-    return _consume_min(_var(x, depth), ty, goal, resources[1:], depth, rng,
-                        budget, allow_nd)
-
-
-def _consume_min(term, ty, goal, resources, depth, rng, budget, allow_nd):
-    if isinstance(ty, One):
-        return OneElim(term, _consume_all(goal, resources, depth, rng, budget,
-                                          allow_nd))
-    if isinstance(ty, OPlus):
-        u = _consume_all(goal, resources + [(depth, ty.left)], depth + 1, rng,
-                         budget, allow_nd)
-        v = _consume_all(goal, resources + [(depth, ty.right)], depth + 1,
-                         rng, budget, allow_nd)
-        return Case(term, Abs("y", u), Abs("z", v))
-    if isinstance(ty, Lollipop):
-        return _consume_min(App(term, _produce_min_q(ty.left, depth)),
-                            ty.right, goal, resources, depth, rng, budget,
-                            allow_nd)
-    raise RuntimeError(f"cannot consume resource of type {ty}")
-
-
-def _produce_min_q(goal, depth):
-    if isinstance(goal, One):
-        return ScalarStar(1.0)
-    if isinstance(goal, OPlus):
-        return Inl(_produce_min_q(goal.left, depth))
-    if isinstance(goal, Lollipop):
-        body = _consume_min(Bound(0), goal.left, goal.right, [], depth + 1,
-                            None, None, False)
-        return Lam(goal.left, Abs("x", body))
-    raise RuntimeError(f"no minimal quantum proof of {goal}")
-
-
 # ---------------------------------------------------------------------------
 # Per-rule redex instances
 
 def _atoms(*names):
     return tuple(Atom(n) for n in names)
+
+
+def _injection(node, gen, a, b):
+    """An injection, `node` one of Inl, Inr and Inlr2, into a disjunction
+    of a and b, of a generated proof of a, of b, or of both."""
+    if node is Inl:
+        return Inl(gen(a))
+    if node is Inr:
+        return Inr(gen(b))
+    return Inlr2(gen(a), gen(b))
+
+
+def _cut(number, gen, goal, a, b):
+    """The redex of a cut rule proving goal, a and b its side propositions:
+    rules 1-6 are `iplus.CUTS`, which iplus and cc share, and 7 is iplus's
+    case on an inlr.  A binder around a generated body is level 0."""
+    if number == 1:
+        return TopElim(Star(), gen(goal))
+    if number == 2:
+        return App(Lam(a, Abs("x", gen(goal, {0: a}))), gen(a))
+    if number in (3, 4):
+        node = AndElim1 if number == 3 else AndElim2
+        bound = a if number == 3 else b
+        return node(Pair(gen(a), gen(b)), Abs("x", gen(goal, {0: bound})))
+    scrut = _injection((Inl, Inr, Inlr2)[number - 5], gen, a, b)
+    return Case(scrut, Abs("x", gen(goal, {0: a})),
+                Abs("y", gen(goal, {0: b})))
 
 
 def iplus_rule_instance(number, rng, size=8):
@@ -412,20 +397,8 @@ def iplus_rule_instance(number, rng, size=8):
     a = random_provable_prop(rng, hyps, 1)
     b = random_provable_prop(rng, hyps, 1)
 
-    if number == 1:
-        return ctx, TopElim(Star(), gen(goal)), goal
-    if number == 2:
-        return ctx, App(Lam(a, Abs("x", gen(goal, {0: a}))), gen(a)), goal
-    if number in (3, 4):
-        node = AndElim1 if number == 3 else AndElim2
-        bound = a if number == 3 else b
-        return ctx, node(Pair(gen(a), gen(b)),
-                         Abs("x", gen(goal, {0: bound}))), goal
-    if number in (5, 6, 7):
-        scrut = {5: lambda: Inl(gen(a)), 6: lambda: Inr(gen(b)),
-                 7: lambda: Inlr2(gen(a), gen(b))}[number]()
-        return ctx, Case(scrut, Abs("x", gen(goal, {0: a})),
-                         Abs("y", gen(goal, {0: b}))), goal
+    if 1 <= number <= 7:
+        return ctx, _cut(number, gen, goal, a, b), goal
     if number == 8:
         return ctx, Sum(Star(), Star()), Top()
     if number == 9:
@@ -435,16 +408,11 @@ def iplus_rule_instance(number, rng, size=8):
     if number == 10:
         t = Sum(Pair(gen(a), gen(b)), Pair(gen(a), gen(b)))
         return ctx, t, Conj(a, b)
-    intro = {
-        "l": lambda: Inl(gen(a)),
-        "r": lambda: Inr(gen(b)),
-        "lr": lambda: Inlr2(gen(a), gen(b)),
-    }
-    shapes = {11: ("l", "l"), 12: ("l", "r"), 13: ("l", "lr"),
-              14: ("r", "l"), 15: ("r", "r"), 16: ("r", "lr"),
-              17: ("lr", "l"), 18: ("lr", "r"), 19: ("lr", "lr")}
-    lhs, rhs = shapes[number]
-    return ctx, Sum(intro[lhs](), intro[rhs]()), Disj(a, b)
+    if 11 <= number <= 19:
+        _, left, right, _ = SUM_INJECTIONS[number - 11]
+        t = Sum(_injection(left, gen, a, b), _injection(right, gen, a, b))
+        return ctx, t, Disj(a, b)
+    raise ValueError(f"no iplus rule {number}")
 
 
 def quantum_rule_instance(number, rng, size=6):
@@ -465,12 +433,10 @@ def quantum_rule_instance(number, rng, size=6):
         return {}, OneElim(ScalarStar(sa), gen(goal)), goal
     if number == 20:
         return {}, App(Lam(a, Abs("x", gen(goal, [(0, a)]))), gen(a)), goal
-    if number in (21, 22, 23, 24, 25, 26, 27):
+    if 21 <= number <= 27:
         node = Case if number <= 23 else CaseNd
-        kind = {21: "l", 22: "r", 23: "lr", 24: "l", 25: "r",
-                26: "lr", 27: "lr"}[number]
-        scrut = {"l": lambda: Inl(gen(a)), "r": lambda: Inr(gen(b)),
-                 "lr": lambda: Inlr2(gen(a), gen(b))}[kind]()
+        scrut = _injection((Inl, Inr, Inlr2, Inl, Inr, Inlr2,
+                            Inlr2)[number - 21], gen, a, b)
         if number in (26, 27):
             # measurement waits for irreducible components
             scrut = Inlr2(*(normalize(c, RULES_QUANTUM_DET).final
@@ -485,21 +451,16 @@ def quantum_rule_instance(number, rng, size=6):
                 Lam(a, Abs("y", gen(b, [(0, a)]))))
         return {}, t, Lollipop(a, b)
     if 30 <= number <= 38:
-        intro = {"l": lambda: Inl(gen(a)), "r": lambda: Inr(gen(b)),
-                 "lr": lambda: Inlr2(gen(a), gen(b))}
-        shapes = {30: ("l", "l"), 31: ("l", "r"), 32: ("l", "lr"),
-                  33: ("r", "l"), 34: ("r", "r"), 35: ("r", "lr"),
-                  36: ("lr", "l"), 37: ("lr", "r"), 38: ("lr", "lr")}
-        lhs, rhs = shapes[number]
-        return {}, Sum(intro[lhs](), intro[rhs]()), OPlus(a, b)
+        _, left, right, _ = SUM_INJECTIONS[number - 30]
+        t = Sum(_injection(left, gen, a, b), _injection(right, gen, a, b))
+        return {}, t, OPlus(a, b)
     if number == 39:
         return {}, Prod(sa, ScalarStar(sb)), One()
     if number == 40:
         return {}, Prod(sa, Lam(a, Abs("x", gen(b, [(0, a)])))), \
             Lollipop(a, b)
-    if number in (41, 42, 43):
-        inner = {41: lambda: Inl(gen(a)), 42: lambda: Inr(gen(b)),
-                 43: lambda: Inlr2(gen(a), gen(b))}[number]()
+    if 41 <= number <= 43:
+        inner = _injection((Inl, Inr, Inlr2)[number - 41], gen, a, b)
         return {}, Prod(sa, inner), OPlus(a, b)
     raise ValueError(f"no quantum rule {number}")
 
@@ -531,19 +492,8 @@ def cc_rule_instance(number, rng, size=6):
                      Abs("q", gen(right_goal,
                                   {**extra, k: scrut_prop.right})))
 
-    if number == 1:
-        return ctx, TopElim(Star(), gen(goal)), goal
-    if number == 2:
-        return ctx, App(Lam(e, Abs("x", gen(goal, {0: e}))), gen(e)), goal
-    if number in (3, 4):
-        node = AndElim1 if number == 3 else AndElim2
-        bound = e if number == 3 else f
-        return ctx, node(Pair(gen(e), gen(f)),
-                         Abs("x", gen(goal, {0: bound}))), goal
-    if number in (5, 6):
-        scrut = Inl(gen(e)) if number == 5 else Inr(gen(f))
-        return ctx, Case(scrut, Abs("x", gen(goal, {0: e})),
-                         Abs("y", gen(goal, {0: f}))), goal
+    if 1 <= number <= 6:
+        return ctx, _cut(number, gen, goal, e, f), goal
     if number == 7:
         u1 = gen(b1, {0: a1})
         u2 = gen(b2, {0: a2})

@@ -56,14 +56,6 @@ def dim(p: Proposition) -> int:
     return n
 
 
-def is_vector_prop(p: Proposition) -> bool:
-    try:
-        dim(p)
-    except NotVectorProp:
-        return False
-    return True
-
-
 def _scalars(t: Term, p: Proposition, mismatch) -> tuple:
     """The offsets and the values of the scalars of the irreducible value t
     of the vector proposition p, left to right, by one walk of t against p
@@ -111,12 +103,11 @@ def to_vector(t: Term, p: Proposition) -> np.ndarray:
     The term is normalized first; the denotation is defined on the
     irreducible form.
     """
-    if not is_vector_prop(p):
-        raise NotVectorProp(p)
+    n = dim(p)
     tr = normalize(t, RULES_QUANTUM_DET)
     if tr.outcome.kind != "normal-form":
         raise EncodeError(f"term does not normalize: {tr.outcome.kind}")
-    out = np.zeros(dim(p), dtype=np.complex128)
+    out = np.zeros(n, dtype=np.complex128)
     offsets, values = _scalars(tr.final, p, lambda s, q: EncodeError(
         f"shape mismatch against {print_prop(q)}: {print_term(s)}"))
     out[offsets] = values
@@ -125,8 +116,7 @@ def to_vector(t: Term, p: Proposition) -> np.ndarray:
 
 def norm_sq(t: Term, prop: Proposition) -> float:
     """Squared norm of a closed irreducible proof of a vector proposition."""
-    if not is_vector_prop(prop):
-        raise NotVectorProp(prop)
+    dim(prop)  # NotVectorProp at the first sub-proposition out of place
     if not is_closed(t) or not is_normal(t, RULES_QUANTUM):
         raise NotIrreducible(print_term(t))
     _scalars(t, prop, lambda s, q: NotIrreducible(print_term(s)))

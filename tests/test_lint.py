@@ -1,5 +1,6 @@
 """Source checks on the package: which functions may call themselves,
-where node fields are declared and where a frozen node is written."""
+where gen draws from its rng, where node fields are declared and where a
+frozen node is written."""
 
 import ast
 import pathlib
@@ -7,6 +8,7 @@ import pathlib
 import pytest
 
 import inlr_kit
+from inlr_kit import gen
 from inlr_kit.syntax import Proposition, Term
 
 SRC = pathlib.Path(inlr_kit.__file__).parent
@@ -15,11 +17,14 @@ SRC = pathlib.Path(inlr_kit.__file__).parent
 # stack.  These recurse, each bounded by an argument its caller chooses:
 # gen's generators by their size budget or depth.
 ALLOWED = {
-    "gen._consume_min", "gen._consume_term", "gen._gen_i", "gen._gen_q",
-    "gen._minimal", "gen._produce_min_q", "gen._provable",
+    "gen._consume_term", "gen._gen_i", "gen._gen_q", "gen._provable",
     "gen.random_any_prop", "gen.random_provable_prop",
     "gen.random_quantum_prop",
 }
+
+# gen's decisions all pass through these, which without an rng take their
+# first option: that is how a spent budget builds the smallest proof
+DRAWS = {"_pick", "_coin", "_roll"}
 
 
 def _trees():
@@ -70,6 +75,38 @@ def test_only_the_bounded_functions_recurse():
     for module, tree in _trees():
         found |= _self_recursive(module, tree)
     assert found == ALLOWED
+
+
+def _rng_calls(tree: ast.AST) -> set:
+    """The top-level functions and classes that call an rng method,
+    integers or random, on any object; "<module>" for other statements."""
+    return {getattr(stmt, "name", "<module>") for stmt in tree.body
+            for call in ast.walk(stmt)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Attribute)
+            and call.func.attr in ("integers", "random")}
+
+
+def test_the_lint_sees_rng_calls():
+    tree = ast.parse("def f(rng):\n    return rng.integers(3)\n"
+                     "def g(r):\n    return [r.random() for _ in 'ab']\n"
+                     "def h(rng):\n    return f(rng)\n"
+                     "class C:\n    def m(self):\n"
+                     "        return self.rng.random()\n"
+                     "draw = lambda rng: rng.integers(2)\n")
+    assert _rng_calls(tree) == {"f", "g", "C", "<module>"}
+
+
+def test_gen_draws_only_through_its_three_helpers():
+    assert _rng_calls(dict(_trees())["gen"]) == DRAWS
+
+
+def test_the_term_generators_build_no_closure_per_call():
+    # they run once per generated node, in props' largest layer, so a
+    # call builds no function over its arguments (in Python 3.11 a
+    # comprehension that reads a local is one)
+    for fn in (gen._gen_i, gen._gen_q, gen._consume_term):
+        assert fn.__code__.co_cellvars == ()
 
 
 def test_no_class_body_assigns_a_shape():

@@ -44,15 +44,16 @@ def test_dim_rejects_non_vector_props():
 
 
 def test_not_vector_prop_is_one_encode_error():
-    # dim, to_vector and norm_sq raise one class, naming the proposition in
-    # concrete syntax
-    p, t = qp("One -o One"), q("lam x:One. x")
-    for call in (lambda: dim(p), lambda: to_vector(t, p),
-                 lambda: norm_sq(t, p)):
-        with pytest.raises(NotVectorProp) as exc:
-            call()
-        assert isinstance(exc.value, EncodeError)
-        assert str(exc.value) == "not a vector proposition: One -o One"
+    # dim, to_vector and norm_sq raise one class, naming the first
+    # sub-proposition out of place in concrete syntax
+    t = q("lam x:One. x")
+    for p in (qp("One -o One"), qp("One (+) (One -o One)")):
+        for call in (lambda: dim(p), lambda: to_vector(t, p),
+                     lambda: norm_sq(t, p)):
+            with pytest.raises(NotVectorProp) as exc:
+                call()
+            assert isinstance(exc.value, EncodeError)
+            assert str(exc.value) == "not a vector proposition: One -o One"
 
 
 # ---------------------------------------------------------------------------
