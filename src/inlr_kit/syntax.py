@@ -679,26 +679,50 @@ def alpha_eq(t: Term, u: Term) -> bool:
 # ---------------------------------------------------------------------------
 # Reader
 #
-# One pass of a regular expression cuts the text into (kind, text, offset)
-# tuples, and one loop over an explicit stack of frames reads a term from
-# them, so neither the token count nor the nesting depth costs Python
-# stack.  Line and column are worked out from the offset only when an
-# error is raised.
+# One `findall` of a regular expression cuts the text into the list of its
+# token texts, and one loop over an explicit stack of frames reads a term
+# from them, so neither the token count nor the nesting depth costs Python
+# stack.  A token's kind is read from its text.  The parser keeps token
+# indices; an index's offset, and from it the line and column, is worked
+# out by a rescan with the same pattern only when an error is raised.
 
+# The one group holds a token; a comment matches outside it, and whitespace,
+# which no alternative matches, is skipped by the search.  Any other
+# character is a token of its own, an unexpected one.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<comment>--[^\n]*)
-    | (?P<number>[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<conn>""" + "|".join(map(re.escape, _CONNECTIVES)) + r""")
-    | (?P<punct>[()\[\],.:])
-    | (?P<other>.)
+      --[^\n]*
+    | ( [+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?
+      | [A-Za-z_][A-Za-z0-9_]*
+      | """ + "|".join(map(re.escape, _CONNECTIVES)) + r"""
+      | [()\[\],.:]
+      | \S
+      )
     """,
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE,
 )
 
+# The kinds of the fixed tokens; "" is end of input.  Any other token is an
+# ident if it starts with one of _IDENT_START, else a number.
+_FIXED = {"": "eof", **dict.fromkeys("()[],.:", "punct"),
+          **dict.fromkeys(_CONNECTIVES, "conn")}
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                         "abcdefghijklmnopqrstuvwxyz_")
+
 _RESERVED = {"star", "lam", *_FORMS, *_PROP_WORDS}
+
+
+def _split_slot(forms):
+    """The first slot at which the classes of one keyword differ in kind,
+    which tells them apart: inlr's second, a term in the plain form and a
+    binder argument in the binder form.  None for a keyword of one class."""
+    if len(forms) > 1:
+        kinds = zip(*([kind for _, kind in f._shape] for f in forms))
+        return next(i for i, ks in enumerate(kinds) if len(set(ks)) > 1)
+
+
+_SPLIT = {word: _split_slot(forms) for word, forms in _FORMS.items()}
+
 
 # The parser looks at most this many tokens past the one it stands on, and
 # it never moves past the first end-of-input token.
@@ -713,26 +737,55 @@ class ParseError(Exception):
         self.col = col
 
 
+def _kind(tok: str) -> str:
+    """The kind of a token, from its text."""
+    kind = _FIXED.get(tok)
+    if kind is None:
+        kind = "ident" if tok[0] in _IDENT_START else "number"
+    return kind
+
+
+def _unexpected(tok: str) -> bool:
+    """Whether a token is an unexpected character: one character that is
+    no fixed token and starts no ident and no number."""
+    return (len(tok) == 1 and tok not in _FIXED and tok not in _IDENT_START
+            and not tok.isdecimal())
+
+
+def _token_matches(text: str):
+    """The matches of the tokens of a text, in order, comments left out:
+    the rescan that finds a token's offset."""
+    return (m for m in _TOKEN_RE.finditer(text) if m.group(1) is not None)
+
+
 def _position(text: str, offset: int):
     """The line and the column, both counted from 1, of a text offset."""
     return (text.count("\n", 0, offset) + 1,
             offset - text.rfind("\n", 0, offset))
 
 
+def _token_position(text: str, index: int):
+    """The line and the column of the token at an index; an end-of-input
+    token stands at the end of the text."""
+    m = next(itertools.islice(_token_matches(text), index, None), None)
+    return _position(text, len(text) if m is None else m.start())
+
+
 def _tokenize(text: str) -> list:
-    """The (kind, text, offset) of every token, then end-of-input tokens
-    enough for any lookahead."""
-    toks = []
-    append = toks.append
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws" or kind == "comment":
-            continue
-        if kind == "other":
-            raise ParseError(f"unexpected character {m.group()!r}",
-                             *_position(text, m.start()))
-        append((kind, m.group(), m.start()))
-    toks += [("eof", "", len(text))] * (1 + _LOOKAHEAD)
+    """The text of every token, then end-of-input tokens ("") enough for
+    any lookahead.
+
+    Raises ParseError at the first unexpected character, found by a
+    rescan only when the token texts hold one.
+    """
+    toks = _TOKEN_RE.findall(text)
+    if "--" in text:
+        toks = [tok for tok in toks if tok]  # a comment leaves ''
+    if any(map(_unexpected, set(toks))):
+        m = next(m for m in _token_matches(text) if _unexpected(m.group(1)))
+        raise ParseError(f"unexpected character {m.group(1)!r}",
+                         *_position(text, m.start()))
+    toks += [""] * (1 + _LOOKAHEAD)
     return toks
 
 
@@ -758,18 +811,21 @@ class _Spine:
 
 
 class _Call:
-    """A call form reading its slots in _shape order.
+    """A call form, at token index `at`, reading its slots in _shape order.
 
-    `forms` are the classes its keyword can still name and `node` the one
-    it names once that is settled; `args` are the slots read so far and
-    `sep` the punctuation before the next.  While an ABS slot's body is
-    read, `name` is its binder.
+    `forms` are the classes its keyword can still name, `split` the slot
+    that tells them apart, and `node` the one it names once that is
+    settled; `args` are the slots read so far and `sep` the punctuation
+    before the next.  While an ABS slot's body is read, `name` is its
+    binder.
     """
-    __slots__ = ("tok", "forms", "node", "args", "sep", "name", "outer")
+    __slots__ = ("at", "forms", "split", "node", "args", "sep", "name",
+                 "outer")
 
-    def __init__(self, tok, forms):
-        self.tok = tok
+    def __init__(self, at, forms):
+        self.at = at
         self.forms = forms
+        self.split = _SPLIT[forms[0]._word]
         self.node = None
         self.args = []
         self.sep = "("
@@ -789,33 +845,27 @@ class _Parser:
         self.depth = 0
         self.scope: dict[str, int] = {}
 
-    def error(self, message, tok):
-        raise ParseError(message, *_position(self.text, tok[2]))
-
-    def take(self, kind) -> tuple:
-        tok = self.toks[self.i]
-        if tok[0] != kind:
-            self.error(f"expected {kind!r}, found {tok[1]!r}", tok)
-        self.i += 1
-        return tok
+    def error(self, message, at):
+        raise ParseError(message, *_token_position(self.text, at))
 
     def expect(self, text):
         tok = self.toks[self.i]
-        if tok[1] != text:
-            self.error(f"expected {text!r}, found {tok[1]!r}", tok)
+        if tok != text:
+            self.error(f"expected {text!r}, found {tok!r}", self.i)
         self.i += 1
 
     def end(self, made):
         tok = self.toks[self.i]
-        if tok[0] != "eof":
-            self.error(f"trailing input starting at {tok[1]!r}", tok)
+        if tok:
+            self.error(f"trailing input starting at {tok!r}", self.i)
         return made
 
-    def gate(self, node_type, tok):
+    def gate(self, node_type, at):
         if node_type not in _TERM_ALLOWED[self.calculus]:
             raise CalculusError(
                 f"constructor {node_type.__name__} not in "
-                f"{self.calculus} calculus", *_position(self.text, tok[2]))
+                f"{self.calculus} calculus",
+                *_token_position(self.text, at))
 
     # -- propositions --
 
@@ -824,23 +874,20 @@ class _Parser:
 
         The stack holds the open parentheses and, above each, the
         connectives still waiting for their right operands, each with its
-        token and its left operand.  A connective read ends those on top
-        that bind tighter; one of the same precedence waits above them,
-        so connectives associate to the right.  A connective is gated
-        once both its operands are read.
+        token index and its left operand.  A connective read ends those on
+        top that bind tighter; one of the same precedence waits above
+        them, so connectives associate to the right.  A connective is
+        gated once both its operands are read.
         """
         toks = self.toks
         stack = []
         while True:
-            tok = toks[self.i]
-            while tok[1] == "(":
+            while toks[self.i] == "(":
                 stack.append(_PAREN)
                 self.i += 1
-                tok = toks[self.i]
-            made = self.prop_atom(tok)
+            made = self.prop_atom()
             while True:
-                tok = toks[self.i]
-                node = _CONNECTIVES.get(tok[1])
+                node = _CONNECTIVES.get(toks[self.i])
                 level = 0 if node is None else node._level
                 while (stack and stack[-1] is not _PAREN
                        and stack[-1][0]._level > level):
@@ -848,34 +895,35 @@ class _Parser:
                     made = cls(left, made)
                     self.gate_prop(made, at)
                 if node is not None:
+                    stack.append((node, self.i, made))
                     self.i += 1
-                    stack.append((node, tok, made))
                     break
                 if not stack:
                     return made
                 self.expect(")")
                 stack.pop()
 
-    def prop_atom(self, tok) -> Proposition:
-        """The constant or the atom at tok."""
-        kind, text, _ = tok
-        if kind != "ident":
-            self.error(f"expected a proposition, found {text!r}", tok)
+    def prop_atom(self) -> Proposition:
+        """The constant or the atom at the current token."""
+        at = self.i
+        tok = self.toks[at]
+        if _kind(tok) != "ident":
+            self.error(f"expected a proposition, found {tok!r}", at)
         self.i += 1
-        if text in _PROP_WORDS:
-            made = _PROP_WORDS[text]()
-        elif text in _RESERVED:
-            self.error(f"reserved word {text!r} is not a proposition", tok)
+        if tok in _PROP_WORDS:
+            made = _PROP_WORDS[tok]()
+        elif tok in _RESERVED:
+            self.error(f"reserved word {tok!r} is not a proposition", at)
         else:
-            made = Atom(text)
-        self.gate_prop(made, tok)
+            made = Atom(tok)
+        self.gate_prop(made, at)
         return made
 
-    def gate_prop(self, p, tok):
+    def gate_prop(self, p, at):
         if not isinstance(p, _PROP_ALLOWED[self.calculus]):
             raise CalculusError(
                 f"connective {type(p).__name__} not in {self.calculus} "
-                "propositions", *_position(self.text, tok[2]))
+                "propositions", *_token_position(self.text, at))
 
     def bracketed(self) -> Proposition:
         self.expect("[")
@@ -885,45 +933,49 @@ class _Parser:
 
     # -- scalars --
 
-    def number(self) -> float:
-        tok = self.take("number")
-        value = float(tok[1])
+    def number(self, wanted="'number'") -> float:
+        tok = self.toks[self.i]
+        if tok in _FIXED or tok[0] in _IDENT_START:  # not a number
+            self.error(f"expected {wanted}, found {tok!r}", self.i)
+        value = float(tok)
         if not math.isfinite(value):
-            self.error(f"scalar {tok[1]} is not finite", tok)
+            self.error(f"scalar {tok} is not finite", self.i)
+        self.i += 1
         return value
 
     def scalar(self) -> complex:
-        tok = self.toks[self.i]
-        if tok[0] == "number":
-            return complex(self.number(), 0.0)
-        if tok[1] == "(":
-            self.i += 1
-            re_part = self.number()
-            self.expect(",")
-            im_part = self.number()
-            self.expect(")")
-            return complex(re_part, im_part)
-        self.error(f"expected a scalar, found {tok[1]!r}", tok)
+        if self.toks[self.i] != "(":
+            return complex(self.number("a scalar"), 0.0)
+        self.i += 1
+        re_part = self.number()
+        self.expect(",")
+        im_part = self.number()
+        self.expect(")")
+        return complex(re_part, im_part)
 
-    def scalar_star(self, tok) -> Term:
+    def scalar_star(self) -> Term:
+        at = self.i
         value = self.scalar()
         self.expect(".")
         self.expect("star")
-        self.gate(ScalarStar, tok)
+        self.gate(ScalarStar, at)
         return ScalarStar(value)
 
     # -- binders --
 
     def binder_name(self) -> str:
-        tok = self.take("ident")
-        if tok[1] in _RESERVED:
-            self.error(f"reserved word {tok[1]!r} cannot bind", tok)
-        return tok[1]
+        tok = self.toks[self.i]
+        if _kind(tok) != "ident":
+            self.error(f"expected 'ident', found {tok!r}", self.i)
+        if tok in _RESERVED:
+            self.error(f"reserved word {tok!r} cannot bind", self.i)
+        self.i += 1
+        return tok
 
     def at_binder_arg(self) -> bool:
         tok = self.toks[self.i]
-        return (tok[0] == "ident" and tok[1] not in _RESERVED
-                and self.toks[self.i + 1][1] == ".")
+        return (_kind(tok) == "ident" and tok not in _RESERVED
+                and self.toks[self.i + 1] == ".")
 
     def enter(self, frame, name):
         """'.' and then name bound over the term read next; the frame
@@ -957,11 +1009,10 @@ class _Parser:
         stack = [None]
         start = True  # a term starts here, so a lambda may
         while True:
-            tok = toks[self.i]
-            if start and tok[1] == "lam":
-                stack.append(self.lam(tok))
+            if start and toks[self.i] == "lam":
+                stack.append(self.lam())
                 continue
-            made = self.atom(tok, stack)
+            made = self.atom(stack)
             if made is None:
                 start = True
                 continue
@@ -972,8 +1023,9 @@ class _Parser:
                 spine = type(top) is _Spine
                 if spine:
                     top.fn = App(top.fn, made)
-                kind, text, _ = toks[self.i]
-                if kind == "ident" or kind == "number" or text == "(":
+                tok = toks[self.i]
+                # an ident, a number or '(' starts the next argument
+                if tok not in _FIXED or tok == "(":
                     if not spine:
                         stack.append(_Spine(made))
                     start = False
@@ -1005,57 +1057,58 @@ class _Parser:
                     break
                 stack.pop()
 
-    def lam(self, tok) -> _Lam:
+    def lam(self) -> _Lam:
         """'lam x:P.' or 'lam x.', as the frame of the lambda's body."""
+        self.gate(Lam, self.i)
         self.i += 1
-        self.gate(Lam, tok)
         name = self.binder_name()
         ann = None
-        if self.toks[self.i][1] == ":":
+        if self.toks[self.i] == ":":
             self.i += 1
             ann = self.prop()
         frame = _Lam(ann)
         self.enter(frame, name)
         return frame
 
-    def atom(self, tok, stack):
-        """The atom at tok; or None when it opens a parenthesis or a call
-        form, whose frame is pushed."""
-        kind, text, _ = tok
-        if kind == "ident":
-            if text not in _RESERVED:
+    def atom(self, stack):
+        """The atom at the current token; or None when it opens a
+        parenthesis or a call form, whose frame is pushed."""
+        at = self.i
+        tok = self.toks[at]
+        if tok not in _FIXED:
+            if tok[0] not in _IDENT_START:  # a number
+                return self.scalar_star()
+            if tok not in _RESERVED:
                 self.i += 1
-                level = self.scope.get(text)
-                return Var(text) if level is None else Bound(self.depth - level)
-            if text == "star":
+                level = self.scope.get(tok)
+                return Var(tok) if level is None else Bound(self.depth - level)
+            if tok == "star":
                 self.i += 1
-                self.gate(Star, tok)
+                self.gate(Star, at)
                 return Star()
-            if text == "lam":
-                self.error("a lambda must be parenthesized here", tok)
+            if tok == "lam":
+                self.error("a lambda must be parenthesized here", at)
             self.i += 1
-            forms = _FORMS.get(text)
+            forms = _FORMS.get(tok)
             if forms is None:  # a proposition constant
                 self.expect("(")
-                self.error(f"unknown form {text!r}", tok)
-            call = _Call(tok, forms)
+                self.error(f"unknown form {tok!r}", at)
+            call = _Call(at, forms)
             stack.append(call)
             made = self.slots(call)
             if made is not None:
                 stack.pop()
             return made
-        if kind == "number":
-            return self.scalar_star(tok)
-        if text == "(":
+        if tok == "(":
             # "(re, im) . star" starts like a parenthesized term; a number
             # followed by a comma settles it.
-            i = self.i
-            if self.toks[i + 1][0] == "number" and self.toks[i + 2][1] == ",":
-                return self.scalar_star(tok)
-            self.i = i + 1
+            toks = self.toks
+            if _kind(toks[at + 1]) == "number" and toks[at + 2] == ",":
+                return self.scalar_star()
+            self.i = at + 1
             stack.append(_PAREN)
             return None
-        self.error(f"expected a term, found {text!r}", tok)
+        self.error(f"expected a term, found {tok!r}", at)
 
     def slots(self, call: _Call):
         """Read the call form's slots up to its next TERM or ABS slot and
@@ -1064,8 +1117,8 @@ class _Parser:
 
         A PROP slot comes as [P] before the parenthesis.  The calculus gate
         runs when the constructor is known, just before its slot is read:
-        the first one, or for inlr the second, where a binder argument
-        tells the binder form from the plain one.
+        the first one, or at the split slot, where a binder argument tells
+        inlr's binder form from the plain one.
         """
         forms, node, args = call.forms, call.node, call.args
         while node is None or len(args) < len(node._shape):
@@ -1075,13 +1128,13 @@ class _Parser:
                 self.expect(call.sep)
                 call.sep = ","
             if node is None:
-                if any(f._shape[i][1] != kind for f in forms):
+                if i == call.split:
                     kind = ABS if self.at_binder_arg() else TERM
                     forms = call.forms = [f for f in forms
                                           if f._shape[i][1] == kind]
                 if len(forms) == 1:
                     node = call.node = forms[0]
-                    self.gate(node, call.tok)
+                    self.gate(node, call.at)
             if kind == TERM:
                 return None
             if kind == ABS:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inlr_kit import gen, qencode
+from inlr_kit import gen, qencode, syntax
 from inlr_kit.cc import explore
 from inlr_kit.rng import derive_rng
 from inlr_kit.syntax import (ABS, CALCULI, PROP, SCALAR, TERM, _CONNECTIVES,
@@ -151,6 +151,148 @@ def test_reader_fuzz(text):
                           print_term)
         _outcome_is_sound(text, lambda s: parse_prop(s, calculus),
                           print_prop)
+
+
+# ---------------------------------------------------------------------------
+# the token list and the rescan that gives its positions
+
+# A reference tokenizer written apart from the reader's: one named group
+# per kind, and a finditer that yields whitespace too.  The token list and
+# the rescan are both held to it.
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>\s+)
+    | (?P<comment>--[^\n]*)
+    | (?P<number>[+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<conn>=>|/\\|\\/|-o|\(\+\))
+    | (?P<punct>[()\[\],.:])
+    | (?P<other>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def _reference_tokens(text):
+    """(kind, text, offset) of every token, whitespace and comments left
+    out and an unexpected character kept as kind 'other'."""
+    return [(m.lastgroup, m.group(), m.start())
+            for m in _REFERENCE_TOKEN_RE.finditer(text)
+            if m.lastgroup not in ("ws", "comment")]
+
+
+def _line_col(text, offset):
+    lines = text[:offset].split("\n")
+    return len(lines), len(lines[-1]) + 1
+
+
+# Token fragments, glued with no space between them, so that one may run
+# into the next: signs before digits, '--' before 'o', 'e' after a number.
+_FRAGMENTS = [
+    "x", "y1", "_a", "e", "o", "E5", "lam", "inlr", "star", "One",
+    "1", "1.0", "-2", "+3", "1e5", "0.5e-3", "2E+7", "7.", ".5",
+    "\u0663", "\u0661.\u0662",
+    "-o", "(+)", "=>", "/\\", "\\/", "(", ")", "[", "]", ",", ".", ":",
+    "-", "+", "=", "/", "\\", ">", "(+", "-- c", "--o", "---", "--\n",
+    " ", "\t", "\r", "\n", "\r\n", "\u00a0", "\u3000",
+    "@", "$", "\u00e9", "\u03bb", "'"]
+
+
+def _random_text(rng, size):
+    return "".join(_FRAGMENTS[k] for k in rng.integers(
+        0, len(_FRAGMENTS), size))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_token_list_matches_its_rescan(seed):
+    # the fast list of token texts, the rescan that finds positions on an
+    # error and the reference tokenizer agree on every token text and on
+    # the line and column of the first unexpected character
+    rng = derive_rng(107, seed)
+    bad_seen = clean_seen = 0
+    for _ in range(400):
+        text = _random_text(rng, int(rng.integers(0, 30)))
+        ref = _reference_tokens(text)
+        rescan = list(syntax._token_matches(text))
+        assert [m.group(1) for m in rescan] == [t for _, t, _ in ref], text
+        assert [m.start() for m in rescan] == [o for _, _, o in ref], text
+        bad = [o for kind, _, o in ref if kind == "other"]
+        assert [m.start() for m in rescan
+                if syntax._unexpected(m.group(1))] == bad, text
+        try:
+            toks = syntax._tokenize(text)
+        except ParseError as e:
+            assert bad, text
+            assert (e.line, e.col) == _line_col(text, bad[0]), text
+            bad_seen += 1
+            continue
+        assert not bad, text
+        clean_seen += 1
+        end = len(toks) - 1 - syntax._LOOKAHEAD
+        assert toks[end:] == [""] * (1 + syntax._LOOKAHEAD)
+        assert toks[:end] == [t for _, t, _ in ref], text
+        assert [syntax._kind(t) for t in toks[:end]] == [
+            kind for kind, _, _ in ref], text
+        for k in range(end + 1):
+            offset = ref[k][2] if k < end else len(text)
+            assert (syntax._token_position(text, k)
+                    == _line_col(text, offset)), (text, k)
+    assert bad_seen > 100 and clean_seen > 100
+
+
+def test_a_digit_outside_ascii_reads_as_a_number():
+    # \d takes any decimal digit, so the reader's kinds do too
+    assert q("\u0663 . star") == ScalarStar(3 + 0j)
+    assert q("(\u0661.5, -\u0662) . star") == ScalarStar(1.5 - 2j)
+
+
+def _matvec_term(d):
+    rng = derive_rng(108, d)
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    p = qencode.qn_prop(d.bit_length() - 1)
+    return qencode.compile_matrix(m, p, p)
+
+
+@pytest.mark.parametrize("d", [8, 16, 32, 64])
+def test_compiled_matrices_round_trip(d):
+    # the sizes matvec reads: the term back, its node count and its text
+    t = _matvec_term(d)
+    text = print_term(t)
+    u = parse_term(text, "quantum")
+    assert u == t
+    assert term_size(u) == term_size(t)
+    assert print_term(u) == text
+
+
+def test_a_position_deep_in_a_compiled_matrix():
+    # an error on the last line of a large text: its position, recovered by
+    # a rescan, is the line and the column of the character
+    text = print_term(_matvec_term(64)).replace(
+        " . star, ", " . star,\n  ")
+    lines = text.split("\n")
+    assert len(lines) > 2000
+    # an unexpected character, found by the tokenizer's rescan
+    k = text.rindex("star")
+    bad = text[:k] + "st@r" + text[k + 4:]
+    with pytest.raises(ParseError) as e:
+        parse_term(bad, "quantum")
+    assert (e.value.line, e.value.col) == (len(lines),
+                                           lines[-1].rindex("star") + 3)
+    assert e.value.message == "unexpected character '@'"
+    # a parse error at a token index, found by the parser's rescan
+    wrong = text[:k] + "stor" + text[k + 4:]
+    with pytest.raises(ParseError) as e:
+        parse_term(wrong, "quantum")
+    assert (e.value.line, e.value.col) == (len(lines),
+                                           lines[-1].rindex("star") + 1)
+    assert e.value.message == "expected 'star', found 'stor'"
+    # a constructor gated out of the calculus, at the parser's last call
+    k = text.rindex("inlr(")
+    gated = text[:k] + "pair(" + text[k + 5:]
+    with pytest.raises(CalculusError) as e:
+        parse_term(gated, "quantum")
+    assert (e.value.line, e.value.col) == _line_col(text, k)
+    assert e.value.line > 2000
 
 
 # ---------------------------------------------------------------------------
@@ -916,6 +1058,16 @@ _LAYOUTS = [
     "prod((1.0,\n 2.0),\n\tx) y\n)",
     "sum(\n  1.0 . star,\n  2.0 .\n  x)",
     "inlr(1.0 . star, -- left\n  2.0 . star) -- right\n\n",
+    "sum(star, star) @",
+    "lam x:A. x\n  -- ok @\n  @",
+    "+",
+    "-",
+    "=",
+    "/",
+    "\\",
+    "\u00e9",
+    "(1.0, -o) . star",
+    "(1.0, (+)) . star",
 ]
 
 
