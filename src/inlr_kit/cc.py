@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .iplus import CUTS
-from .rewrite import (ND_CHOICE, Cursor, Rule, RuleId, RuleSet,
-                      register_default_ruleset, step_at)
+from .rewrite import (Cursor, Rule, RuleId, RuleSet, register_default_ruleset,
+                      step_at)
 from .syntax import (Abs, AndElim1, AndElim2, App, Bound, BotElim, Case, Conj,
                      Disj, Impl, Inl, Inlr3, Inr, Lam, Pair, Star, Term, Top,
                      TopElim, Var, alpha_eq, instantiate, parse_term,
@@ -63,10 +63,10 @@ def _case_inlr3(t):
 
 # -- rules 8-12: bottom-elimination against the result proposition ------------
 
-def _bot_rule(n, name, target, build, **kw):
+def _bot_rule(n, name, target, build):
     """A bottom-elimination rule for one result connective."""
     return _rule(n, name, (BotElim,), build,
-                 guard=lambda t: isinstance(t.prop, target), **kw)
+                 guard=lambda t: isinstance(t.prop, target))
 
 
 def _bot_lam(t):
@@ -280,9 +280,9 @@ RULES_CC = register_default_ruleset(RuleSet("cc", "cc", (
               lambda t: Pair(BotElim(t.prop.left, t.scrut),
                              BotElim(t.prop.right, t.scrut))),
     _bot_rule(11, "bot-disj-inl", Disj,
-              lambda t: Inl(BotElim(t.prop.left, t.scrut)), group=ND_CHOICE),
+              lambda t: Inl(BotElim(t.prop.left, t.scrut))),
     _bot_rule(12, "bot-disj-inr", Disj,
-              lambda t: Inr(BotElim(t.prop.right, t.scrut)), group=ND_CHOICE),
+              lambda t: Inr(BotElim(t.prop.right, t.scrut))),
     # figure II: top-elimination
     _rule(13, "top-star", (TopElim, None, Star), lambda t: Star()),
     _rule(14, "top-lam", (TopElim, None, Lam), _top_lam),

@@ -33,10 +33,10 @@ from typing import NamedTuple
 
 from .syntax import Inl, Inlr2, Inr, ScalarStar, Term, alpha_eq
 
-# nd-family tags
+# nd-family tags, quantum's alone; at a redex of untagged rules the engine
+# takes the first listed (cc's bot_elim at a disjunction: 11, not 12)
 ND_PAIR = "nd-inlr"      # probabilistic pair (quantum 26/27)
 ND_SINGLE = "nd-single"  # non-deterministic in name only (quantum 24/25)
-ND_CHOICE = "nd-choice"  # unweighted alternatives (cc bottom-elimination)
 
 
 @dataclass(frozen=True)
@@ -264,8 +264,8 @@ def _alternatives(redex, here):
     The probabilistic pair fires only on irreducible components (its
     guard), so its weights are the squared norms of the very values the
     branches receive; components that are not vector values give weight
-    None and a uniform draw.  An ND_SINGLE rule is certain.  Other rules
-    carry no weight, and the engine takes the first listed.
+    None and a uniform draw.  An ND_SINGLE rule is certain, and the first
+    rule of any other redex carries no weight.
     """
     first = here[0]
     if first.group == ND_PAIR:
@@ -279,9 +279,7 @@ def _alternatives(redex, here):
         if total == 0.0:
             raise ZeroNormStuck("both branch weights are zero")
         return [(left, wl / total), (right, wr / total)]
-    if first.group == ND_SINGLE:
-        return [(first, 1.0)]
-    return [(r, None) for r in here]
+    return [(first, 1.0 if first.group == ND_SINGLE else None)]
 
 
 def _draw(alternatives, rng):
@@ -454,7 +452,7 @@ class Cursor:
             old = kids[i]
             kids[i] = u
             u = node._rebuild(node, kids)
-            u._store("_hash", h)
+            u._hash = h
             kids[i] = old
         return u
 

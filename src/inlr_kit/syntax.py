@@ -43,7 +43,9 @@ PROP = "prop"
 
 
 class Node:
-    """A proposition or a proof term: a frozen dataclass per constructor.
+    """A proposition or a proof term: a plain dataclass per constructor,
+    declared here once the class is defined.  A node's fields are never
+    written after construction, only its caches.
 
     Equality and hashing are defined here once, structurally, for both
     families; the subclasses generate neither.  Binder hints are left out
@@ -64,8 +66,8 @@ class Node:
     `_hash`, the structural hash, is stored by the first `hash(t)` from
     `_key(t)`: the class, the children's stored hashes and the other
     fields; `_key_at[i]` is the index of path-child i's hash in it.  It is
-    a cache outside the dataclass fields, written only through `_store`,
-    so `==` and `repr` never read it.
+    a cache outside the dataclass fields, so `==` and `repr` never read
+    it.
     """
 
     _hash = None
@@ -98,6 +100,7 @@ class Node:
             name + ".body._hash" if kind == ABS else name
             for name, kind in cls._fields)))
         cls._key_at = tuple(1 + fields.index(f) for f in cls._paths)
+        dataclass(eq=False)(cls)  # the equality and the hash stay Node's
 
     def __hash__(self):
         h = self._hash
@@ -133,9 +136,6 @@ class Node:
                     return False
         return True
 
-    # t._store(name, value) writes one cache entry, and no per-node dict
-    _store = object.__setattr__
-
 
 def _store_hashes(t: Node) -> int:
     """Store the hash of t and of every node below it that has none.
@@ -150,7 +150,7 @@ def _store_hashes(t: Node) -> int:
         node = pop()
         if type(node) is tuple:  # the exit mark of a node
             node = node[0]
-            node._store("_hash", hash(node._key(node)))
+            node._hash = hash(node._key(node))
         elif node._hash is None:
             push((node,))
             stack += node._kids(node)
@@ -185,10 +185,6 @@ def _rebuilder(cls):
     return rebuild
 
 
-# Constructors: frozen, with the equality and the hash of Node
-_node = dataclass(frozen=True, eq=False)
-
-
 # ---------------------------------------------------------------------------
 # Propositions
 
@@ -214,22 +210,18 @@ class Proposition(Node):
             _PROP_WORDS[cls._word] = cls
 
 
-@_node
 class Top(Proposition):
     _word = "Top"
 
 
-@_node
 class Bot(Proposition):
     _word = "Bot"
 
 
-@_node
 class One(Proposition):
     _word = "One"
 
 
-@_node
 class Atom(Proposition):
     name: str
 
@@ -238,41 +230,35 @@ class Atom(Proposition):
             raise ValueError("atom names must be nonempty")
 
 
-@_node
 class MetaProp(Proposition):
     """A type checker's unification placeholder, printed as ?<mid>."""
     mid: int
 
 
-@_node
 class Impl(Proposition):
     left: Proposition
     right: Proposition
     _symbol, _level = "=>", 1
 
 
-@_node
 class Conj(Proposition):
     left: Proposition
     right: Proposition
     _symbol, _level = "/\\", 3
 
 
-@_node
 class Disj(Proposition):
     left: Proposition
     right: Proposition
     _symbol, _level = "\\/", 2
 
 
-@_node
 class Lollipop(Proposition):
     left: Proposition
     right: Proposition
     _symbol, _level = "-o", 1
 
 
-@_node
 class OPlus(Proposition):
     left: Proposition
     right: Proposition
@@ -311,9 +297,8 @@ class Term(Node):
     proposition, which is data beside its children; `str` and `int`
     fields are data.
 
-    Beside its `_hash`, each term keeps a cache outside its dataclass
-    fields, written only through `_store`, so `==`, `repr` and the printer
-    never read it:
+    Beside its `_hash`, each term keeps caches outside its dataclass
+    fields, plain attributes that `==`, `repr` and the printer never read:
 
     * `_nf`, the names of the rule tables under which the node holds no
       redex, added by the rewrite engine's walks (`_mark_normal`);
@@ -338,12 +323,12 @@ class Term(Node):
     def _mark_normal(self, table: str):
         """Record that the node holds no redex of the named rule table."""
         if self._nf is None:
-            self._store("_nf", {table})
+            self._nf = {table}
         else:
             self._nf.add(table)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Abs:
     """A binding abstraction: one bound variable plus its body.
 
@@ -363,13 +348,11 @@ class Abs:
         return f"Abs({self.hint!r}, {self.body!r})"
 
 
-@_node
 class Var(Term):
     name: str
     _loose = 0
 
 
-@_node
 class Bound(Term):
     index: int
 
@@ -378,98 +361,83 @@ class Bound(Term):
         return self.index + 1
 
 
-@_node
 class Star(Term):
     _loose = 0
 
 
-@_node
 class ScalarStar(Term):
     value: complex
     _loose = 0
 
 
-@_node
 class Sum(Term):
     left: Term
     right: Term
     _word = "sum"
 
 
-@_node
 class Prod(Term):
     value: complex
     body: Term
     _word = "prod"
 
 
-@_node
 class TopElim(Term):
     scrut: Term
     body: Term
     _word = "top_elim"
 
 
-@_node
 class BotElim(Term):
     prop: Proposition
     scrut: Term
     _word = "bot_elim"
 
 
-@_node
 class Lam(Term):
     ann: Proposition | None
     abs: Abs
 
 
-@_node
 class App(Term):
     fn: Term
     arg: Term
 
 
-@_node
 class Pair(Term):
     left: Term
     right: Term
     _word = "pair"
 
 
-@_node
 class AndElim1(Term):
     scrut: Term
     abs: Abs
     _word = "and1"
 
 
-@_node
 class AndElim2(Term):
     scrut: Term
     abs: Abs
     _word = "and2"
 
 
-@_node
 class Inl(Term):
     body: Term
     _word = "inl"
 
 
-@_node
 class Inr(Term):
     body: Term
     _word = "inr"
 
 
-@_node
 class Inlr2(Term):
     left: Term
     right: Term
     _word = "inlr"
 
 
-@_node
 class Inlr3(Term):
     scrut: Term
     left: Abs
@@ -477,7 +445,6 @@ class Inlr3(Term):
     _word = "inlr"
 
 
-@_node
 class Case(Term):
     scrut: Term
     left: Abs
@@ -485,7 +452,6 @@ class Case(Term):
     _word = "case"
 
 
-@_node
 class CaseNd(Term):
     scrut: Term
     left: Abs
@@ -493,7 +459,6 @@ class CaseNd(Term):
     _word = "case_nd"
 
 
-@_node
 class OneElim(Term):
     scrut: Term
     body: Term
@@ -661,7 +626,7 @@ def instantiate(t: Term, args=(), shift: int = 0) -> Term:
                 for kid, bind in zip(kids, node._binds):
                     if kid._loose - bind > r:
                         r = kid._loose - bind
-                node._store("_loose", r)
+                node._loose = r
             got = node
             for old, kid in zip(kids, new):
                 if old is not kid:

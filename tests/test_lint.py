@@ -1,15 +1,16 @@
 """Source checks on the package: which functions may call themselves,
-where gen draws from its rng, where node fields are declared and where a
-frozen node is written."""
+where gen draws from its rng, where node fields are declared, where the
+node classes become dataclasses and how a node's caches are written."""
 
 import ast
+import dataclasses
 import pathlib
 
 import pytest
 
 import inlr_kit
 from inlr_kit import gen
-from inlr_kit.syntax import Proposition, Term
+from inlr_kit.syntax import Abs, Lam, Node, Proposition, Term
 
 SRC = pathlib.Path(inlr_kit.__file__).parent
 
@@ -130,8 +131,8 @@ def test_no_class_body_assigns_a_shape():
     assert found == []
 
 
-def test_only_node_store_calls_object_setattr():
-    # the frozen nodes' caches are written through Node._store alone
+def test_nothing_calls_object_setattr():
+    # the nodes are plain dataclasses: a cache is a plain attribute write
     found = []
     for module, tree in _trees():
         for node in ast.walk(tree):
@@ -140,13 +141,43 @@ def test_only_node_store_calls_object_setattr():
                     and isinstance(node.value, ast.Name)
                     and node.value.id == "object"):
                 found.append((module, node.lineno))
-    syntax = dict(_trees())["syntax"]
-    store = [stmt.value for cls in syntax.body
-             if isinstance(cls, ast.ClassDef) and cls.name == "Node"
-             for stmt in cls.body if isinstance(stmt, ast.Assign)
-             and [t.id for t in stmt.targets] == ["_store"]]
-    assert [ast.unparse(v) for v in store] == ["object.__setattr__"]
-    assert found == [("syntax", store[0].lineno)]
+    assert found == []
+
+
+def _dataclass_uses(tree) -> list:
+    """The dotted name of the class or function around each reference to
+    `dataclass`, a class's decorators counted as the class's own."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+            elif isinstance(child, ast.Name) and child.id == "dataclass":
+                found.append(where)
+            else:
+                visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_every_node_class_is_a_plain_dataclass():
+    # Node declares the dataclass of every class it derives a shape for:
+    # not frozen, and without a generated == (so without a generated hash)
+    classes, todo = [], [Node]
+    while todo:
+        cls = todo.pop()
+        if cls.__module__.startswith("inlr_kit."):
+            classes.append(cls)
+        todo += cls.__subclasses__()
+    assert Term in classes and Proposition in classes and Lam in classes
+    for cls in [*classes[1:], Abs]:
+        assert dataclasses.is_dataclass(cls), cls
+        params = cls.__dataclass_params__
+        assert not params.eq and not params.frozen, cls
+    uses = _dataclass_uses(dict(_trees())["syntax"])
+    assert sorted(uses) == ["Abs", "Node.__init_subclass__"]
 
 
 _DICT_MUTATORS = {"update", "setdefault", "pop", "popitem", "clear",

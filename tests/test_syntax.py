@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inlr_kit import gen, qencode, syntax
+from inlr_kit import gen, qencode, selftest, syntax
 from inlr_kit.cc import explore
+from inlr_kit.quantum import run_measure
 from inlr_kit.rng import derive_rng
 from inlr_kit.syntax import (ABS, CALCULI, PROP, SCALAR, TERM, _CONNECTIVES,
                              _RESERVED, Abs, AndElim1, AndElim2, App, Atom,
@@ -366,6 +367,36 @@ def test_the_cache_is_not_a_field():
     assert [f.name for f in dataclasses.fields(t)] == ["scrut", "left",
                                                        "right"]
     assert print_term(t) == "case(z, a. inl(a), b. b)"
+
+
+def _guarded_setattr(self, name, value):
+    """A write to a field the node already has is refused; caches pass."""
+    if not name.startswith("_") and name in self.__dict__:
+        raise AttributeError(f"{type(self).__name__}.{name} is immutable")
+    object.__setattr__(self, name, value)
+
+
+def test_no_layer_writes_a_node_field(monkeypatch):
+    # fields are immutable by contract, not by a frozen __setattr__: the
+    # guard stands in for that check while every layer runs under it
+    monkeypatch.setattr(Node, "__setattr__", _guarded_setattr)
+    monkeypatch.setattr(Abs, "__setattr__", _guarded_setattr)
+    with pytest.raises(AttributeError):
+        Inl(Star()).body = Star()
+    with pytest.raises(AttributeError):
+        Abs("x", Bound(0)).body = Star()
+    for name, suite in selftest.SUITES.items():
+        for result in suite(20, 5):
+            assert result.ok, (name, result.line())
+    for i in range(30):
+        t = gen.random_term_in_context("cc", derive_rng(12, i),
+                                       max_size=20)[1]
+        explore(t, 100).to_dot()
+    hist = run_measure(App(qencode.meas_first(2), qencode.from_vector(
+        [1, 2, 3, 4], qencode.qn_prop(2))), shots=1000, seed=5)
+    assert sum(b["count"] for b in hist.bins) == 1000
+    t = _matvec_term(8)
+    assert parse_term(print_term(t), "quantum") == t
 
 
 def test_replace_children_keeps_an_unchanged_abstraction():
