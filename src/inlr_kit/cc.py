@@ -484,7 +484,7 @@ def explore(t: Term, node_budget: int = 500,
                     continue
                 j = len(terms)
                 by_hash.setdefault(hashes[-1], []).append(j)
-                terms.append(cur.plug_hashed(u, hashes))
+                terms.append(cur.plug(u, hashes))
             edges.append((i, j, str(r.rid)))
 
     for i, term in enumerate(terms):

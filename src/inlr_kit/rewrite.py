@@ -11,27 +11,30 @@ one-step peaks for confluence testing.
 
 Matching only inspects constructors, so redexes are found on the nameless
 term as it is.  One cursor does every walk: it keeps the path above its
-focus as a stack of frames, so term depth costs no Python stack.  It
-stops at the first redex in preorder and contracts it in place.  Builders
-take the redex exactly as it sits in the term, its loose de Bruijn
-indices pointing at the binders above it, and return the contractum in
-the same context; they move subterms across binders with
-`syntax.instantiate`, so no binder is opened and capture is impossible.
+focus as a stack of frames, so term depth costs no Python stack, each
+holding its node's position as a cell (`syntax.cell_path`).  It stops at
+the first redex in preorder and contracts it in place, or `plug`s a new
+focus into a copy of the path.  Builders take the redex exactly as it
+sits in the term, its loose de Bruijn indices pointing at the binders
+above it, and return the contractum in the same context; they move
+subterms across binders with `syntax.instantiate`, so no binder is
+opened and capture is impossible.
 A head inspects a node and its children, so a contraction can only turn
 its parent into a redex, unless a guard looks deeper; the search
 therefore resumes at the parent, or at the outermost ancestor whose
 constructor carries a guard, and not at the root.  `normalize` is one
 loop over the cursor: it takes the first matching rule, or weighs a
-non-deterministic family's alternatives and draws one, reads the
-position from the frames and contracts.
+non-deterministic family's alternatives and draws one, keeps the focus's
+cell as the step's position and contracts.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .syntax import Inl, Inlr2, Inr, ScalarStar, Term, alpha_eq
+from .syntax import Inl, Inlr2, Inr, ScalarStar, Term, alpha_eq, cell_path
 
 # nd-family tags, quantum's alone; at a redex of untagged rules the engine
 # takes the first listed (cc's bot_elim at a disjunction: 11, not 12)
@@ -170,34 +173,33 @@ class ZeroNormStuck(Stuck):
 # Traces
 
 
-class Step(NamedTuple):
+@dataclass(eq=False, repr=False, slots=True)
+class Step:
+    """One contraction: its rule, weight and position, kept as the
+    cursor's cell, shared with the steps before it, until `pos` is read."""
     rule: RuleId
-    pos: tuple
+    cell: tuple | None
     weight: float | None
 
+    @property
+    def pos(self) -> tuple:
+        return cell_path(self.cell)
+
+    def __repr__(self):
+        return (f"Step(rule={self.rule!r}, pos={self.pos!r}, "
+                f"weight={self.weight!r})")
+
     def to_json(self):
-        out = {"rule": str(self.rule), "pos": list(self.pos)}
-        out["weight"] = self.weight
-        return out
+        return {"rule": str(self.rule), "pos": list(self.pos),
+                "weight": self.weight}
 
 
-@dataclass(frozen=True)
-class NormalFormOutcome:
+class Outcome(NamedTuple):
+    """How a normalization ended ("normal-form", "fuel-exhausted" or
+    "stuck" for a reason), and on which term."""
+    kind: str
     term: Term
-    kind = "normal-form"
-
-
-@dataclass(frozen=True)
-class FuelExhaustedOutcome:
-    term: Term
-    kind = "fuel-exhausted"
-
-
-@dataclass(frozen=True)
-class StuckOutcome:
-    term: Term
-    reason: str
-    kind = "stuck"
+    reason: str | None = None
 
 
 @dataclass
@@ -211,8 +213,6 @@ class ReductionTrace:
         return self.outcome.term
 
     def step_lines(self):
-        import json
-
         return [json.dumps(s.to_json(), sort_keys=True) for s in self.steps]
 
 
@@ -296,12 +296,13 @@ def _draw(alternatives, rng):
 class Cursor:
     """A focus in a nameless term and the frames on the path above it.
 
-    Each frame is [node, i, children, dirty, clean]: the focus is
+    Each frame is [node, i, children, dirty, clean, cell]: the focus is
     children[i] of node; dirty says children have been replaced, so node is
     rebuilt, once, when the walk leaves it; clean says no redex has been
-    recorded at or below node.  A node the walk leaves clean is marked
-    redex-free for the table (`Term._mark_normal`), and later walks skip
-    it.
+    recorded at or below node; cell is node's position cell, None at the
+    root, so the focus's is (i, cell) of the top frame.  A node the walk
+    leaves clean is marked redex-free for the table (`Term._mark_normal`),
+    and later walks skip it.
     """
 
     __slots__ = ("rs", "focus", "stack")
@@ -311,9 +312,14 @@ class Cursor:
         self.focus = t
         self.stack = []
 
+    def cell(self):
+        """The position cell of the focus in the whole term."""
+        stack = self.stack
+        return (stack[-1][1], stack[-1][5]) if stack else None
+
     def pos(self) -> tuple:
         """The position of the focus in the whole term."""
-        return tuple([frame[1] for frame in self.stack])
+        return cell_path(self.cell())
 
     def term(self) -> Term:
         """The whole term; the focus moves to its root."""
@@ -324,7 +330,7 @@ class Cursor:
     def _pop(self):
         """Leave the top frame; its node, rebuilt if a child was replaced."""
         stack = self.stack
-        node, _, kids, dirty, _ = stack.pop()
+        node, _, kids, dirty, _, _ = stack.pop()
         if dirty:
             node = node._rebuild(node, kids)
             if stack:
@@ -346,7 +352,7 @@ class Cursor:
             if not 0 <= i < len(t._paths):
                 raise NoMatchError(f"position {pos[k:]} does not exist")
             kids = list(t._kids(t))
-            self.stack.append([t, i, kids, False, True])
+            self.stack.append([t, i, kids, False, True, self.cell()])
             t = kids[i]
         self.focus = t
 
@@ -374,8 +380,10 @@ class Cursor:
                     visit(here)
                     if stack:
                         stack[-1][4] = False
-                if kids:
-                    stack.append([t, 0, list(kids), False, not here])
+                if kids:  # t's cell is `cell()`, inlined
+                    stack.append([t, 0, list(kids), False, not here,
+                                  (stack[-1][1], stack[-1][5]) if stack
+                                  else None])
                     t = kids[0]
                     continue
                 if not here:
@@ -398,12 +406,17 @@ class Cursor:
                 self.focus = t
                 return None
 
-    def plug(self, u: Term) -> Term:
-        """The whole term with u in place of the focus; the cursor stays."""
-        for node, i, kids, _, _ in reversed(self.stack):
+    def plug(self, u: Term, hashes: list | None = None) -> Term:
+        """The whole term with u in place of the focus; the cursor stays.
+        With `hashes` from `plug_hashes(u)`, each node it builds stores its
+        hash."""
+        for k, (node, i, kids, _, _, _) in enumerate(
+                reversed(self.stack), 1):
             old = kids[i]
             kids[i] = u
             u = node._rebuild(node, kids)
+            if hashes is not None:
+                u._hash = hashes[k]
             kids[i] = old
         return u
 
@@ -415,7 +428,7 @@ class Cursor:
         term's hashes must be stored (`hash` of it does)."""
         h = hash(u)
         out = [h]
-        for node, i, _, _, _ in reversed(self.stack):
+        for node, i, _, _, _, _ in reversed(self.stack):
             key = list(node._key(node))
             key[node._key_at[i]] = h
             h = hash(tuple(key))
@@ -430,7 +443,7 @@ class Cursor:
         frame; below the last, c's subterm must `==` u.  Binder hints are
         ignored, as by `==`.
         """
-        for node, i, _, _, _ in self.stack:
+        for node, i, _, _, _, _ in self.stack:
             if c is not node:
                 cls = type(node)
                 if type(c) is not cls:
@@ -443,18 +456,6 @@ class Cursor:
                             return False
             c = c._kids(c)[i]
         return c == u
-
-    def plug_hashed(self, u: Term, hashes: list) -> Term:
-        """`plug(u)`, storing on each node it builds its hash from
-        `plug_hashes(u)`."""
-        for (node, i, kids, _, _), h in zip(reversed(self.stack),
-                                            hashes[1:]):
-            old = kids[i]
-            kids[i] = u
-            u = node._rebuild(node, kids)
-            u._hash = h
-            kids[i] = old
-        return u
 
     def contract(self, build):
         """Replace the focus by `build` of it, and refocus where the
@@ -543,8 +544,7 @@ def step_at(t: Term, pos, rid: RuleId, choice: str | None = None,
         alternatives = _alternatives(cur.focus, here)
         if choice is not None:
             rule = next(r for r, _ in alternatives if r.role == choice)
-    cur.contract(rule.build)
-    return cur.term()
+    return cur.plug(rule.build(cur.focus))
 
 
 def normalize(t: Term, ruleset: RuleSet, fuel: int = 10 ** 6,
@@ -559,29 +559,27 @@ def normalize(t: Term, ruleset: RuleSet, fuel: int = 10 ** 6,
     steps = trace.steps
     cur = Cursor(t, ruleset)
     seek, contract, stack = cur.seek, cur.contract, cur.stack
+    kind, reason = "normal-form", None
     try:
-        while True:
-            here = seek()
-            if here is None:
-                trace.outcome = NormalFormOutcome(cur.term())
-                return trace
+        while (here := seek()) is not None:
             rule = here[0]
             # asked before the fuel check: a zero-norm measurement is
             # stuck even when no fuel is left
             alternatives = (None if rule.group is None
                             else _alternatives(cur.focus, here))
             if len(steps) >= fuel:
-                trace.outcome = FuelExhaustedOutcome(cur.term())
-                return trace
+                kind = "fuel-exhausted"
+                break
             weight = None
             if alternatives is not None:
                 rule, weight = _draw(alternatives, rng)
-            pos = tuple([frame[1] for frame in stack])
+            cell = (stack[-1][1], stack[-1][5]) if stack else None  # cell()
             contract(rule.build)
-            steps.append(Step(rule.rid, pos, weight))
+            steps.append(Step(rule.rid, cell, weight))
     except Stuck as e:
-        trace.outcome = StuckOutcome(cur.term(), e.reason)
-        return trace
+        kind, reason = "stuck", e.reason
+    trace.outcome = Outcome(kind, cur.term(), reason)
+    return trace
 
 
 def join_peak(t: Term, ruleset: RuleSet, fuel: int = 10 ** 6) -> bool:

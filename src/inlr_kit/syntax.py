@@ -490,6 +490,16 @@ def subterms(t: Term):
     return list(t._kids(t))
 
 
+def cell_path(cell) -> tuple:
+    """The path tuple of a position cell: the cell of path-child i of a
+    node is (i, the node's cell), and the root's is None."""
+    path = []
+    while cell is not None:
+        i, cell = cell
+        path.append(i)
+    return tuple(reversed(path))
+
+
 def replace_children(t: Term, new_children) -> Term:
     """Rebuild t with its path-children, a sequence in `_kids` order,
     replaced, keeping hints and scalars.

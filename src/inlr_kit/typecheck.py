@@ -12,8 +12,8 @@ Terms are checked as they are, nameless: Bound(k) is resolved against the
 stack of enclosing binders, and no binder is ever opened to a name.  One
 loop walks the term on a stack of rule frames, and propositions are walked
 on explicit stacks, so depth costs no Python stack.  A node's position is a
-cell (i, its parent's cell), None at the root; a path tuple is built from
-it only for an error.
+cell (i, its parent's cell), None at the root; `syntax.cell_path` makes it
+a path tuple only for an error.
 
 Where a rule does not pin a proposition syntactically (inl, inr, unannotated
 lambdas, case branches) the checker introduces a placeholder and solves by
@@ -27,7 +27,7 @@ from .syntax import (AndElim1, AndElim2, App, Bot, BotElim, Bound, Case,
                      CaseNd, Conj, Disj, Impl, Inl, Inlr2, Inlr3, Inr, Lam,
                      Lollipop, MetaProp, One, OneElim, OPlus, Pair, Prod,
                      Proposition, Star, Sum, Term, TopElim, Top, Var,
-                     _TERM_ALLOWED, print_prop)
+                     _TERM_ALLOWED, cell_path, print_prop)
 
 TypingContext = dict  # ordered mapping, variable name -> Proposition
 
@@ -74,15 +74,6 @@ OUTSIDE = "constructor-outside-calculus"
 ANNOTATION = "annotation-required"
 
 _SCRUTINEE = {TopElim: Top, OneElim: One, BotElim: Bot}
-
-
-def _path(pos):
-    """The path tuple of a position cell."""
-    path = []
-    while pos is not None:
-        i, pos = pos
-        path.append(i)
-    return tuple(reversed(path))
 
 
 def _child(i, t):
@@ -173,12 +164,12 @@ class _Checker:
                 a, b = b, a
             if isinstance(a, MetaProp):
                 if self.find_meta(b, a.mid) is not None:
-                    raise TypingError(MISMATCH, _path(pos),
+                    raise TypingError(MISMATCH, cell_path(pos),
                                       "circular proposition")
                 self.solution[a.mid] = b
             else:
-                raise TypingError(MISMATCH, _path(pos), expected=self.zonk(a),
-                                  found=self.zonk(b))
+                raise TypingError(MISMATCH, cell_path(pos),
+                                  expected=self.zonk(a), found=self.zonk(b))
 
     # -- hypotheses --
 
@@ -190,7 +181,7 @@ class _Checker:
         if self.linear:
             if key in self.consumed:
                 name = self.name(key)
-                raise TypingError(LINEAR_REUSED, _path(pos), names=(name,),
+                raise TypingError(LINEAR_REUSED, cell_path(pos), names=(name,),
                                   detail=f"hypothesis {name} is used twice")
             self.consumed.add(key)
         return self.types[key]
@@ -204,7 +195,7 @@ class _Checker:
         body = yield i, a.body
         if self.linear and level not in self.consumed:
             name = self.hints[level]
-            raise TypingError(LINEAR_UNUSED, _path(unused), names=(name,),
+            raise TypingError(LINEAR_UNUSED, cell_path(unused), names=(name,),
                               detail=f"hypothesis {name} is never used")
         del self.types[level]
         self.hints.pop()
@@ -227,7 +218,7 @@ class _Checker:
             diff = sorted(self.name(k)
                           for k in first.symmetric_difference(other))
             raise TypingError(
-                LINEAR_UNUSED, _path(pos), names=diff,
+                LINEAR_UNUSED, cell_path(pos), names=diff,
                 detail="branches consume different hypotheses: "
                        + ", ".join(diff))
         self.consumed = first
@@ -261,7 +252,7 @@ class _Checker:
             self.unify(f, self.arrow(dom, cod), (0, pos))
             f = self.arrow(dom, cod)
         if not isinstance(f, self.arrow):
-            raise TypingError(NOT_A_FUNCTION, _path((0, pos)),
+            raise TypingError(NOT_A_FUNCTION, cell_path((0, pos)),
                               f"cannot apply a term of type "
                               f"{print_prop(self.zonk(f))}")
         a = yield 1, t.arg
@@ -311,7 +302,7 @@ class _Checker:
             cls = type(t)
             if cls not in rules:
                 raise TypingError(
-                    OUTSIDE, _path(pos),
+                    OUTSIDE, cell_path(pos),
                     f"{cls.__name__} is not a {self.mode} constructor")
             rule = rules[cls]
             if rule is not None:
@@ -320,12 +311,12 @@ class _Checker:
             elif cls is Bound:
                 level = len(hints) - 1 - t.index
                 if level < 0:
-                    raise TypingError(UNBOUND, _path(pos),
+                    raise TypingError(UNBOUND, cell_path(pos),
                                       "dangling bound variable")
                 prop = use(level, pos)
             elif cls is Var:
                 if t.name not in types:
-                    raise TypingError(UNBOUND, _path(pos),
+                    raise TypingError(UNBOUND, cell_path(pos),
                                       f"unbound variable {t.name}")
                 prop = use(t.name, pos)
             else:
@@ -358,7 +349,7 @@ class _Checker:
         leftover = self.find_meta(out)
         if leftover is not None:
             raise TypingError(
-                ANNOTATION, _path(self.meta_origin.get(leftover.mid)),
+                ANNOTATION, cell_path(self.meta_origin.get(leftover.mid)),
                 "the proposition is not determined by the term; "
                 "add an annotation")
         return out

@@ -286,18 +286,18 @@ def test_every_graph_node_stores_its_one_hash():
 
 
 def test_explore_builds_only_the_nodes_it_keeps(monkeypatch):
-    built = []
-    plug_hashed = Cursor.plug_hashed
+    built, unhashed = [], []
+    plug = Cursor.plug
 
-    def counting(self, u, hashes):
-        built.append(u)
-        return plug_hashed(self, u, hashes)
+    def counting(self, u, hashes=None):
+        (unhashed if hashes is None else built).append(u)
+        return plug(self, u, hashes)
 
-    monkeypatch.setattr(Cursor, "plug_hashed", counting)
-    monkeypatch.setattr(Cursor, "plug", None)  # explore never plugs
+    monkeypatch.setattr(Cursor, "plug", counting)
     graph = explore(cc(_CYCLE), node_budget=60)
     assert graph.budget_hit
     assert len(built) == len(graph.terms) - 1 == 59
+    assert unhashed == []  # every node explore builds stores its hash
 
 
 # `(lam x:A. pair(x, v)) (lam y:B. inl(y))`, the focus on `inl(y)`

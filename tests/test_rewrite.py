@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -218,6 +220,75 @@ def test_trace_serialization():
     assert len(lines) == 1
     data = json.loads(lines[0])
     assert data == {"pos": [], "rule": "iplus:1", "weight": None}
+
+
+# `to_vector`'s normalization of a compiled column applied to 1.0 . star,
+# at a left-nested vector proposition of n leaves, in a fresh interpreter
+# that prints its peak RSS and the positions of some steps.  The peak is
+# read as VmHWM, the interpreter's own: its `ru_maxrss` would start from
+# the RSS of the test process that spawned it.  The trace is
+# a beta and a one_elim step at the root, rule 43 pushing the scalar down
+# the left spine, (0,) * k for k = 0..n-2, and rule 39 at the n leaves,
+# the deepest (0,) * (n-1) first and (1,) last: 2n + 1 steps.
+_DEEP_RUN = """
+import json, re, sys
+import numpy as np
+from inlr_kit.qencode import compile_matrix
+from inlr_kit.quantum import RULES_QUANTUM_DET
+from inlr_kit.rewrite import normalize
+from inlr_kit.syntax import App, One, OPlus, ScalarStar
+n = int(sys.argv[1])
+p = One()
+for _ in range(n - 1):
+    p = OPlus(p, One())
+m = compile_matrix((np.arange(n) + 1.0).reshape(n, 1), One(), p)
+tr = normalize(App(m, ScalarStar(1.0)), RULES_QUANTUM_DET)
+with open("/proc/self/status") as fh:
+    rss_mb = int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read())[1]) / 1024
+s = tr.steps
+print(json.dumps({"rss_mb": rss_mb, "kind": tr.outcome.kind,
+                  "count": len(s), "first": s[0].pos, "deep": s[n + 1].pos,
+                  "next": s[n + 2].pos, "last": s[-1].pos,
+                  "deep_json": s[n + 1].to_json(),
+                  "deep_repr": repr(s[n + 1])}))
+"""
+
+
+def _deep_run(n):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(qencode.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-c", _DEEP_RUN, str(n)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_deep_normalization_keeps_positions_linear():
+    # a step keeps its position as the cursor's cell, shared with the
+    # steps before it, so the trace is linear in the steps; a copied
+    # frame stack per step took 808 MB at n = 10 000.  The runs go up in
+    # size and each is checked at once, so a quadratic trace stops early
+    rss = []
+    for n in (5000, 10000, 20000):
+        run = _deep_run(n)
+        assert run["rss_mb"] < 200, (n, run["rss_mb"])
+        rss.append(run["rss_mb"])
+        assert (run["kind"], run["count"]) == ("normal-form", 2 * n + 1)
+        assert run["first"] == []
+        assert run["deep"] == [0] * (n - 1)
+        assert run["next"] == [0] * (n - 2) + [1]
+        assert run["last"] == [1]
+        assert run["deep_json"] == {"rule": "quantum:39",
+                                    "pos": [0] * (n - 1), "weight": None}
+        if n == 10000:
+            assert run["deep_repr"] == (
+                "Step(rule=RuleId(calculus='quantum', number=39), "
+                f"pos={(0,) * (n - 1)!r}, weight=None)")
+    # near-linear: doubling n from 10 000 adds at most about twice what
+    # doubling from 5000 did (a trace quadratic in n adds four times)
+    assert rss[2] - rss[1] < 3 * max(rss[1] - rss[0], 4), rss
 
 
 def test_probabilistic_weights_sum_to_one():
