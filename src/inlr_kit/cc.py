@@ -462,18 +462,27 @@ def explore(t: Term, node_budget: int = 500,
     keeps its first member found, binder hints and all, and a reduct past
     the budget is never built.  Alternatives at a redex carry no weights
     here: each one is an edge.
+
+    A reduct shares every subterm of its source off the contracted path,
+    so later nodes meet the same redex objects again.  The contracta of
+    a redex are built once per call and kept under its identity, with
+    their stored hashes: identity, since `==` ignores the binder hints a
+    contractum carries.  The graph holds every redex, so no id is reused.
     """
     graph = ReductionGraph(terms=[t])
     terms, edges = graph.terms, graph.edges
     by_hash = {hash(t): [0]}  # hash -> the ids of the nodes that have it
+    built = {}  # id of a redex -> its contracta, one per rule in `here`
     reducible = False
 
     def visit(here):
         nonlocal reducible
         reducible = True
         redex = cur.focus
-        for r in here:
-            u = r.build(redex)
+        contracta = built.get(id(redex))
+        if contracta is None:
+            contracta = built[id(redex)] = [r.build(redex) for r in here]
+        for r, u in zip(here, contracta):
             hashes = cur.plug_hashes(u)
             for j in by_hash.get(hashes[-1], ()):
                 if cur.plugs_to(terms[j], u):

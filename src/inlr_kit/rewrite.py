@@ -22,10 +22,10 @@ opened and capture is impossible.
 A head inspects a node and its children, so a contraction can only turn
 its parent into a redex, unless a guard looks deeper; the search
 therefore resumes at the parent, or at the outermost ancestor whose
-constructor carries a guard, and not at the root.  `normalize` is one
-loop over the cursor: it takes the first matching rule, or weighs a
-non-deterministic family's alternatives and draws one, keeps the focus's
-cell as the step's position and contracts.
+constructor carries a guard, noted when its frame was pushed, and not at
+the root.  `normalize` is one loop over the cursor: it takes the first
+matching rule, or weighs a non-deterministic family's alternatives and
+draws one, keeps the focus's cell as the step's position and contracts.
 """
 
 from __future__ import annotations
@@ -303,14 +303,20 @@ class Cursor:
     root, so the focus's is (i, cell) of the top frame.  A node the walk
     leaves clean is marked redex-free for the table (`Term._mark_normal`),
     and later walks skip it.
+
+    `outer` is (depth, frame) for the outermost frame whose node's
+    constructor carries a guard, noted when the frame is pushed; it holds
+    only while stack[depth] is that frame, since a popped frame is never
+    pushed again.  A table without guards never notes one.
     """
 
-    __slots__ = ("rs", "focus", "stack")
+    __slots__ = ("rs", "focus", "stack", "outer")
 
     def __init__(self, t: Term, ruleset: RuleSet):
         self.rs = ruleset
         self.focus = t
         self.stack = []
+        self.outer = None
 
     def cell(self):
         """The position cell of the focus in the whole term."""
@@ -339,6 +345,20 @@ class Cursor:
                 frame[3] = True
         return node
 
+    def _guarded_depth(self):
+        """The depth of the outermost guarded frame, None if there is none."""
+        outer = self.outer
+        if outer is not None:
+            depth, frame = outer
+            if depth < len(self.stack) and self.stack[depth] is frame:
+                return depth
+        return None
+
+    def _note(self, frame):
+        """Note a guarded frame about to be pushed, if none lies below."""
+        if self._guarded_depth() is None:
+            self.outer = (len(self.stack), frame)
+
     def _climb(self, depth):
         """Leave the frames from `depth` up; the node of the lowest one."""
         while len(self.stack) > depth:
@@ -352,7 +372,10 @@ class Cursor:
             if not 0 <= i < len(t._paths):
                 raise NoMatchError(f"position {pos[k:]} does not exist")
             kids = list(t._kids(t))
-            self.stack.append([t, i, kids, False, True, self.cell()])
+            frame = [t, i, kids, False, True, self.cell()]
+            if type(t) in self.rs._guarded:
+                self._note(frame)
+            self.stack.append(frame)
             t = kids[i]
         self.focus = t
 
@@ -366,6 +389,7 @@ class Cursor:
         """
         key = self.rs.name
         matching = self.rs._matching
+        guarded = self.rs._guarded
         stack = self.stack
         t = self.focus
         while True:
@@ -381,9 +405,11 @@ class Cursor:
                     if stack:
                         stack[-1][4] = False
                 if kids:  # t's cell is `cell()`, inlined
-                    stack.append([t, 0, list(kids), False, not here,
-                                  (stack[-1][1], stack[-1][5]) if stack
-                                  else None])
+                    frame = [t, 0, list(kids), False, not here,
+                             (stack[-1][1], stack[-1][5]) if stack else None]
+                    if guarded and type(t) in guarded:
+                        self._note(frame)
+                    stack.append(frame)
                     t = kids[0]
                     continue
                 if not here:
@@ -468,7 +494,7 @@ class Cursor:
         Matching looks at a node and its children, so only the parent can
         turn into a redex, unless a guard looks deeper: then the search
         resumes at the outermost ancestor whose constructor carries a
-        guard.
+        guard, noted when its frame was pushed.
         """
         stack = self.stack
         self.focus = build(self.focus)
@@ -477,13 +503,12 @@ class Cursor:
         frame = stack[-1]
         frame[2][frame[1]] = self.focus
         frame[3] = True
-        rs = self.rs
-        if rs._guarded:
-            for depth, above in enumerate(stack):
-                if type(above[0]) in rs._guarded:
-                    self.focus = self._climb(depth)
-                    return
-        if rs._matching(frame[0], frame[2]):
+        if self.outer is not None:
+            depth = self._guarded_depth()
+            if depth is not None:
+                self.focus = self._climb(depth)
+                return
+        if self.rs._matching(frame[0], frame[2]):
             self.focus = self._pop()
 
 

@@ -535,8 +535,40 @@ def term_size(t: Term) -> int:
 
 
 def free_names(t: Term) -> frozenset:
-    return fold(t, lambda node, names: frozenset((node.name,))
-                if type(node) is Var else frozenset().union(*names))
+    """The names of the `Var`s in t."""
+    return _free_names_memo({}, t)
+
+
+_NO_NAMES = frozenset()
+
+
+def _free_names_memo(free: dict, t: Node) -> frozenset:
+    """The free names of t, kept in `free` under the `id` of t and of
+    every node below it not yet there, by one post-order walk.  The
+    caller holds the nodes while `free` lives, so no id is reused."""
+    got = free.get(id(t))
+    if got is not None:
+        return got
+    stack = [t]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node = pop()
+        if type(node) is tuple:  # the exit mark of a node
+            node = node[0]
+            names = _NO_NAMES
+            for kid in node._kids(node):
+                got = free[id(kid)]
+                if got and got is not names:
+                    names = names | got if names else got
+            free[id(node)] = names
+        elif id(node) in free:
+            continue
+        elif type(node) is Var:
+            free[id(node)] = frozenset((node.name,))
+        else:
+            push((node,))
+            stack += node._kids(node)
+    return free[id(t)]
 
 
 def is_closed(t: Term) -> bool:
@@ -1155,18 +1187,21 @@ def _name_base(hint: str) -> str:
     return base
 
 
-def _pick_name(base: str, free, scope) -> str:
+def _pick_name(base: str, body, scope, var_names, free) -> str:
     """base, or base with the least number after it, that is not free in
-    the binder's body, not in scope and not reserved."""
-    if base not in free and base not in scope and base not in _RESERVED:
-        return base
-    for k in itertools.count(1):
+    the binder's body, not in scope and not reserved.
+
+    A name no `Var` of the printed terms has is free nowhere, so the
+    body's free names are worked out, into the memo `free`, only for a
+    candidate in `var_names`.
+    """
+    cand = base
+    k = 0
+    while (cand in scope or cand in _RESERVED
+           or cand in var_names and cand in _free_names_memo(free, body)):
+        k += 1
         cand = f"{base}{k}"
-        if cand not in free and cand not in scope and cand not in _RESERVED:
-            return cand
-
-
-_NO_NAMES = frozenset()
+    return cand
 
 
 def _leaf_text(node: Node, atomic, names: list):
@@ -1192,54 +1227,45 @@ def _leaf_text(node: Node, atomic, names: list):
 
 
 def _scan(terms: tuple):
-    """The shared nodes and the free names of the nodes reachable from terms.
+    """The shared nodes and the `Var` names reachable from terms.
 
     Returns the `id`s of the nodes, leaves aside, referenced more than
-    once, counting parent edges and root slots, and a dict from `id` to
-    the free names of each node that has any.  One post-order walk on an
-    explicit stack enters each distinct node once.
+    once, counting parent edges and root slots, and the set of the names
+    of the `Var`s.  One pre-order walk on an explicit stack enters each
+    distinct node once.
     """
-    seen, shared, free = set(), set(), {}
+    seen, shared, var_names = set(), set(), set()
     stack = list(terms)
-    pop, push = stack.pop, stack.append
+    pop = stack.pop
     while stack:
         node = pop()
         cls = type(node)
-        if cls is tuple:  # the exit mark of a node
-            node = node[0]
-            names = None
-            for kid in node._kids(node):
-                got = free.get(id(kid))
-                if got is not None and got is not names:
-                    names = got if names is None else names | got
-            if names:
-                free[id(node)] = names
-        elif cls is Var:
-            free[id(node)] = frozenset((node.name,))
-        elif not cls._paths:  # a leaf, printed in place
-            continue
+        if not cls._paths:  # a leaf, printed in place
+            if cls is Var:
+                var_names.add(node.name)
         elif id(node) in seen:
             shared.add(id(node))
         else:
             seen.add(id(node))
-            push((node,))
             stack += node._kids(node)
-    return shared, free
+    return shared, var_names
 
 
 def print_terms(terms) -> list:
     """The concrete syntax of each term or proposition, as print_term and
     print_prop give it.
 
-    First `_scan` finds, once per distinct node, whether it is shared and
-    its free names, so that choosing a binder's name never re-walks its
-    body.  Then each root is printed by one walk on an explicit stack of
-    tasks: a text fragment to append, a (node, context) pair to print, and
-    the markers that enter and leave a binder and that close a memoized
-    node.  A term's context is whether it must print as an atom; a
-    proposition's, the least precedence level it prints at without
-    parentheses.  A leaf prints in place; a term's proposition is one
-    more task.  The fragments are joined once per root.
+    First `_scan` finds, once per distinct node, whether it is shared,
+    and the names of all the `Var`s.  A binder's name is chosen without
+    its body's free names unless a candidate is one of those; they are
+    then worked out once per node for the whole call, so choosing never
+    re-walks a body.  Then each root is printed by one walk on an
+    explicit stack of tasks: a text fragment to append, a (node, context)
+    pair to print, and the markers that enter and leave a binder and that
+    close a memoized node.  A term's context is whether it must print as
+    an atom; a proposition's, the least precedence level it prints at
+    without parentheses.  A leaf prints in place; a term's proposition is
+    one more task.  The fragments are joined once per root.
 
     A node referenced more than once, across all the roots, is joined into
     one string and kept for this call under its identity, the binder
@@ -1249,7 +1275,8 @@ def print_terms(terms) -> list:
     while it is a key.
     """
     terms = tuple(terms)
-    shared, free = _scan(terms)
+    shared, var_names = _scan(terms)
+    free = {}         # id of a node -> its free names, once asked for
     memo = {}
     bases = {}        # hint -> its sanitized name base
     names = []        # the binder names in scope, innermost last ...
@@ -1261,7 +1288,7 @@ def print_terms(terms) -> list:
         base = bases.get(a.hint)
         if base is None:
             base = bases[a.hint] = _name_base(a.hint)
-        return _pick_name(base, free.get(id(a.body), _NO_NAMES), scope)
+        return _pick_name(base, a.body, scope, var_names, free)
 
     def put(parts, text, node, context):
         """The pending text, after text, of the node in its context.

@@ -1,10 +1,12 @@
+import dataclasses
+
 import pytest
 
 from inlr_kit import gen
 from inlr_kit.cc import (DEFAULT_FUEL_CC, RULES_CC, RULES_CC_DET,
                          ReductionGraph, demo_optimization, explore, pi_term)
-from inlr_kit.rewrite import (Cursor, RuleId, find_redexes, normalize,
-                              reducts, step_at)
+from inlr_kit.rewrite import (Cursor, RuleId, RuleSet, find_redexes,
+                              normalize, reducts, step_at)
 from inlr_kit.rng import derive_rng
 from inlr_kit.selftest import cc_enumeration, cc_pi_terms, cc_rule_soundness
 from inlr_kit.syntax import (Abs, AndElim1, Bound, Inlr3, Pair, Star, Top,
@@ -298,6 +300,71 @@ def test_explore_builds_only_the_nodes_it_keeps(monkeypatch):
     assert graph.budget_hit
     assert len(built) == len(graph.terms) - 1 == 59
     assert unhashed == []  # every node explore builds stores its hash
+
+
+def _counting_rules(rules, calls):
+    """The table with each build recording (redex, rule id, contractum)."""
+    def counting(r):
+        def build(t):
+            u = r.build(t)
+            calls.append((t, r.rid, u))
+            return u
+
+        return dataclasses.replace(r, build=build)
+
+    return RuleSet(rules.name, rules.calculus,
+                   tuple(counting(r) for r in rules.rules))
+
+
+def _examined(graph, rules):
+    """The (redex identity, rule id) of every reduct explore examines."""
+    out = []
+    for term in graph.terms:
+        for pos, rid in find_redexes(term, rules):
+            redex = term
+            for i in pos:
+                redex = redex._kids(redex)[i]
+            out.append((id(redex), rid))
+    return out
+
+
+def test_explore_builds_each_contractum_once():
+    # a reduct shares its off-path subterms with its source, so later
+    # nodes meet the same redex objects; each is built once per call
+    twin = cc(_HINT_TWIN)
+    for t in [twin] + [_seeded_cc(9, i) for i in range(20)]:
+        calls = []
+        rules = _counting_rules(RULES_CC, calls)
+        graph = explore(t, 100, rules)
+        examined = _examined(graph, rules)
+        pairs = [(id(r), rid) for r, rid, _u in calls]
+        assert len(pairs) == len(set(pairs)) and set(pairs) == set(examined)
+        if t is twin:  # 173 builds for 221 edges and more reducts
+            assert len(pairs) < len(examined)
+
+
+def test_a_hint_only_twin_keeps_its_own_contractum():
+    # the two redexes are == and differ in hints only; each contractum
+    # keeps its own redex's hint, and so does each reduct
+    calls = []
+    t = cc("pair(top_elim(t, lam x:A. x), top_elim(t, lam y:A. y))")
+    graph = explore(t, 10, _counting_rules(RULES_CC, calls))
+    [(r1, _, u1), (r2, _, u2)] = calls
+    assert r1 == r2 and r1 is not r2 and u1 is not u2
+    assert [print_term(u) for u in (u1, u2)] \
+        == ["lam x:A. top_elim(t, x)", "lam y:A. top_elim(t, y)"]
+    assert [print_term(u) for u in graph.terms[1:]] == [
+        "pair(lam x:A. top_elim(t, x), top_elim(t, lam y:A. y))",
+        "pair(top_elim(t, lam x:A. x), lam y:A. top_elim(t, y))",
+        "pair(lam x:A. top_elim(t, x), lam y:A. top_elim(t, y))"]
+    # node 45 of _HINT_TWIN reduces by rule 7 at its root to node 10 up to
+    # hints: its contractum is its own, built from its own hints
+    calls = []
+    graph = explore(cc(_HINT_TWIN), 46, _counting_rules(RULES_CC, calls))
+    [u] = [u for r, rid, u in calls
+           if r is graph.terms[45] and rid == RuleId("cc", 7)]
+    assert u == graph.terms[10] and u is not graph.terms[10]
+    assert print_term(u) == "case(inr(lam x1:Top. x1), y1. h0, y2. h0)"
 
 
 # `(lam x:A. pair(x, v)) (lam y:B. inl(y))`, the focus on `inl(y)`

@@ -231,35 +231,56 @@ def test_trace_serialization():
 # the left spine, (0,) * k for k = 0..n-2, and rule 39 at the n leaves,
 # the deepest (0,) * (n-1) first and (1,) last: 2n + 1 steps.
 _DEEP_RUN = """
-import json, re, sys
+import json, re, sys, time
 import numpy as np
 from inlr_kit.qencode import compile_matrix
-from inlr_kit.quantum import RULES_QUANTUM_DET
+from inlr_kit.quantum import RULES_QUANTUM, RULES_QUANTUM_DET
 from inlr_kit.rewrite import normalize
 from inlr_kit.syntax import App, One, OPlus, ScalarStar
-n = int(sys.argv[1])
+n, table, rounds = int(sys.argv[1]), sys.argv[2], int(sys.argv[3])
+rules = {"quantum": RULES_QUANTUM, "quantum-det": RULES_QUANTUM_DET}[table]
 p = One()
 for _ in range(n - 1):
     p = OPlus(p, One())
-m = compile_matrix((np.arange(n) + 1.0).reshape(n, 1), One(), p)
-tr = normalize(App(m, ScalarStar(1.0)), RULES_QUANTUM_DET)
+seconds = []
+for _ in range(rounds):  # a fresh term each round: no redex-free marks
+    m = compile_matrix((np.arange(n) + 1.0).reshape(n, 1), One(), p)
+    start = time.perf_counter()
+    tr = normalize(App(m, ScalarStar(1.0)), rules)
+    seconds.append(time.perf_counter() - start)
 with open("/proc/self/status") as fh:
     rss_mb = int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read())[1]) / 1024
 s = tr.steps
+# every step's position, digested along the shared cells
+digests = {id(None): 0}
+for step in s:
+    cell, up = step.cell, []
+    while id(cell) not in digests:
+        up.append(cell)
+        cell = cell[1]
+    for cell in reversed(up):
+        digests[id(cell)] = hash((cell[0], digests[id(cell[1])]))
 print(json.dumps({"rss_mb": rss_mb, "kind": tr.outcome.kind,
                   "count": len(s), "first": s[0].pos, "deep": s[n + 1].pos,
                   "next": s[n + 2].pos, "last": s[-1].pos,
                   "deep_json": s[n + 1].to_json(),
-                  "deep_repr": repr(s[n + 1])}))
+                  "deep_repr": repr(s[n + 1]),
+                  "rules": [str(step.rule) for step in s],
+                  "positions": hash(tuple(digests[id(step.cell)]
+                                          for step in s)),
+                  "seconds": min(seconds)}))
 """
 
 
-def _deep_run(n):
+def _deep_run(n, table="quantum-det", rounds=1):
+    """The deep input normalized in a fresh interpreter; the seconds are
+    the fastest of `rounds` normalizations."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(qencode.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
-    done = subprocess.run([sys.executable, "-c", _DEEP_RUN, str(n)],
+    done = subprocess.run([sys.executable, "-c", _DEEP_RUN, str(n), table,
+                           str(rounds)],
                           capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
@@ -289,6 +310,22 @@ def test_deep_normalization_keeps_positions_linear():
     # near-linear: doubling n from 10 000 adds at most about twice what
     # doubling from 5000 did (a trace quadratic in n adds four times)
     assert rss[2] - rss[1] < 3 * max(rss[1] - rss[0], 4), rss
+
+
+def test_deep_normalization_under_guards_keeps_pace():
+    # under RULES_QUANTUM a contraction resumes at the outermost frame
+    # whose constructor carries a guard (case_nd's); the cursor notes it
+    # when the frame is pushed.  A scan of the frame stack from the root
+    # at every contraction makes this run about 25 times the quantum-det
+    # one, which has no guards
+    n = 10000
+    det = _deep_run(n, "quantum-det", rounds=3)
+    guarded = _deep_run(n, "quantum", rounds=3)
+    for key in ("kind", "count", "first", "deep", "next", "last", "rules",
+                "positions"):
+        assert guarded[key] == det[key], key
+    assert guarded["count"] == 2 * n + 1
+    assert guarded["seconds"] < 5 * det["seconds"], (guarded, det)
 
 
 def test_probabilistic_weights_sum_to_one():

@@ -716,6 +716,35 @@ def test_print_terms_matches_the_reference_on_reduction_graphs():
         _prints_like_the_reference(explore(t, node_budget=100).terms)
 
 
+def test_a_var_outside_the_binder_keeps_its_hint():
+    # x is a Var of the term, but not free in the binder's body
+    t = Pair(Var("x"), Lam(Atom("A"), Abs("x", Star())))
+    assert print_term(t) == "pair(x, lam x:A. star)"
+    assert print_terms([t, Var("x")]) == ["pair(x, lam x:A. star)", "x"]
+
+
+def test_a_var_inside_the_binder_forces_a_number():
+    t = Lam(Atom("A"), Abs("x", Pair(Bound(0), Var("x"))))
+    assert print_term(t) == "lam x1:A. pair(x1, x)"
+    # the body's free names are worked out once and read by both binders
+    u = Pair(t, Lam(Atom("A"), Abs("x", Pair(Var("x"), Bound(0)))))
+    assert print_term(u) \
+        == "pair(lam x1:A. pair(x1, x), lam x1:A. pair(x, x1))"
+
+
+def test_a_shared_node_prints_as_under_each_root():
+    # s is printed once per scope and context and reused; under the
+    # first root its free y renames the binder around it
+    s = Lam(Atom("A"), Abs("x", Pair(Bound(0), Var("y"))))
+    roots = [Lam(Atom("B"), Abs("y", App(s, Bound(0)))), Pair(s, s),
+             App(Var("f"), s), s]
+    printed = print_terms(roots)
+    assert printed == [print_term(t) for t in roots]
+    assert printed == ["lam y1:B. (lam x:A. pair(x, y)) y1",
+                       "pair(lam x:A. pair(x, y), lam x:A. pair(x, y))",
+                       "f (lam x:A. pair(x, y))", "lam x:A. pair(x, y)"]
+
+
 def test_print_prop_matches_the_reference():
     props = []
     for i in range(300):
