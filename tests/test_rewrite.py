@@ -1013,6 +1013,13 @@ _MEASURE_CASES = [
     # and second Philox blocks of four words; fuel 30 ends the runs of
     # the three deepest leaves
     ("deep", _deep_measure_text(12), 300, 9, (10 ** 6, 30)),
+    # a zero-norm measurement at little or no fuel: stuck before the fuel
+    # check, at the root and in a branch
+    ("zero-fuel", "case_nd(inlr(0.0 . star, 0.0 . star), x. x, y. y)", 20, 1,
+     (0, 1, 2, 3)),
+    ("zero-inner-fuel", "case_nd(inlr(1.0 . star, 1.0 . star), "
+     "x. one_elim(x, case_nd(inlr(0.0 . star, 0.0 . star), a. a, b. b)), "
+     "y. y)", 20, 1, (0, 1, 2, 3)),
 ]
 
 
