@@ -14,8 +14,10 @@ Rule 37's pi witness ``case(t, x1. inr(x1), x2. inl(x2))`` is itself a
 rule-37 redex, so ``case(case(inl(star), x. inr(x), y. inl(y)), a. star,
 b. star)`` comes back to itself by rule 37 inside and then rule 7 at the
 root.  Leftmost-outermost normalization still terminates on that term, in
-one step by rule 31.  So everything here runs under fuel, and the
-exploration mode reports what it reached rather than asserting uniqueness.
+one step by rule 31.  Cycles also run through rules 35, 40 and 7 without
+rule 37 (one is pinned in the tests); the rule table is left as it is.
+So everything here runs under fuel, and the exploration mode reports
+what it reached rather than asserting uniqueness.
 """
 
 from __future__ import annotations

@@ -13,12 +13,13 @@ import argparse
 import json
 import sys
 
-from .cc import DEFAULT_FUEL_CC, explore
+from .cc import DEFAULT_FUEL_CC, demo_optimization, explore
 from .qencode import (compile_matrix, dump_vector_json, from_vector,
                       load_matrix_json, load_vector_json, to_vector,
                       EncodeError)
 from .quantum import run_measure
 from .rewrite import default_ruleset, normalize
+from .rng import derive_rng
 from .selftest import SUITES
 from .syntax import (CalculusError, ParseError, parse_prop, parse_term,
                      print_prop, print_term)
@@ -83,8 +84,6 @@ def cmd_check(args):
 
 def cmd_norm(args):
     t = _parse_file(args.file, args.calculus)
-    from .rng import derive_rng
-
     fuel = args.fuel if args.fuel is not None else DEFAULT_FUEL[args.calculus]
     if args.enumerate:
         if args.calculus != "cc":
@@ -165,8 +164,6 @@ def cmd_encode(args):
 
 
 def cmd_demo_opt(args):
-    from .cc import demo_optimization
-
     print(demo_optimization().render())
     return EXIT_OK
 

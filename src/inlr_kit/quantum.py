@@ -27,8 +27,7 @@ import numpy as np
 from .iplus import (SUM_INJECTIONS, _beta, _case_inl, _case_inlr, _case_inr,
                     _sum_lam)
 from .rewrite import (ND_PAIR, ND_SINGLE, Cursor, Rule, RuleId, RuleSet,
-                      Stuck, _alternatives, is_normal,
-                      register_default_ruleset)
+                      Stuck, is_normal, register_default_ruleset, run_steps)
 from .rng import draw_block
 from .syntax import (_TERM_ALLOWED, Abs, App, Bound, Case, CaseNd, Inl, Inlr2,
                      Inr, Lam, OneElim, Prod, ScalarStar, Sum, Term, Var, fold,
@@ -171,13 +170,13 @@ def mu_subst_additivity(body: Term, u: Term) -> bool:
 # ---------------------------------------------------------------------------
 # Measurement runs
 
-def _stuck_bin(reason):
-    """The outcome bin of the runs stuck for a reason."""
-    return f"<stuck:{reason}>"
+def _bin(kind, reason=None):
+    """The outcome bin of the runs that end other than in a normal form."""
+    return f"<{kind}:{reason}>" if reason else f"<{kind}>"
 
 
-STUCK_BIN = _stuck_bin("zero-norm")
-FUEL_BIN = "<fuel-exhausted>"
+STUCK_BIN = _bin("stuck", "zero-norm")
+FUEL_BIN = _bin("fuel-exhausted")
 
 
 @dataclass
@@ -214,7 +213,7 @@ def run_measure(t: Term, shots: int, seed: int,
     the shots hit and the most draws a shot made, and gives the share of
     the shots in the fuel bin and whether exact weights were attached.
     """
-    root = _Run(t, 0, fuel)
+    root = _Run(t, fuel)
     hits = {}  # leaf -> [first shot ending there, shots, draws]
     for start in range(0, shots, CHUNK):
         _walk(root, seed, range(start, min(start + CHUNK, shots)), hits)
@@ -288,8 +287,8 @@ def _runs(root: _Run) -> int:
 
 
 class _Run:
-    """A node of the tree of runs: normalize's steps from a term, taken up
-    to a measurement step or an end; `steps` were taken before the term.
+    """A node of the tree of runs: the engine's steps from a term with
+    `fuel` steps left (`rewrite.run_steps`), up to a measurement or an end.
 
     At an end, `end` is the outcome bin: the normal form, or the name of
     a stuck or fuel bin.  At a measurement `end` is None, `probs` are the
@@ -300,31 +299,19 @@ class _Run:
 
     __slots__ = ("end", "probs", "_kids")
 
-    def __init__(self, t: Term, steps: int, fuel: int):
-        self.end = None
+    def __init__(self, t: Term, fuel: int):
         cur = Cursor(t, RULES_QUANTUM)
-        try:
-            while True:
-                here = cur.seek()
-                if here is None:
-                    self.end = cur.term()
-                    return
-                # asked before the fuel check, as `normalize` does
-                alternatives = (_alternatives(cur.focus, here)
-                                if here[0].group == ND_PAIR else None)
-                if steps >= fuel:
-                    self.end = FUEL_BIN
-                    return
-                if alternatives is not None:
-                    break
-                cur.contract(here[0].build)
-                steps += 1
-        except Stuck as e:
-            self.end = _stuck_bin(e.reason)
+        steps = []
+        stop = run_steps(cur, steps, fuel)
+        if type(stop) is tuple:
+            self.end = (cur.term() if stop[0] == "normal-form"
+                        else _bin(*stop))
             return
-        self.probs = [p for _, p in alternatives]
-        self._kids = [(cur.plug(rule.build(cur.focus)), steps + 1, fuel)
-                      for rule, _ in alternatives]
+        self.end = None
+        self.probs = [p for _, p in stop]
+        fuel -= len(steps) + 1
+        self._kids = [(cur.plug(rule.build(cur.focus)), fuel)
+                      for rule, _ in stop]
 
     def branch(self, i: int) -> _Run:
         kid = self._kids[i]

@@ -23,9 +23,10 @@ A head inspects a node and its children, so a contraction can only turn
 its parent into a redex, unless a guard looks deeper; the search
 therefore resumes at the parent, or at the outermost ancestor whose
 constructor carries a guard, noted when its frame was pushed, and not at
-the root.  `normalize` is one loop over the cursor: it takes the first
-matching rule, or weighs a non-deterministic family's alternatives and
-draws one, keeps the focus's cell as the step's position and contracts.
+the root.  `run_steps` is the one step loop: it contracts up to a normal
+form, a stuck redex, spent fuel or a probabilistic pair, each step's
+position the focus's cell; `normalize` draws at each pair and calls it
+again, and `quantum`'s tree of runs calls it once per run.
 """
 
 from __future__ import annotations
@@ -572,38 +573,47 @@ def step_at(t: Term, pos, rid: RuleId, choice: str | None = None,
     return cur.plug(rule.build(cur.focus))
 
 
-def normalize(t: Term, ruleset: RuleSet, fuel: int = 10 ** 6,
-              rng=None) -> ReductionTrace:
-    """Repeatedly contract the leftmost-outermost redex.
-
-    Deterministic given the rng seed; the outcome encodes normal forms,
-    fuel exhaustion, and stuck redexes (a zero-norm measurement, a scalar
-    overflow), left in the term.
-    """
-    trace = ReductionTrace(initial=t)
-    steps = trace.steps
-    cur = Cursor(t, ruleset)
+def run_steps(cur: Cursor, steps: list, fuel: int):
+    """Contract leftmost-outermost redexes from the cursor's focus, a
+    `Step` appended to steps for each, up to a stop: a normal form, a
+    stuck redex or `fuel` steps, returned as their `Outcome`'s (kind,
+    reason), or a probabilistic pair, as its alternatives, the focus on
+    it.  A family's alternatives are asked before the fuel check, so a
+    zero-norm measurement is stuck even when no fuel is left."""
     seek, contract, stack = cur.seek, cur.contract, cur.stack
-    kind, reason = "normal-form", None
     try:
         while (here := seek()) is not None:
-            rule = here[0]
-            # asked before the fuel check: a zero-norm measurement is
-            # stuck even when no fuel is left
-            alternatives = (None if rule.group is None
-                            else _alternatives(cur.focus, here))
+            rule, weight = here[0], None
+            if rule.group is not None:
+                alternatives = _alternatives(cur.focus, here)
+                rule, weight = alternatives[0]
+                if rule.group == ND_PAIR and len(steps) < fuel:
+                    return alternatives
             if len(steps) >= fuel:
-                kind = "fuel-exhausted"
-                break
-            weight = None
-            if alternatives is not None:
-                rule, weight = _draw(alternatives, rng)
+                return "fuel-exhausted", None
             cell = (stack[-1][1], stack[-1][5]) if stack else None  # cell()
             contract(rule.build)
             steps.append(Step(rule.rid, cell, weight))
     except Stuck as e:
-        kind, reason = "stuck", e.reason
-    trace.outcome = Outcome(kind, cur.term(), reason)
+        return "stuck", e.reason
+    return "normal-form", None
+
+
+def normalize(t: Term, ruleset: RuleSet, fuel: int = 10 ** 6,
+              rng=None) -> ReductionTrace:
+    """Repeatedly contract the leftmost-outermost redex.
+
+    Each measurement draws its branch from rng (without one, the left);
+    the outcome encodes normal forms, fuel exhaustion, and stuck redexes
+    (a zero-norm measurement, a scalar overflow), left in the term.
+    """
+    trace = ReductionTrace(initial=t)
+    cur = Cursor(t, ruleset)
+    while type(stop := run_steps(cur, trace.steps, fuel)) is list:
+        rule, weight = _draw(stop, rng)
+        trace.steps.append(Step(rule.rid, cur.cell(), weight))
+        cur.contract(rule.build)
+    trace.outcome = Outcome(stop[0], cur.term(), stop[1])
     return trace
 
 

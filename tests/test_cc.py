@@ -11,7 +11,8 @@ from inlr_kit.rng import derive_rng
 from inlr_kit.selftest import cc_enumeration, cc_pi_terms, cc_rule_soundness
 from inlr_kit.syntax import (Abs, AndElim1, Bound, Inlr3, Pair, Star, Top,
                              Var, _store_hashes, alpha_eq, fold, parse_prop,
-                             parse_term, print_term, replace_children)
+                             parse_term, print_term, replace_children,
+                             term_size)
 from inlr_kit.typecheck import TypingError, infer
 
 
@@ -458,6 +459,21 @@ def test_exploration_finds_the_two_cycle():
     assert graph.budget_hit and len(graph.terms) == 200
     assert graph.shortest_cycle() == ([0, 3], ["cc:37", "cc:7"])
     assert (0, 3, "cc:37") in graph.edges and (3, 0, "cc:7") in graph.edges
+
+
+@pytest.mark.parametrize("rules", [RULES_CC, RULES_CC_DET],
+                         ids=["cc", "cc-det"])
+def test_exploration_finds_a_cycle_without_rule_37(rules):
+    # seven steps through rules 35, 40, 7 and 3 come back to a term the
+    # graph holds; the one normal form is still reached
+    t = cc("case(case(inr(star), x. inlr(inl(x), x1. x, y. x), y. inl(y)), "
+           "x. x, y. y)")
+    assert term_size(t) == 13 and infer("cc", {}, t) == Top()
+    graph = explore(t, 100, ruleset=rules)
+    assert graph.shortest_cycle() == (
+        [4, 10, 15, 23, 37, 61, 99],
+        ["cc:35", "cc:40", "cc:7", "cc:35", "cc:7", "cc:3", "cc:3"])
+    assert len(graph.normal_forms) == 1
 
 
 def test_shortest_cycle_of_a_graph():

@@ -17,7 +17,7 @@ from inlr_kit.syntax import (Abs, App, Bound, Case, CaseNd, Inl, Inlr2, Inr,
                              print_term)
 from inlr_kit.typecheck import infer
 
-from test_rewrite import measure_inputs
+from test_rewrite import _reference_normalize, measure_inputs
 
 
 def q(s):
@@ -348,19 +348,21 @@ def test_measurement_waits_for_irreducible_components():
 
 
 # ---------------------------------------------------------------------------
-# the tree of runs against one normalize per shot
+# the tree of runs against one reference normalization per shot
 
 def _per_shot_histogram(t, shots, seed, fuel):
-    """(printed term, count) per bin, from one normalize per shot with the
-    shot's own stream; each bin printed from its first hit."""
+    """(printed term, count) per bin, from one normalization per shot with
+    the shot's own stream; each bin printed from its first hit.  The runs
+    go through test_rewrite's next-step loop, not the engine's step loop
+    that both `normalize` and the tree of runs call."""
     counts = {}
     for shot in range(shots):
-        tr = normalize(t, RULES_QUANTUM, fuel,
-                       rng=derive_rng(seed, 0x5407, shot))
-        if tr.outcome.kind == "normal-form":
-            key = tr.final
-        elif tr.outcome.kind == "stuck":
-            key = f"<stuck:{tr.outcome.reason}>"
+        _, _, kind, reason, final = _reference_normalize(
+            t, RULES_QUANTUM, fuel, rng=derive_rng(seed, 0x5407, shot))
+        if kind == "normal-form":
+            key = final
+        elif kind == "stuck":
+            key = f"<stuck:{reason}>"
         else:
             key = "<fuel-exhausted>"
         counts[key] = counts.get(key, 0) + 1
