@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantum import RULES_QUANTUM, RULES_QUANTUM_DET
-from .rewrite import is_normal, normalize, structural_norm_sq
+from .quantum import RULES_QUANTUM, RULES_QUANTUM_DET, structural_norm_sq
+from .rewrite import is_normal, normalize
 from .rng import derive_rng
 from .syntax import (Abs, App, Bound, Case, CaseNd, Inl, Inlr2, Inr, Lam,
                      OneElim, OPlus, One, Prod, Proposition, ScalarStar, Sum,

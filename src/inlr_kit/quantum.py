@@ -26,8 +26,8 @@ import numpy as np
 
 from .iplus import (SUM_INJECTIONS, _beta, _case_inl, _case_inlr, _case_inr,
                     _sum_lam)
-from .rewrite import (ND_PAIR, ND_SINGLE, Cursor, Rule, RuleId, RuleSet,
-                      Stuck, is_normal, register_default_ruleset, run_steps)
+from .rewrite import (ND_PAIR, Cursor, Rule, RuleId, RuleSet, Stuck,
+                      is_normal, register_default_ruleset, run_steps)
 from .rng import draw_block
 from .syntax import (_TERM_ALLOWED, Abs, App, Bound, Case, CaseNd, Inl, Inlr2,
                      Inr, Lam, OneElim, Prod, ScalarStar, Sum, Term, Var, fold,
@@ -41,6 +41,11 @@ def _rule(n, name, head, build, **kw):
 class ScalarOverflowStuck(Stuck):
     """A scalar commutation whose sum or product is not finite."""
     reason = "scalar-overflow"
+
+
+class ZeroNormStuck(Stuck):
+    """Both branch weights of a measurement step are zero."""
+    reason = "zero-norm"
 
 
 def _scalar_star(value):
@@ -71,15 +76,61 @@ def _settled(t):
             and is_normal(t.scrut.right, RULES_QUANTUM))
 
 
+def structural_norm_sq(t: Term) -> float | None:
+    """The squared norm of a closed irreducible vector proof, else None;
+    inf when a square is too large for a float.
+
+    An explicit stack holds the nodes still to weigh, and None marks an
+    `inlr` whose two norms are on top of `norms`, to be added.
+    """
+    todo = [t]
+    norms = []
+    while todo:
+        t = todo.pop()
+        if t is None:
+            right = norms.pop()
+            norms[-1] += right
+        elif isinstance(t, ScalarStar):
+            try:
+                norms.append(abs(t.value) ** 2)
+            except OverflowError:  # the modulus or its square
+                norms.append(cmath.inf)
+        elif isinstance(t, Inlr2):
+            todo += (None, t.right, t.left)
+        elif isinstance(t, (Inl, Inr)):
+            todo.append(t.body)
+        else:
+            return None
+    return norms[0]
+
+
+def _born_weights(t: CaseNd) -> tuple:
+    """The probabilities of rules 26 and 27: the squared norms of the values
+    the branches receive over their sum, None for both (a uniform draw) at
+    a component that is not a vector value; stuck at a zero or inf sum."""
+    wl = structural_norm_sq(t.scrut.left)
+    wr = structural_norm_sq(t.scrut.right)
+    if wl is None or wr is None:
+        return None, None
+    total = wl + wr
+    if total == 0.0:
+        raise ZeroNormStuck("both branch weights are zero")
+    if not cmath.isfinite(total):
+        raise ScalarOverflowStuck(f"squared norm {total} is not finite")
+    return wl / total, wr / total
+
+
 _ND = (
-    _rule(24, "case-nd-inl", (CaseNd, Inl), _case_inl, group=ND_SINGLE),
-    _rule(25, "case-nd-inr", (CaseNd, Inr), _case_inr, group=ND_SINGLE),
+    _rule(24, "case-nd-inl", (CaseNd, Inl), _case_inl,
+          weigh=lambda t: (1.0,)),
+    _rule(25, "case-nd-inr", (CaseNd, Inr), _case_inr,
+          weigh=lambda t: (1.0,)),
     _rule(26, "case-nd-inlr-left", (CaseNd, Inlr2),
           lambda t: instantiate(t.left.body, (t.scrut.left,)),
-          group=ND_PAIR, role="left", guard=_settled),
+          group=ND_PAIR, role="left", guard=_settled, weigh=_born_weights),
     _rule(27, "case-nd-inlr-right", (CaseNd, Inlr2),
           lambda t: instantiate(t.right.body, (t.scrut.right,)),
-          group=ND_PAIR, role="right", guard=_settled),
+          group=ND_PAIR, role="right", guard=_settled, weigh=_born_weights),
 )
 
 _COMMUTATIONS = (

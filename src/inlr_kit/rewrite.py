@@ -35,12 +35,11 @@ import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .syntax import Inl, Inlr2, Inr, ScalarStar, Term, alpha_eq, cell_path
+from .syntax import Term, alpha_eq, cell_path
 
-# nd-family tags, quantum's alone; at a redex of untagged rules the engine
-# takes the first listed (cc's bot_elim at a disjunction: 11, not 12)
-ND_PAIR = "nd-inlr"      # probabilistic pair (quantum 26/27)
-ND_SINGLE = "nd-single"  # non-deterministic in name only (quantum 24/25)
+# the tag of quantum's probabilistic pair (26/27); at other redexes the
+# engine takes the first rule listed (cc's bot_elim at a disjunction: 11)
+ND_PAIR = "nd-inlr"
 
 
 @dataclass(frozen=True)
@@ -68,6 +67,7 @@ class Rule:
     group: str | None = None
     role: str | None = None  # "left" / "right" within an ND_PAIR family
     guard: object = None     # Term -> bool, a side condition beyond the head
+    weigh: object = None     # redex -> each matching rule's probability
 
     def match(self, t: Term) -> bool:
         """Whether the head and the guard both accept t."""
@@ -165,11 +165,6 @@ class Stuck(Exception):
     reason = "stuck"
 
 
-class ZeroNormStuck(Stuck):
-    """Both branch weights of a measurement step are zero."""
-    reason = "zero-norm"
-
-
 # ---------------------------------------------------------------------------
 # Traces
 
@@ -235,52 +230,14 @@ def replay(trace: ReductionTrace) -> Term:
 # ---------------------------------------------------------------------------
 # The alternatives at a redex
 
-def structural_norm_sq(t: Term) -> float | None:
-    """The squared norm of a closed irreducible vector proof, else None.
-
-    An explicit stack holds the nodes still to weigh, and None marks an
-    `inlr` whose two norms are on top of `norms`, to be added.
-    """
-    todo = [t]
-    norms = []
-    while todo:
-        t = todo.pop()
-        if t is None:
-            right = norms.pop()
-            norms[-1] += right
-        elif isinstance(t, ScalarStar):
-            norms.append(abs(t.value) ** 2)
-        elif isinstance(t, Inlr2):
-            todo += (None, t.right, t.left)
-        elif isinstance(t, (Inl, Inr)):
-            todo.append(t.body)
-        else:
-            return None
-    return norms[0]
-
-
 def _alternatives(redex, here):
-    """The rules matching at one redex, each with its probability.
-
-    The probabilistic pair fires only on irreducible components (its
-    guard), so its weights are the squared norms of the very values the
-    branches receive; components that are not vector values give weight
-    None and a uniform draw.  An ND_SINGLE rule is certain, and the first
-    rule of any other redex carries no weight.
-    """
+    """The rules matching at one redex, each with its probability, by the
+    first rule's `weigh` (None for a uniform draw; it raises `Stuck` at a
+    redex it cannot weigh); without one, the first rule and no weight."""
     first = here[0]
-    if first.group == ND_PAIR:
-        left = next(r for r in here if r.role == "left")
-        right = next(r for r in here if r.role == "right")
-        wl = structural_norm_sq(redex.scrut.left)
-        wr = structural_norm_sq(redex.scrut.right)
-        if wl is None or wr is None:
-            return [(left, None), (right, None)]
-        total = wl + wr
-        if total == 0.0:
-            raise ZeroNormStuck("both branch weights are zero")
-        return [(left, wl / total), (right, wr / total)]
-    return [(first, 1.0 if first.group == ND_SINGLE else None)]
+    if first.weigh is None:
+        return [(first, None)]
+    return list(zip(here, first.weigh(redex)))
 
 
 def _draw(alternatives, rng):
@@ -538,9 +495,8 @@ def reducts(t: Term, ruleset: RuleSet):
     def visit(here):
         redex = cur.focus
         pos = cur.pos()
+        _alternatives(redex, here)  # a redex that cannot be weighed is stuck
         for r in here:
-            if r.group == ND_PAIR:
-                _alternatives(redex, here)  # a zero-norm pair is stuck
             out.append((pos, r.rid, cur.plug(r.build(redex))))
 
     cur.seek(visit)
@@ -578,13 +534,13 @@ def run_steps(cur: Cursor, steps: list, fuel: int):
     `Step` appended to steps for each, up to a stop: a normal form, a
     stuck redex or `fuel` steps, returned as their `Outcome`'s (kind,
     reason), or a probabilistic pair, as its alternatives, the focus on
-    it.  A family's alternatives are asked before the fuel check, so a
-    zero-norm measurement is stuck even when no fuel is left."""
+    it.  Weighed alternatives are asked before the fuel check, so a
+    measurement that cannot be weighed is stuck even with no fuel left."""
     seek, contract, stack = cur.seek, cur.contract, cur.stack
     try:
         while (here := seek()) is not None:
             rule, weight = here[0], None
-            if rule.group is not None:
+            if rule.weigh is not None:
                 alternatives = _alternatives(cur.focus, here)
                 rule, weight = alternatives[0]
                 if rule.group == ND_PAIR and len(steps) < fuel:

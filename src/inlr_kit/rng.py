@@ -79,7 +79,7 @@ def draw_block(seed: int, lane: tuple, shots: range, block: int) -> np.ndarray:
     words, and the lane's counter sits in the third word, so block b of
     lane (*lane, s) is Philox of (b + 1, 0, counter(*lane, s), 0).
     """
-    first = (_counter(lane) * 1_000_003 + 1 + shots.start) % _MOD
+    first = _counter((*lane, shots.start))
     lanes = np.arange(len(shots), dtype=np.uint64) + np.uint64(first)
     even = np.stack((np.full_like(lanes, block + 1), lanes))
     words = _philox(even, np.zeros_like(even), (int(seed) % _MOD, 0))

@@ -138,6 +138,20 @@ CASES = [
      ["norm", g("t_sum_overflow.inlr"), "--calculus", "quantum"], 2),
     ("measure_overflow",
      ["measure", g("t_sum_overflow.inlr"), "--shots", "10"], 2),
+    # measurements whose squared norms are too large for a float: a
+    # square, a complex modulus, and the sum of two finite squares
+    ("norm_nd_square_overflow",
+     ["norm", g("t_nd_square_overflow.inlr"), "--calculus", "quantum"], 2),
+    ("measure_nd_square_overflow",
+     ["measure", g("t_nd_square_overflow.inlr"), "--shots", "1000"], 2),
+    ("norm_nd_modulus_overflow",
+     ["norm", g("t_nd_modulus_overflow.inlr"), "--calculus", "quantum"], 2),
+    ("measure_nd_modulus_overflow",
+     ["measure", g("t_nd_modulus_overflow.inlr"), "--shots", "1000"], 2),
+    ("norm_nd_norm_sum_overflow",
+     ["norm", g("t_nd_norm_sum_overflow.inlr"), "--calculus", "quantum"], 2),
+    ("measure_nd_norm_sum_overflow",
+     ["measure", g("t_nd_norm_sum_overflow.inlr"), "--shots", "1000"], 2),
 ]
 
 

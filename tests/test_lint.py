@@ -1,6 +1,7 @@
 """Source checks on the package: which functions may call themselves,
-where gen draws from its rng, where node fields are declared, where the
-node classes become dataclasses and how a node's caches are written."""
+where gen draws from its rng, which node classes the rewrite engine
+names, where node fields are declared, where the node classes become
+dataclasses and how a node's caches are written."""
 
 import ast
 import dataclasses
@@ -9,7 +10,7 @@ import pathlib
 import pytest
 
 import inlr_kit
-from inlr_kit import gen
+from inlr_kit import gen, syntax
 from inlr_kit.syntax import Abs, Lam, Node, Proposition, Term
 
 SRC = pathlib.Path(inlr_kit.__file__).parent
@@ -100,6 +101,36 @@ def test_the_lint_sees_rng_calls():
 
 def test_gen_draws_only_through_its_three_helpers():
     assert _rng_calls(dict(_trees())["gen"]) == DRAWS
+
+
+def _syntax_nodes(tree: ast.AST) -> set:
+    """The node classes a module imports from the package's syntax module,
+    and "syntax" when it imports the module whole."""
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or node.level != 1:
+            continue
+        for alias in node.names:
+            if node.module is None and alias.name == "syntax":
+                found.add("syntax")
+            elif node.module == "syntax":
+                obj = getattr(syntax, alias.name, None)
+                if isinstance(obj, type) and issubclass(obj, Node):
+                    found.add(alias.name)
+    return found
+
+
+def test_the_lint_sees_syntax_nodes():
+    tree = ast.parse("from .syntax import Inl, Term, alpha_eq\n"
+                     "from . import syntax\n"
+                     "from .quantum import ScalarStar\n")
+    assert _syntax_nodes(tree) == {"Inl", "Term", "syntax"}
+
+
+def test_the_engine_names_no_constructor():
+    # rewrite is the generic engine: what a calculus's constructors mean,
+    # the measurement weights among it, lives in that calculus's rules
+    assert _syntax_nodes(dict(_trees())["rewrite"]) == {"Term"}
 
 
 def test_the_term_generators_build_no_closure_per_call():

@@ -1,8 +1,11 @@
+import math
+
+import numpy as np
 import pytest
 
 from inlr_kit import gen, quantum
-from inlr_kit.qencode import (NotIrreducible, NotVectorProp, from_vector,
-                              meas_first, norm_sq, qn_prop)
+from inlr_kit.qencode import (NotIrreducible, NotVectorProp, dim, from_vector,
+                              meas_first, norm_sq, qn_prop, to_vector)
 from inlr_kit.quantum import (RULES_QUANTUM, RULES_QUANTUM_DET, Histogram,
                               ScalarOverflowStuck, is_introduction, lex_gt,
                               measure_mu, measure_nu,
@@ -11,10 +14,11 @@ from inlr_kit.quantum import (RULES_QUANTUM, RULES_QUANTUM_DET, Histogram,
 from inlr_kit.rewrite import (NoMatchError, RuleId, find_redexes, normalize,
                               step_at)
 from inlr_kit.rng import derive_rng
+from inlr_kit.selftest import _vector_prop_of_dim_at_most
 from inlr_kit.syntax import (Abs, App, Bound, Case, CaseNd, Inl, Inlr2, Inr,
-                             Lam, OneElim, Prod, ScalarStar, Star, Sum, Term,
-                             Var, instantiate, parse_prop, parse_term,
-                             print_term)
+                             Lam, One, OneElim, OPlus, Prod, ScalarStar, Star,
+                             Sum, Term, Var, instantiate, parse_prop,
+                             parse_term, print_term)
 from inlr_kit.typecheck import infer
 
 from test_rewrite import _reference_normalize, measure_inputs
@@ -186,6 +190,15 @@ def test_norm_examples():
     assert norm_sq(q("inlr(3.0 . star, 4.0 . star)"),
                    qp("One (+) One")) == 25.0
     assert norm_sq(q("inl(1.0 . star)"), qp("One (+) One")) == 1.0
+
+
+@pytest.mark.parametrize("text,prop", [
+    ("1e200 . star", "One"),  # the square overflows
+    ("(1e308, 1e308) . star", "One"),  # the modulus overflows
+    ("inlr(1.3e154 . star, 1.3e154 . star)", "One (+) One"),  # the sum
+])
+def test_norm_past_a_float_is_inf(text, prop):
+    assert norm_sq(q(text), qp(prop)) == math.inf
 
 
 def test_norm_rejects_reducible():
@@ -451,3 +464,49 @@ def test_a_deep_measured_value_is_weighed_without_recursion():
         assert [s.weight for s in tr.steps] == [0.5]
         assert tr.final == (chain if str(tr.steps[0].rule) == "quantum:26"
                             else ScalarStar(1.0))
+
+
+class _Fixed:
+    """An rng whose every draw is x: 0.0 takes a measurement's left
+    branch, 1.0 its right."""
+
+    def __init__(self, x):
+        self.x = x
+
+    def random(self):
+        return self.x
+
+
+def _seeded_values(rng):
+    """A value from `from_vector` at a seeded vector proposition, and the
+    proposition, the value wrapped in an inl or an inr one time in three."""
+    p = _vector_prop_of_dim_at_most(rng, 16)
+    n = dim(p)
+    t = from_vector(rng.standard_normal(n) + 1j * rng.standard_normal(n), p)
+    pad = _vector_prop_of_dim_at_most(rng, 4)
+    wrap = int(rng.integers(3))
+    if wrap == 1:
+        return Inl(t), OPlus(p, pad)
+    if wrap == 2:
+        return Inr(t), OPlus(pad, p)
+    return t, p
+
+
+def test_measurement_weights_match_numpy():
+    # an oracle apart from the engine: the left branch's weight is
+    # |u|^2 / (|u|^2 + |v|^2), the squared norms taken by numpy from
+    # to_vector, and the two branches' weights add up to one
+    wrapped = set()
+    for i in range(80):
+        rng = derive_rng(107, i)
+        (u, p), (v, r) = _seeded_values(rng), _seeded_values(rng)
+        wrapped |= {type(u), type(v)}
+        nu = float(np.linalg.norm(to_vector(u, p)) ** 2)
+        nv = float(np.linalg.norm(to_vector(v, r)) ** 2)
+        t = CaseNd(Inlr2(u, v), Abs("x", Bound(0)), Abs("y", Bound(0)))
+        [left] = normalize(t, RULES_QUANTUM, rng=_Fixed(0.0)).steps
+        [right] = normalize(t, RULES_QUANTUM, rng=_Fixed(1.0)).steps
+        assert (left.rule.number, right.rule.number) == (26, 27)
+        assert abs(left.weight - nu / (nu + nv)) < 1e-12
+        assert abs(left.weight + right.weight - 1.0) < 1e-12
+    assert {Inl, Inr} <= wrapped

@@ -11,11 +11,11 @@ from inlr_kit import gen, qencode
 from inlr_kit.cc import RULES_CC, RULES_CC_DET, explore, pi_term
 from inlr_kit.iplus import RULES_IPLUS
 from inlr_kit.quantum import RULES_QUANTUM, RULES_QUANTUM_DET
-from inlr_kit.quantum import ScalarOverflowStuck, run_measure
+from inlr_kit.quantum import ScalarOverflowStuck, ZeroNormStuck, run_measure
 from inlr_kit.rewrite import (ND_PAIR, Cursor, Rule, RuleId, RuleSet, Stuck,
-                              ZeroNormStuck, _alternatives, _draw,
-                              find_redexes, join_peak, normalize, reducts,
-                              replay, step_at, NoMatchError)
+                              _alternatives, _draw, find_redexes, join_peak,
+                              normalize, reducts, replay, step_at,
+                              NoMatchError)
 from inlr_kit.rng import derive_rng
 from inlr_kit.syntax import (ABS, TERM, Abs, App, Bound, Inl, Lam, One,
                              OneElim, OPlus, ScalarStar, Star, Sum, Var,
@@ -1020,6 +1020,21 @@ _MEASURE_CASES = [
     ("zero-inner-fuel", "case_nd(inlr(1.0 . star, 1.0 . star), "
      "x. one_elim(x, case_nd(inlr(0.0 . star, 0.0 . star), a. a, b. b)), "
      "y. y)", 20, 1, (0, 1, 2, 3)),
+    # squared norms too large for a float: a square, a complex modulus and
+    # the sum of two finite squares are stuck, not drawn, also in a branch
+    # and at little or no fuel
+    ("norm-overflow-square", "case_nd(inlr(1e200 . star, 1.0 . star), "
+     "x. one_elim(x, inl(1.0 . star)), y. one_elim(y, inr(1.0 . star)))",
+     50, 10, (10 ** 6,)),
+    ("norm-overflow-modulus", "case_nd(inlr((1e308, 1e308) . star, "
+     "1.0 . star), x. one_elim(x, inl(1.0 . star)), "
+     "y. one_elim(y, inr(1.0 . star)))", 50, 11, (10 ** 6,)),
+    ("norm-overflow-sum", "case_nd(inlr(1.3e154 . star, 1.3e154 . star), "
+     "x. one_elim(x, inl(1.0 . star)), y. one_elim(y, inr(1.0 . star)))",
+     50, 12, (10 ** 6,)),
+    ("norm-overflow-inner", "case_nd(inlr(1.0 . star, 3.0 . star), "
+     "x. one_elim(x, case_nd(inlr(1.3e154 . star, 1.3e154 . star), "
+     "a. a, b. b)), y. y)", 200, 13, (0, 1, 2, 3, 10 ** 6)),
 ]
 
 
