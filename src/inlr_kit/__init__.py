@@ -10,11 +10,10 @@ and property-test suites.
 """
 
 from . import cc, iplus, quantum  # noqa: F401  (registers the rule tables)
-from .syntax import (alpha_eq, parse_prop, parse_term, print_prop,
-                     print_term)
+from .syntax import parse_prop, parse_term, print_prop, print_term
 from .typecheck import TypingError, infer
 
 __all__ = [
-    "alpha_eq", "parse_prop", "parse_term", "print_prop", "print_term",
+    "parse_prop", "parse_term", "print_prop", "print_term",
     "TypingError", "infer",
 ]

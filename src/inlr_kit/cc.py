@@ -29,8 +29,8 @@ from .rewrite import (Cursor, Rule, RuleId, RuleSet, register_default_ruleset,
                       step_at)
 from .syntax import (Abs, AndElim1, AndElim2, App, Bound, BotElim, Case, Conj,
                      Disj, Impl, Inl, Inlr3, Inr, Lam, Pair, Star, Term, Top,
-                     TopElim, Var, alpha_eq, instantiate, parse_term,
-                     print_term, print_terms, uses_binder)
+                     TopElim, Var, instantiate, parse_term, print_term,
+                     print_terms, uses_binder)
 
 
 def _rule(n, name, head, build, **kw):
@@ -567,4 +567,4 @@ def demo_optimization() -> DemoResult:
          ("beta", print_term(b2))],
         b2)
 
-    return DemoResult(route_a, route_b, alpha_eq(route_a.final, route_b.final))
+    return DemoResult(route_a, route_b, route_a.final == route_b.final)

@@ -230,14 +230,14 @@ def _bounded(build, max_size):
     return best
 
 
-def random_closed_term(calculus, rng, max_size=30):
-    """A random closed well-typed term together with its proposition."""
+def random_closed_term(calculus, rng):
+    """A random closed well-typed term of size at most 30 together with its
+    proposition."""
     if calculus == "quantum":
-        _, t, goal = random_term_in_context(calculus, rng, max_size,
-                                            allow_nd=False)
+        _, t, goal = random_term_in_context(calculus, rng, allow_nd=False)
         return t, goal
     goal = random_provable_prop(rng)
-    t = _bounded(lambda b: _gen_i(goal, {}, 0, rng, b, calculus), max_size)
+    t = _bounded(lambda b: _gen_i(goal, {}, 0, rng, b, calculus), 30)
     return t, goal
 
 
@@ -383,16 +383,15 @@ def _cut(number, gen, goal, a, b):
                 Abs("y", gen(goal, {0: b})))
 
 
-def iplus_rule_instance(number, rng, size=8):
+def iplus_rule_instance(number, rng):
     """(ctx, redex term, expected proposition) for one iplus rule.
 
     A binder around a generated body is level 0 in the body's context.
     """
     ctx = {"h": random_any_prop(rng, 1)}
     hyps = tuple(ctx.values())
-    budget = lambda: _Budget(size)
     gen = lambda goal, extra={}: _gen_i(goal, {**ctx, **extra}, len(extra),
-                                        rng, budget(), "iplus")
+                                        rng, _Budget(8), "iplus")
     goal = random_provable_prop(rng, hyps, 1)
     a = random_provable_prop(rng, hyps, 1)
     b = random_provable_prop(rng, hyps, 1)
@@ -415,15 +414,14 @@ def iplus_rule_instance(number, rng, size=8):
     raise ValueError(f"no iplus rule {number}")
 
 
-def quantum_rule_instance(number, rng, size=6):
+def quantum_rule_instance(number, rng):
     """(ctx, redex term, expected proposition) for one quantum rule.
 
     Instances are closed: the linear context is provided by binders, and
     a binder around a generated body is level 0 in the body's resources.
     """
-    budget = lambda: _Budget(size)
     gen = lambda goal, res=(): _gen_q(goal, list(res), len(res), rng,
-                                      budget(), allow_nd=False)
+                                      _Budget(6), allow_nd=False)
     goal = random_quantum_prop(rng, 1)
     a = random_quantum_prop(rng, 1)
     b = random_quantum_prop(rng, 1)
@@ -465,7 +463,7 @@ def quantum_rule_instance(number, rng, size=6):
     raise ValueError(f"no quantum rule {number}")
 
 
-def cc_rule_instance(number, rng, size=6):
+def cc_rule_instance(number, rng):
     """(ctx, redex term, expected proposition) for one cc rule.
 
     A binder around a generated body is level 0 in the body's context,
@@ -476,9 +474,8 @@ def cc_rule_instance(number, rng, size=6):
     ctx = {"s": Disj(a1, a2), "t1v": Disj(b1, b2), "t2v": Disj(b3, b4),
            "bb": Bot(), "cc": c, "dd": d,
            "hb1": b1, "hb2": b2, "hb3": b3, "hb4": b4}
-    budget = lambda: _Budget(size)
     gen = lambda goal, extra={}: _gen_i(goal, {**ctx, **extra}, len(extra),
-                                        rng, budget(), "cc")
+                                        rng, _Budget(6), "cc")
     hyps = tuple(ctx.values())
     goal = random_provable_prop(rng, hyps, 1)
     e = random_provable_prop(rng, hyps, 1)

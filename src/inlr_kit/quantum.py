@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import cmath
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,14 +109,25 @@ def structural_norm_sq(t: Term) -> float | None:
 def _born_weights(t: CaseNd) -> tuple:
     """The probabilities of rules 26 and 27: the squared norms of the values
     the branches receive over their sum, None for both (a uniform draw) at
-    a component that is not a vector value; stuck at a zero or inf sum."""
-    wl = structural_norm_sq(t.scrut.left)
-    wr = structural_norm_sq(t.scrut.right)
+    a component that is not a vector value; stuck at an inf sum, or at a
+    zero one when every amplitude is zero.  A sum below the normal floats
+    is taken again with each modulus scaled by the power of two that
+    brings the largest into [0.5, 1), which scales the weights exactly."""
+    l, r = t.scrut.left, t.scrut.right
+    wl, wr = structural_norm_sq(l), structural_norm_sq(r)
     if wl is None or wr is None:
         return None, None
     total = wl + wr
-    if total == 0.0:
-        raise ZeroNormStuck("both branch weights are zero")
+    if total < sys.float_info.min:
+        biggest = lambda node, mods: max(mods) if mods else abs(node.value)
+        top = max(fold(l, biggest), fold(r, biggest))
+        if top == 0.0:
+            raise ZeroNormStuck("both branch weights are zero")
+        e = -math.frexp(top)[1]
+        scaled = lambda node, norms: (sum(norms) if norms else
+                                      math.ldexp(abs(node.value), e) ** 2)
+        wl, wr = fold(l, scaled), fold(r, scaled)
+        total = wl + wr
     if not cmath.isfinite(total):
         raise ScalarOverflowStuck(f"squared norm {total} is not finite")
     return wl / total, wr / total

@@ -35,7 +35,7 @@ import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .syntax import Term, alpha_eq, cell_path
+from .syntax import Term, cell_path
 
 # the tag of quantum's probabilistic pair (26/27); at other redexes the
 # engine takes the first rule listed (cc's bot_elim at a disjunction: 11)
@@ -61,7 +61,7 @@ class Rule:
     rid: RuleId
     name: str
     # (root constructor, child constructor or None, ...), children taken in
-    # child_slots order; an abstraction slot stands for its body
+    # `_kids` order; an abstraction slot stands for its body
     head: tuple
     build: object   # redex -> contractum, both in the redex's context
     group: str | None = None
@@ -219,12 +219,6 @@ def replay_states(trace: ReductionTrace):
     for s in trace.steps:
         t = step_at(t, s.pos, s.rule)
         yield t
-
-
-def replay(trace: ReductionTrace) -> Term:
-    """Re-run the recorded steps; reproduces the outcome term exactly."""
-    *_, last = replay_states(trace)
-    return last
 
 
 # ---------------------------------------------------------------------------
@@ -584,4 +578,4 @@ def join_peak(t: Term, ruleset: RuleSet, fuel: int = 10 ** 6) -> bool:
         if tr.outcome.kind != "normal-form":
             return False
         nfs.append(tr.final)
-    return all(alpha_eq(nfs[0], nf) for nf in nfs[1:]) if nfs else True
+    return all(nfs[0] == nf for nf in nfs[1:])

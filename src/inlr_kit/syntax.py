@@ -480,16 +480,6 @@ _TERM_ALLOWED = {
 # ---------------------------------------------------------------------------
 # Generic traversal
 
-def child_slots(t: Term):
-    """The (field, kind) pairs of t that participate in term paths."""
-    return t._paths
-
-
-def subterms(t: Term):
-    """The path-children of t, in child_slots order (an Abs gives its body)."""
-    return list(t._kids(t))
-
-
 def cell_path(cell) -> tuple:
     """The path tuple of a position cell: the cell of path-child i of a
     node is (i, the node's cell), and the root's is None."""
@@ -498,15 +488,6 @@ def cell_path(cell) -> tuple:
         i, cell = cell
         path.append(i)
     return tuple(reversed(path))
-
-
-def replace_children(t: Term, new_children) -> Term:
-    """Rebuild t with its path-children, a sequence in `_kids` order,
-    replaced, keeping hints and scalars.
-
-    An abstraction whose body comes back unchanged is kept, not copied.
-    """
-    return t._rebuild(t, new_children)
 
 
 def fold(t: Term, combine):
@@ -679,7 +660,8 @@ def instantiate(t: Term, args=(), shift: int = 0) -> Term:
 
 
 def alpha_eq(t: Term, u: Term) -> bool:
-    """Equality modulo bound-variable names (structural on this encoding)."""
+    """`t == u`.  Only the benchmark's props check (perfbench/workloads.py)
+    still calls it; it goes when that check calls `==`."""
     return t == u
 
 

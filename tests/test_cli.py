@@ -152,6 +152,32 @@ CASES = [
      ["norm", g("t_nd_norm_sum_overflow.inlr"), "--calculus", "quantum"], 2),
     ("measure_nd_norm_sum_overflow",
      ["measure", g("t_nd_norm_sum_overflow.inlr"), "--shots", "1000"], 2),
+    # measurements whose squares underflow: weighed exactly, not stuck
+    # (two equal, far apart or summing below a float, and subnormal)
+    ("norm_nd_underflow_equal",
+     ["norm", g("t_nd_underflow_equal.inlr"), "--calculus", "quantum",
+      "--seed", "3", "--trace"], 0),
+    ("measure_nd_underflow_equal",
+     ["measure", g("t_nd_underflow_equal.inlr"), "--shots", "1000",
+      "--seed", "3"], 0),
+    ("norm_nd_underflow_ratio",
+     ["norm", g("t_nd_underflow_ratio.inlr"), "--calculus", "quantum",
+      "--seed", "4", "--trace"], 0),
+    ("measure_nd_underflow_ratio",
+     ["measure", g("t_nd_underflow_ratio.inlr"), "--shots", "1000",
+      "--seed", "4"], 0),
+    ("norm_nd_underflow_sum",
+     ["norm", g("t_nd_underflow_sum.inlr"), "--calculus", "quantum",
+      "--seed", "5", "--trace"], 0),
+    ("measure_nd_underflow_sum",
+     ["measure", g("t_nd_underflow_sum.inlr"), "--shots", "1000",
+      "--seed", "5"], 0),
+    ("norm_nd_subnormal_squares",
+     ["norm", g("t_nd_subnormal_squares.inlr"), "--calculus", "quantum",
+      "--seed", "6", "--trace"], 0),
+    ("measure_nd_subnormal_squares",
+     ["measure", g("t_nd_subnormal_squares.inlr"), "--shots", "1000",
+      "--seed", "6"], 0),
 ]
 
 

@@ -1,7 +1,8 @@
 """Source checks on the package: which functions may call themselves,
 where gen draws from its rng, which node classes the rewrite engine
 names, where node fields are declared, where the node classes become
-dataclasses and how a node's caches are written."""
+dataclasses, how a node's caches are written and that nothing calls the
+`==` alias `alpha_eq`."""
 
 import ast
 import dataclasses
@@ -121,7 +122,7 @@ def _syntax_nodes(tree: ast.AST) -> set:
 
 
 def test_the_lint_sees_syntax_nodes():
-    tree = ast.parse("from .syntax import Inl, Term, alpha_eq\n"
+    tree = ast.parse("from .syntax import Inl, Term, cell_path\n"
                      "from . import syntax\n"
                      "from .quantum import ScalarStar\n")
     assert _syntax_nodes(tree) == {"Inl", "Term", "syntax"}
@@ -173,6 +174,29 @@ def test_nothing_calls_object_setattr():
                     and node.value.id == "object"):
                 found.append((module, node.lineno))
     assert found == []
+
+
+def test_nothing_calls_alpha_eq():
+    # on nameless terms alpha-equivalence is `==`, so the package and its
+    # tests call that; the alias stays defined only for the benchmark
+    found = []
+    for path in [*SRC.glob("*.py"), *pathlib.Path(__file__).parent.rglob(
+            "*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                name = node.name
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name == "alpha_eq":
+                found.append((path.name, type(node).__name__))
+    assert found == [("syntax.py", "FunctionDef")]
+    assert "alpha_eq" not in inlr_kit.__all__
 
 
 def _dataclass_uses(tree) -> list:

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from inlr_kit.rng import derive_rng
 from inlr_kit.selftest import _vector_prop_of_dim_at_most
 from inlr_kit.syntax import (Abs, App, Bound, Case, CaseNd, Inl, Inlr2, Inr,
                              Lam, One, OneElim, OPlus, Prod, ScalarStar, Star,
-                             Sum, Term, Var, instantiate, parse_prop,
+                             Sum, Term, Var, fold, instantiate, parse_prop,
                              parse_term, print_term)
 from inlr_kit.typecheck import infer
 
@@ -477,12 +479,14 @@ class _Fixed:
         return self.x
 
 
-def _seeded_values(rng):
-    """A value from `from_vector` at a seeded vector proposition, and the
-    proposition, the value wrapped in an inl or an inr one time in three."""
+def _seeded_values(rng, scale=1.0):
+    """A value from `from_vector` at a seeded vector proposition, its
+    entries times scale, and the proposition, the value wrapped in an inl
+    or an inr one time in three."""
     p = _vector_prop_of_dim_at_most(rng, 16)
     n = dim(p)
-    t = from_vector(rng.standard_normal(n) + 1j * rng.standard_normal(n), p)
+    t = from_vector((rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                    * scale, p)
     pad = _vector_prop_of_dim_at_most(rng, 4)
     wrap = int(rng.integers(3))
     if wrap == 1:
@@ -510,3 +514,42 @@ def test_measurement_weights_match_numpy():
         assert abs(left.weight - nu / (nu + nv)) < 1e-12
         assert abs(left.weight + right.weight - 1.0) < 1e-12
     assert {Inl, Inr} <= wrapped
+
+
+def _exact_norm_sq(t):
+    """The squared norm of a vector value in exact rationals."""
+    return fold(t, lambda node, norms: sum(norms) if norms else
+                Fraction(node.value.real) ** 2
+                + Fraction(node.value.imag) ** 2)
+
+
+_TINY = [(1e-200, 1e-200), (1e-170, 1e-200), (3e-170, 4e-170),
+         (1e-161, 3e-161)]
+
+
+def test_tiny_amplitudes_are_weighed_exactly():
+    # squares that underflow to zero or to subnormals (numpy's too) are
+    # weighed, checked against exact rationals: a measurement's weights,
+    # and measure's exact weights, within 1e-12
+    pairs = [(ScalarStar(a), ScalarStar(b)) for a, b in _TINY]
+    for i in range(40):
+        rng = derive_rng(108, i)
+        scale = 10.0 ** -float(rng.integers(155, 290))
+        pairs.append((_seeded_values(rng, scale)[0],
+                      _seeded_values(rng, scale)[0]))
+    for u, v in pairs:
+        nu, nv = _exact_norm_sq(u), _exact_norm_sq(v)
+        assert float(nu + nv) < sys.float_info.min  # below the normals
+        want = float(nu / (nu + nv)), float(nv / (nu + nv))
+        t = CaseNd(Inlr2(u, v), Abs("x", Inl(Bound(0))),
+                   Abs("y", Inr(Bound(0))))
+        [left] = normalize(t, RULES_QUANTUM, rng=_Fixed(0.0)).steps
+        [right] = normalize(t, RULES_QUANTUM, rng=_Fixed(1.0)).steps
+        assert left.weight == pytest.approx(want[0], rel=1e-12, abs=0)
+        assert right.weight == pytest.approx(want[1], rel=1e-12, abs=0)
+        got = {b["term"]: b["exact_weight"]
+               for b in run_measure(t, 50, 1).bins}
+        assert got  # the shots land in the two branches' bins only
+        assert got.keys() <= {print_term(Inl(u)), print_term(Inr(v))}
+        for term, step in ((Inl(u), left), (Inr(v), right)):
+            assert got.get(print_term(term), step.weight) == step.weight

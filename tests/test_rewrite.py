@@ -14,14 +14,13 @@ from inlr_kit.quantum import RULES_QUANTUM, RULES_QUANTUM_DET
 from inlr_kit.quantum import ScalarOverflowStuck, ZeroNormStuck, run_measure
 from inlr_kit.rewrite import (ND_PAIR, Cursor, Rule, RuleId, RuleSet, Stuck,
                               _alternatives, _draw, find_redexes, join_peak,
-                              normalize, reducts, replay, step_at,
+                              normalize, reducts, replay_states, step_at,
                               NoMatchError)
 from inlr_kit.rng import derive_rng
 from inlr_kit.syntax import (ABS, TERM, Abs, App, Bound, Inl, Lam, One,
                              OneElim, OPlus, ScalarStar, Star, Sum, Var,
-                             alpha_eq, child_slots, free_names,
-                             instantiate, parse_term, print_term,
-                             replace_children, subterms, uses_binder)
+                             free_names, instantiate, parse_term, print_term,
+                             uses_binder)
 
 
 def ip(s):
@@ -92,12 +91,12 @@ def test_find_redexes_lists_nd_alternatives():
 def test_step_case_inlr():
     t = ip("case(inlr(t, u), x. v x, y. w y)")
     out = step_at(t, (), RuleId("iplus", 7))
-    assert alpha_eq(out, ip("sum(v t, w u)"))
+    assert out == ip("sum(v t, w u)")
 
 
 def test_step_one_elim():
     out = step_at(q("one_elim(2.0 . star, t)"), (), RuleId("quantum", 19))
-    assert alpha_eq(out, q("prod(2.0, t)"))
+    assert out == q("prod(2.0, t)")
 
 
 def test_step_no_match():
@@ -122,12 +121,12 @@ def test_forced_choice_beats_rng():
     t = q("case_nd(inlr(1.0 . star, 1.0 . star), x. x, y. y)")
     left = step_at(t, (), RuleId("quantum", 26), choice="left")
     right = step_at(t, (), RuleId("quantum", 26), choice="right")
-    assert alpha_eq(left, q("1.0 . star"))
-    assert alpha_eq(right, q("1.0 . star"))
+    assert left == q("1.0 . star")
+    assert right == q("1.0 . star")
     # same normal forms here, but the branches differ on asymmetric input
     t = q("case_nd(inlr(1.0 . star, 2.0 . star), x. x, y. y)")
-    assert alpha_eq(step_at(t, (), RuleId("quantum", 26), choice="right"),
-                    q("2.0 . star"))
+    assert (step_at(t, (), RuleId("quantum", 26), choice="right")
+            == q("2.0 . star"))
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +149,13 @@ def test_contraction_under_a_binder_keeps_outer_references():
 
 def test_normalize_sum_of_pairs():
     tr = normalize(ip("sum(pair(star, star), pair(star, star))"), RULES_IPLUS)
-    assert alpha_eq(tr.final, ip("pair(star, star)"))
+    assert tr.final == ip("pair(star, star)")
     assert [s.rule.number for s in tr.steps] == [10, 8, 8]
 
 
 def test_normalize_scalar_sum():
     tr = normalize(q("sum(1.0 . star, 2.0 . star)"), RULES_QUANTUM)
-    assert alpha_eq(tr.final, q("3.0 . star"))
+    assert tr.final == q("3.0 . star")
 
 
 def test_fuel_exhaustion_outcome():
@@ -202,7 +201,7 @@ def test_trace_replay_reproduces_exactly():
         "(lam x:Top\\/Top. case(x, a. inr(a), b. inl(b))) inlr(star, star)",
     ]):
         tr = normalize(ip(src), RULES_IPLUS)
-        assert replay(tr) == tr.final
+        assert list(replay_states(tr))[-1] == tr.final
 
 
 def test_trace_replay_probabilistic():
@@ -211,7 +210,7 @@ def test_trace_replay_probabilistic():
           "y. one_elim(y, inr(1.0 . star)))")
     for seed in range(6):
         tr = normalize(t, RULES_QUANTUM, rng=derive_rng(seed, 0))
-        assert replay(tr) == tr.final
+        assert list(replay_states(tr))[-1] == tr.final
 
 
 def test_trace_serialization():
@@ -364,12 +363,12 @@ def test_deterministic_given_seed():
 # differential: the engine against a brute-force reference
 
 def reference_redexes(t, ruleset):
-    """Every position via child_slots, every rule via a scan of the table."""
+    """Every position via `_paths`, every rule via a scan of the table."""
     out = []
 
     def walk(t, pos):
         out.extend((pos, r.rid) for r in ruleset.rules if r.match(t))
-        for i, (name, kind) in enumerate(child_slots(t)):
+        for i, (name, kind) in enumerate(t._paths):
             child = getattr(t, name)
             walk(child.body if kind == "abs" else child, pos + (i,))
 
@@ -634,7 +633,7 @@ def test_every_rule_under_binders():
 def _closed_leaves(t, pos=(), depth=0):
     """(position, binders above it, leaf) for every leaf of t that is
     not a variable."""
-    slots = child_slots(t)
+    slots = t._paths
     if not slots and not isinstance(t, (Var, Bound)):
         yield pos, depth, t
     for i, (name, kind) in enumerate(slots):
@@ -648,9 +647,9 @@ def _closed_leaves(t, pos=(), depth=0):
 def _replace_at(t, pos, u):
     if not pos:
         return u
-    kids = subterms(t)
+    kids = list(t._kids(t))
     kids[pos[0]] = _replace_at(kids[pos[0]], pos[1:], u)
-    return replace_children(t, kids)
+    return t._rebuild(t, kids)
 
 
 def test_quantum_rules_with_loose_indices():
@@ -750,7 +749,7 @@ def _nodes(t):
     while todo:
         t, depth = todo.pop()
         out.append((t, depth))
-        for name, kind in child_slots(t):
+        for name, kind in t._paths:
             child = getattr(t, name)
             todo.append((child.body, depth + 1) if kind == ABS
                         else (child, depth))
@@ -774,8 +773,8 @@ def _check_kept(t, got):
             assert new is old
         elif not isinstance(old, Bound):
             assert type(new) is type(old)
-            for (name, kind), a, b in zip(child_slots(old), subterms(old),
-                                          subterms(new)):
+            for (name, kind), a, b in zip(old._paths, old._kids(old),
+                                          new._kids(new)):
                 todo.append((a, b, depth + (kind == ABS)))
 
 
@@ -801,7 +800,7 @@ def test_instantiate_matches_the_map_vars_reference():
         names = sorted(free_names(top))
         bodies = [top] + [_close_term(top, x).body for x in names[:2]]
         bodies += [a.body for u, _ in _nodes(top) for name, kind
-                   in child_slots(u) if kind == ABS
+                   in u._paths if kind == ABS
                    for a in [getattr(u, name)]]
         _ctx, u, _goal = gen.random_term_in_context("iplus", args_rng)
         loose = App(Bound(1), _close_term(u, "u").body) if free_names(u) \
@@ -1035,6 +1034,20 @@ _MEASURE_CASES = [
     ("norm-overflow-inner", "case_nd(inlr(1.0 . star, 3.0 . star), "
      "x. one_elim(x, case_nd(inlr(1.3e154 . star, 1.3e154 . star), "
      "a. a, b. b)), y. y)", 200, 13, (0, 1, 2, 3, 10 ** 6)),
+    # squares that underflow are weighed, not stuck: two equal, far apart
+    # or summing below a float, and subnormal ones, also in a branch
+    ("norm-underflow-equal", "case_nd(inlr(1e-200 . star, 1e-200 . star), "
+     "x. one_elim(x, inl(1.0 . star)), y. one_elim(y, inr(1.0 . star)))",
+     200, 14, (10 ** 6,)),
+    ("norm-underflow-ratio", "case_nd(inlr(1e-170 . star, 1e-200 . star), "
+     "x. one_elim(x, inl(1.0 . star)), y. one_elim(y, inr(1.0 . star)))",
+     200, 15, (10 ** 6,)),
+    ("norm-underflow-sum", "case_nd(inlr(3e-170 . star, 4e-170 . star), "
+     "x. one_elim(x, inl(1.0 . star)), y. one_elim(y, inr(1.0 . star)))",
+     200, 16, (10 ** 6,)),
+    ("norm-subnormal-squares", "case_nd(inlr(1.0 . star, 3.0 . star), "
+     "x. one_elim(x, case_nd(inlr(1e-161 . star, 3e-161 . star), "
+     "a. a, b. b)), y. y)", 200, 17, (0, 1, 2, 3, 10 ** 6)),
 ]
 
 

@@ -13,7 +13,7 @@ from inlr_kit.syntax import (CALCULI, Abs, AndElim1, AndElim2, App, Bot,
                              One, OneElim, OPlus, Pair, Prod, ScalarStar,
                              Star, Sum, Top, TopElim, Var, _TERM_ALLOWED,
                              instantiate, parse_prop, parse_term, print_prop,
-                             print_term, replace_children, subterms)
+                             print_term)
 from inlr_kit.typecheck import TypingError, infer
 
 
@@ -237,7 +237,7 @@ _TYPING = os.path.join(os.path.dirname(__file__), "typing.tsv")
 
 def _leaves(t, pos=()):
     """The positions of t's leaves, in preorder."""
-    kids = subterms(t)
+    kids = t._kids(t)
     if not kids:
         yield pos
     for i, c in enumerate(kids):
@@ -247,9 +247,9 @@ def _leaves(t, pos=()):
 def _replace_at(t, pos, u):
     if not pos:
         return u
-    kids = subterms(t)
+    kids = list(t._kids(t))
     kids[pos[0]] = _replace_at(kids[pos[0]], pos[1:], u)
-    return replace_children(t, kids)
+    return t._rebuild(t, kids)
 
 
 def _typing_outcome(calculus, ctx, t, expected=None):
@@ -552,7 +552,7 @@ def _reference(calculus, ctx, t, expected=None):
 def _positions(t, pos=(), depth=0):
     """(position, binders above it) of every subterm of t, in preorder."""
     yield pos, depth
-    for i, (c, binds) in enumerate(zip(subterms(t), t._binds)):
+    for i, (c, binds) in enumerate(zip(t._kids(t), t._binds)):
         yield from _positions(c, pos + (i,), depth + binds)
 
 
