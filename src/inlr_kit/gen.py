@@ -41,8 +41,11 @@ _ATOMS = ("P", "Q", "R")
 
 
 def _pick(rng, xs):
-    """A uniform element of xs; the first without an rng."""
-    return xs[0] if rng is None else xs[int(rng.integers(len(xs)))]
+    """A uniform element of xs; the first without an rng or a choice (numpy
+    draws nothing for a range of one value, so no stream changes)."""
+    if rng is None or len(xs) == 1:
+        return xs[0]
+    return xs[int(rng.integers(len(xs)))]
 
 
 def _coin(rng, p=0.5):

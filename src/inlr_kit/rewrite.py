@@ -23,7 +23,8 @@ A head inspects a node and its children, so a contraction can only turn
 its parent into a redex, unless a guard looks deeper; the search
 therefore resumes at the parent, or at the outermost ancestor whose
 constructor carries a guard, noted when its frame was pushed, and not at
-the root.  `run_steps` is the one step loop: it contracts up to a normal
+the root; a parent that matches comes back from the contraction with its
+rules.  `run_steps` is the one step loop: it contracts up to a normal
 form, a stuck redex, spent fuel or a probabilistic pair, each step's
 position the focus's cell; `normalize` draws at each pair and calls it
 again, and `quantum`'s tree of runs calls it once per run.
@@ -95,6 +96,7 @@ class RuleSet:
         # the root constructors of the rules that carry a guard
         self._guarded = frozenset(
             r.head[0] for r in rules if r.guard is not None)
+        self._numbered = {r.rid.number: r for r in rules}
 
     def matching(self, t: Term) -> list:
         """The rules whose left-hand sides match t, in table order.
@@ -138,10 +140,7 @@ class RuleSet:
         return out
 
     def by_number(self, number: int) -> Rule:
-        for r in self.rules:
-            if r.rid.number == number:
-                return r
-        raise KeyError(number)
+        return self._numbered[number]  # KeyError(number) for an unknown one
 
 
 _REGISTRY: dict[str, RuleSet] = {}
@@ -437,7 +436,7 @@ class Cursor:
 
     def contract(self, build):
         """Replace the focus by `build` of it, and refocus where the
-        search must resume.
+        search must resume; the rules there if that is the parent, else ().
 
         The focus goes to `build` as it sits in the term, its loose
         indices pointing at the binders above it, and the contractum comes
@@ -446,12 +445,12 @@ class Cursor:
         Matching looks at a node and its children, so only the parent can
         turn into a redex, unless a guard looks deeper: then the search
         resumes at the outermost ancestor whose constructor carries a
-        guard, noted when its frame was pushed.
+        guard, noted when its frame was pushed, and no guard is asked here.
         """
         stack = self.stack
         self.focus = build(self.focus)
         if not stack:
-            return
+            return ()
         frame = stack[-1]
         frame[2][frame[1]] = self.focus
         frame[3] = True
@@ -459,9 +458,11 @@ class Cursor:
             depth = self._guarded_depth()
             if depth is not None:
                 self.focus = self._climb(depth)
-                return
-        if self.rs._matching(frame[0], frame[2]):
+                return ()
+        here = self.rs._matching(frame[0], frame[2])
+        if here:
             self.focus = self._pop()
+        return here
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +530,12 @@ def run_steps(cur: Cursor, steps: list, fuel: int):
     stuck redex or `fuel` steps, returned as their `Outcome`'s (kind,
     reason), or a probabilistic pair, as its alternatives, the focus on
     it.  Weighed alternatives are asked before the fuel check, so a
-    measurement that cannot be weighed is stuck even with no fuel left."""
+    measurement that cannot be weighed is stuck even with no fuel left.
+    A parent redex comes from `contract`, any other from `seek`."""
     seek, contract, stack = cur.seek, cur.contract, cur.stack
     try:
-        while (here := seek()) is not None:
+        here = ()
+        while (here := here or seek()) is not None:
             rule, weight = here[0], None
             if rule.weigh is not None:
                 alternatives = _alternatives(cur.focus, here)
@@ -542,7 +545,7 @@ def run_steps(cur: Cursor, steps: list, fuel: int):
             if len(steps) >= fuel:
                 return "fuel-exhausted", None
             cell = (stack[-1][1], stack[-1][5]) if stack else None  # cell()
-            contract(rule.build)
+            here = contract(rule.build)
             steps.append(Step(rule.rid, cell, weight))
     except Stuck as e:
         return "stuck", e.reason

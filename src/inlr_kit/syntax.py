@@ -287,6 +287,10 @@ class CalculusError(Exception):
 # Terms
 
 _FORMS: dict = {}  # call-form keyword -> its classes, in declaration order
+# the normal-form marks (`Term._nf`): (a mark or None, a table name) -> the
+# mark with the name added, and each mark -> itself, so equal marks are one
+# object; one entry per set of table names met, so a handful
+_MARKS: dict = {}
 
 
 class Term(Node):
@@ -301,7 +305,8 @@ class Term(Node):
     fields, plain attributes that `==`, `repr` and the printer never read:
 
     * `_nf`, the names of the rule tables under which the node holds no
-      redex, added by the rewrite engine's walks (`_mark_normal`);
+      redex, added by the rewrite engine's walks (`_mark_normal`), as a
+      frozenset that every node marked with the same names shares;
     * `_loose`, its loose-index range: 1 + its largest loose de Bruijn
       index, or 0 if it has none, stored by the first `instantiate` that
       enters the node.  A leaf without indices has 0 on its class, and
@@ -322,10 +327,11 @@ class Term(Node):
 
     def _mark_normal(self, table: str):
         """Record that the node holds no redex of the named rule table."""
-        if self._nf is None:
-            self._nf = {table}
-        else:
-            self._nf.add(table)
+        nf = _MARKS.get((self._nf, table))
+        if nf is None:
+            nf = frozenset(self._nf or ()) | {table}
+            nf = _MARKS[self._nf, table] = _MARKS.setdefault(nf, nf)
+        self._nf = nf
 
 
 @dataclass(eq=False)
@@ -677,14 +683,16 @@ def alpha_eq(t: Term, u: Term) -> bool:
 
 # The one group holds a token; a comment matches outside it, and whitespace,
 # which no alternative matches, is skipped by the search.  Any other
-# character is a token of its own, an unexpected one.
+# character is a token of its own, an unexpected one.  The commonest tokens
+# are tried first; no connective or punctuation mark matches where a number
+# or a name does, so the order of the two changes no token.
 _TOKEN_RE = re.compile(
     r"""
       --[^\n]*
-    | ( [+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?
-      | [A-Za-z_][A-Za-z0-9_]*
-      | """ + "|".join(map(re.escape, _CONNECTIVES)) + r"""
+    | ( """ + "|".join(map(re.escape, _CONNECTIVES)) + r"""
       | [()\[\],.:]
+      | [+-]?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?
+      | [A-Za-z_][A-Za-z0-9_]*
       | \S
       )
     """,

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from inlr_kit import gen, qencode
+from inlr_kit import gen, qencode, rewrite
 from inlr_kit.cc import RULES_CC, RULES_CC_DET, explore, pi_term
 from inlr_kit.iplus import RULES_IPLUS
 from inlr_kit.quantum import RULES_QUANTUM, RULES_QUANTUM_DET
@@ -97,6 +97,15 @@ def test_step_case_inlr():
 def test_step_one_elim():
     out = step_at(q("one_elim(2.0 . star, t)"), (), RuleId("quantum", 19))
     assert out == q("prod(2.0, t)")
+
+
+def test_rule_numbers_name_one_rule_in_every_table():
+    for rs in {*_TABLES.values(), *rewrite._REGISTRY.values()}:
+        numbers = [r.rid.number for r in rs.rules]
+        assert len(set(numbers)) == len(numbers), rs.name
+        assert [rs.by_number(n) for n in numbers] == list(rs.rules)
+        with pytest.raises(KeyError, match=f"^{max(numbers) + 1}$"):
+            rs.by_number(max(numbers) + 1)
 
 
 def test_step_no_match():
@@ -539,6 +548,45 @@ def test_normalize_matches_the_next_step_loop():
     assert ("quantum", "stuck") in kinds
     # unweighted steps, a certain one and drawn measurements
     assert {None, 1.0} < weights and len(weights) > 3
+
+
+def _checked_contract(monkeypatch):
+    """Hold every `Cursor.contract` to `matching`: the rules it returns
+    are those at the parent when the focus moves there, and none when the
+    focus stays, the parent then no redex.  Counts the calls by where the
+    focus went: "parent", "stays", or "climbs" to a guarded ancestor."""
+    contract = Cursor.contract
+    counts = dict.fromkeys(("parent", "stays", "climbs"), 0)
+
+    def checked(cur, build):
+        depth = len(cur.stack)
+        here = contract(cur, build)
+        if len(cur.stack) == depth:
+            assert not here
+            if depth:
+                node, _, kids, _, _, _ = cur.stack[-1]
+                assert cur.rs.matching(node._rebuild(node, kids)) == []
+            counts["stays"] += 1
+        elif here:
+            assert len(cur.stack) == depth - 1
+            assert list(here) == cur.rs.matching(cur.focus)
+            counts["parent"] += 1
+        else:
+            counts["climbs"] += 1
+        return here
+
+    monkeypatch.setattr(Cursor, "contract", checked)
+    return counts
+
+
+def test_contract_returns_the_rules_at_the_parent(monkeypatch):
+    # gen's terms of every table and the pinned reduction corpus
+    counts = _checked_contract(monkeypatch)
+    for k, (rs, t) in enumerate(_differential_terms()):
+        normalize(t, rs, fuel=FULL_LENGTH, rng=derive_rng(93, k))
+    for _table, _ident, record in _reduction_corpus():
+        record()
+    assert min(counts.values()) > 0, counts
 
 
 def _reducts_reference(t, rs):

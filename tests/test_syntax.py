@@ -368,6 +368,21 @@ def test_the_cache_is_not_a_field():
     assert print_term(t) == "case(z, a. inl(a), b. b)"
 
 
+def test_normal_form_marks_are_shared():
+    t, u, v = ip("inl(star)"), ip("inr(z)"), ip("pair(star, star)")
+    t._mark_normal("iplus")
+    u._mark_normal("iplus")
+    assert t._nf is u._nf
+    t._mark_normal("cc")
+    assert "iplus" in t._nf and "cc" in t._nf
+    assert "cc" not in u._nf  # the shared mark did not change under u
+    v._mark_normal("cc")
+    v._mark_normal("iplus")
+    assert v._nf is t._nf
+    t._mark_normal("cc")
+    assert v._nf is t._nf
+
+
 def _guarded_setattr(self, name, value):
     """A write to a field the node already has is refused; caches pass."""
     if not name.startswith("_") and name in self.__dict__:
