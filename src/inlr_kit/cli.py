@@ -102,8 +102,18 @@ def cmd_norm(args):
             print(f"cycle: {path}n{nodes[0]}", file=sys.stderr)
         if graph.budget_hit:
             print(f"truncated: node budget {budget} reached", file=sys.stderr)
-            return EXIT_FUEL
-        return EXIT_OK
+        if args.stats:
+            stats = {"nodes": len(graph.terms), "edges": len(graph.edges),
+                     "normal_forms": len(graph.normal_forms),
+                     "truncated": graph.budget_hit,
+                     "shortest_cycle": None if cycle is None
+                     else len(cycle[1])}
+            print(json.dumps(stats, sort_keys=True), file=sys.stderr)
+        return EXIT_FUEL if graph.budget_hit else EXIT_OK
+    if args.stats:
+        print("error: --stats only applies with --enumerate",
+              file=sys.stderr)
+        return EXIT_USAGE
     trace = normalize(t, default_ruleset(args.calculus), fuel=fuel,
                       rng=derive_rng(args.seed, 0x40))
     if args.trace:
@@ -199,6 +209,10 @@ def build_parser():
     n.add_argument("--enumerate", action="store_true",
                    help="cc only: explore all reduction alternatives and "
                         "print the reachable normal forms plus a DOT graph")
+    n.add_argument("--stats", action="store_true",
+                   help="with --enumerate: print the graph's size, whether "
+                        "it was truncated and its shortest cycle as one JSON "
+                        "line on stderr")
     n.set_defaults(fn=cmd_norm)
 
     m = sub.add_parser("measure", help="run a quantum term many times")

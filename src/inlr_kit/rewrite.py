@@ -247,13 +247,15 @@ def _draw(alternatives, rng):
 class Cursor:
     """A focus in a nameless term and the frames on the path above it.
 
-    Each frame is [node, i, children, dirty, clean, cell]: the focus is
-    children[i] of node; dirty says children have been replaced, so node is
-    rebuilt, once, when the walk leaves it; clean says no redex has been
+    Each frame is [node, i, children, dirty, clean, cell, key]: the focus
+    is children[i] of node; dirty says children have been replaced, so node
+    is rebuilt, once, when the walk leaves it; clean says no redex has been
     recorded at or below node; cell is node's position cell, None at the
-    root, so the focus's is (i, cell) of the top frame.  A node the walk
-    leaves clean is marked redex-free for the table (`Term._mark_normal`),
-    and later walks skip it.
+    root, so the focus's is (i, cell) of the top frame; key is node's `_key`
+    as a list, built by the first `plug_hashes` below the frame and None
+    until then, so a walk that hashes no reduct builds none.  A node the
+    walk leaves clean is marked redex-free for the table
+    (`Term._mark_normal`), and later walks skip it.
 
     `outer` is (depth, frame) for the outermost frame whose node's
     constructor carries a guard, noted when the frame is pushed; it holds
@@ -287,7 +289,7 @@ class Cursor:
     def _pop(self):
         """Leave the top frame; its node, rebuilt if a child was replaced."""
         stack = self.stack
-        node, _, kids, dirty, _, _ = stack.pop()
+        node, _, kids, dirty, _, _, _ = stack.pop()
         if dirty:
             node = node._rebuild(node, kids)
             if stack:
@@ -323,7 +325,7 @@ class Cursor:
             if not 0 <= i < len(t._paths):
                 raise NoMatchError(f"position {pos[k:]} does not exist")
             kids = list(t._kids(t))
-            frame = [t, i, kids, False, True, self.cell()]
+            frame = [t, i, kids, False, True, self.cell(), None]
             if type(t) in self.rs._guarded:
                 self._note(frame)
             self.stack.append(frame)
@@ -357,7 +359,8 @@ class Cursor:
                         stack[-1][4] = False
                 if kids:  # t's cell is `cell()`, inlined
                     frame = [t, 0, list(kids), False, not here,
-                             (stack[-1][1], stack[-1][5]) if stack else None]
+                             (stack[-1][1], stack[-1][5]) if stack else None,
+                             None]
                     if guarded and type(t) in guarded:
                         self._note(frame)
                     stack.append(frame)
@@ -387,7 +390,7 @@ class Cursor:
         """The whole term with u in place of the focus; the cursor stays.
         With `hashes` from `plug_hashes(u)`, each node it builds stores its
         hash."""
-        for k, (node, i, kids, _, _, _) in enumerate(
+        for k, (node, i, kids, _, _, _, _) in enumerate(
                 reversed(self.stack), 1):
             old = kids[i]
             kids[i] = u
@@ -400,15 +403,32 @@ class Cursor:
     def plug_hashes(self, u: Term) -> list:
         """The hashes of the nodes `plug(u)` would build, u's first and the
         whole term's last, worked out without building them: at each frame
-        from the focus up, the node's `_key` with the hash from below in
+        from the focus up, the frame's key with the hash from below in
         place of the path-child's, hashed as `_store_hashes` would.  The
-        term's hashes must be stored (`hash` of it does)."""
+        term's hashes must be stored (`hash` of it does).
+
+        A frame keeps its key, so later reducts below it pay only the swap
+        of the path-child's slot, put back after hashing.  A dirty frame's
+        children are no longer its node's, so its key is made afresh from
+        them each time, and never kept.
+        """
         h = hash(u)
         out = [h]
-        for node, i, _, _, _, _ in reversed(self.stack):
-            key = list(node._key(node))
-            key[node._key_at[i]] = h
+        for frame in reversed(self.stack):
+            node = frame[0]
+            key = frame[6]
+            if key is None or frame[3]:
+                key = list(node._key(node))
+                if frame[3]:
+                    for at, kid in zip(node._key_at, frame[2]):
+                        key[at] = hash(kid)
+                else:
+                    frame[6] = key
+            at = node._key_at[frame[1]]  # the walk moves i: read it now
+            old = key[at]
+            key[at] = h
             h = hash(tuple(key))
+            key[at] = old
             out.append(h)
         return out
 
@@ -420,7 +440,7 @@ class Cursor:
         frame; below the last, c's subterm must `==` u.  Binder hints are
         ignored, as by `==`.
         """
-        for node, i, _, _, _, _ in self.stack:
+        for node, i, _, _, _, _, _ in self.stack:
             if c is not node:
                 cls = type(node)
                 if type(c) is not cls:

@@ -518,7 +518,15 @@ def fold(t: Term, combine):
 
 
 def term_size(t: Term) -> int:
-    return fold(t, lambda node, sizes: 1 + sum(sizes))
+    """The number of nodes of t, its abstractions' bodies standing for
+    them, counted on an explicit stack."""
+    n, stack = 0, [t]
+    pop = stack.pop
+    while stack:
+        node = pop()
+        n += 1
+        stack += node._kids(node)
+    return n
 
 
 def free_names(t: Term) -> frozenset:
@@ -1366,7 +1374,11 @@ def print_terms(terms) -> list:
                     text += sep
                     sep = ", "
                     if kind == TERM:
-                        text = put(parts, text, v, False)
+                        if type(v)._paths:
+                            parts += (text, (v, False))
+                            text = ""
+                        else:
+                            text += _leaf_text(v, False, names)
                     elif kind == ABS:
                         name = binder(v)
                         text = body_parts(parts, f"{text}{name}. ", name,

@@ -73,7 +73,10 @@ LINEAR_REUSED = "linear-reused"
 OUTSIDE = "constructor-outside-calculus"
 ANNOTATION = "annotation-required"
 
-_SCRUTINEE = {TopElim: Top, OneElim: One, BotElim: Bot}
+# one instance of each constant proposition the rules name, so `unify`
+# meets the checker's own leaves by identity
+_TOP, _ONE, _BOT = Top(), One(), Bot()
+_SCRUTINEE = {TopElim: _TOP, OneElim: _ONE, BotElim: _BOT}
 
 
 def _child(i, t):
@@ -238,7 +241,7 @@ class _Checker:
 
     def elim(self, t, pos):  # of Top, One and Bot
         a = yield 0, t.scrut
-        self.unify(a, _SCRUTINEE[type(t)](), (0, pos))
+        self.unify(a, _SCRUTINEE[type(t)], (0, pos))
         return t.prop if type(t) is BotElim else (yield 1, t.body)
 
     def lam(self, t, pos):
@@ -320,7 +323,7 @@ class _Checker:
                                       f"unbound variable {t.name}")
                 prop = use(t.name, pos)
             else:
-                prop = Top() if cls is Star else One()
+                prop = _TOP if cls is Star else _ONE
             # hand prop up the frames until one asks for a child
             while frames:
                 frame, at = frames[-1]

@@ -392,6 +392,83 @@ def test_plugs_to_compares_in_place(candidate, equal):
     assert cur.plugs_to(c, u) is equal
     assert (cur.plug(u) == c) is equal
     assert cur.plug_hashes(u)[-1] == hash(cur.plug(u)) == hash(cc(_PLUGGED))
+    # each frame keeps its node's key, its path slot put back, and a
+    # second reduct is hashed from the kept keys
+    keys = [frame[6] for frame in cur.stack]
+    assert keys == [list(frame[0]._key(frame[0])) for frame in cur.stack]
+    assert cur.plug_hashes(u)[-1] == hash(cc(_PLUGGED))
+    assert [frame[6] for frame in cur.stack] == keys
+    assert all(frame[6] is key for frame, key in zip(cur.stack, keys))
+
+
+def _plugged_path_hashes(cur, u):
+    """The hashes of the nodes on the focus's path in plug(u), built: u's
+    first and the whole term's last."""
+    path = [cur.plug(u)]
+    for i in cur.pos():
+        path.append(path[-1]._kids(path[-1])[i])
+    return [hash(node) for node in reversed(path)]
+
+
+def _kept_key_terms():
+    """40 seeded `gen` cc terms of size up to 30 and an instance of every
+    cc rule."""
+    for i in range(40):
+        yield gen.random_term_in_context("cc", derive_rng(61, i),
+                                         max_size=30)[1]
+    for number in range(1, 43):
+        yield gen.cc_rule_instance(number, derive_rng(62, number))[1]
+
+
+def test_plug_hashes_from_kept_keys_match_the_built_reducts():
+    # during a walk: every redex and every rule, the frames' keys kept
+    # across reducts, so a path slot left unrestored shows at the next
+    # redex under the same frame
+    redexes = served = 0
+    for t in _kept_key_terms():
+        hash(t)
+        cur = Cursor(t, RULES_CC)
+        slots = {}  # id of a frame -> the path slots its kept key served
+
+        def visit(here):
+            nonlocal redexes
+            redexes += 1
+            for frame in cur.stack:
+                if frame[6] is not None:
+                    slots.setdefault(id(frame), set()).add(frame[1])
+            for r in here:
+                u = r.build(cur.focus)
+                assert cur.plug_hashes(u) == _plugged_path_hashes(cur, u), \
+                    (print_term(t), cur.pos(), r.rid)
+
+        cur.seek(visit)
+        served += sum(len(s) > 1 for s in slots.values())
+    assert redexes > 150 and served > 5, (redexes, served)
+
+
+def test_plug_hashes_after_a_contraction_makes_dirty_keys_afresh():
+    # leftmost-outermost steps, each redex's reducts hashed before the
+    # contraction: a frame keyed before it and dirty after it must not
+    # serve its kept key
+    dirty = 0
+    for t in _kept_key_terms():
+        hash(t)
+        cur = Cursor(t, RULES_CC)
+        here = ()
+        for _ in range(30):
+            here = here or cur.seek()
+            if here is None:
+                break
+            for frame in cur.stack:
+                hash(frame[0])  # the nodes a contraction rebuilt
+            dirty += any(frame[3] and frame[6] is not None
+                         for frame in cur.stack)
+            for r in here:
+                u = r.build(cur.focus)
+                assert cur.plug_hashes(u) == _plugged_path_hashes(cur, u), \
+                    (print_term(t), cur.pos(), r.rid)
+            here = cur.contract(here[0].build)
+    assert dirty > 100, dirty
 
 
 # Found by a search over seeded `gen` cc terms: rule 7 at the root of node

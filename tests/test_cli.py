@@ -404,6 +404,35 @@ def test_measure_stats_is_one_stderr_line():
     assert _run_cli_both(argv)[2] == ""
 
 
+@pytest.mark.parametrize("golden, extra, code, stats", [
+    ("norm_cc_enumerate", [], 0,
+     {"nodes": 3, "edges": 2, "normal_forms": 2, "truncated": False,
+      "shortest_cycle": None}),
+    ("norm_cc_enumerate_truncated", ["--fuel", "2"], 3,
+     {"nodes": 2, "edges": 1, "normal_forms": 1, "truncated": True,
+      "shortest_cycle": None}),
+], ids=["complete", "truncated"])
+def test_enumerate_stats_is_one_stderr_line(golden, extra, code, stats):
+    argv = ["norm", g("t_bot_choice.inlr"), "--calculus", "cc",
+            "--enumerate"] + extra
+    with open(g(golden + ".out"), "r", encoding="utf-8") as fh:
+        want = fh.read()
+    plain = _run_cli_both(argv)
+    got = _run_cli_both(argv + ["--stats"])
+    assert (got[0], got[1]) == (plain[0], plain[1]) == (code, want)
+    assert got[2].startswith(plain[2])
+    [line] = got[2][len(plain[2]):].splitlines()
+    assert json.loads(line) == stats
+    assert line == json.dumps(stats, sort_keys=True)
+
+
+def test_stats_without_enumerate_is_a_usage_error():
+    code, out, err = _run_cli_both(["norm", g("t_bot_choice.inlr"),
+                                    "--calculus", "cc", "--stats"])
+    assert (code, out) == (4, "")
+    assert err == "error: --stats only applies with --enumerate\n"
+
+
 def test_measure_many_shots():
     # the shots are walked in chunks of quantum.CHUNK; more shots than
     # three chunks are counted in full
@@ -422,6 +451,14 @@ def test_enumerate_reports_a_cycle(tmp_path):
     assert code == 3
     assert err == ("cycle: n0 -cc:37-> n3 -cc:7-> n0\n"
                    "truncated: node budget 200 reached\n")
+    code, _out, err = _run_cli_both(["norm", str(path), "--calculus", "cc",
+                                     "--enumerate", "--fuel", "200",
+                                     "--stats"])
+    assert code == 3
+    *_, line = err.splitlines()
+    assert json.loads(line) == {"nodes": 200, "edges": 595,
+                                "normal_forms": 1, "truncated": True,
+                                "shortest_cycle": 2}
     code, _out, err = _run_cli_both(["norm", g("t_bot_choice.inlr"),
                                      "--calculus", "cc", "--enumerate"])
     assert (code, err) == (0, "")

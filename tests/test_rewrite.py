@@ -564,7 +564,7 @@ def _checked_contract(monkeypatch):
         if len(cur.stack) == depth:
             assert not here
             if depth:
-                node, _, kids, _, _, _ = cur.stack[-1]
+                node, _, kids, _, _, _, _ = cur.stack[-1]
                 assert cur.rs.matching(node._rebuild(node, kids)) == []
             counts["stays"] += 1
         elif here:
