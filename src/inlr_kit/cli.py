@@ -120,14 +120,12 @@ def cmd_norm(args):
         for line in trace.step_lines():
             print(line)
     outcome = trace.outcome
+    print(print_term(outcome.term))
     if outcome.kind == "normal-form":
-        print(print_term(outcome.term))
         return EXIT_OK
     if outcome.kind == "stuck":
-        print(print_term(outcome.term))
         print(f"stuck: {outcome.reason}", file=sys.stderr)
         return EXIT_STUCK
-    print(print_term(outcome.term))
     print(f"fuel exhausted after {len(trace.steps)} steps", file=sys.stderr)
     return EXIT_FUEL
 

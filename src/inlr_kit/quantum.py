@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import cmath
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 
@@ -78,13 +77,15 @@ def _settled(t):
             and is_normal(t.scrut.right, RULES_QUANTUM))
 
 
-def structural_norm_sq(t: Term) -> float | None:
-    """The squared norm of a closed irreducible vector proof, else None;
-    inf when a square is too large for a float.
+def structural_norm_sq(t: Term, scale: int = 0) -> float | None:
+    """The squared norm of a closed irreducible vector proof, each modulus
+    first scaled by 2**scale, else None; inf when a square is too large
+    for a float.
 
     An explicit stack holds the nodes still to weigh, and None marks an
     `inlr` whose two norms are on top of `norms`, to be added.
     """
+    unit = 2.0 ** scale  # a power of two: scales each modulus exactly
     todo = [t]
     norms = []
     while todo:
@@ -94,7 +95,7 @@ def structural_norm_sq(t: Term) -> float | None:
             norms[-1] += right
         elif isinstance(t, ScalarStar):
             try:
-                norms.append(abs(t.value) ** 2)
+                norms.append((abs(t.value) * unit) ** 2)
             except OverflowError:  # the modulus or its square
                 norms.append(cmath.inf)
         elif isinstance(t, Inlr2):
@@ -106,28 +107,30 @@ def structural_norm_sq(t: Term) -> float | None:
     return norms[0]
 
 
+#: the power of two a measurement scales its moduli by when their squares
+#: sum below the normal floats.  Each modulus is then below 2**(792 - 511)
+#: and each nonzero one at least 2**(792 - 1074), so every square is a
+#: finite normal float and the sum a finite one, and the ratios are exact.
+_UNDERFLOW_SCALE = 792
+
+
 def _born_weights(t: CaseNd) -> tuple:
     """The probabilities of rules 26 and 27: the squared norms of the values
     the branches receive over their sum, None for both (a uniform draw) at
     a component that is not a vector value; stuck at an inf sum, or at a
     zero one when every amplitude is zero.  A sum below the normal floats
-    is taken again with each modulus scaled by the power of two that
-    brings the largest into [0.5, 1), which scales the weights exactly."""
+    is taken again with each modulus scaled by 2**_UNDERFLOW_SCALE."""
     l, r = t.scrut.left, t.scrut.right
     wl, wr = structural_norm_sq(l), structural_norm_sq(r)
     if wl is None or wr is None:
         return None, None
     total = wl + wr
     if total < sys.float_info.min:
-        biggest = lambda node, mods: max(mods) if mods else abs(node.value)
-        top = max(fold(l, biggest), fold(r, biggest))
-        if top == 0.0:
-            raise ZeroNormStuck("both branch weights are zero")
-        e = -math.frexp(top)[1]
-        scaled = lambda node, norms: (sum(norms) if norms else
-                                      math.ldexp(abs(node.value), e) ** 2)
-        wl, wr = fold(l, scaled), fold(r, scaled)
+        wl = structural_norm_sq(l, _UNDERFLOW_SCALE)
+        wr = structural_norm_sq(r, _UNDERFLOW_SCALE)
         total = wl + wr
+        if total == 0.0:
+            raise ZeroNormStuck("both branch weights are zero")
     if not cmath.isfinite(total):
         raise ScalarOverflowStuck(f"squared norm {total} is not finite")
     return wl / total, wr / total
@@ -281,16 +284,14 @@ def run_measure(t: Term, shots: int, seed: int,
     hits = {}  # leaf -> [first shot ending there, shots, draws]
     for start in range(0, shots, CHUNK):
         _walk(root, seed, range(start, min(start + CHUNK, shots)), hits)
-    # each leaf is looked up by its outcome once, in first-hit order; a bin
-    # keeps the term of its first hit, whose binder hints it prints
+    # leaves are binned in first-hit order; a bin keeps the term of its
+    # first hit, whose binder hints it prints
     bins = {}  # outcome -> [shots, exact weight]
-    bin_of = {}  # leaf -> its bin
     for leaf, (_, count, _) in sorted(hits.items(), key=lambda h: h[1][0]):
-        entry = bin_of[leaf] = bins.setdefault(leaf.end, [0, 0.0])
-        entry[0] += count
+        bins.setdefault(leaf.end, [0, 0.0])[0] += count
     weights = _leaf_weights(root)
     for leaf, prob in weights or ():
-        entry = bin_of.get(leaf) or bins.get(leaf.end)
+        entry = bins.get(leaf.end)
         if entry is not None:
             entry[1] += prob
     out = []

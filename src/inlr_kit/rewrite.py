@@ -99,10 +99,7 @@ class RuleSet:
         self._numbered = {r.rid.number: r for r in rules}
 
     def matching(self, t: Term) -> list:
-        """The rules whose left-hand sides match t, in table order.
-
-        A guard that several rules share is asked once.
-        """
+        """The rules whose left-hand sides match t, in table order."""
         return list(self._matching(t, t._kids(t)))
 
     def _matching(self, t: Term, kids):
@@ -128,16 +125,7 @@ class RuleSet:
                 r for r in self.rules if _fits(r.head, key))
         if not hits or cls not in self._guarded:
             return hits
-        verdicts = {}
-        out = []
-        for r in hits:
-            if r.guard is not None:
-                if r.guard not in verdicts:
-                    verdicts[r.guard] = r.guard(t)
-                if not verdicts[r.guard]:
-                    continue
-            out.append(r)
-        return out
+        return [r for r in hits if r.guard is None or r.guard(t)]
 
     def by_number(self, number: int) -> Rule:
         return self._numbered[number]  # KeyError(number) for an unknown one
@@ -404,13 +392,16 @@ class Cursor:
         """The hashes of the nodes `plug(u)` would build, u's first and the
         whole term's last, worked out without building them: at each frame
         from the focus up, the frame's key with the hash from below in
-        place of the path-child's, hashed as `_store_hashes` would.  The
-        term's hashes must be stored (`hash` of it does).
+        place of the path-child's, hashed as `_store_hashes` would.
 
         A frame keeps its key, so later reducts below it pay only the swap
         of the path-child's slot, put back after hashing.  A dirty frame's
         children are no longer its node's, so its key is made afresh from
-        them each time, and never kept.
+        them each time, and never kept.  A clean frame whose node has no
+        stored hash (one rebuilt by a contraction, or inside a contractum)
+        makes its key from its children too, and keeps it: a node's hash
+        is only ever stored once its children's are, so a node with one
+        has a key with no hash missing.
         """
         h = hash(u)
         out = [h]
@@ -419,10 +410,10 @@ class Cursor:
             key = frame[6]
             if key is None or frame[3]:
                 key = list(node._key(node))
-                if frame[3]:
+                if frame[3] or node._hash is None:
                     for at, kid in zip(node._key_at, frame[2]):
                         key[at] = hash(kid)
-                else:
+                if not frame[3]:
                     frame[6] = key
             at = node._key_at[frame[1]]  # the walk moves i: read it now
             old = key[at]
@@ -519,8 +510,11 @@ def reducts(t: Term, ruleset: RuleSet):
 
 
 def is_normal(t: Term, ruleset: RuleSet) -> bool:
-    """Whether t contains no redex of the table."""
-    return Cursor(t, ruleset).seek() is None
+    """Whether t contains no redex of the table; a node a walk marked
+    redex-free for it is answered from the mark, with no cursor."""
+    nf = t._nf
+    return (nf is not None and ruleset.name in nf
+            or Cursor(t, ruleset).seek() is None)
 
 
 def step_at(t: Term, pos, rid: RuleId, choice: str | None = None,

@@ -146,21 +146,14 @@ def lex_decrease_on_traces(samples, seed, deterministic=False,
                 root_steps += 1
                 if not lex_gt(cur, nxt):
                     failures += 1
-    worked_pair = (measure_nu(gen_worked_sum()) == 3
-                   and measure_nu(gen_worked_lam()) == 2
-                   and lex_gt(gen_worked_sum(), gen_worked_lam()))
+    worked_sum = parse_term("sum(lam x. x, lam x. x)", "quantum")
+    worked_lam = parse_term("lam x. sum(x, x)", "quantum")
+    worked_pair = (measure_nu(worked_sum) == 3 and measure_nu(worked_lam) == 2
+                   and lex_gt(worked_sum, worked_lam))
     return CheckResult(
         "lex-decrease[quantum]", failures == 0 and worked_pair,
         f"{samples} traces, {root_steps} root steps, {failures} failures, "
         f"worked nu pair {'ok' if worked_pair else 'WRONG'}")
-
-
-def gen_worked_sum():
-    return parse_term("sum(lam x. x, lam x. x)", "quantum")
-
-
-def gen_worked_lam():
-    return parse_term("lam x. sum(x, x)", "quantum")
 
 
 def mu_additivity(samples, seed) -> CheckResult:
@@ -286,7 +279,7 @@ def cc_rule_soundness(samples, seed) -> CheckResult:
                        f"{failures} failures")
 
 
-def cc_pi_terms(seed) -> CheckResult:
+def cc_pi_terms() -> CheckResult:
     """The six pi witnesses typecheck at their stated propositions."""
     a1, a2 = Atom("A1"), Atom("A2")
     b1, b2, b3, b4 = Atom("B1"), Atom("B2"), Atom("B3"), Atom("B4")
@@ -385,7 +378,7 @@ def suite_qencode(samples, seed):
 def suite_cc(samples, seed):
     return [
         cc_rule_soundness(samples, seed),
-        cc_pi_terms(seed),
+        cc_pi_terms(),
         cc_demo(),
         *cc_enumeration(max(2, samples // 10), seed),
     ]

@@ -566,10 +566,6 @@ def _free_names_memo(free: dict, t: Node) -> frozenset:
     return free[id(t)]
 
 
-def is_closed(t: Term) -> bool:
-    return not free_names(t)
-
-
 def uses_binder(a: Abs) -> bool:
     """Whether the abstraction actually refers to its bound variable.
 

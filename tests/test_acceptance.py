@@ -153,7 +153,7 @@ def test_criterion_9_measurement_statistics():
 
 def test_criterion_10_cc_soundness():
     report("10", selftest.cc_rule_soundness(300, SEED))
-    report("10", selftest.cc_pi_terms(SEED))
+    report("10", selftest.cc_pi_terms())
     report("10", selftest.cc_demo())
 
 

@@ -96,7 +96,7 @@ def test_pi_inr_inl_shape():
 
 
 def test_pi_terms_typecheck_at_stated_propositions():
-    result = cc_pi_terms(seed=0)
+    result = cc_pi_terms()
     assert result.ok, result.detail
 
 
@@ -446,10 +446,12 @@ def test_plug_hashes_from_kept_keys_match_the_built_reducts():
     assert redexes > 150 and served > 5, (redexes, served)
 
 
-def test_plug_hashes_after_a_contraction_makes_dirty_keys_afresh():
+@pytest.mark.parametrize("prehash", [True, False])
+def test_plug_hashes_after_a_contraction_makes_dirty_keys_afresh(prehash):
     # leftmost-outermost steps, each redex's reducts hashed before the
     # contraction: a frame keyed before it and dirty after it must not
-    # serve its kept key
+    # serve its kept key; without the pre-hash, the nodes a contraction
+    # rebuilt carry no stored hash and their children's keys hold none
     dirty = 0
     for t in _kept_key_terms():
         hash(t)
@@ -459,7 +461,7 @@ def test_plug_hashes_after_a_contraction_makes_dirty_keys_afresh():
             here = here or cur.seek()
             if here is None:
                 break
-            for frame in cur.stack:
+            for frame in cur.stack if prehash else ():
                 hash(frame[0])  # the nodes a contraction rebuilt
             dirty += any(frame[3] and frame[6] is not None
                          for frame in cur.stack)

@@ -12,7 +12,7 @@ from inlr_kit.quantum import (RULES_QUANTUM, RULES_QUANTUM_DET, Histogram,
                               ScalarOverflowStuck, is_introduction, lex_gt,
                               measure_mu, measure_nu,
                               mu_subst_additivity, run_measure, FUEL_BIN,
-                              STUCK_BIN)
+                              STUCK_BIN, structural_norm_sq)
 from inlr_kit.rewrite import (NoMatchError, RuleId, find_redexes, normalize,
                               step_at)
 from inlr_kit.rng import derive_rng
@@ -553,3 +553,25 @@ def test_tiny_amplitudes_are_weighed_exactly():
         assert got.keys() <= {print_term(Inl(u)), print_term(Inr(v))}
         for term, step in ((Inl(u), left), (Inr(v), right)):
             assert got.get(print_term(term), step.weight) == step.weight
+
+
+@pytest.mark.parametrize("k", [-60, -1, 3, 200])
+def test_scaled_norm_is_the_norm_times_a_power_of_four(k):
+    for i in range(40):
+        t = _seeded_values(derive_rng(109, i))[0]
+        assert structural_norm_sq(t, k) \
+            == math.ldexp(structural_norm_sq(t), 2 * k)
+
+
+@pytest.mark.parametrize("j", [520, 792, 990])
+def test_the_rescale_undoes_an_underflow_exactly(j):
+    # amplitudes scaled by 2**-j, whose squares sum below the normal
+    # floats, are weighed at 2**(2 * (k - j)) times their norm, exactly,
+    # k being the scale a measurement takes such sums at
+    k = quantum._UNDERFLOW_SCALE
+    for i in range(40):
+        t = _seeded_values(derive_rng(109, i))[0]
+        tiny = _seeded_values(derive_rng(109, i), 2.0 ** -j)[0]
+        assert structural_norm_sq(tiny) < sys.float_info.min
+        assert structural_norm_sq(tiny, k) \
+            == math.ldexp(structural_norm_sq(t), 2 * (k - j))

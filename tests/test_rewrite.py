@@ -43,7 +43,7 @@ def test_find_redexes_examples():
 
 
 @pytest.mark.parametrize("verdict", [True, False])
-def test_shared_guard_is_asked_once(verdict):
+def test_each_matching_rule_asks_its_guard(verdict):
     calls = []
 
     def guard(t):
@@ -55,7 +55,7 @@ def test_shared_guard_is_asked_once(verdict):
     rs = RuleSet("shared-guard", "test", rules)
     t = ip("sum(inl(star), star)")
     assert rs.matching(t) == (list(rules) if verdict else [])
-    assert calls == [t]
+    assert calls == [t, t]
 
 
 def test_find_redexes_keeps_marks_off_redex_parents():

@@ -17,7 +17,7 @@ from inlr_kit.syntax import (ABS, CALCULI, PROP, SCALAR, TERM, _CONNECTIVES,
                              Impl, Inl, Lam, Lollipop, MetaProp, Node, One,
                              OPlus, Pair, ParseError, Proposition, ScalarStar,
                              Star, Term, Top, TopElim, Var, format_scalar,
-                             free_names, instantiate, is_closed, parse_prop,
+                             free_names, instantiate, parse_prop,
                              parse_term, print_prop, print_term, print_terms,
                              term_size, uses_binder)
 
@@ -991,8 +991,8 @@ def test_term_size():
     for _ in range(10 ** 5):
         opened, closed = Inl(opened), Inl(closed)
     assert term_size(opened) == term_size(closed) == 10 ** 5 + 1
-    assert free_names(opened) == {"x"} and not is_closed(opened)
-    assert free_names(closed) == set() and is_closed(closed)
+    assert free_names(opened) == {"x"}
+    assert free_names(closed) == set()
 
 
 def _term_size_rec(t):
