@@ -21,8 +21,8 @@ from .quantum import run_measure
 from .rewrite import default_ruleset, normalize
 from .rng import derive_rng
 from .selftest import SUITES
-from .syntax import (CalculusError, ParseError, parse_prop, parse_term,
-                     print_prop, print_term)
+from .syntax import (CALCULI, CalculusError, ParseError, parse_prop,
+                     parse_term, print_prop, print_term)
 from .typecheck import TypingError, infer
 
 EXIT_OK = 0
@@ -193,14 +193,12 @@ def build_parser():
 
     c = sub.add_parser("check", help="type-check a term file")
     c.add_argument("file")
-    c.add_argument("--calculus", required=True,
-                   choices=("iplus", "quantum", "cc"))
+    c.add_argument("--calculus", required=True, choices=CALCULI)
     c.set_defaults(fn=cmd_check)
 
     n = sub.add_parser("norm", help="normalize a term file")
     n.add_argument("file")
-    n.add_argument("--calculus", required=True,
-                   choices=("iplus", "quantum", "cc"))
+    n.add_argument("--calculus", required=True, choices=CALCULI)
     n.add_argument("--fuel", type=_count(0), default=None)
     n.add_argument("--seed", type=int, default=0)
     n.add_argument("--trace", action="store_true")

@@ -315,8 +315,15 @@ def load_vector_json(text: str) -> np.ndarray:
         raise EncodeError(f"malformed vector JSON: {type(e).__name__}: {e}") from e
 
 
+def _number(x) -> float:
+    # JSON numbers only: float() would also take a bool and parse "1_000"
+    if type(x) is not int and type(x) is not float:
+        raise TypeError(f"entry part {x!r} is not a number")
+    return float(x)
+
+
 def _complex_entries(pairs) -> list:
-    out = [complex(float(re), float(im)) for re, im in pairs]
+    out = [complex(_number(re), _number(im)) for re, im in pairs]
     for i, z in enumerate(out):
         if not cmath.isfinite(z):
             raise EncodeError(f"entry {i} is not finite: "

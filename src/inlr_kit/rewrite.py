@@ -32,6 +32,7 @@ again, and `quantum`'s tree of runs calls it once per run.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -77,13 +78,18 @@ class Rule:
                 and (self.guard is None or self.guard(t)))
 
 
+_BITS = itertools.count()  # each table's bit in the marks `Term._nf`
+
+
 class RuleSet:
-    """A named rule table of one calculus, with its compiled heads."""
+    """A rule table of one calculus, with its compiled heads and its own
+    bit in the normal-form marks; `name` is only a label."""
 
     def __init__(self, name: str, calculus: str, rules: tuple):
         self.name = name
         self.calculus = calculus
         self.rules = rules
+        self.bit = 1 << next(_BITS)
         # root constructor -> how many path-children its rule heads
         # inspect; a constructor no rule roots at is absent
         self._width = {}
@@ -242,8 +248,8 @@ class Cursor:
     root, so the focus's is (i, cell) of the top frame; key is node's `_key`
     as a list, built by the first `plug_hashes` below the frame and None
     until then, so a walk that hashes no reduct builds none.  A node the
-    walk leaves clean is marked redex-free for the table
-    (`Term._mark_normal`), and later walks skip it.
+    walk leaves clean is marked redex-free for the table, its `bit` set in
+    the node's `_nf`, and later walks skip it.
 
     `outer` is (depth, frame) for the outermost frame whose node's
     constructor carries a guard, noted when the frame is pushed; it holds
@@ -328,14 +334,13 @@ class Cursor:
         rules matching at every redex, the focus on the redex, and the
         walk goes on into its children.
         """
-        key = self.rs.name
+        bit = self.rs.bit
         matching = self.rs._matching
         guarded = self.rs._guarded
         stack = self.stack
         t = self.focus
         while True:
-            nf = t._nf
-            if nf is None or key not in nf:
+            if not t._nf & bit:
                 kids = t._kids(t)
                 here = matching(t, kids)
                 if here:
@@ -355,7 +360,7 @@ class Cursor:
                     t = kids[0]
                     continue
                 if not here:
-                    t._mark_normal(key)
+                    t._nf |= bit
             # everything up to t is done: go right, else up
             while stack:
                 frame = stack[-1]
@@ -367,7 +372,7 @@ class Cursor:
                     break
                 t = self._pop()
                 if frame[4]:
-                    t._mark_normal(key)
+                    t._nf |= bit
                 elif stack:
                     stack[-1][4] = False
             else:
@@ -512,9 +517,7 @@ def reducts(t: Term, ruleset: RuleSet):
 def is_normal(t: Term, ruleset: RuleSet) -> bool:
     """Whether t contains no redex of the table; a node a walk marked
     redex-free for it is answered from the mark, with no cursor."""
-    nf = t._nf
-    return (nf is not None and ruleset.name in nf
-            or Cursor(t, ruleset).seek() is None)
+    return t._nf & ruleset.bit != 0 or Cursor(t, ruleset).seek() is None
 
 
 def step_at(t: Term, pos, rid: RuleId, choice: str | None = None,
@@ -534,7 +537,9 @@ def step_at(t: Term, pos, rid: RuleId, choice: str | None = None,
     if rule.group == ND_PAIR:
         alternatives = _alternatives(cur.focus, here)
         if choice is not None:
-            rule = next(r for r, _ in alternatives if r.role == choice)
+            rule = next((r for r, _ in alternatives if r.role == choice), None)
+            if rule is None:
+                raise NoMatchError(f"no {choice!r} branch at rule {rid}")
     return cur.plug(rule.build(cur.focus))
 
 

@@ -287,10 +287,6 @@ class CalculusError(Exception):
 # Terms
 
 _FORMS: dict = {}  # call-form keyword -> its classes, in declaration order
-# the normal-form marks (`Term._nf`): (a mark or None, a table name) -> the
-# mark with the name added, and each mark -> itself, so equal marks are one
-# object; one entry per set of table names met, so a handful
-_MARKS: dict = {}
 
 
 class Term(Node):
@@ -304,9 +300,9 @@ class Term(Node):
     Beside its `_hash`, each term keeps caches outside its dataclass
     fields, plain attributes that `==`, `repr` and the printer never read:
 
-    * `_nf`, the names of the rule tables under which the node holds no
-      redex, added by the rewrite engine's walks (`_mark_normal`), as a
-      frozenset that every node marked with the same names shares;
+    * `_nf`, an int with one bit set for each rule table under which the
+      node holds no redex (the table's `bit`), set by the rewrite engine's
+      walks, 0 on the class;
     * `_loose`, its loose-index range: 1 + its largest loose de Bruijn
       index, or 0 if it has none, stored by the first `instantiate` that
       enters the node.  A leaf without indices has 0 on its class, and
@@ -317,21 +313,13 @@ class Term(Node):
               "Proposition": PROP, "Proposition | None": PROP,
               "str": None, "int": None}
     _word = None        # the keyword of a call form: word[P](slot, ...)
-    _nf = None
+    _nf = 0
     _loose = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         if cls._word:
             _FORMS.setdefault(cls._word, []).append(cls)
-
-    def _mark_normal(self, table: str):
-        """Record that the node holds no redex of the named rule table."""
-        nf = _MARKS.get((self._nf, table))
-        if nf is None:
-            nf = frozenset(self._nf or ()) | {table}
-            nf = _MARKS[self._nf, table] = _MARKS.setdefault(nf, nf)
-        self._nf = nf
 
 
 @dataclass(eq=False)

@@ -1,8 +1,8 @@
 """Source checks on the package: which functions may call themselves,
 where gen draws from its rng, which node classes the rewrite engine
 names, where node fields are declared, where the node classes become
-dataclasses, how a node's caches are written and that nothing calls the
-`==` alias `alpha_eq`."""
+dataclasses, how a node's caches are written, which module writes the
+normal-form marks and that nothing calls the `==` alias `alpha_eq`."""
 
 import ast
 import dataclasses
@@ -286,6 +286,43 @@ def test_no_instance_dict_is_written():
     found = [(module, line) for module, tree in _trees()
              for line in _dict_writes(tree)]
     assert found == []
+
+
+def _mark_writes(tree: ast.AST) -> list:
+    """The lines that write a node's normal-form mark `_nf`: assigned,
+    augmented or deleted as an attribute, or set by name."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "_nf"
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+                or isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("setattr", "delattr")
+                and any(isinstance(a, ast.Constant) and a.value == "_nf"
+                        for a in node.args)):
+            found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_the_lint_sees_mark_writes():
+    tree = ast.parse("t._nf |= bit\n"
+                     "t._nf = 0\n"
+                     "del t._nf\n"
+                     "setattr(t, '_nf', 1)\n"
+                     "a, t.left._nf = 1, 2\n"
+                     "x = t._nf & bit\n"
+                     "y = getattr(t, '_nf')\n"
+                     "class T:\n"
+                     "    _nf = 0\n")
+    assert _mark_writes(tree) == [1, 2, 3, 4, 5]
+
+
+def test_only_the_engine_writes_marks():
+    # which nodes are redex-free under which table is the rewrite
+    # engine's decision alone; a term class only declares the default
+    found = {module: _mark_writes(tree) for module, tree in _trees()}
+    assert found.pop("rewrite")
+    assert [(module, lines) for module, lines in found.items() if lines] == []
 
 
 @pytest.mark.parametrize("base,annotation", [

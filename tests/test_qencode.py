@@ -391,11 +391,18 @@ def test_matrix_json_rejects_wrong_count():
     (load_vector_json, '"ab"'),
     (load_vector_json, "[" * 100000 + "]" * 100000),
     (load_vector_json, "[[1" + "0" * 400 + ", 0]]"),
+    (load_matrix_json, '{"rows": 1, "cols": 1, "entries": [["2", true]]}'),
+    (load_matrix_json, '{"rows": 1, "cols": 1, "entries": [["1_000", 0]]}'),
+    (load_vector_json, '[[true, false], ["4", "1e3"]]'),
+    (load_vector_json, '[[1, true]]'),
+    (load_vector_json, '[[1, 0], [0, "1"]]'),
 ], ids=["matrix-not-json", "matrix-no-cols", "matrix-negative",
         "matrix-list", "matrix-infinite-rows", "matrix-float-bool-dims",
         "matrix-string-dims", "vector-not-pairs",
         "vector-no-entries", "vector-string", "vector-deep",
-        "vector-int-past-float"])
+        "vector-int-past-float", "matrix-string-bool-entry",
+        "matrix-underscore-string-entry", "vector-bool-string-entries",
+        "vector-bool-im", "vector-string-im"])
 def test_malformed_json_raises_encode_error(load, text):
     with pytest.raises(EncodeError):
         load(text)

@@ -13,9 +13,9 @@ from inlr_kit.iplus import RULES_IPLUS
 from inlr_kit.quantum import RULES_QUANTUM, RULES_QUANTUM_DET
 from inlr_kit.quantum import ScalarOverflowStuck, ZeroNormStuck, run_measure
 from inlr_kit.rewrite import (ND_PAIR, Cursor, Rule, RuleId, RuleSet, Stuck,
-                              _alternatives, _draw, find_redexes, join_peak,
-                              normalize, reducts, replay_states, step_at,
-                              NoMatchError)
+                              _alternatives, _draw, find_redexes, is_normal,
+                              join_peak, normalize, reducts, replay_states,
+                              step_at, NoMatchError)
 from inlr_kit.rng import derive_rng
 from inlr_kit.syntax import (ABS, TERM, Abs, App, Bound, Inl, Lam, One,
                              OneElim, OPlus, ScalarStar, Star, Sum, Var,
@@ -66,6 +66,23 @@ def test_find_redexes_keeps_marks_off_redex_parents():
     want = [((0,), RuleId("test", 1)), ((1,), RuleId("test", 1))]
     assert find_redexes(t, rs) == want
     assert find_redexes(t, rs) == want
+
+
+def test_marks_are_kept_per_table_not_per_name():
+    # a table that shares the full table's name, but lacks rule 8, finds
+    # no redex in the term: its walk must not hide rule 8's from the full
+    # table, nor a walk under the deterministic quantum table the pair's
+    sub = RuleSet("iplus", "iplus", tuple(
+        r for r in RULES_IPLUS.rules if r.rid.number != 8))
+    tr = normalize(ip("pair(sum(star, star), star)"), sub)
+    assert tr.outcome.kind == "normal-form" and tr.steps == []
+    assert find_redexes(tr.final, RULES_IPLUS) == [((0,), RuleId("iplus", 8))]
+    assert not is_normal(tr.final, RULES_IPLUS)
+    t = q("case_nd(inlr(1.0 . star, 1.0 . star), x. x, y. y)")
+    assert is_normal(t, RULES_QUANTUM_DET)
+    assert find_redexes(t, RULES_QUANTUM) == [((), RuleId("quantum", 26)),
+                                              ((), RuleId("quantum", 27))]
+    assert not is_normal(t, RULES_QUANTUM)
 
 
 def test_find_redexes_leftmost_outermost_order():
@@ -136,6 +153,12 @@ def test_forced_choice_beats_rng():
     t = q("case_nd(inlr(1.0 . star, 2.0 . star), x. x, y. y)")
     assert (step_at(t, (), RuleId("quantum", 26), choice="right")
             == q("2.0 . star"))
+
+
+def test_an_unknown_choice_is_no_match():
+    t = q("case_nd(inlr(1.0 . star, 2.0 . star), x. x, y. y)")
+    with pytest.raises(NoMatchError, match="'middle'"):
+        step_at(t, (), RuleId("quantum", 26), choice="middle")
 
 
 # ---------------------------------------------------------------------------
@@ -888,14 +911,14 @@ def test_root_beta_keeps_the_closed_columns():
 
     before = columns(t)
     assert len(before) == 16
-    assert all("quantum-det" in c._nf for c in before)
+    assert all(c._nf & RULES_QUANTUM_DET.bit for c in before)
     tr = normalize(t, RULES_QUANTUM_DET, fuel=1)
     assert [(s.rule, s.pos) for s in tr.steps] == [(RuleId("quantum", 20),
                                                     ())]
     after = columns(tr.final)
     assert len(after) == 16
     assert all(a is b for a, b in zip(after, before))
-    assert all("quantum-det" in c._nf for c in after)
+    assert all(c._nf & RULES_QUANTUM_DET.bit for c in after)
 
 
 def test_beta_into_a_deep_body_normalizes():

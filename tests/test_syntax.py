@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inlr_kit import gen, qencode, selftest, syntax
-from inlr_kit.cc import explore
+from inlr_kit.cc import RULES_CC, explore
+from inlr_kit.iplus import RULES_IPLUS
 from inlr_kit.quantum import run_measure
+from inlr_kit.rewrite import is_normal
 from inlr_kit.rng import derive_rng
 from inlr_kit.syntax import (ABS, CALCULI, PROP, SCALAR, TERM, _CONNECTIVES,
                              _RESERVED, Abs, AndElim1, AndElim2, App, Atom,
@@ -361,7 +363,8 @@ def test_the_cache_is_not_a_field():
     t = ip("case(z, a. inl(a), b. b)")
     before = repr(t)
     hash(t)
-    t._mark_normal("iplus")
+    assert is_normal(t, RULES_IPLUS)  # the walk marks every node
+    assert t._nf & RULES_IPLUS.bit
     assert repr(t) == before
     assert [f.name for f in dataclasses.fields(t)] == ["scrut", "left",
                                                        "right"]
@@ -369,17 +372,19 @@ def test_the_cache_is_not_a_field():
 
 
 def test_normal_form_marks_are_shared():
+    # a mark is an int, one bit per table; the package's few tables take
+    # the low bits, so their marks are small ints that CPython shares
+    iplus, cc = RULES_IPLUS.bit, RULES_CC.bit
+    assert iplus & cc == 0 and iplus | cc < 256
     t, u, v = ip("inl(star)"), ip("inr(z)"), ip("pair(star, star)")
-    t._mark_normal("iplus")
-    u._mark_normal("iplus")
-    assert t._nf is u._nf
-    t._mark_normal("cc")
-    assert "iplus" in t._nf and "cc" in t._nf
-    assert "cc" not in u._nf  # the shared mark did not change under u
-    v._mark_normal("cc")
-    v._mark_normal("iplus")
+    assert is_normal(t, RULES_IPLUS) and is_normal(u, RULES_IPLUS)
+    assert t._nf == iplus and t._nf is u._nf
+    assert is_normal(t, RULES_CC)
+    assert t._nf == iplus | cc
+    assert u._nf == iplus  # marking t left u's mark as it was
+    assert is_normal(v, RULES_CC) and is_normal(v, RULES_IPLUS)
     assert v._nf is t._nf
-    t._mark_normal("cc")
+    assert is_normal(t, RULES_CC)
     assert v._nf is t._nf
 
 
